@@ -40,13 +40,23 @@ def int_nth_root(value: int, degree: int) -> int:
         return value
     if degree == 2:
         return isqrt(value)
-    # Float seed, then exact integer correction in both directions.
-    root = int(round(value ** (1.0 / degree)))
-    while root > 1 and root**degree > value:
-        root -= 1
-    while (root + 1) ** degree <= value:
-        root += 1
+    try:
+        root = int(value ** (1.0 / degree))
+    except OverflowError:  # too large for a float: seed from the bit length
+        root = 1 << -(-value.bit_length() // degree)
+    else:
+        if root**degree <= value < (root + 1) ** degree:
+            return root  # the float seed is usually exact
+    # Integer Newton: one step from any positive seed lands at or above the
+    # floor root (AM-GM), and above it every step strictly decreases.
+    root = _newton_step(value, degree, max(root, 1))
+    while (step := _newton_step(value, degree, root)) < root:
+        root = step
     return root
+
+
+def _newton_step(value: int, degree: int, root: int) -> int:
+    return ((degree - 1) * root + value // root ** (degree - 1)) // degree
 
 
 def exact_nth_root(value: int, degree: int) -> int | None:

@@ -31,7 +31,7 @@ from concurrent.futures import ProcessPoolExecutor, as_completed
 from dataclasses import dataclass
 from math import isqrt
 from pathlib import Path
-from typing import Callable, Mapping
+from typing import Callable, Iterator, Mapping, Sequence
 
 from .checkpoint import CheckpointError, append_record, read_records
 from .ints import SQUARES_MOD_16, SQUARES_MOD_9, divides, exact_sqrt, pairwise_distinct
@@ -45,6 +45,7 @@ __all__ = [
     "SearchSpace",
     "check_conditions",
     "check_instance",
+    "classify_row",
     "derive_instance_from_xyz",
     "is_trivial",
     "search",
@@ -54,6 +55,8 @@ __all__ = [
 
 COEFF_VARS = ("alpha", "beta", "gamma")
 UNIT_VARS = ("a", "b", "c", "d", "e", "f")
+# Layout of a kernel row, which is also the sort key of its instance.
+ROW_VARS = COEFF_VARS + UNIT_VARS + ("p", "q")
 
 ShardHook = Callable[[int, dict], None]
 
@@ -94,6 +97,12 @@ class ConjectureInstance:
             self.q,
         )
 
+    @classmethod
+    def from_key(cls, row: Sequence[int]) -> "ConjectureInstance":
+        """Inverse of ``key``: build the instance from a row in key order."""
+        alpha, beta, gamma, a, b, c, d, e, f, p, q = row
+        return cls(a=a, b=b, c=c, d=d, e=e, f=f, alpha=alpha, beta=beta, gamma=gamma, p=p, q=q)
+
     def as_dict(self) -> dict[str, int]:
         return {
             "a": self.a,
@@ -118,19 +127,6 @@ def system_values(
     second = (a * d) ** 2 * alpha - (b * e) ** 2 * beta - (c * f) ** 2 * gamma
     third = (a * d * d) ** 2 * alpha - (b * e * e) ** 2 * beta - (c * f * f) ** 2 * gamma
     return first, second, third
-
-
-def check_instance(inst: ConjectureInstance) -> bool:
-    """True iff all three equations hold exactly."""
-    first, second, third = system_values(
-        inst.a, inst.b, inst.c, inst.d, inst.e, inst.f, inst.alpha, inst.beta, inst.gamma
-    )
-    return inst.q * inst.q == first and inst.p * inst.q == second and inst.p * inst.p == third
-
-
-def is_trivial(inst: ConjectureInstance) -> bool:
-    """Triviality convention: a zero among a, b, c, or p = q = 0."""
-    return inst.a * inst.b * inst.c == 0 or (inst.p == 0 and inst.q == 0)
 
 
 @dataclass(frozen=True)
@@ -191,41 +187,57 @@ class ConditionReport:
         }
 
 
-def check_conditions(inst: ConjectureInstance) -> ConditionReport:
-    """Recompute every hypothesis flag and the per-reading counterexample verdicts."""
-    satisfied = check_instance(inst)
-    trivial = is_trivial(inst)
-    d, e, f = inst.d, inst.e, inst.f
+# Every report built so far, keyed by its flags (at most 2**11 entries of
+# immutable values); rows share these objects.
+_REPORTS: dict[tuple[bool, ...], ConditionReport] = {}
+
+
+def classify_row(row: Sequence[int]) -> ConditionReport:
+    """Recompute every hypothesis flag and the per-reading counterexample verdicts.
+
+    ``row`` is ``[alpha, beta, gamma, a, b, c, d, e, f, p, q]``.  The report
+    is interned: all rows with the same flags get the same frozen object.
+    """
+    alpha, beta, gamma, a, b, c, d, e, f, p, q = row
+    first, second, third = system_values(a, b, c, d, e, f, alpha, beta, gamma)
+    satisfied = q * q == first and p * q == second and p * p == third
+    trivial = a * b * c == 0 or (p == 0 and q == 0)
     def_pair = d != 0 and e != 0 and f != 0 and pairwise_distinct(d, e, f)
     def_adj = d != e and e != f and f != 0
-    aa, ab, ag = abs(inst.alpha), abs(inst.beta), abs(inst.gamma)
-    case_unit = inst.alpha == 1 and inst.beta == 1 and inst.gamma == 1
+    aa, ab, ag = abs(alpha), abs(beta), abs(gamma)
+    case_unit = alpha == 1 and beta == 1 and gamma == 1
     gen_pair = aa != 0 and ab != 0 and ag != 0 and pairwise_distinct(aa, ab, ag)
     gen_adj = aa != ab and ab != ag and ag != 0
-    div_ok = (
-        divides(inst.alpha, inst.a)
-        and divides(inst.beta, inst.b)
-        and divides(inst.gamma, inst.c)
-    )
-    non_unit = aa != inst.a and ab != inst.b and ag != inst.c
+    div_ok = divides(alpha, a) and divides(beta, b) and divides(gamma, c)
+    # Literal reading of |alpha| != a: a magnitude against a signed value.
+    non_unit = aa != a and ab != b and ag != c
 
     def verdict(gen_ok: bool) -> bool:
         cases = case_unit or (gen_ok and div_ok and non_unit)
         return satisfied and not trivial and def_pair and cases
 
-    return ConditionReport(
-        satisfied=satisfied,
-        trivial=trivial,
-        def_distinct_nonzero=def_pair,
-        def_distinct_nonzero_adjacent=def_adj,
-        case_unit=case_unit,
-        case_general_distinct=gen_pair,
-        case_general_distinct_adjacent=gen_adj,
-        divisibility=div_ok,
-        non_unit_divisors=non_unit,
-        counterexample_pairwise=verdict(gen_pair),
-        counterexample_adjacent=verdict(gen_adj),
-    )
+    # In ConditionReport's field order.
+    flags = (satisfied, trivial, def_pair, def_adj, case_unit, gen_pair, gen_adj, div_ok, non_unit)
+    flags += (verdict(gen_pair), verdict(gen_adj))
+    report = _REPORTS.get(flags)
+    if report is None:
+        report = _REPORTS[flags] = ConditionReport(*flags)
+    return report
+
+
+def check_conditions(inst: ConjectureInstance) -> ConditionReport:
+    """The shared condition report of one instance."""
+    return classify_row(inst.key())
+
+
+def check_instance(inst: ConjectureInstance) -> bool:
+    """True iff all three equations hold exactly."""
+    return check_conditions(inst).satisfied
+
+
+def is_trivial(inst: ConjectureInstance) -> bool:
+    """Triviality convention: a zero among a, b, c, or p = q = 0."""
+    return check_conditions(inst).trivial
 
 
 # ----------------------------------------------------------------------
@@ -423,13 +435,29 @@ def _kernel(
 # Orchestration
 
 
+class Solutions:
+    """``(ConjectureInstance, ConditionReport)`` pairs in key order, built on demand."""
+
+    def __init__(self, rows: list[list[int]], reports: list[ConditionReport]) -> None:
+        self._rows = rows
+        self._reports = reports
+
+    def __len__(self) -> int:
+        return len(self._rows)
+
+    def __iter__(self) -> Iterator[tuple[ConjectureInstance, ConditionReport]]:
+        for row, report in zip(self._rows, self._reports):
+            yield ConjectureInstance.from_key(row), report
+
+
 @dataclass
 class SearchResult:
-    """Merged outcome of all shards, sorted and classified."""
+    """Merged outcome of all shards: sorted kernel rows and one shared report per row."""
 
     space: SearchSpace
     signature: str
-    solutions: list[tuple[ConjectureInstance, ConditionReport]]
+    rows: list[list[int]]
+    reports: list[ConditionReport]
     counterexamples_pairwise: int
     counterexamples_adjacent: int
     adjacent_def_admissible: int
@@ -441,26 +469,22 @@ class SearchResult:
     shards_reused: int
     checkpoint_tail_discarded: bool = False
 
+    @property
+    def solutions(self) -> Solutions:
+        return Solutions(self.rows, self.reports)
+
     def counterexamples(self) -> list[tuple[ConjectureInstance, ConditionReport]]:
+        if not (self.counterexamples_pairwise or self.counterexamples_adjacent):
+            return []
         return [
-            (inst, rep)
-            for inst, rep in self.solutions
+            (ConjectureInstance.from_key(row), rep)
+            for row, rep in zip(self.rows, self.reports)
             if rep.counterexample_pairwise or rep.counterexample_adjacent
         ]
 
     def solution_rows(self) -> list[dict]:
-        rows = []
-        for inst, rep in self.solutions:
-            row = inst.as_dict()
-            row["conditions"] = rep.as_dict()
-            row["counterexample"] = {
-                "pairwise": rep.counterexample_pairwise,
-                "adjacent": rep.counterexample_adjacent,
-            }
-            row["adjacent_def_admissible"] = rep.admissible_with_adjacent_def
-            row["trivial"] = rep.trivial
-            rows.append(row)
-        return rows
+        """The result log's objects, one per solution (the log itself is streamed)."""
+        return [_log_row(row, _flag_fields(rep)) for row, rep in zip(self.rows, self.reports)]
 
     def certificate(self) -> dict:
         return {
@@ -502,56 +526,55 @@ def search(
 ) -> SearchResult:
     """Run (or resume) the exhaustive search over the given space.
 
-    With ``workers`` > 1 shards are scanned in a process pool and their
-    records written once all have finished; with a single worker each shard
-    is checkpointed the moment it completes, which is the mode to use for
-    interruptible runs.  ``on_shard_complete(shard_id, record)`` fires after
-    a shard's record is durable; exceptions raised there abort the run
-    without damaging the checkpoint.
+    Each shard's record is appended to the checkpoint the moment the shard
+    completes, in completion order; with ``workers`` > 1 shards are scanned
+    in a process pool, so a crash loses only the shards still running.
+    ``on_shard_complete(shard_id, record)`` fires after a shard's record is
+    durable; exceptions raised there abort the run without damaging the
+    checkpoint.
     """
     signature = space.signature()
     existing, truncated = _load_existing_records(space, signature)
     todo = [sid for sid in range(space.shards) if sid not in existing]
 
     fresh: dict[int, dict] = {}
+
+    def complete(sid: int, record: dict) -> None:
+        fresh[sid] = record
+        if space.checkpoint_path:
+            append_record(space.checkpoint_path, record)
+        if on_shard_complete is not None:
+            on_shard_complete(sid, record)
+
     if workers > 1 and len(todo) > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             futures = {pool.submit(_scan_shard, space, sid): sid for sid in todo}
-            for future in as_completed(futures):
-                fresh[futures[future]] = future.result()
-        for sid in sorted(fresh):
-            if space.checkpoint_path:
-                append_record(space.checkpoint_path, fresh[sid])
-            if on_shard_complete is not None:
-                on_shard_complete(sid, fresh[sid])
+            try:
+                for future in as_completed(futures):
+                    complete(futures[future], future.result())
+            except BaseException:
+                pool.shutdown(cancel_futures=True)
+                raise
     else:
         for sid in todo:
-            record = _scan_shard(space, sid)
-            fresh[sid] = record
-            if space.checkpoint_path:
-                append_record(space.checkpoint_path, record)
-            if on_shard_complete is not None:
-                on_shard_complete(sid, record)
+            complete(sid, _scan_shard(space, sid))
 
     records = {**existing, **fresh}
     missing = [sid for sid in range(space.shards) if sid not in records]
     if missing:
         raise CheckpointError(f"shards {missing} did not complete")
 
+    # Shards cover consecutive runs of the sorted prefix blocks and each
+    # shard's rows are sorted, so the shard-order concatenation is sorted.
     rows: list[list[int]] = []
     for sid in range(space.shards):
         rows.extend(records[sid]["solutions"])
-    rows.sort()
 
-    solutions: list[tuple[ConjectureInstance, ConditionReport]] = []
+    reports: list[ConditionReport] = []
     n_pair = n_adj = n_alt = n_trivial = 0
     for row in rows:
-        alpha, beta, gamma, a, b, c, d, e, f, p, q = row
-        inst = ConjectureInstance(
-            a=a, b=b, c=c, d=d, e=e, f=f, alpha=alpha, beta=beta, gamma=gamma, p=p, q=q
-        )
-        report = check_conditions(inst)
-        solutions.append((inst, report))
+        report = classify_row(row)
+        reports.append(report)
         n_pair += report.counterexample_pairwise
         n_adj += report.counterexample_adjacent
         n_alt += report.admissible_with_adjacent_def
@@ -562,7 +585,8 @@ def search(
     return SearchResult(
         space=space,
         signature=signature,
-        solutions=solutions,
+        rows=rows,
+        reports=reports,
         counterexamples_pairwise=n_pair,
         counterexamples_adjacent=n_adj,
         adjacent_def_admissible=n_alt,
@@ -576,11 +600,39 @@ def search(
     )
 
 
+def _flag_fields(report: ConditionReport) -> dict:
+    """The result-log fields that depend only on a row's report."""
+    return {
+        "conditions": report.as_dict(),
+        "counterexample": {
+            "pairwise": report.counterexample_pairwise,
+            "adjacent": report.counterexample_adjacent,
+        },
+        "adjacent_def_admissible": report.admissible_with_adjacent_def,
+        "trivial": report.trivial,
+    }
+
+
+def _log_row(row: Sequence[int], flag_fields: dict) -> dict:
+    return dict(zip(ROW_VARS, row), **flag_fields)
+
+
+# The log objects are acyclic by construction, so the encoder skips its
+# per-container cycle check.
+_LOG_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"), check_circular=False)
+
+
 def write_result_log(result: SearchResult, path: str | Path) -> None:
     """Write the normalized result log: one canonical JSON object per solution."""
+    encode = _LOG_ENCODER.encode
+    # Reports are interned, so identity picks out each one's fields.
+    fields_by_report: dict[int, dict] = {}
     with open(path, "w", encoding="utf-8") as handle:
-        for row in result.solution_rows():
-            handle.write(json.dumps(row, sort_keys=True, separators=(",", ":")))
+        for row, report in zip(result.rows, result.reports):
+            fields = fields_by_report.get(id(report))
+            if fields is None:
+                fields = fields_by_report[id(report)] = _flag_fields(report)
+            handle.write(encode(_log_row(row, fields)))
             handle.write("\n")
 
 

@@ -5,7 +5,10 @@ scanning, never through the polynomial engine or the production search, so a
 disagreement implicates exactly one side.
 """
 
+import json
 from math import isqrt
+
+ROW_VARS = ("alpha", "beta", "gamma", "a", "b", "c", "d", "e", "f", "p", "q")
 
 
 def forms_at(x, y, z):
@@ -84,3 +87,91 @@ def naive_unit_scan(low, high):
                                             (1, 1, 1, a, b, c, d, e, f) + canonical_pq(p, q)
                                         )
     return found
+
+
+def _divides(divisor, value):
+    return value == 0 if divisor == 0 else value % divisor == 0
+
+
+def oracle_conditions(row):
+    """Condition flags of one row ``(alpha, beta, gamma, a, b, c, d, e, f, p, q)``.
+
+    The per-instance classification the search used before it streamed its
+    rows, with the equations checked by direct substitution.  Returns the
+    eleven report fields plus ``admissible_with_adjacent_def``.
+    """
+    alpha, beta, gamma, a, b, c, d, e, f, p, q = row
+    satisfied = (
+        q * q == a * a * alpha - b * b * beta - c * c * gamma
+        and p * q == (a * d) ** 2 * alpha - (b * e) ** 2 * beta - (c * f) ** 2 * gamma
+        and p * p
+        == (a * d * d) ** 2 * alpha - (b * e * e) ** 2 * beta - (c * f * f) ** 2 * gamma
+    )
+    trivial = a * b * c == 0 or (p == 0 and q == 0)
+    def_pair = d != 0 and e != 0 and f != 0 and len({d, e, f}) == 3
+    def_adj = d != e and e != f and f != 0
+    aa, ab, ag = abs(alpha), abs(beta), abs(gamma)
+    case_unit = alpha == 1 and beta == 1 and gamma == 1
+    gen_pair = aa != 0 and ab != 0 and ag != 0 and len({aa, ab, ag}) == 3
+    gen_adj = aa != ab and ab != ag and ag != 0
+    div_ok = _divides(alpha, a) and _divides(beta, b) and _divides(gamma, c)
+    non_unit = aa != a and ab != b and ag != c
+
+    def verdict(gen_ok):
+        cases = case_unit or (gen_ok and div_ok and non_unit)
+        return satisfied and not trivial and def_pair and cases
+
+    adjacent_cases = case_unit or (gen_adj and div_ok and non_unit)
+    return {
+        "satisfied": satisfied,
+        "trivial": trivial,
+        "def_distinct_nonzero": def_pair,
+        "def_distinct_nonzero_adjacent": def_adj,
+        "case_unit": case_unit,
+        "case_general_distinct": gen_pair,
+        "case_general_distinct_adjacent": gen_adj,
+        "divisibility": div_ok,
+        "non_unit_divisors": non_unit,
+        "counterexample_pairwise": verdict(gen_pair),
+        "counterexample_adjacent": verdict(gen_adj),
+        "admissible_with_adjacent_def": (
+            satisfied and not trivial and def_adj and not def_pair and adjacent_cases
+        ),
+    }
+
+
+def oracle_log_line(row, flags):
+    """One result-log line as ``solution_rows()`` plus ``json.dumps`` wrote it."""
+    obj = dict(zip(ROW_VARS, row))
+    obj["conditions"] = {
+        name: flags[name]
+        for name in (
+            "satisfied",
+            "trivial",
+            "def_distinct_nonzero",
+            "def_distinct_nonzero_adjacent",
+            "case_unit",
+            "case_general_distinct",
+            "case_general_distinct_adjacent",
+            "divisibility",
+            "non_unit_divisors",
+        )
+    }
+    obj["counterexample"] = {
+        "pairwise": flags["counterexample_pairwise"],
+        "adjacent": flags["counterexample_adjacent"],
+    }
+    obj["adjacent_def_admissible"] = flags["admissible_with_adjacent_def"]
+    obj["trivial"] = flags["trivial"]
+    return (json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n").encode("utf-8")
+
+
+def oracle_result_log(rows):
+    """The result log the way the search wrote it before streaming.
+
+    Sorts the rows, classifies each, and yields ``(row, flags, line)`` per
+    row so a caller can check reports and log bytes in one pass.
+    """
+    for row in sorted(tuple(row) for row in rows):
+        flags = oracle_conditions(row)
+        yield row, flags, oracle_log_line(row, flags)

@@ -222,6 +222,15 @@ class TestScanFlt:
         payload = json.loads(out_file.read_text())
         assert payload["total_solutions"] == 0
 
+    def test_powers_beyond_float_range(self, run_cli, tmp_path):
+        out_file = tmp_path / "scan.json"
+        code, _, _ = run_cli(
+            ["scan-flt", "--base-max", 20, "--n-min", 300, "--n-max", 300,
+             "--format", "json", "--out", out_file]
+        )
+        assert code == EXIT_OK
+        assert json.loads(out_file.read_text())["total_solutions"] == 0
+
     def test_usage_errors(self, run_cli):
         assert run_cli(["scan-flt", "--base-max", 0])[0] == EXIT_USAGE
         assert run_cli(["scan-flt", "--n-min", 1])[0] == EXIT_USAGE

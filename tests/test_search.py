@@ -1,6 +1,11 @@
 """Bounded conjecture search: kernel, sharding, checkpointing, oracle parity."""
 
+import dataclasses
+import importlib
 import json
+import time
+from itertools import zip_longest
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -10,6 +15,7 @@ from fltaudit.checkpoint import CheckpointError, append_record, read_records
 from fltaudit.ints import passes_square_filter
 from fltaudit.lemma import derive_system
 from fltaudit.search import (
+    ConditionReport,
     ConjectureInstance,
     SearchSpace,
     check_conditions,
@@ -20,8 +26,11 @@ from fltaudit.search import (
     system_values,
     write_result_log,
 )
+from fltaudit.search import _scan_shard as real_scan_shard
 
-from oracles import naive_unit_scan
+from oracles import naive_unit_scan, oracle_result_log
+
+search_module = importlib.import_module("fltaudit.search")
 
 
 def unit_instance(a, b, c, d, e, f, p, q):
@@ -314,3 +323,133 @@ class TestResultLog:
             for row in parsed
         ]
         assert keys == sorted(keys)
+
+
+def assert_matches_oracle(result, log_path):
+    """Streamed log bytes, row order and every report against the slow oracle."""
+    write_result_log(result, log_path)
+    report_flags = {}
+    with open(log_path, "rb") as log:
+        lines = zip_longest(
+            result.rows, result.reports, log, oracle_result_log(result.rows)
+        )
+        for count, (row, report, got, (want_row, want_flags, want_line)) in enumerate(lines):
+            assert tuple(row) == want_row, f"row {count} out of sorted order"
+            assert got == want_line, f"log line {count} differs"
+            if id(report) not in report_flags:
+                report_flags[id(report)] = dict(
+                    dataclasses.asdict(report),
+                    admissible_with_adjacent_def=report.admissible_with_adjacent_def,
+                )
+            assert report_flags[id(report)] == want_flags, f"report {count} differs"
+    return report_flags
+
+
+class TestStreamedLogAgainstOracle:
+    @pytest.mark.parametrize("shards", [1, 7, 81])
+    def test_unit_box(self, tmp_path, shards):
+        result = search(SearchSpace.cube(-4, 4, shards=shards))
+        assert len(result.solutions) > 0
+        assert_matches_oracle(result, tmp_path / "log.jsonl")
+
+    def test_general_box(self, tmp_path):
+        result = search(SearchSpace.cube(-2, 2, case="general", shards=5))
+        report_flags = assert_matches_oracle(result, tmp_path / "log.jsonl")
+        # The box has counterexamples under the adjacent reading only.
+        assert result.counterexamples_pairwise == 0 < result.counterexamples_adjacent
+        assert any(not flags["case_unit"] for flags in report_flags.values())
+        expected = [
+            tuple(row)
+            for row, rep in zip(result.rows, result.reports)
+            if rep.counterexample_pairwise or rep.counterexample_adjacent
+        ]
+        assert [inst.key() for inst, _ in result.counterexamples()] == expected
+        assert len(expected) == result.counterexamples_adjacent
+
+    def test_resumed_run(self, tmp_path):
+        class Abort(RuntimeError):
+            pass
+
+        def abort_after_three(shard_id, record):
+            if shard_id == 2:
+                raise Abort
+
+        space = SearchSpace.cube(-4, 4, shards=7, checkpoint_path=tmp_path / "run.ckpt")
+        with pytest.raises(Abort):
+            search(space, on_shard_complete=abort_after_three)
+        resumed = search(space)
+        assert resumed.shards_reused == 3
+        assert_matches_oracle(resumed, tmp_path / "log.jsonl")
+
+    def test_asymmetric_library_space(self, tmp_path):
+        bounds = {
+            "a": (1, 5),
+            "b": (-3, 2),
+            "c": (0, 4),
+            "d": (-3, 3),
+            "e": (-2, 4),
+            "f": (-4, 1),
+        }
+        result = search(SearchSpace(bounds=bounds, shards=5))
+        assert result.exhausted and len(result.solutions) > 0
+        assert_matches_oracle(result, tmp_path / "log.jsonl")
+
+    def test_check_conditions_shares_reports(self):
+        inst = unit_instance(3, 2, 2, 1, -1, 1, p=1, q=1)
+        assert check_conditions(inst) is check_conditions(ConjectureInstance.from_key(inst.key()))
+
+
+class TestSolutionsAreLazy:
+    def test_len_and_empty_counterexamples_build_no_instances(self, monkeypatch):
+        result = search(SearchSpace.cube(-2, 2))
+        assert result.counterexamples_pairwise == result.counterexamples_adjacent == 0
+        built = []
+        init = ConjectureInstance.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(1)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(ConjectureInstance, "__init__", counting_init)
+        assert len(result.solutions) == len(result.rows) > 0
+        assert result.counterexamples() == []
+        assert built == []
+        inst, report = next(iter(result.solutions))
+        assert built == [1]
+        assert inst.key() == tuple(result.rows[0])
+        assert isinstance(report, ConditionReport)
+
+
+# A shard scan that waits for a gate file before scanning shard 1, so a test
+# can look at the checkpoint while that shard is still running.  Module-level
+# so that the process pool can pickle it.
+GATE_TIMEOUT_S = 30
+
+
+def gated_scan(space, shard_id):
+    if shard_id == 1:
+        gate = Path(space.checkpoint_path + ".gate")
+        deadline = time.monotonic() + GATE_TIMEOUT_S
+        while not gate.exists():
+            if time.monotonic() > deadline:
+                raise RuntimeError("shard 1 gate never opened")
+            time.sleep(0.01)
+    return real_scan_shard(space, shard_id)
+
+
+class TestParallelDurability:
+    def test_finished_shard_is_durable_while_another_runs(self, tmp_path, monkeypatch):
+        cp = tmp_path / "par.ckpt"
+        space = SearchSpace.cube(-1, 1, shards=2, checkpoint_path=cp)
+        seen = []
+
+        def hook(shard_id, record):
+            records, _ = read_records(cp)
+            seen.append((shard_id, [rec["shard"] for rec in records]))
+            Path(str(cp) + ".gate").touch()  # let shard 1 finish
+
+        monkeypatch.setattr(search_module, "_scan_shard", gated_scan)
+        result = search(space, workers=2, on_shard_complete=hook)
+        assert seen[0] == (0, [0])  # durable before shard 1 was allowed to scan
+        assert seen[1] == (1, [0, 1])
+        assert {inst.key() for inst, _ in result.solutions} == naive_unit_scan(-1, 1)
