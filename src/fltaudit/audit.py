@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from importlib import resources
 from math import gcd
 from pathlib import Path
@@ -118,20 +118,7 @@ class AuditConfig:
             raise ValueError(f"triple_base_max must be >= 5, got {self.triple_base_max}")
 
     def as_dict(self) -> dict:
-        return {
-            "identity_n_min": self.identity_n_min,
-            "identity_n_max": self.identity_n_max,
-            "consistency_n_min": self.consistency_n_min,
-            "consistency_n_max": self.consistency_n_max,
-            "c_max": self.c_max,
-            "parametrization_primitive_only": self.parametrization_primitive_only,
-            "parametrization_even_b_only": self.parametrization_even_b_only,
-            "box_bound": self.box_bound,
-            "condition_k": self.condition_k,
-            "search_bound": self.search_bound,
-            "search_shards": self.search_shards,
-            "triple_base_max": self.triple_base_max,
-        }
+        return asdict(self)
 
 
 @dataclass

@@ -8,6 +8,7 @@ Exit codes are part of the contract:
     3   audit verdicts drifted from the expected-verdict manifest
     5   the search found a counterexample
     64  usage error (bad flags, bad ranges, missing config file)
+    70  internal error (an unexpected exception; one line on stderr)
     74  checkpoint or report I/O failure
 
 Every command is deterministic for a fixed configuration; randomized numeric
@@ -20,6 +21,7 @@ import argparse
 import json
 import random
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 from .audit import (
@@ -42,6 +44,7 @@ EXIT_IDENTITY = 2
 EXIT_AUDIT_DRIFT = 3
 EXIT_COUNTEREXAMPLE = 5
 EXIT_USAGE = 64
+EXIT_INTERNAL = 70
 EXIT_IO = 74
 
 
@@ -211,20 +214,7 @@ def _cmd_verify_identity(args: argparse.Namespace) -> tuple[int, dict, str]:
     return (EXIT_OK if all_zero else EXIT_IDENTITY), payload, "\n".join(lines) + "\n"
 
 
-_AUDIT_CONFIG_KEYS = {
-    "identity_n_min",
-    "identity_n_max",
-    "consistency_n_min",
-    "consistency_n_max",
-    "c_max",
-    "parametrization_primitive_only",
-    "parametrization_even_b_only",
-    "box_bound",
-    "condition_k",
-    "search_bound",
-    "search_shards",
-    "triple_base_max",
-}
+_AUDIT_CONFIG_KEYS = {f.name for f in fields(AuditConfig)}
 
 
 def _cmd_audit(args: argparse.Namespace) -> tuple[int, dict, str]:
@@ -445,3 +435,6 @@ def main(argv: list[str] | None = None) -> int:
     except OSError as exc:
         print(f"fltaudit: i/o error: {exc}", file=sys.stderr)
         return EXIT_IO
+    except Exception as exc:  # noqa: BLE001 - a bug must not pass for exit 1 (aborted)
+        print(f"fltaudit: internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL

@@ -146,27 +146,30 @@ def verify_condition_derivations(box_bound: int, k: int) -> list[ImplicationChec
         raise ValueError(f"k must be >= 1, got {k}")
     span = range(-box_bound, box_bound + 1)
     points = [(x, y, z) for x in span for y in span for z in span]
+    # The hypothesis depends only on (reading, needs_coprime): filter once per pair.
+    admitted = {
+        (reading, coprime): [pt for pt in points if _hypothesis(*pt, reading, coprime)]
+        for reading in READINGS
+        for coprime in (False, True)
+    }
     checks: list[ImplicationCheck] = []
     for claim in CLAIM_IDS:
-        needs_coprime = claim in _NEEDS_COPRIME
         claim_k = k if claim in _NEEDS_K else None
         for reading in READINGS:
-            witnesses = 0
-            failures: list[tuple[int, int, int]] = []
-            for x, y, z in points:
-                if not _hypothesis(x, y, z, reading, needs_coprime):
-                    continue
-                witnesses += 1
-                if not _conclusion(claim, x, y, z, reading, k):
-                    failures.append((x, y, z))
+            hypothesis = admitted[reading, claim in _NEEDS_COPRIME]
+            failures = tuple(
+                (x, y, z)
+                for x, y, z in hypothesis
+                if not _conclusion(claim, x, y, z, reading, k)
+            )
             checks.append(
                 ImplicationCheck(
                     claim=claim,
                     reading=reading,
                     box_bound=box_bound,
                     k=claim_k,
-                    hypothesis_points=witnesses,
-                    counterexamples=tuple(failures),
+                    hypothesis_points=len(hypothesis),
+                    counterexamples=failures,
                 )
             )
     return checks

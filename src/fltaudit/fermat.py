@@ -8,26 +8,27 @@ from __future__ import annotations
 
 from math import gcd
 
-from .ints import exact_nth_root
-
 __all__ = ["primitive_square_triples", "scan_power_equation"]
 
 
 def scan_power_equation(base_max: int, n: int) -> list[tuple[int, int, int]]:
     """All (x, y, z) with 1 <= x <= y <= base_max and x^n + y^n = z^n.
 
-    z is recovered as the exact n-th root of x^n + y^n, so no separate bound
-    on z is needed.
+    z is looked up in a table of n-th powers: for n >= 2 any solution has
+    z <= 2^(1/n) * y < 2 * base_max, so the table up to 2 * base_max is
+    complete and no root is ever taken.
     """
     if base_max < 1:
         raise ValueError(f"base_max must be >= 1, got {base_max}")
     if n < 2:
         raise ValueError(f"exponent must be >= 2, got {n}")
+    powers = [v**n for v in range(2 * base_max + 1)]
+    roots = {power: v for v, power in enumerate(powers)}
     solutions: list[tuple[int, int, int]] = []
-    powers = [0] + [v**n for v in range(1, base_max + 1)]
     for x in range(1, base_max + 1):
+        px = powers[x]
         for y in range(x, base_max + 1):
-            z = exact_nth_root(powers[x] + powers[y], n)
+            z = roots.get(px + powers[y])
             if z is not None:
                 solutions.append((x, y, z))
     return solutions

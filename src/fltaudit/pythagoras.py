@@ -10,8 +10,10 @@ surface the gap with concrete triples that admit no such (p, q).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd, isqrt
+from math import gcd
 from typing import Iterator
+
+from .ints import exact_sqrt
 
 __all__ = [
     "PythTriple",
@@ -66,19 +68,18 @@ def is_pythagorean(a: int, b: int, c: int) -> bool:
 def represent_triple(a: int, b: int, c: int) -> Representation | None:
     """Find (p, q) with p > q > 0 matching (a, b, c) exactly, or None.
 
-    Exhausts 0 < q < p <= ceil(sqrt(|c|)) + 1, which is complete: any witness
-    satisfies p^2 < p^2 + q^2 = c, so p <= sqrt(c) whenever one exists.
+    Closed form: a witness has p^2 = (c + a) / 2 and q^2 = (c - a) / 2, so
+    it exists iff both halves are perfect squares with p > q > 0 and
+    2pq = b, and it is then unique.
     """
     # A witness forces a = p^2 - q^2 > 0, b = 2pq positive and even, c >= 5.
-    if a <= 0 or b <= 0 or b % 2 or c < 5:
+    if a <= 0 or b <= 0 or b % 2 or c < 5 or (c + a) % 2:
         return None
-    bound = isqrt(abs(c)) + 2
-    for p in range(2, bound + 1):
-        p2 = p * p
-        for q in range(1, p):
-            if p2 - q * q == a and 2 * p * q == b and p2 + q * q == c:
-                return Representation(p=p, q=q)
-    return None
+    p = exact_sqrt((c + a) // 2)
+    q = exact_sqrt((c - a) // 2)
+    if p is None or q is None or not (p > q > 0) or 2 * p * q != b:
+        return None
+    return Representation(p=p, q=q)
 
 
 def represent_triple_charitable(a: int, b: int, c: int) -> Representation | None:
@@ -99,27 +100,25 @@ def enumerate_triples(
 ) -> list[tuple[int, int, int]]:
     """All ordered triples (a, b, c) with a^2 + b^2 = c^2 and 0 < c <= c_max.
 
-    Direct double loop with exact arithmetic; a and b range over positive
-    integers independently, so both (3, 4, 5) and (4, 3, 5) appear.  With
+    a and b range over positive integers independently, so both (3, 4, 5)
+    and (4, 3, 5) appear.  Every such triple is k times a primitive Euclid
+    triple (odd leg first) in one of its two orders, so the multiples of
+    ``euclid_primitive_triples`` give each triple exactly once.  With
     ``include_negatives`` the sign variants of a and b are added as well.
     """
     if c_max < 5:
         raise ValueError(f"c_max must be >= 5, got {c_max}")
     found: list[tuple[int, int, int]] = []
-    for c in range(5, c_max + 1):
-        c2 = c * c
-        for a in range(1, c):
-            rest = c2 - a * a
-            b = isqrt(rest)
-            if b < 1 or b * b != rest:
-                continue
-            if primitive_only and gcd(gcd(a, b), c) != 1:
-                continue
-            if even_b_only and b % 2:
-                continue
-            found.append((a, b, c))
-            if include_negatives:
-                found.extend([(-a, b, c), (a, -b, c), (-a, -b, c)])
+    for x, y, z in euclid_primitive_triples(c_max):
+        for k in range(1, 2 if primitive_only else c_max // z + 1):
+            legs = [(k * x, k * y), (k * y, k * x)]
+            if even_b_only and k % 2:  # x is odd, so k * x is even iff k is
+                del legs[1]
+            c = k * z
+            for a, b in legs:
+                found.append((a, b, c))
+                if include_negatives:
+                    found.extend([(-a, b, c), (a, -b, c), (-a, -b, c)])
     found.sort()
     return found
 

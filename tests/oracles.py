@@ -6,7 +6,7 @@ disagreement implicates exactly one side.
 """
 
 import json
-from math import isqrt
+from math import gcd, isqrt
 
 ROW_VARS = ("alpha", "beta", "gamma", "a", "b", "c", "d", "e", "f", "p", "q")
 
@@ -175,3 +175,85 @@ def oracle_result_log(rows):
     for row in sorted(tuple(row) for row in rows):
         flags = oracle_conditions(row)
         yield row, flags, oracle_log_line(row, flags)
+
+
+def oracle_enumerate_triples(c_max, *, primitive_only=False, even_b_only=False,
+                             include_negatives=False):
+    """Ordered triples with 5 <= c <= c_max by a direct double loop over (c, a)."""
+    found = []
+    for c in range(5, c_max + 1):
+        c2 = c * c
+        for a in range(1, c):
+            rest = c2 - a * a
+            b = isqrt(rest)
+            if b < 1 or b * b != rest:
+                continue
+            if primitive_only and gcd(gcd(a, b), c) != 1:
+                continue
+            if even_b_only and b % 2:
+                continue
+            found.append((a, b, c))
+            if include_negatives:
+                found.extend([(-a, b, c), (a, -b, c), (-a, -b, c)])
+    found.sort()
+    return found
+
+
+def oracle_represent_triple(a, b, c):
+    """(p, q) with p > q > 0 and (p^2 - q^2, 2pq, p^2 + q^2) == (a, b, c), or None.
+
+    Exhausts 0 < q < p <= isqrt(|c|) + 2, which is complete: any witness has
+    p^2 < p^2 + q^2 = c.
+    """
+    if a <= 0 or b <= 0 or b % 2 or c < 5:
+        return None
+    bound = isqrt(abs(c)) + 2
+    for p in range(2, bound + 1):
+        p2 = p * p
+        for q in range(1, p):
+            if p2 - q * q == a and 2 * p * q == b and p2 + q * q == c:
+                return (p, q)
+    return None
+
+
+def oracle_scan_power_equation(base_max, n):
+    """(x, y, z) with 1 <= x <= y <= base_max and x^n + y^n = z^n via exact n-th roots."""
+    from fltaudit.ints import exact_nth_root
+
+    powers = [0] + [v**n for v in range(1, base_max + 1)]
+    solutions = []
+    for x in range(1, base_max + 1):
+        for y in range(x, base_max + 1):
+            z = exact_nth_root(powers[x] + powers[y], n)
+            if z is not None:
+                solutions.append((x, y, z))
+    return solutions
+
+
+def oracle_condition_checks(box_bound, k):
+    """``verify_condition_derivations`` with the hypothesis evaluated per claim and point.
+
+    It shares the production hypothesis and conclusion predicates: what it
+    checks is the filtering, the counts and the order.  Returns one ``(claim, reading, claim_k, hypothesis_points, counterexamples)``
+    tuple per check, in the production order.
+    """
+    from fltaudit.conditions import _NEEDS_COPRIME, _NEEDS_K, CLAIM_IDS, READINGS
+    from fltaudit.conditions import _conclusion, _hypothesis
+
+    span = range(-box_bound, box_bound + 1)
+    points = [(x, y, z) for x in span for y in span for z in span]
+    checks = []
+    for claim in CLAIM_IDS:
+        needs_coprime = claim in _NEEDS_COPRIME
+        claim_k = k if claim in _NEEDS_K else None
+        for reading in READINGS:
+            witnesses = 0
+            failures = []
+            for x, y, z in points:
+                if not _hypothesis(x, y, z, reading, needs_coprime):
+                    continue
+                witnesses += 1
+                if not _conclusion(claim, x, y, z, reading, k):
+                    failures.append((x, y, z))
+            checks.append((claim, reading, claim_k, witnesses, tuple(failures)))
+    return checks

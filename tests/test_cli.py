@@ -3,6 +3,7 @@
 import json
 import subprocess
 import sys
+import time
 
 import jsonschema
 
@@ -11,6 +12,7 @@ from fltaudit.cli import (
     EXIT_AUDIT_DRIFT,
     EXIT_COUNTEREXAMPLE,
     EXIT_IDENTITY,
+    EXIT_INTERNAL,
     EXIT_IO,
     EXIT_OK,
     EXIT_USAGE,
@@ -266,6 +268,24 @@ class TestRepresent:
         code, _, _ = run_cli(["represent", "three", 4, 5])
         assert code == EXIT_USAGE
 
+    def test_large_inputs_answer_at_once(self):
+        # A walk over p up to sqrt(C) would run far past the timeout here.
+        cases = [
+            (["1", "2", "100000000000000"], "none"),
+            (["9999999999999999", "200000000", "10000000000000001"], "p=100000000 q=1"),
+        ]
+        for args, expected in cases:
+            started = time.perf_counter()
+            proc = subprocess.run(
+                [sys.executable, "-m", "fltaudit", "represent", *args],
+                capture_output=True,
+                text=True,
+                timeout=10,
+            )
+            assert proc.returncode == EXIT_OK
+            assert proc.stdout.strip() == expected
+            assert time.perf_counter() - started < 2  # interpreter start included
+
 
 class TestParserBasics:
     def test_missing_subcommand(self, run_cli):
@@ -279,6 +299,18 @@ class TestParserBasics:
     def test_bad_format_value(self, run_cli):
         code, _, _ = run_cli(["represent", 3, 4, 5, "--format", "xml"])
         assert code == EXIT_USAGE
+
+    def test_unexpected_exception_exits_internal(self, run_cli, monkeypatch):
+        import fltaudit.cli as cli
+
+        def broken(args):
+            raise RuntimeError("boom")
+
+        monkeypatch.setattr(cli, "_cmd_represent", broken)
+        code, out, err = run_cli(["represent", 3, 4, 5])
+        assert code == EXIT_INTERNAL
+        assert out == ""
+        assert err == "fltaudit: internal error: RuntimeError: boom\n"
 
     def test_module_entry_point(self):
         proc = subprocess.run(

@@ -10,6 +10,7 @@ from fltaudit.conditions import (
     replay_condition_counterexample,
     verify_condition_derivations,
 )
+from oracles import oracle_condition_checks
 
 
 def by_claim_reading(checks):
@@ -89,6 +90,14 @@ class TestImplications:
                 box4[(claim, "adjacent")].hypothesis_points
                 >= box4[(claim, "pairwise")].hypothesis_points
             )
+
+    @pytest.mark.parametrize("box_bound, k", [(3, 3), (5, 2), (6, 4)])
+    def test_matches_per_claim_hypothesis_oracle(self, box_bound, k):
+        checks = [
+            (c.box_bound, c.claim, c.reading, c.k, c.hypothesis_points, c.counterexamples)
+            for c in verify_condition_derivations(box_bound, k)
+        ]
+        assert checks == [(box_bound, *check) for check in oracle_condition_checks(box_bound, k)]
 
     def test_validation(self):
         with pytest.raises(ValueError):

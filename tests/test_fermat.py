@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from fltaudit.fermat import primitive_square_triples, scan_power_equation
 from fltaudit.ints import exact_nth_root, int_nth_root
+from oracles import oracle_scan_power_equation
 
 
 class TestScan:
@@ -22,6 +23,12 @@ class TestScan:
     @pytest.mark.parametrize("n", [3, 4, 5])
     def test_higher_powers_empty(self, n):
         assert scan_power_equation(30, n) == []
+
+    @pytest.mark.parametrize(
+        "base_max, n", [(12, 2), (20, 2), (100, 2), (30, 3), (100, 4), (20, 300)]
+    )
+    def test_matches_root_oracle(self, base_max, n):
+        assert scan_power_equation(base_max, n) == oracle_scan_power_equation(base_max, n)
 
     def test_validation(self):
         with pytest.raises(ValueError):

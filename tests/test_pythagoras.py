@@ -1,5 +1,7 @@
 """Parametrization audit: representability of Pythagorean triples."""
 
+from itertools import product
+
 import pytest
 
 from fltaudit.pythagoras import (
@@ -12,6 +14,12 @@ from fltaudit.pythagoras import (
     represent_triple,
     represent_triple_charitable,
 )
+
+from oracles import oracle_enumerate_triples, oracle_represent_triple
+
+
+def _pair(rep):
+    return None if rep is None else (rep.p, rep.q)
 
 
 class TestIsPythagorean:
@@ -59,6 +67,29 @@ class TestRepresentTriple:
                 triple = Representation(p=p, q=q).triple()
                 assert represent_triple(*triple) == Representation(p=p, q=q)
 
+    def test_matches_brute_force_oracle(self):
+        grid = list(product(range(-60, 61), range(-60, 61), range(-3, 90)))
+        literal = {abc: oracle_represent_triple(*abc) for abc in grid}
+        assert sum(rep is not None for rep in literal.values()) == 21
+        assert [_pair(represent_triple(*abc)) for abc in grid] == list(literal.values())
+        # The charitable reading tries (a, b), (b, a), (|a|, |b|), (|b|, |a|)
+        # against |c|; each of those points lies in the grid too.
+        charitable = [
+            literal[a, b, abs(c)]
+            or literal[b, a, abs(c)]
+            or literal[abs(a), abs(b), abs(c)]
+            or literal[abs(b), abs(a), abs(c)]
+            for a, b, c in grid
+        ]
+        assert [_pair(represent_triple_charitable(*abc)) for abc in grid] == charitable
+
+    def test_large_inputs(self):
+        # A walk over p up to sqrt(c) would take 10^7 steps and more here.
+        assert represent_triple(1, 2, 10**14) is None
+        for p, q in ((10**8, 1), (10**40 + 1, 10**39)):
+            rep = Representation(p=p, q=q)
+            assert represent_triple(*rep.triple()) == rep
+
     def test_charitable_swap(self):
         assert represent_triple_charitable(4, 3, 5) == Representation(p=2, q=1)
         assert represent_triple_charitable(-3, 4, 5) == Representation(p=2, q=1)
@@ -89,11 +120,17 @@ class TestEnumeration:
             enumerate_triples(4)
 
     def test_euclid_route_matches_direct_scan(self):
-        # Independent generation: Euclid's formula vs the double loop
+        # Independent generation: Euclid's formula vs the oracle double loop
         # restricted to primitive triples with even middle term.
-        direct = set(enumerate_triples(300, primitive_only=True, even_b_only=True))
+        direct = set(oracle_enumerate_triples(300, primitive_only=True, even_b_only=True))
         euclid = set(euclid_primitive_triples(300))
         assert direct == euclid
+
+    @pytest.mark.parametrize("c_max", [5, 6, 25, 100, 613])
+    @pytest.mark.parametrize("flags", list(product([False, True], repeat=3)))
+    def test_matches_double_loop_oracle(self, c_max, flags):
+        kwargs = dict(zip(("primitive_only", "even_b_only", "include_negatives"), flags))
+        assert enumerate_triples(c_max, **kwargs) == oracle_enumerate_triples(c_max, **kwargs)
 
     def test_euclid_triples_always_representable(self):
         for a, b, c in euclid_primitive_triples(250):
