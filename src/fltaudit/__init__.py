@@ -61,10 +61,7 @@ from .search import (
     SearchResult,
     SearchSpace,
     check_conditions,
-    check_instance,
     derive_instance_from_xyz,
-    is_trivial,
-    search,
     system_values,
     write_result_log,
 )
@@ -102,7 +99,6 @@ __all__ = [
     "audit_parametrization",
     "build_lemma_terms",
     "check_conditions",
-    "check_instance",
     "compare_to_manifest",
     "consistency_residual",
     "derive_instance_from_xyz",
@@ -111,7 +107,6 @@ __all__ = [
     "euclid_primitive_triples",
     "fermat_poly",
     "is_pythagorean",
-    "is_trivial",
     "lhs_poly",
     "load_default_manifest",
     "numeric_cross_check",
@@ -122,7 +117,6 @@ __all__ = [
     "represent_triple_charitable",
     "run_audit",
     "scan_power_equation",
-    "search",
     "system_values",
     "verify_condition_derivations",
     "verify_identity",

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from importlib import resources
 from math import gcd
 from pathlib import Path
@@ -28,7 +28,7 @@ from .pythagoras import (
     is_pythagorean,
     represent_triple,
 )
-from .search import ConjectureInstance, SearchSpace, check_conditions, search
+from .search import ROW_VARS, SearchSpace, classify_row, search
 from .version import __version__
 
 __all__ = [
@@ -82,6 +82,10 @@ _STATEMENTS = {
 }
 
 
+# Field annotations are strings under ``from __future__ import annotations``.
+_FIELD_TYPES = {"int": int, "bool": bool}
+
+
 @dataclass(frozen=True)
 class AuditConfig:
     """Scopes for every claim; defaults are the shipped desk-scale ranges."""
@@ -100,6 +104,12 @@ class AuditConfig:
     triple_base_max: int = 100
 
     def __post_init__(self) -> None:
+        # Exact types: an int scope refuses bool, float and str values.
+        for spec in fields(self):
+            value = getattr(self, spec.name)
+            want = _FIELD_TYPES[spec.type]
+            if type(value) is not want:
+                raise ValueError(f"{spec.name} must be {want.__name__}, got {value!r}")
         if not (3 <= self.identity_n_min <= self.identity_n_max):
             raise ValueError("identity range needs 3 <= n_min <= n_max")
         if not (3 <= self.consistency_n_min <= self.consistency_n_max):
@@ -391,14 +401,7 @@ def _check_search(config: AuditConfig) -> ClaimEntry:
         shards=config.search_shards,
     )
     result = search(space)
-    evidence = []
-    for inst, report in result.counterexamples():
-        item = inst.as_dict()
-        item["readings"] = {
-            "pairwise": report.counterexample_pairwise,
-            "adjacent": report.counterexample_adjacent,
-        }
-        evidence.append(item)
+    evidence = result.counterexamples()
     entry = ClaimEntry(
         claim_id="C7",
         statement=_STATEMENTS["C7"],
@@ -494,20 +497,7 @@ def replay_evidence(claim_id: str, item: dict, config: AuditConfig | None = None
         coprime = gcd(x, y) == 1 and gcd(y, z) == 1 and gcd(z, x) == 1
         return even_count != 1 or not coprime
     if claim_id == "C7":
-        inst = ConjectureInstance(
-            a=item["a"],
-            b=item["b"],
-            c=item["c"],
-            d=item["d"],
-            e=item["e"],
-            f=item["f"],
-            alpha=item["alpha"],
-            beta=item["beta"],
-            gamma=item["gamma"],
-            p=item["p"],
-            q=item["q"],
-        )
-        report = check_conditions(inst)
+        report = classify_row([item[v] for v in ROW_VARS])
         return report.counterexample_pairwise or report.counterexample_adjacent
     raise KeyError(f"unknown claim id {claim_id!r}")
 

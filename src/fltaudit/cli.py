@@ -35,7 +35,7 @@ from .checkpoint import CheckpointError
 from .fermat import scan_power_equation
 from .lemma import identity_record
 from .pythagoras import is_pythagorean, represent_triple, represent_triple_charitable
-from .search import SearchSpace, search, write_result_log
+from .search import ROW_VARS, SearchSpace, search, write_result_log
 from .version import __version__
 
 EXIT_OK = 0
@@ -239,6 +239,8 @@ def _cmd_audit(args: argparse.Namespace) -> tuple[int, dict, str]:
             file_overrides = json.loads(args.config.read_text(encoding="utf-8"))
         except ValueError as exc:
             raise UsageError(f"config file is not valid JSON: {exc}") from exc
+        if not isinstance(file_overrides, dict):
+            raise UsageError("config file must hold a JSON object")
         unknown = set(file_overrides) - _AUDIT_CONFIG_KEYS
         if unknown:
             raise UsageError(f"unknown config keys: {sorted(unknown)}")
@@ -308,20 +310,10 @@ def _cmd_search(args: argparse.Namespace) -> tuple[int, dict, str]:
 
     pairwise = result.counterexamples_pairwise
     adjacent = result.counterexamples_adjacent
-    rows = [
-        dict(inst.as_dict(), readings={"pairwise": rep.counterexample_pairwise,
-                                       "adjacent": rep.counterexample_adjacent})
-        for inst, rep in result.counterexamples()
-    ]
+    rows = result.counterexamples()
     if args.self_test_sabotage:
-        rows.append(
-            {
-                "a": 0, "b": 0, "c": 0, "d": 0, "e": 0, "f": 0,
-                "alpha": 1, "beta": 1, "gamma": 1, "p": 0, "q": 0,
-                "readings": {"pairwise": True, "adjacent": True},
-                "synthetic": True,
-            }
-        )
+        synthetic = dict(zip(ROW_VARS, (1, 1, 1) + (0,) * 8))
+        rows.append(dict(synthetic, readings={"pairwise": True, "adjacent": True}, synthetic=True))
         pairwise += 1
         adjacent += 1
 

@@ -33,19 +33,6 @@ __all__ = [
 
 READINGS = ("pairwise", "adjacent")
 
-CLAIM_IDS = (
-    "uvw_distinct_nonzero",
-    "pairprod_distinct_nonzero",
-    "coeff_divides_term",
-    "rst_distinct_nonzero",
-    "coeff_not_unit_multiple",
-)
-
-# Implications whose hypothesis also assumes gcd(x, y, z) = 1, and those
-# whose conclusion depends on the power parameter k.
-_NEEDS_COPRIME = {"rst_distinct_nonzero", "coeff_not_unit_multiple"}
-_NEEDS_K = {"coeff_divides_term", "coeff_not_unit_multiple"}
-
 
 @dataclass(frozen=True)
 class SystemParams:
@@ -109,29 +96,51 @@ def _hypothesis(x: int, y: int, z: int, reading: str, needs_coprime: bool) -> bo
     return chain_distinct_nonzero((abs(x), abs(y), abs(z)), reading)
 
 
-def _conclusion(claim: str, x: int, y: int, z: int, reading: str, k: int) -> bool:
-    r, s, t = x - y, y + z, z + x
-    u, v, w = x + y + z, y - z - x, x - y - z
+# Conclusions: each computes only the forms r = x - y, s = y + z, t = z + x,
+# u = x + y + z, v = y - z - x, w = x - y - z and pair products it needs.
+
+
+def _uvw_distinct(x: int, y: int, z: int, reading: str, k: int) -> bool:
+    return chain_distinct_nonzero((x + y + z, y - z - x, x - y - z), reading)
+
+
+def _pairprod_distinct(x: int, y: int, z: int, reading: str, k: int) -> bool:
+    return chain_distinct_nonzero((abs(x * y), abs(y * z), abs(z * x)), reading)
+
+
+def _coeff_divides(x: int, y: int, z: int, reading: str, k: int) -> bool:
     xy, yz, zx = x * y, y * z, z * x
-    if claim == "uvw_distinct_nonzero":
-        return chain_distinct_nonzero((u, v, w), reading)
-    if claim == "pairprod_distinct_nonzero":
-        return chain_distinct_nonzero((abs(xy), abs(yz), abs(zx)), reading)
-    if claim == "coeff_divides_term":
-        return (
-            divides(xy, r * xy ** (k - 1))
-            and divides(yz, s * yz ** (k - 1))
-            and divides(zx, t * zx ** (k - 1))
-        )
-    if claim == "rst_distinct_nonzero":
-        return chain_distinct_nonzero((r, s, t), reading)
-    if claim == "coeff_not_unit_multiple":
-        return (
-            abs(xy) != r * xy ** (k - 1)
-            and abs(yz) != s * yz ** (k - 1)
-            and abs(zx) != t * zx ** (k - 1)
-        )
-    raise ValueError(f"unknown claim {claim!r}")
+    return (
+        divides(xy, (x - y) * xy ** (k - 1))
+        and divides(yz, (y + z) * yz ** (k - 1))
+        and divides(zx, (z + x) * zx ** (k - 1))
+    )
+
+
+def _rst_distinct(x: int, y: int, z: int, reading: str, k: int) -> bool:
+    return chain_distinct_nonzero((x - y, y + z, z + x), reading)
+
+
+def _coeff_not_unit(x: int, y: int, z: int, reading: str, k: int) -> bool:
+    xy, yz, zx = x * y, y * z, z * x
+    return (
+        abs(xy) != (x - y) * xy ** (k - 1)
+        and abs(yz) != (y + z) * yz ** (k - 1)
+        and abs(zx) != (z + x) * zx ** (k - 1)
+    )
+
+
+# claim id -> (conclusion, hypothesis also assumes gcd(x, y, z) = 1,
+# conclusion depends on the power parameter k)
+_CLAIMS = {
+    "uvw_distinct_nonzero": (_uvw_distinct, False, False),
+    "pairprod_distinct_nonzero": (_pairprod_distinct, False, False),
+    "coeff_divides_term": (_coeff_divides, False, True),
+    "rst_distinct_nonzero": (_rst_distinct, True, False),
+    "coeff_not_unit_multiple": (_coeff_not_unit, True, True),
+}
+
+CLAIM_IDS = tuple(_CLAIMS)
 
 
 def verify_condition_derivations(box_bound: int, k: int) -> list[ImplicationCheck]:
@@ -153,21 +162,16 @@ def verify_condition_derivations(box_bound: int, k: int) -> list[ImplicationChec
         for coprime in (False, True)
     }
     checks: list[ImplicationCheck] = []
-    for claim in CLAIM_IDS:
-        claim_k = k if claim in _NEEDS_K else None
+    for claim, (conclusion, needs_coprime, needs_k) in _CLAIMS.items():
         for reading in READINGS:
-            hypothesis = admitted[reading, claim in _NEEDS_COPRIME]
-            failures = tuple(
-                (x, y, z)
-                for x, y, z in hypothesis
-                if not _conclusion(claim, x, y, z, reading, k)
-            )
+            hypothesis = admitted[reading, needs_coprime]
+            failures = tuple(pt for pt in hypothesis if not conclusion(*pt, reading, k))
             checks.append(
                 ImplicationCheck(
                     claim=claim,
                     reading=reading,
                     box_bound=box_bound,
-                    k=claim_k,
+                    k=k if needs_k else None,
                     hypothesis_points=len(hypothesis),
                     counterexamples=failures,
                 )
@@ -179,7 +183,7 @@ def replay_condition_counterexample(
     claim: str, reading: str, point: tuple[int, int, int], k: int
 ) -> bool:
     """True iff the point still satisfies the hypothesis and breaks the conclusion."""
-    x, y, z = point
-    return _hypothesis(x, y, z, reading, claim in _NEEDS_COPRIME) and not _conclusion(
-        claim, x, y, z, reading, k
-    )
+    if claim not in _CLAIMS:
+        raise ValueError(f"unknown claim {claim!r}")
+    conclusion, needs_coprime, _ = _CLAIMS[claim]
+    return _hypothesis(*point, reading, needs_coprime) and not conclusion(*point, reading, k)

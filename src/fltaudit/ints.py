@@ -24,10 +24,6 @@ def exact_sqrt(value: int) -> int | None:
     return root if root * root == value else None
 
 
-def is_perfect_square(value: int) -> bool:
-    return exact_sqrt(value) is not None
-
-
 def int_nth_root(value: int, degree: int) -> int:
     """Floor of the ``degree``-th root of a nonnegative integer."""
     if degree < 1:

@@ -29,7 +29,9 @@ import hashlib
 import json
 from concurrent.futures import ProcessPoolExecutor, as_completed
 from dataclasses import dataclass
+from itertools import product
 from math import isqrt
+from operator import attrgetter
 from pathlib import Path
 from typing import Callable, Iterator, Mapping, Sequence
 
@@ -44,10 +46,8 @@ __all__ = [
     "SearchResult",
     "SearchSpace",
     "check_conditions",
-    "check_instance",
     "classify_row",
     "derive_instance_from_xyz",
-    "is_trivial",
     "search",
     "system_values",
     "write_result_log",
@@ -57,6 +57,8 @@ COEFF_VARS = ("alpha", "beta", "gamma")
 UNIT_VARS = ("a", "b", "c", "d", "e", "f")
 # Layout of a kernel row, which is also the sort key of its instance.
 ROW_VARS = COEFF_VARS + UNIT_VARS + ("p", "q")
+# The enumerated variables of each case, in enumeration order.
+_CASE_VARS = {"unit": UNIT_VARS, "general": COEFF_VARS + UNIT_VARS}
 
 ShardHook = Callable[[int, dict], None]
 
@@ -67,56 +69,34 @@ ShardHook = Callable[[int, dict], None]
 
 @dataclass(frozen=True)
 class ConjectureInstance:
-    """One assignment of all eleven unknowns."""
+    """One assignment of all eleven unknowns, its fields in ``ROW_VARS`` order."""
 
+    alpha: int
+    beta: int
+    gamma: int
     a: int
     b: int
     c: int
     d: int
     e: int
     f: int
-    alpha: int
-    beta: int
-    gamma: int
     p: int
     q: int
 
     def key(self) -> tuple[int, ...]:
-        """Sort key following the enumeration order."""
-        return (
-            self.alpha,
-            self.beta,
-            self.gamma,
-            self.a,
-            self.b,
-            self.c,
-            self.d,
-            self.e,
-            self.f,
-            self.p,
-            self.q,
-        )
+        """The kernel row: the sort key following the enumeration order."""
+        return _row_of(self)
 
     @classmethod
     def from_key(cls, row: Sequence[int]) -> "ConjectureInstance":
         """Inverse of ``key``: build the instance from a row in key order."""
-        alpha, beta, gamma, a, b, c, d, e, f, p, q = row
-        return cls(a=a, b=b, c=c, d=d, e=e, f=f, alpha=alpha, beta=beta, gamma=gamma, p=p, q=q)
+        return cls(*row)
 
     def as_dict(self) -> dict[str, int]:
-        return {
-            "a": self.a,
-            "b": self.b,
-            "c": self.c,
-            "d": self.d,
-            "e": self.e,
-            "f": self.f,
-            "alpha": self.alpha,
-            "beta": self.beta,
-            "gamma": self.gamma,
-            "p": self.p,
-            "q": self.q,
-        }
+        return dict(zip(ROW_VARS, self.key()))
+
+
+_row_of = attrgetter(*ROW_VARS)
 
 
 def system_values(
@@ -226,18 +206,20 @@ def classify_row(row: Sequence[int]) -> ConditionReport:
 
 
 def check_conditions(inst: ConjectureInstance) -> ConditionReport:
-    """The shared condition report of one instance."""
+    """The shared condition report of one instance.
+
+    ``satisfied`` says whether all three equations hold exactly; ``trivial``
+    marks a zero among a, b, c, or p = q = 0.
+    """
     return classify_row(inst.key())
 
 
-def check_instance(inst: ConjectureInstance) -> bool:
-    """True iff all three equations hold exactly."""
-    return check_conditions(inst).satisfied
-
-
-def is_trivial(inst: ConjectureInstance) -> bool:
-    """Triviality convention: a zero among a, b, c, or p = q = 0."""
-    return check_conditions(inst).trivial
+def _readings(report: ConditionReport) -> dict[str, bool]:
+    """The per-reading counterexample verdicts, as logs and reports spell them."""
+    return {
+        "pairwise": report.counterexample_pairwise,
+        "adjacent": report.counterexample_adjacent,
+    }
 
 
 # ----------------------------------------------------------------------
@@ -254,7 +236,7 @@ class SearchSpace:
     checkpoint_path: str | None = None
 
     def __post_init__(self) -> None:
-        if self.case not in ("unit", "general"):
+        if self.case not in _CASE_VARS:
             raise ValueError(f"case must be 'unit' or 'general', got {self.case!r}")
         required = self.enumerated_vars
         clean: dict[str, tuple[int, int]] = {}
@@ -286,9 +268,9 @@ class SearchSpace:
         shards: int = 1,
         checkpoint_path: str | Path | None = None,
     ) -> "SearchSpace":
-        names = UNIT_VARS if case == "unit" else COEFF_VARS + UNIT_VARS
+        # An unknown case gets no bounds; __post_init__ then rejects the case.
         return cls(
-            bounds={name: (low, high) for name in names},
+            bounds={name: (low, high) for name in _CASE_VARS.get(case, ())},
             case=case,
             shards=shards,
             checkpoint_path=None if checkpoint_path is None else str(checkpoint_path),
@@ -296,7 +278,7 @@ class SearchSpace:
 
     @property
     def enumerated_vars(self) -> tuple[str, ...]:
-        return UNIT_VARS if self.case == "unit" else COEFF_VARS + UNIT_VARS
+        return _CASE_VARS[self.case]
 
     def values_of(self, name: str) -> list[int]:
         low, high = self.bounds[name]
@@ -338,15 +320,14 @@ def _shard_block_range(space: SearchSpace, shard_id: int, block_count: int) -> t
 # Shard scanning
 
 
+# The variables fixed around each kernel call, in row order.
+_OUTER_VARS = ROW_VARS[:5]
+
+
 def _scan_shard(space: SearchSpace, shard_id: int) -> dict:
     """Scan one shard and return its checkpoint record."""
     blocks = _prefix_blocks(space)
     start, stop = _shard_block_range(space, shard_id, len(blocks))
-    inner_vars = space.enumerated_vars[2:]
-    inner_size = 1
-    for name in inner_vars:
-        low, high = space.bounds[name]
-        inner_size *= high - low + 1
 
     c_values = space.values_of("c")
     d_pows = [(d, d * d, d**4) for d in space.values_of("d")]
@@ -354,20 +335,14 @@ def _scan_shard(space: SearchSpace, shard_id: int) -> dict:
     f_pows = [(f, f * f, f**4) for f in space.values_of("f")]
     solutions: list[list[int]] = []
 
-    if space.case == "unit":
-        for a, b in blocks[start:stop]:
-            _kernel(1, 1, 1, a, b, c_values, d_pows, e_pows, f_pows, solutions)
-    else:
-        gamma_values = space.values_of("gamma")
-        a_values = space.values_of("a")
-        b_values = space.values_of("b")
-        for alpha, beta in blocks[start:stop]:
-            for gamma in gamma_values:
-                for a in a_values:
-                    for b in b_values:
-                        _kernel(
-                            alpha, beta, gamma, a, b, c_values, d_pows, e_pows, f_pows, solutions
-                        )
+    # The unit case pins the coefficients to 1; a block pins the first two
+    # enumerated variables.
+    outer = [space.values_of(name) if name in space.bounds else [1] for name in _OUTER_VARS]
+    first = _OUTER_VARS.index(space.enumerated_vars[0])
+    for i, j in blocks[start:stop]:
+        outer[first : first + 2] = [i], [j]
+        for alpha, beta, gamma, a, b in product(*outer):
+            _kernel(alpha, beta, gamma, a, b, c_values, d_pows, e_pows, f_pows, solutions)
 
     solutions.sort()
     return {
@@ -376,7 +351,7 @@ def _scan_shard(space: SearchSpace, shard_id: int) -> dict:
         "shard": shard_id,
         "shards": space.shards,
         "blocks": [start, stop],
-        "scanned": (stop - start) * inner_size,
+        "scanned": (stop - start) * (space.total_assignments() // len(blocks)),
         "solutions": solutions,
     }
 
@@ -473,18 +448,19 @@ class SearchResult:
     def solutions(self) -> Solutions:
         return Solutions(self.rows, self.reports)
 
-    def counterexamples(self) -> list[tuple[ConjectureInstance, ConditionReport]]:
+    def counterexamples(self) -> list[dict]:
+        """Each counterexample row as a dict.
+
+        The keys are ``ROW_VARS`` plus ``"readings"``, which maps
+        ``"pairwise"`` and ``"adjacent"`` to that reading's verdict.
+        """
         if not (self.counterexamples_pairwise or self.counterexamples_adjacent):
             return []
         return [
-            (ConjectureInstance.from_key(row), rep)
+            dict(zip(ROW_VARS, row), readings=_readings(rep))
             for row, rep in zip(self.rows, self.reports)
             if rep.counterexample_pairwise or rep.counterexample_adjacent
         ]
-
-    def solution_rows(self) -> list[dict]:
-        """The result log's objects, one per solution (the log itself is streamed)."""
-        return [_log_row(row, _flag_fields(rep)) for row, rep in zip(self.rows, self.reports)]
 
     def certificate(self) -> dict:
         return {
@@ -604,17 +580,10 @@ def _flag_fields(report: ConditionReport) -> dict:
     """The result-log fields that depend only on a row's report."""
     return {
         "conditions": report.as_dict(),
-        "counterexample": {
-            "pairwise": report.counterexample_pairwise,
-            "adjacent": report.counterexample_adjacent,
-        },
+        "counterexample": _readings(report),
         "adjacent_def_admissible": report.admissible_with_adjacent_def,
         "trivial": report.trivial,
     }
-
-
-def _log_row(row: Sequence[int], flag_fields: dict) -> dict:
-    return dict(zip(ROW_VARS, row), **flag_fields)
 
 
 # The log objects are acyclic by construction, so the encoder skips its
@@ -632,7 +601,7 @@ def write_result_log(result: SearchResult, path: str | Path) -> None:
             fields = fields_by_report.get(id(report))
             if fields is None:
                 fields = fields_by_report[id(report)] = _flag_fields(report)
-            handle.write(encode(_log_row(row, fields)))
+            handle.write(encode(dict(zip(ROW_VARS, row), **fields)))
             handle.write("\n")
 
 
@@ -667,21 +636,6 @@ class DerivedInstance:
     degenerate: bool
     q_candidate: int | None
     integer_pq: tuple[int, int] | None
-
-    def with_pq(self, p: int, q: int) -> ConjectureInstance:
-        return ConjectureInstance(
-            a=self.a,
-            b=self.b,
-            c=self.c,
-            d=self.d,
-            e=self.e,
-            f=self.f,
-            alpha=self.alpha,
-            beta=self.beta,
-            gamma=self.gamma,
-            p=p,
-            q=q,
-        )
 
 
 def derive_instance_from_xyz(x: int, y: int, z: int, n: int) -> DerivedInstance:

@@ -141,7 +141,7 @@ def oracle_conditions(row):
 
 
 def oracle_log_line(row, flags):
-    """One result-log line as ``solution_rows()`` plus ``json.dumps`` wrote it."""
+    """One result-log line as the search wrote it before streaming: a dict per row, ``json.dumps``."""
     obj = dict(zip(ROW_VARS, row))
     obj["conditions"] = {
         name: flags[name]
@@ -230,30 +230,65 @@ def oracle_scan_power_equation(base_max, n):
     return solutions
 
 
+def _chain(values, reading):
+    """``v1 != v2 != ... != 0`` read pairwise (all distinct, all nonzero) or adjacent."""
+    if reading == "pairwise":
+        return 0 not in values and len(set(values)) == len(values)
+    return all(a != b for a, b in zip(values, values[1:])) and values[-1] != 0
+
+
+def _oracle_conclusion(claim, x, y, z, reading, k):
+    r, s, t = x - y, y + z, z + x
+    u, v, w = x + y + z, y - z - x, x - y - z
+    products = (x * y, y * z, z * x)
+    terms = (r * (x * y) ** (k - 1), s * (y * z) ** (k - 1), t * (z * x) ** (k - 1))
+    if claim == "uvw_distinct_nonzero":
+        return _chain((u, v, w), reading)
+    if claim == "pairprod_distinct_nonzero":
+        return _chain(tuple(abs(g) for g in products), reading)
+    if claim == "coeff_divides_term":
+        return all(_divides(g, term) for g, term in zip(products, terms))
+    if claim == "rst_distinct_nonzero":
+        return _chain((r, s, t), reading)
+    if claim == "coeff_not_unit_multiple":
+        return all(abs(g) != term for g, term in zip(products, terms))
+    raise ValueError(claim)
+
+
+# (claim, hypothesis assumes gcd(x, y, z) = 1, conclusion depends on k)
+_ORACLE_CLAIMS = (
+    ("uvw_distinct_nonzero", False, False),
+    ("pairprod_distinct_nonzero", False, False),
+    ("coeff_divides_term", False, True),
+    ("rst_distinct_nonzero", True, False),
+    ("coeff_not_unit_multiple", True, True),
+)
+
+
 def oracle_condition_checks(box_bound, k):
-    """``verify_condition_derivations`` with the hypothesis evaluated per claim and point.
+    """``verify_condition_derivations`` by testing every point of the box per check.
 
-    It shares the production hypothesis and conclusion predicates: what it
-    checks is the filtering, the counts and the order.  Returns one ``(claim, reading, claim_k, hypothesis_points, counterexamples)``
-    tuple per check, in the production order.
+    The hypothesis (magnitude chain, plus coprimality where the claim needs
+    it) and the conclusions are written out here from the derivation, not
+    taken from ``fltaudit.conditions``.  Returns one ``(claim, reading,
+    claim_k, hypothesis_points, counterexamples)`` tuple per check, in the
+    production order.
     """
-    from fltaudit.conditions import _NEEDS_COPRIME, _NEEDS_K, CLAIM_IDS, READINGS
-    from fltaudit.conditions import _conclusion, _hypothesis
-
     span = range(-box_bound, box_bound + 1)
-    points = [(x, y, z) for x in span for y in span for z in span]
     checks = []
-    for claim in CLAIM_IDS:
-        needs_coprime = claim in _NEEDS_COPRIME
-        claim_k = k if claim in _NEEDS_K else None
-        for reading in READINGS:
+    for claim, needs_coprime, needs_k in _ORACLE_CLAIMS:
+        for reading in ("pairwise", "adjacent"):
             witnesses = 0
             failures = []
-            for x, y, z in points:
-                if not _hypothesis(x, y, z, reading, needs_coprime):
-                    continue
-                witnesses += 1
-                if not _conclusion(claim, x, y, z, reading, k):
-                    failures.append((x, y, z))
-            checks.append((claim, reading, claim_k, witnesses, tuple(failures)))
+            for x in span:
+                for y in span:
+                    for z in span:
+                        if needs_coprime and gcd(gcd(x, y), z) != 1:
+                            continue
+                        if not _chain((abs(x), abs(y), abs(z)), reading):
+                            continue
+                        witnesses += 1
+                        if not _oracle_conclusion(claim, x, y, z, reading, k):
+                            failures.append((x, y, z))
+            checks.append((claim, reading, k if needs_k else None, witnesses, tuple(failures)))
     return checks

@@ -177,7 +177,8 @@ def test_criterion_7_determinism_and_resume(announce, tmp_path):
     try:
         rows = {}
         for shards in (1, 2, 8):
-            rows[shards] = search(SearchSpace.cube(-4, 4, shards=shards)).solution_rows()
+            result = search(SearchSpace.cube(-4, 4, shards=shards))
+            rows[shards] = (result.rows, result.reports)
         shards_agree = rows[1] == rows[2] == rows[8]
 
         straight_log = tmp_path / "straight.jsonl"

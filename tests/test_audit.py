@@ -13,6 +13,13 @@ from fltaudit.audit import (
     replay_evidence,
     run_audit,
 )
+from fltaudit.search import (
+    ROW_VARS,
+    ConjectureInstance,
+    SearchSpace,
+    check_conditions,
+    search,
+)
 
 SMALL = AuditConfig(
     identity_n_min=3,
@@ -100,6 +107,22 @@ class TestReplay:
         with pytest.raises(KeyError):
             replay_evidence("C99", {})
 
+    def test_search_counterexamples_replay(self):
+        # The general box has adjacent-reading counterexamples; C7 evidence
+        # has the shape of ``counterexamples()`` items.
+        items = search(SearchSpace.cube(-2, 2, case="general")).counterexamples()
+        assert items
+        for item in items:
+            assert item["readings"]["adjacent"]
+            assert replay_evidence("C7", item), item
+
+    def test_trivial_search_solution_does_not_replay(self):
+        row = (1, 1, 1, 1, 0, 0, 2, 1, 1, 4, 1)
+        item = dict(zip(ROW_VARS, row))
+        report = check_conditions(ConjectureInstance.from_key(row))
+        assert report.satisfied and report.trivial
+        assert not replay_evidence("C7", item)
+
 
 class TestMonotonicity:
     def test_enlarging_scope_never_flips_fails_to_holds(self, small_report):
@@ -167,3 +190,16 @@ class TestIsolation:
             AuditConfig(condition_k=2)
         with pytest.raises(ValueError):
             AuditConfig(identity_n_min=2)
+
+    @pytest.mark.parametrize(
+        "override",
+        [
+            {"search_shards": True},
+            {"c_max": 100.0},
+            {"search_bound": "3"},
+            {"parametrization_primitive_only": 1},
+        ],
+    )
+    def test_config_values_need_their_field_type(self, override):
+        with pytest.raises(ValueError):
+            AuditConfig(**override)

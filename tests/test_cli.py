@@ -6,6 +6,7 @@ import sys
 import time
 
 import jsonschema
+import pytest
 
 from fltaudit.cli import (
     EXIT_ABORTED,
@@ -114,6 +115,16 @@ class TestAudit:
         config.write_text(json.dumps({"mystery_knob": 1}))
         code, _, _ = run_cli(["audit", "--config", config])
         assert code == EXIT_USAGE
+
+    @pytest.mark.parametrize(
+        "body", ["5", '["c_max"]', '{"c_max": "x"}', '{"c_max": 5.5}', '{"search_bound": 2.5}']
+    )
+    def test_ill_typed_config_is_a_usage_error(self, run_cli, tmp_path, body):
+        config = tmp_path / "scope.json"
+        config.write_text(body)
+        code, _, err = run_cli(["audit", "--config", config])
+        assert code == EXIT_USAGE, err
+        assert "internal error" not in err
 
     def test_primitive_even_b_mode_drifts_from_default_manifest(self, run_cli, tmp_path):
         # Restricting to the classical case empties C2, which the default

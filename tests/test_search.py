@@ -1,8 +1,8 @@
 """Bounded conjecture search: kernel, sharding, checkpointing, oracle parity."""
 
 import dataclasses
-import importlib
 import json
+import types
 import time
 from itertools import zip_longest
 from pathlib import Path
@@ -14,14 +14,14 @@ from hypothesis import strategies as st
 from fltaudit.checkpoint import CheckpointError, append_record, read_records
 from fltaudit.ints import passes_square_filter
 from fltaudit.lemma import derive_system
+import fltaudit.search as search_module
 from fltaudit.search import (
+    ROW_VARS,
     ConditionReport,
     ConjectureInstance,
     SearchSpace,
     check_conditions,
-    check_instance,
     derive_instance_from_xyz,
-    is_trivial,
     search,
     system_values,
     write_result_log,
@@ -29,8 +29,6 @@ from fltaudit.search import (
 from fltaudit.search import _scan_shard as real_scan_shard
 
 from oracles import naive_unit_scan, oracle_result_log
-
-search_module = importlib.import_module("fltaudit.search")
 
 
 def unit_instance(a, b, c, d, e, f, p, q):
@@ -42,22 +40,22 @@ def unit_instance(a, b, c, d, e, f, p, q):
 class TestCheckInstance:
     def test_degenerate_true(self):
         # q^2 = 1, pq = (1*2)^2 = 4, p^2 = (1*4)^2 = 16.
-        assert check_instance(unit_instance(1, 0, 0, 2, 1, 1, p=4, q=1))
+        assert check_conditions(unit_instance(1, 0, 0, 2, 1, 1, p=4, q=1)).satisfied
 
     def test_all_zero_true(self):
-        assert check_instance(unit_instance(0, 0, 0, 0, 0, 0, p=0, q=0))
+        assert check_conditions(unit_instance(0, 0, 0, 0, 0, 0, p=0, q=0)).satisfied
 
     def test_negative_first_rhs_false(self):
-        assert not check_instance(unit_instance(1, 1, 1, 1, 2, 3, p=1, q=1))
+        assert not check_conditions(unit_instance(1, 1, 1, 1, 2, 3, p=1, q=1)).satisfied
 
     def test_system_values(self):
         assert system_values(1, 0, 0, 2, 1, 1, 1, 1, 1) == (1, 4, 16)
 
     def test_triviality(self):
-        assert is_trivial(unit_instance(1, 0, 0, 2, 1, 1, p=4, q=1))
-        assert is_trivial(unit_instance(0, 0, 0, 0, 0, 0, p=0, q=0))
-        assert is_trivial(unit_instance(3, 2, 2, 1, -1, 1, p=0, q=0))
-        assert not is_trivial(unit_instance(3, 2, 2, 1, -1, 1, p=1, q=1))
+        assert check_conditions(unit_instance(1, 0, 0, 2, 1, 1, p=4, q=1)).trivial
+        assert check_conditions(unit_instance(0, 0, 0, 0, 0, 0, p=0, q=0)).trivial
+        assert check_conditions(unit_instance(3, 2, 2, 1, -1, 1, p=0, q=0)).trivial
+        assert not check_conditions(unit_instance(3, 2, 2, 1, -1, 1, p=1, q=1)).trivial
 
 
 class TestCheckConditions:
@@ -91,6 +89,18 @@ class TestCheckConditions:
         assert not report.counterexample_pairwise
         assert not report.counterexample_adjacent
         assert report.admissible_with_adjacent_def
+
+
+class TestRowLayout:
+    def test_fltaudit_search_is_the_module(self):
+        assert isinstance(search_module, types.ModuleType)
+
+    def test_instance_fields_follow_row_layout(self):
+        assert tuple(f.name for f in dataclasses.fields(ConjectureInstance)) == ROW_VARS
+        row = (2, 6, 3, -1, 5, 4, 6, -2, -4, 7, 8)
+        inst = ConjectureInstance.from_key(row)
+        assert inst.key() == row
+        assert inst.as_dict() == dict(zip(ROW_VARS, row))
 
 
 class TestSearchSpace:
@@ -140,7 +150,7 @@ class TestSearchAgainstOracle:
         result = search(SearchSpace.cube(-2, 2))
         assert result.solutions
         for inst, report in result.solutions:
-            assert check_instance(inst)
+            assert check_conditions(inst).satisfied
             assert report.satisfied
 
     def test_exhaustion_certificate(self):
@@ -163,7 +173,7 @@ class TestDeterminismAndSharding:
         results = {
             shards: search(SearchSpace.cube(-2, 2, shards=shards)) for shards in (1, 2, 8)
         }
-        rows = {shards: res.solution_rows() for shards, res in results.items()}
+        rows = {shards: (res.rows, res.reports) for shards, res in results.items()}
         assert rows[1] == rows[2] == rows[8]
         assert (
             results[1].counterexamples_pairwise
@@ -182,7 +192,7 @@ class TestDeterminismAndSharding:
         space_par = SearchSpace.cube(-2, 2, shards=4)
         seq = search(space_seq)
         par = search(space_par, workers=2)
-        assert seq.solution_rows() == par.solution_rows()
+        assert (seq.rows, seq.reports) == (par.rows, par.reports)
 
 
 class TestCheckpointing:
@@ -219,7 +229,7 @@ class TestCheckpointing:
         first = search(space)
         again = search(space)
         assert again.shards_reused == 2
-        assert first.solution_rows() == again.solution_rows()
+        assert (first.rows, first.reports) == (again.rows, again.reports)
 
     def test_signature_mismatch_rejected(self, tmp_path):
         cp = tmp_path / "stale.ckpt"
@@ -363,7 +373,9 @@ class TestStreamedLogAgainstOracle:
             for row, rep in zip(result.rows, result.reports)
             if rep.counterexample_pairwise or rep.counterexample_adjacent
         ]
-        assert [inst.key() for inst, _ in result.counterexamples()] == expected
+        items = result.counterexamples()
+        assert [tuple(item[v] for v in ROW_VARS) for item in items] == expected
+        assert all(item["readings"]["adjacent"] for item in items)
         assert len(expected) == result.counterexamples_adjacent
 
     def test_resumed_run(self, tmp_path):
