@@ -512,7 +512,11 @@ def load_default_manifest() -> dict:
 
 
 def load_manifest(path: str | Path) -> dict:
-    return json.loads(Path(path).read_text(encoding="utf-8"))
+    """Read a manifest file; ``ValueError`` unless it holds a JSON object."""
+    manifest = json.loads(Path(path).read_text(encoding="utf-8"))
+    if not isinstance(manifest, dict):
+        raise ValueError("manifest file must hold a JSON object")
+    return manifest
 
 
 def compare_to_manifest(report: AuditReport, manifest: dict) -> tuple[bool, list[str]]:

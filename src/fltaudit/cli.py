@@ -253,7 +253,10 @@ def _cmd_audit(args: argparse.Namespace) -> tuple[int, dict, str]:
     if args.manifest is not None:
         if not args.manifest.exists():
             raise UsageError(f"manifest file not found: {args.manifest}")
-        manifest = load_manifest(args.manifest)
+        try:
+            manifest = load_manifest(args.manifest)
+        except ValueError as exc:
+            raise UsageError(f"bad manifest file: {exc}") from exc
     else:
         manifest = load_default_manifest()
 

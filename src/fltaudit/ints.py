@@ -66,7 +66,3 @@ def divides(divisor: int, value: int) -> bool:
     if divisor == 0:
         return value == 0
     return value % divisor == 0
-
-
-def pairwise_distinct(*values: int) -> bool:
-    return len(set(values)) == len(values)

@@ -29,14 +29,14 @@ import hashlib
 import json
 from concurrent.futures import ProcessPoolExecutor, as_completed
 from dataclasses import dataclass
-from itertools import product
+from itertools import chain, product
 from math import isqrt
-from operator import attrgetter
+from operator import attrgetter, itemgetter
 from pathlib import Path
 from typing import Callable, Iterator, Mapping, Sequence
 
 from .checkpoint import CheckpointError, append_record, read_records
-from .ints import SQUARES_MOD_16, SQUARES_MOD_9, divides, exact_sqrt, pairwise_distinct
+from .ints import SQUARES_MOD_16, SQUARES_MOD_9, exact_sqrt
 from .lemma import LemmaBindings
 
 __all__ = [
@@ -182,23 +182,29 @@ def classify_row(row: Sequence[int]) -> ConditionReport:
     first, second, third = system_values(a, b, c, d, e, f, alpha, beta, gamma)
     satisfied = q * q == first and p * q == second and p * p == third
     trivial = a * b * c == 0 or (p == 0 and q == 0)
-    def_pair = d != 0 and e != 0 and f != 0 and pairwise_distinct(d, e, f)
+    def_pair = d != 0 and e != 0 and f != 0 and d != e and d != f and e != f
     def_adj = d != e and e != f and f != 0
     aa, ab, ag = abs(alpha), abs(beta), abs(gamma)
     case_unit = alpha == 1 and beta == 1 and gamma == 1
-    gen_pair = aa != 0 and ab != 0 and ag != 0 and pairwise_distinct(aa, ab, ag)
+    gen_pair = aa != 0 and ab != 0 and ag != 0 and aa != ab and aa != ag and ab != ag
     gen_adj = aa != ab and ab != ag and ag != 0
-    div_ok = divides(alpha, a) and divides(beta, b) and divides(gamma, c)
+    # Zero divides only zero.
+    div_ok = (
+        (a % alpha == 0 if alpha else a == 0)
+        and (b % beta == 0 if beta else b == 0)
+        and (c % gamma == 0 if gamma else c == 0)
+    )
     # Literal reading of |alpha| != a: a magnitude against a signed value.
     non_unit = aa != a and ab != b and ag != c
 
-    def verdict(gen_ok: bool) -> bool:
-        cases = case_unit or (gen_ok and div_ok and non_unit)
-        return satisfied and not trivial and def_pair and cases
-
+    qualifies = satisfied and not trivial and def_pair
+    general = div_ok and non_unit
     # In ConditionReport's field order.
     flags = (satisfied, trivial, def_pair, def_adj, case_unit, gen_pair, gen_adj, div_ok, non_unit)
-    flags += (verdict(gen_pair), verdict(gen_adj))
+    flags += (
+        qualifies and (case_unit or (gen_pair and general)),
+        qualifies and (case_unit or (gen_adj and general)),
+    )
     report = _REPORTS.get(flags)
     if report is None:
         report = _REPORTS[flags] = ConditionReport(*flags)
@@ -488,8 +494,23 @@ def _load_existing_records(space: SearchSpace, signature: str) -> tuple[dict[int
             raise CheckpointError(
                 "checkpoint was written for a different search configuration"
             )
+        if not all(type(record[key]) is int for key in ("shard", "shards", "scanned")):
+            raise CheckpointError("checkpoint shard, shards and scanned must be integers")
         if not (0 <= record["shard"] < space.shards) or record["shards"] != space.shards:
             raise CheckpointError(f"checkpoint shard {record['shard']} is out of range")
+        # The log writes each row value into an integer slot, so a row must
+        # hold exactly len(ROW_VARS) ints.
+        rows = record["solutions"]
+        if not (
+            isinstance(rows, list)
+            and set(map(type, rows)) <= {list}
+            and set(map(len, rows)) <= {len(ROW_VARS)}
+            and set(map(type, chain.from_iterable(rows))) <= {int}
+        ):
+            raise CheckpointError(
+                f"checkpoint shard {record['shard']} holds a row that is not "
+                f"{len(ROW_VARS)} integers"
+            )
         existing.setdefault(record["shard"], record)
     return existing, truncated
 
@@ -586,23 +607,44 @@ def _flag_fields(report: ConditionReport) -> dict:
     }
 
 
-# The log objects are acyclic by construction, so the encoder skips its
-# per-container cycle check.
-_LOG_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"), check_circular=False)
+# The log's frozen line format: keys sorted, compact separators.
+_LOG_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+
+
+def _line_template(report: ConditionReport) -> tuple[str, Callable[[Sequence[int]], tuple]]:
+    """The log line of ``report``'s rows as a ``%`` template and its row picker.
+
+    ``template % pick(row)`` is the line ``_LOG_ENCODER`` writes for the
+    object of ``row``'s variables plus ``_flag_fields(report)``: the flag
+    values are encoded once, and each row variable is an integer slot.
+    """
+    fields = _flag_fields(report)
+    keys = sorted(ROW_VARS + tuple(fields))
+    encode = _LOG_ENCODER.encode
+    parts = [
+        f"{encode(key)}:%d" if key in ROW_VARS
+        else f"{encode(key)}:{encode(fields[key]).replace('%', '%%')}"
+        for key in keys
+    ]
+    pick = itemgetter(*(ROW_VARS.index(key) for key in keys if key in ROW_VARS))
+    return "{" + ",".join(parts) + "}\n", pick
 
 
 def write_result_log(result: SearchResult, path: str | Path) -> None:
-    """Write the normalized result log: one canonical JSON object per solution."""
-    encode = _LOG_ENCODER.encode
-    # Reports are interned, so identity picks out each one's fields.
-    fields_by_report: dict[int, dict] = {}
+    """Write the normalized result log: one canonical JSON object per solution.
+
+    Each line goes straight to the file's buffer, so memory holds one line
+    and the buffer, however many rows there are.
+    """
+    # Reports are interned, so identity picks out each one's template.
+    templates: dict[int, tuple] = {}
     with open(path, "w", encoding="utf-8") as handle:
+        write = handle.write
         for row, report in zip(result.rows, result.reports):
-            fields = fields_by_report.get(id(report))
-            if fields is None:
-                fields = fields_by_report[id(report)] = _flag_fields(report)
-            handle.write(encode(dict(zip(ROW_VARS, row), **fields)))
-            handle.write("\n")
+            entry = templates.get(id(report))
+            if entry is None:
+                entry = templates[id(report)] = _line_template(report)
+            write(entry[0] % entry[1](row))
 
 
 # ----------------------------------------------------------------------

@@ -99,6 +99,14 @@ class TestAudit:
         code, _, _ = run_cli(["audit", "--manifest", tmp_path / "nope.json"])
         assert code == EXIT_USAGE
 
+    @pytest.mark.parametrize("body", ["nope", "[1]", "5"])
+    def test_malformed_manifest_is_a_usage_error(self, run_cli, tmp_path, body):
+        manifest = tmp_path / "manifest.json"
+        manifest.write_text(body)
+        code, _, err = run_cli(["audit", "--manifest", manifest])
+        assert code == EXIT_USAGE, err
+        assert "internal error" not in err
+
     def test_config_file_overrides(self, run_cli, tmp_path):
         config = tmp_path / "scope.json"
         config.write_text(json.dumps({"c_max": 20, "search_bound": 2, "box_bound": 3}))

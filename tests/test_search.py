@@ -4,7 +4,8 @@ import dataclasses
 import json
 import types
 import time
-from itertools import zip_longest
+import tracemalloc
+from itertools import product, zip_longest
 from pathlib import Path
 
 import pytest
@@ -21,6 +22,7 @@ from fltaudit.search import (
     ConjectureInstance,
     SearchSpace,
     check_conditions,
+    classify_row,
     derive_instance_from_xyz,
     search,
     system_values,
@@ -28,7 +30,7 @@ from fltaudit.search import (
 )
 from fltaudit.search import _scan_shard as real_scan_shard
 
-from oracles import naive_unit_scan, oracle_result_log
+from oracles import naive_unit_scan, oracle_conditions, oracle_log_line, oracle_result_log
 
 
 def unit_instance(a, b, c, d, e, f, p, q):
@@ -249,6 +251,33 @@ class TestCheckpointing:
         with pytest.raises(CheckpointError):
             search(SearchSpace.cube(-1, 1, checkpoint_path=cp))
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("row", [1, 1, 1, 1.5, -1, 0, -1, -1, -1, 0, 0]),
+            ("row", [1, 1, 1, True] + [0] * 7),
+            ("row", [1] * 10),
+            ("row", 7),
+            ("shard", "1"),
+            ("shards", 2.0),
+            ("scanned", "9"),
+        ],
+    )
+    def test_ill_typed_record_rejected(self, tmp_path, field, value):
+        cp = tmp_path / "tampered.ckpt"
+        space = SearchSpace.cube(-1, 1, shards=2, checkpoint_path=cp)
+        search(space)
+        records, _ = read_records(cp)
+        if field == "row":
+            records[1]["solutions"][0] = value
+        else:
+            records[1][field] = value
+        cp.unlink()
+        for record in records:
+            append_record(cp, record)
+        with pytest.raises(CheckpointError):
+            search(space)
+
     def test_truncated_tail_tolerated(self, tmp_path):
         cp = tmp_path / "tail.ckpt"
         space = SearchSpace.cube(-1, 1, shards=2, checkpoint_path=cp)
@@ -409,6 +438,60 @@ class TestStreamedLogAgainstOracle:
     def test_check_conditions_shares_reports(self):
         inst = unit_instance(3, 2, 2, 1, -1, 1, p=1, q=1)
         assert check_conditions(inst) is check_conditions(ConjectureInstance.from_key(inst.key()))
+
+
+def flags_of(report):
+    """A report's fields plus ``admissible_with_adjacent_def``, as the oracles name them."""
+    return dict(
+        dataclasses.asdict(report),
+        admissible_with_adjacent_def=report.admissible_with_adjacent_def,
+    )
+
+
+class TestLineTemplates:
+    # Rows the search never emits: signs everywhere and integers far outside
+    # any box, so every slot of a template is exercised.
+    ROWS = (
+        [-1, 2, -3, 4, -5, 6, -7, 8, -9, 10, -11],
+        [10**30, -(10**30), 0, -(10**31) + 7, 1, -1, 0, 10**40, -(10**40), 3, 10**30 + 1],
+        [0] * 11,
+    )
+
+    def test_every_flag_combination_matches_oracle_line(self, tmp_path):
+        reports = [ConditionReport(*flags) for flags in product((False, True), repeat=11)]
+        result = types.SimpleNamespace(
+            rows=[row for _ in reports for row in self.ROWS],
+            reports=[report for report in reports for _ in self.ROWS],
+        )
+        path = tmp_path / "log.jsonl"
+        write_result_log(result, path)
+        with open(path, "rb") as log:
+            got = list(log)
+        want = [
+            oracle_log_line(row, flags_of(report))
+            for row, report in zip(result.rows, result.reports)
+        ]
+        assert len(got) == len(want) == 2**11 * len(self.ROWS)
+        for count, (line, expected) in enumerate(zip(got, want)):
+            assert line == expected, f"log line {count} differs"
+
+    def test_write_holds_far_less_than_the_log(self, tmp_path):
+        result = search(SearchSpace.cube(-6, 6))
+        path = tmp_path / "log.jsonl"
+        tracemalloc.start()
+        try:
+            write_result_log(result, path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < path.stat().st_size / 8
+
+
+class TestClassifierAgainstOracle:
+    @settings(max_examples=400, deadline=None)
+    @given(st.lists(st.integers(-3, 3), min_size=11, max_size=11))
+    def test_small_rows(self, row):
+        assert flags_of(classify_row(row)) == oracle_conditions(row)
 
 
 class TestSolutionsAreLazy:
