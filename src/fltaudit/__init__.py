@@ -23,7 +23,6 @@ from .audit import (
 from .checkpoint import CheckpointError
 from .conditions import (
     ImplicationCheck,
-    SystemParams,
     replay_condition_counterexample,
     verify_condition_derivations,
 )
@@ -57,11 +56,9 @@ from .pythagoras import (
 from .search import (
     ConditionReport,
     ConjectureInstance,
-    DerivedInstance,
     SearchResult,
     SearchSpace,
     check_conditions,
-    derive_instance_from_xyz,
     system_values,
     write_result_log,
 )
@@ -77,7 +74,6 @@ __all__ = [
     "ConjectureInstance",
     "ConsistencyResult",
     "DerivationError",
-    "DerivedInstance",
     "DerivedSystem",
     "EvalPoint",
     "ImplicationCheck",
@@ -90,7 +86,6 @@ __all__ = [
     "Representation",
     "SearchResult",
     "SearchSpace",
-    "SystemParams",
     "X",
     "Y",
     "Z",
@@ -101,7 +96,6 @@ __all__ = [
     "check_conditions",
     "compare_to_manifest",
     "consistency_residual",
-    "derive_instance_from_xyz",
     "derive_system",
     "enumerate_triples",
     "euclid_primitive_triples",

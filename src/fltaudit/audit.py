@@ -16,11 +16,7 @@ from importlib import resources
 from math import gcd
 from pathlib import Path
 
-from .conditions import (
-    SystemParams,
-    replay_condition_counterexample,
-    verify_condition_derivations,
-)
+from .conditions import replay_condition_counterexample, verify_condition_derivations
 from .fermat import primitive_square_triples
 from .lemma import DerivationError, consistency_residual, derive_system, verify_identity
 from .pythagoras import (
@@ -345,8 +341,8 @@ def _check_conditions(config: AuditConfig) -> ClaimEntry:
             "box_bound": config.box_bound,
             "k": config.condition_k,
             "regimes": {
-                "odd": SystemParams(k=config.condition_k, parity="odd").exponent,
-                "even": SystemParams(k=config.condition_k, parity="even").exponent,
+                "odd": 2 * config.condition_k + 1,
+                "even": 2 * config.condition_k,
             },
         },
         verdict=FAILS if failed else HOLDS,

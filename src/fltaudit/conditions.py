@@ -12,57 +12,37 @@ readings:
 For each implication and each reading, every integer point (x, y, z) in a
 box satisfying the hypothesis is tested, and the points where the conclusion
 fails are returned as counterexamples.
+
+The conclusions are the search's own side conditions: the point is mapped
+by the reduction to its system skeleton at n = 2k + 1 (``reduction_row``),
+and four of the five conclusions are flags of ``classify_row`` on that row,
+so the search and this audit apply one definition.  Only
+``rst_distinct_nonzero``, about the forms r, s, t themselves, has a predicate
+of its own.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from math import gcd
+from operator import attrgetter
+from typing import Callable
 
-from .ints import divides
+from .search import ConditionReport, classify_row
 
 __all__ = [
     "CLAIM_IDS",
     "READINGS",
     "ImplicationCheck",
-    "SystemParams",
     "chain_distinct_nonzero",
+    "reduction_row",
     "replay_condition_counterexample",
     "verify_condition_derivations",
 ]
 
 READINGS = ("pairwise", "adjacent")
 
-
-@dataclass(frozen=True)
-class SystemParams:
-    """Power parameter and parity selecting one of the two system shapes.
-
-    The odd shape corresponds to exponent 2k + 1 and is only claimed for
-    k > 2; the even shape corresponds to exponent 2k and is claimed for
-    k > 1.  Construction outside those regimes is rejected.
-    """
-
-    k: int
-    parity: str
-
-    def __post_init__(self) -> None:
-        if self.parity not in ("odd", "even"):
-            raise ValueError(f"parity must be 'odd' or 'even', got {self.parity!r}")
-        if self.parity == "odd" and self.k <= 2:
-            raise ValueError(f"odd shape needs k > 2, got k={self.k}")
-        if self.parity == "even" and self.k <= 1:
-            raise ValueError(f"even shape needs k > 1, got k={self.k}")
-
-    @property
-    def exponent(self) -> int:
-        return 2 * self.k + 1 if self.parity == "odd" else 2 * self.k
-
-    @classmethod
-    def from_exponent(cls, n: int) -> "SystemParams":
-        if n % 2:
-            return cls(k=(n - 1) // 2, parity="odd")
-        return cls(k=n // 2, parity="even")
+Point = tuple[int, int, int]
 
 
 @dataclass(frozen=True)
@@ -74,7 +54,7 @@ class ImplicationCheck:
     box_bound: int
     k: int | None
     hypothesis_points: int
-    counterexamples: tuple[tuple[int, int, int], ...]
+    counterexamples: tuple[Point, ...]
 
     @property
     def holds(self) -> bool:
@@ -96,51 +76,52 @@ def _hypothesis(x: int, y: int, z: int, reading: str, needs_coprime: bool) -> bo
     return chain_distinct_nonzero((abs(x), abs(y), abs(z)), reading)
 
 
-# Conclusions: each computes only the forms r = x - y, s = y + z, t = z + x,
-# u = x + y + z, v = y - z - x, w = x - y - z and pair products it needs.
+def reduction_row(x: int, y: int, z: int, k: int) -> list[int]:
+    """The system skeleton of (x, y, z) at n = 2k + 1, as a kernel row.
 
-
-def _uvw_distinct(x: int, y: int, z: int, reading: str, k: int) -> bool:
-    return chain_distinct_nonzero((x + y + z, y - z - x, x - y - z), reading)
-
-
-def _pairprod_distinct(x: int, y: int, z: int, reading: str, k: int) -> bool:
-    return chain_distinct_nonzero((abs(x * y), abs(y * z), abs(z * x)), reading)
-
-
-def _coeff_divides(x: int, y: int, z: int, reading: str, k: int) -> bool:
+    alpha, beta, gamma = xy, yz, zx; a, b, c = r (xy)^(k-1), s (yz)^(k-1),
+    t (zx)^(k-1); (d, e, f) = (u, v, w); and p = q = 0, which no flag read
+    here depends on.
+    """
     xy, yz, zx = x * y, y * z, z * x
-    return (
-        divides(xy, (x - y) * xy ** (k - 1))
-        and divides(yz, (y + z) * yz ** (k - 1))
-        and divides(zx, (z + x) * zx ** (k - 1))
-    )
+    a, b, c = (x - y) * xy ** (k - 1), (y + z) * yz ** (k - 1), (z + x) * zx ** (k - 1)
+    return [xy, yz, zx, a, b, c, x + y + z, y - z - x, x - y - z, 0, 0]
 
 
-def _rst_distinct(x: int, y: int, z: int, reading: str, k: int) -> bool:
+def _rst_distinct(x: int, y: int, z: int, reading: str) -> bool:
     return chain_distinct_nonzero((x - y, y + z, z + x), reading)
 
 
-def _coeff_not_unit(x: int, y: int, z: int, reading: str, k: int) -> bool:
-    xy, yz, zx = x * y, y * z, z * x
-    return (
-        abs(xy) != (x - y) * xy ** (k - 1)
-        and abs(yz) != (y + z) * yz ** (k - 1)
-        and abs(zx) != (z + x) * zx ** (k - 1)
-    )
-
-
-# claim id -> (conclusion, hypothesis also assumes gcd(x, y, z) = 1,
-# conclusion depends on the power parameter k)
+# claim id -> (the ConditionReport flag giving the conclusion under each of
+# READINGS, or None for the claim with its own predicate; hypothesis also
+# assumes gcd(x, y, z) = 1; conclusion depends on the power parameter k)
 _CLAIMS = {
-    "uvw_distinct_nonzero": (_uvw_distinct, False, False),
-    "pairprod_distinct_nonzero": (_pairprod_distinct, False, False),
-    "coeff_divides_term": (_coeff_divides, False, True),
-    "rst_distinct_nonzero": (_rst_distinct, True, False),
-    "coeff_not_unit_multiple": (_coeff_not_unit, True, True),
+    "uvw_distinct_nonzero": (
+        ("def_distinct_nonzero", "def_distinct_nonzero_adjacent"), False, False
+    ),
+    "pairprod_distinct_nonzero": (
+        ("case_general_distinct", "case_general_distinct_adjacent"), False, False
+    ),
+    "coeff_divides_term": (("divisibility", "divisibility"), False, True),
+    "rst_distinct_nonzero": (None, True, False),
+    "coeff_not_unit_multiple": (("non_unit_divisors", "non_unit_divisors"), True, True),
 }
 
 CLAIM_IDS = tuple(_CLAIMS)
+
+
+def _conclusion(
+    claim: str, reading: str, report_of: Callable[[Point], ConditionReport]
+) -> Callable[[Point], bool]:
+    """The claim's conclusion under one reading, as a test of a point.
+
+    ``report_of`` gives the ``classify_row`` report of a point's reduction row.
+    """
+    flags = _CLAIMS[claim][0]
+    if flags is None:
+        return lambda pt: _rst_distinct(*pt, reading)
+    flag = attrgetter(flags[READINGS.index(reading)])
+    return lambda pt: flag(report_of(pt))
 
 
 def verify_condition_derivations(box_bound: int, k: int) -> list[ImplicationCheck]:
@@ -161,11 +142,15 @@ def verify_condition_derivations(box_bound: int, k: int) -> list[ImplicationChec
         for reading in READINGS
         for coprime in (False, True)
     }
+    # The weakest hypothesis admits every point any other admits: classify
+    # each admitted point's reduction row once.
+    reports = {pt: classify_row(reduction_row(*pt, k)) for pt in admitted["adjacent", False]}
     checks: list[ImplicationCheck] = []
-    for claim, (conclusion, needs_coprime, needs_k) in _CLAIMS.items():
+    for claim, (_, needs_coprime, needs_k) in _CLAIMS.items():
         for reading in READINGS:
             hypothesis = admitted[reading, needs_coprime]
-            failures = tuple(pt for pt in hypothesis if not conclusion(*pt, reading, k))
+            conclusion = _conclusion(claim, reading, reports.__getitem__)
+            failures = tuple(pt for pt in hypothesis if not conclusion(pt))
             checks.append(
                 ImplicationCheck(
                     claim=claim,
@@ -180,10 +165,16 @@ def verify_condition_derivations(box_bound: int, k: int) -> list[ImplicationChec
 
 
 def replay_condition_counterexample(
-    claim: str, reading: str, point: tuple[int, int, int], k: int
+    claim: str, reading: str, point: Point, k: int
 ) -> bool:
     """True iff the point still satisfies the hypothesis and breaks the conclusion."""
     if claim not in _CLAIMS:
         raise ValueError(f"unknown claim {claim!r}")
-    conclusion, needs_coprime, _ = _CLAIMS[claim]
-    return _hypothesis(*point, reading, needs_coprime) and not conclusion(*point, reading, k)
+    if reading not in READINGS:
+        raise ValueError(f"unknown reading {reading!r}")
+    if len(point) != 3 or not all(type(v) is int for v in (*point, k)):
+        raise ValueError(f"need three integers and an integer k, got {point!r} and {k!r}")
+    if k < 1:
+        raise ValueError(f"k must be >= 1, got {k}")
+    conclusion = _conclusion(claim, reading, lambda pt: classify_row(reduction_row(*pt, k)))
+    return _hypothesis(*point, reading, _CLAIMS[claim][1]) and not conclusion(point)

@@ -1,4 +1,4 @@
-"""Shared exact-integer helpers: square tests, roots, divisibility."""
+"""Shared exact-integer helpers: square tests and roots."""
 
 from __future__ import annotations
 
@@ -59,10 +59,3 @@ def exact_nth_root(value: int, degree: int) -> int | None:
     """Integer ``r`` with ``r**degree == value``, or None (value >= 0)."""
     root = int_nth_root(value, degree)
     return root if root**degree == value else None
-
-
-def divides(divisor: int, value: int) -> bool:
-    """Divisibility over the integers; 0 divides only 0."""
-    if divisor == 0:
-        return value == 0
-    return value % divisor == 0

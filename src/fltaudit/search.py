@@ -37,17 +37,14 @@ from typing import Callable, Iterator, Mapping, Sequence
 
 from .checkpoint import CheckpointError, append_record, read_records
 from .ints import SQUARES_MOD_16, SQUARES_MOD_9, exact_sqrt
-from .lemma import LemmaBindings
 
 __all__ = [
     "ConditionReport",
     "ConjectureInstance",
-    "DerivedInstance",
     "SearchResult",
     "SearchSpace",
     "check_conditions",
     "classify_row",
-    "derive_instance_from_xyz",
     "search",
     "system_values",
     "write_result_log",
@@ -645,93 +642,3 @@ def write_result_log(result: SearchResult, path: str | Path) -> None:
             if entry is None:
                 entry = templates[id(report)] = _line_template(report)
             write(entry[0] % entry[1](row))
-
-
-# ----------------------------------------------------------------------
-# Instances derived from a point on the Fermat variety
-
-
-@dataclass(frozen=True)
-class DerivedInstance:
-    """Skeleton (a..f, alpha..gamma) obtained from (x, y, z) at exponent n.
-
-    ``rhs_q2``, ``rhs_pq``, ``rhs_p2`` are the exact right-hand sides of the
-    three equations for that skeleton; ``integer_pq`` is the unique
-    canonical (p, q) completing it to a solution, when one exists.
-    """
-
-    a: int
-    b: int
-    c: int
-    d: int
-    e: int
-    f: int
-    alpha: int
-    beta: int
-    gamma: int
-    n: int
-    k: int
-    parity: str
-    rhs_q2: int
-    rhs_pq: int
-    rhs_p2: int
-    degenerate: bool
-    q_candidate: int | None
-    integer_pq: tuple[int, int] | None
-
-
-def derive_instance_from_xyz(x: int, y: int, z: int, n: int) -> DerivedInstance:
-    """Substitute a concrete (x, y, z) into the system skeleton for exponent n.
-
-    Odd n = 2k + 1 uses alpha = xy, beta = yz, gamma = zx; even n = 2k uses
-    unit coefficients.  Either way a = r (xy)^(k-1), b = s (yz)^(k-1),
-    c = t (zx)^(k-1) and (d, e, f) = (u, v, w).
-    """
-    if not isinstance(n, int) or n < 3:
-        raise ValueError(f"exponent must be an integer >= 3, got {n!r}")
-    forms = LemmaBindings.at_point(x, y, z)
-    xy, yz, zx = x * y, y * z, z * x
-    if n % 2:
-        k = (n - 1) // 2
-        parity = "odd"
-        alpha, beta, gamma = xy, yz, zx
-    else:
-        k = n // 2
-        parity = "even"
-        alpha = beta = gamma = 1
-    a = forms.r * xy ** (k - 1)
-    b = forms.s * yz ** (k - 1)
-    c = forms.t * zx ** (k - 1)
-    d, e, f = forms.u, forms.v, forms.w
-    rhs_q2, rhs_pq, rhs_p2 = system_values(a, b, c, d, e, f, alpha, beta, gamma)
-    q_candidate = exact_sqrt(rhs_q2)
-    integer_pq: tuple[int, int] | None = None
-    if q_candidate is not None:
-        if q_candidate > 0:
-            p, residue = divmod(rhs_pq, q_candidate)
-            if residue == 0 and p * p == rhs_p2:
-                integer_pq = (p, q_candidate)
-        elif rhs_pq == 0:
-            root = exact_sqrt(rhs_p2)
-            if root is not None:
-                integer_pq = (root, 0)
-    return DerivedInstance(
-        a=a,
-        b=b,
-        c=c,
-        d=d,
-        e=e,
-        f=f,
-        alpha=alpha,
-        beta=beta,
-        gamma=gamma,
-        n=n,
-        k=k,
-        parity=parity,
-        rhs_q2=rhs_q2,
-        rhs_pq=rhs_pq,
-        rhs_p2=rhs_p2,
-        degenerate=a * b * c == 0 or x * y * z == 0,
-        q_candidate=q_candidate,
-        integer_pq=integer_pq,
-    )

@@ -265,6 +265,16 @@ _ORACLE_CLAIMS = (
 )
 
 
+def oracle_replay(claim, reading, point, k):
+    """``replay_condition_counterexample``: the hypothesis holds, the conclusion fails."""
+    x, y, z = point
+    needs_coprime = next(coprime for c, coprime, _ in _ORACLE_CLAIMS if c == claim)
+    if needs_coprime and gcd(gcd(x, y), z) != 1:
+        return False
+    hypothesis = _chain((abs(x), abs(y), abs(z)), reading)
+    return hypothesis and not _oracle_conclusion(claim, x, y, z, reading, k)
+
+
 def oracle_condition_checks(box_bound, k):
     """``verify_condition_derivations`` by testing every point of the box per check.
 

@@ -107,6 +107,11 @@ class TestReplay:
         with pytest.raises(KeyError):
             replay_evidence("C99", {})
 
+    def test_unknown_reading_rejected(self):
+        item = {"claim": "rst_distinct_nonzero", "reading": "sideways", "point": [2, 4, 6], "k": None}
+        with pytest.raises(ValueError):
+            replay_evidence("C5", item)
+
     def test_search_counterexamples_replay(self):
         # The general box has adjacent-reading counterexamples; C7 evidence
         # has the shape of ``counterexamples()`` items.

@@ -1,16 +1,20 @@
 """Side-condition implication checks over bounded boxes."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fltaudit.conditions import (
     CLAIM_IDS,
     READINGS,
-    SystemParams,
     chain_distinct_nonzero,
+    reduction_row,
     replay_condition_counterexample,
     verify_condition_derivations,
 )
-from oracles import oracle_condition_checks
+from fltaudit.lemma import derive_system
+from fltaudit.search import COEFF_VARS, ROW_VARS, UNIT_VARS, system_values
+from oracles import oracle_condition_checks, oracle_replay
 
 
 def by_claim_reading(checks):
@@ -91,7 +95,7 @@ class TestImplications:
                 >= box4[(claim, "pairwise")].hypothesis_points
             )
 
-    @pytest.mark.parametrize("box_bound, k", [(3, 3), (5, 2), (6, 4)])
+    @pytest.mark.parametrize("box_bound, k", [(3, 3), (5, 2), (6, 4), (3, 1), (12, 3)])
     def test_matches_per_claim_hypothesis_oracle(self, box_bound, k):
         checks = [
             (c.box_bound, c.claim, c.reading, c.k, c.hypothesis_points, c.counterexamples)
@@ -117,22 +121,49 @@ class TestReplay:
             "uvw_distinct_nonzero", "pairwise", (1, 2, 4), 3
         )
 
+    @given(point=st.tuples(*[st.integers(-60, 60)] * 3), k=st.integers(1, 5))
+    @settings(max_examples=300, deadline=None)
+    def test_matches_oracle_off_the_box(self, point, k):
+        for claim in CLAIM_IDS:
+            for reading in READINGS:
+                expected = oracle_replay(claim, reading, point, k)
+                assert replay_condition_counterexample(claim, reading, point, k) == expected
 
-class TestSystemParams:
-    def test_exponents(self):
-        assert SystemParams(k=3, parity="odd").exponent == 7
-        assert SystemParams(k=2, parity="even").exponent == 4
+    def test_unknown_reading_rejected(self):
+        # Refused up front, even where the hypothesis fails: (2, 4, 6) is not coprime.
+        with pytest.raises(ValueError):
+            replay_condition_counterexample("rst_distinct_nonzero", "sideways", (2, 4, 6), 3)
+        with pytest.raises(ValueError):
+            replay_condition_counterexample("uvw_distinct_nonzero", "sideways", (1, 2, -3), 3)
 
-    def test_regime_validation(self):
+    @pytest.mark.parametrize(
+        "point, k", [((1, 2, 3), 0), ((1, 2, 3), 2.5), ((1.5, 2, -3.5), 3), ((1, 2), 3)]
+    )
+    def test_malformed_input_rejected(self, point, k):
+        # No float may decide a verdict: (1.5, 2, -3.5) would "replay" as a
+        # uvw counterexample, and k = 0 makes xy ** (k - 1) a float.
         with pytest.raises(ValueError):
-            SystemParams(k=2, parity="odd")
-        with pytest.raises(ValueError):
-            SystemParams(k=1, parity="even")
-        with pytest.raises(ValueError):
-            SystemParams(k=3, parity="diagonal")
+            replay_condition_counterexample("uvw_distinct_nonzero", "pairwise", point, k)
 
-    def test_from_exponent(self):
-        assert SystemParams.from_exponent(7) == SystemParams(k=3, parity="odd")
-        assert SystemParams.from_exponent(8) == SystemParams(k=4, parity="even")
-        with pytest.raises(ValueError):
-            SystemParams.from_exponent(5)  # odd shape needs k > 2
+
+class TestReductionRow:
+    def test_reference_point(self):
+        row = dict(zip(ROW_VARS, reduction_row(1, 2, 3, 1)))
+        assert (row["alpha"], row["beta"], row["gamma"]) == (2, 6, 3)
+        assert (row["a"], row["b"], row["c"]) == (-1, 5, 4)
+        assert (row["d"], row["e"], row["f"]) == (6, -2, -4)
+        assert (row["p"], row["q"]) == (0, 0)
+        assert system_values(*(row[v] for v in UNIT_VARS + COEFF_VARS)) == (-196, -1296, -12096)
+
+    def test_degenerate_points(self):
+        assert reduction_row(2, 2, 3, 3)[ROW_VARS.index("a")] == 0  # x == y kills r
+        row = reduction_row(0, 2, 3, 2)  # a zero coordinate kills xy and zx
+        assert row[ROW_VARS.index("alpha")] == row[ROW_VARS.index("gamma")] == 0
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_system_values_match_symbolic_system(self, k):
+        system = derive_system(2 * k + 1)
+        for x, y, z in [(1, 2, 3), (2, -3, 5), (-4, 7, 1), (3, 5, -2)]:
+            row = dict(zip(ROW_VARS, reduction_row(x, y, z, k)))
+            values = system_values(*(row[v] for v in UNIT_VARS + COEFF_VARS))
+            assert values == system.evaluate(x, y, z)

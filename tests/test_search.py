@@ -14,7 +14,6 @@ from hypothesis import strategies as st
 
 from fltaudit.checkpoint import CheckpointError, append_record, read_records
 from fltaudit.ints import passes_square_filter
-from fltaudit.lemma import derive_system
 import fltaudit.search as search_module
 from fltaudit.search import (
     ROW_VARS,
@@ -23,7 +22,6 @@ from fltaudit.search import (
     SearchSpace,
     check_conditions,
     classify_row,
-    derive_instance_from_xyz,
     search,
     system_values,
     write_result_log,
@@ -309,41 +307,6 @@ class TestSquareFilter:
         assert not passes_square_filter(-4)
         assert not passes_square_filter(2)  # 2 mod 16
         assert not passes_square_filter(48)  # 0 mod 16, 3 mod 9
-
-
-class TestDerivedInstance:
-    def test_odd_case_reference_point(self):
-        derived = derive_instance_from_xyz(1, 2, 3, 3)
-        assert (derived.a, derived.b, derived.c) == (-1, 5, 4)
-        assert (derived.d, derived.e, derived.f) == (6, -2, -4)
-        assert (derived.alpha, derived.beta, derived.gamma) == (2, 6, 3)
-        assert (derived.rhs_q2, derived.rhs_pq, derived.rhs_p2) == (-196, -1296, -12096)
-        assert derived.q_candidate is None  # negative first right-hand side
-        assert derived.integer_pq is None
-        assert not derived.degenerate
-
-    def test_even_case_reference_point(self):
-        derived = derive_instance_from_xyz(1, 2, 3, 4)
-        assert (derived.a, derived.b, derived.c) == (-2, 30, 12)
-        assert (derived.alpha, derived.beta, derived.gamma) == (1, 1, 1)
-        assert derived.parity == "even" and derived.k == 2
-
-    def test_degenerate_flag(self):
-        assert derive_instance_from_xyz(2, 2, 3, 3).degenerate  # x == y kills r
-        assert derive_instance_from_xyz(0, 2, 3, 5).degenerate  # zero coordinate
-
-    @pytest.mark.parametrize("n", [3, 4, 5, 6, 7])
-    def test_rhs_matches_symbolic_system(self, n):
-        system = derive_system(n)
-        for x, y, z in [(1, 2, 3), (2, -3, 5), (-4, 7, 1), (3, 5, -2)]:
-            derived = derive_instance_from_xyz(x, y, z, n)
-            assert (derived.rhs_q2, derived.rhs_pq, derived.rhs_p2) == system.evaluate(
-                x, y, z
-            )
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            derive_instance_from_xyz(1, 2, 3, 2)
 
 
 class TestResultLog:
