@@ -18,9 +18,21 @@ derives p and q instead of scanning them:
     third must be a perfect square.
 
 The sign symmetry (p, q) -> (-p, -q) is quotiented away by canonicalizing
-q >= 0, and p >= 0 when q = 0.  The space is split into shards by a prefix
-of the enumeration order; each completed shard appends one fsync'd record to
-the checkpoint file, so an interrupted run resumes without rescanning.
+q >= 0, and p >= 0 when q = 0.
+
+c, d, e and f enter the system only squared, so (p, q) is the same for
+every choice of their signs.  The kernel scans magnitude classes: for fixed
+(alpha, beta, gamma, a, b) it runs the square gate and derives p and q once
+per (|c|, |d|, |e|, |f|), then walks the signed values in enumeration order
+and emits a row for each one whose class had a solution, so rows leave the
+kernel sorted.  A one-signed or lopsided range simply has one-member
+classes.  Classification still runs on every signed row: the literal
+reading of |gamma| != c compares a magnitude with a signed value, and the
+d, e, f chain compares signed values.
+
+The space is split into shards by a prefix of the enumeration order; each
+completed shard appends one fsync'd record to the checkpoint file, so an
+interrupted run resumes without rescanning.
 """
 
 from __future__ import annotations
@@ -247,7 +259,8 @@ class SearchSpace:
             if name not in self.bounds:
                 raise ValueError(f"missing bounds for variable {name!r}")
             low, high = self.bounds[name]
-            if not (isinstance(low, int) and isinstance(high, int)):
+            # Exact types: a bool bound would give the box a second signature.
+            if not (type(low) is int and type(high) is int):
                 raise ValueError(f"bounds for {name!r} must be integers")
             if low > high:
                 raise ValueError(f"empty range for {name!r}: [{low}, {high}]")
@@ -256,8 +269,8 @@ class SearchSpace:
         if extra:
             raise ValueError(f"unexpected bound keys: {sorted(extra)}")
         object.__setattr__(self, "bounds", clean)
-        if not isinstance(self.shards, int) or self.shards < 1:
-            raise ValueError(f"shard count must be >= 1, got {self.shards!r}")
+        if type(self.shards) is not int or self.shards < 1:
+            raise ValueError(f"shard count must be an integer >= 1, got {self.shards!r}")
         if self.checkpoint_path is not None:
             object.__setattr__(self, "checkpoint_path", str(self.checkpoint_path))
 
@@ -326,16 +339,27 @@ def _shard_block_range(space: SearchSpace, shard_id: int, block_count: int) -> t
 # The variables fixed around each kernel call, in row order.
 _OUTER_VARS = ROW_VARS[:5]
 
+# One variable's magnitude classes (m, m**2, m**4) and its (value, magnitude) walk.
+_SignTable = tuple[list[tuple[int, int, int]], list[tuple[int, int]]]
+
+
+def _sign_classes(values: list[int]) -> _SignTable:
+    """The magnitude classes of ascending ``values`` and the signed walk over them.
+
+    Each class ``(m, m**2, m**4)`` stands for every value of magnitude ``m``;
+    the walk pairs each value, in ascending order, with its magnitude.
+    """
+    walk = [(v, abs(v)) for v in values]
+    magnitudes = dict.fromkeys(m for _, m in walk)
+    return [(m, m * m, m**4) for m in magnitudes], walk
+
 
 def _scan_shard(space: SearchSpace, shard_id: int) -> dict:
     """Scan one shard and return its checkpoint record."""
     blocks = _prefix_blocks(space)
     start, stop = _shard_block_range(space, shard_id, len(blocks))
 
-    c_values = space.values_of("c")
-    d_pows = [(d, d * d, d**4) for d in space.values_of("d")]
-    e_pows = [(e, e * e, e**4) for e in space.values_of("e")]
-    f_pows = [(f, f * f, f**4) for f in space.values_of("f")]
+    tables = [_sign_classes(space.values_of(name)) for name in "cdef"]
     solutions: list[list[int]] = []
 
     # The unit case pins the coefficients to 1; a block pins the first two
@@ -345,8 +369,9 @@ def _scan_shard(space: SearchSpace, shard_id: int) -> dict:
     for i, j in blocks[start:stop]:
         outer[first : first + 2] = [i], [j]
         for alpha, beta, gamma, a, b in product(*outer):
-            _kernel(alpha, beta, gamma, a, b, c_values, d_pows, e_pows, f_pows, solutions)
+            _kernel(alpha, beta, gamma, a, b, *tables, solutions)
 
+    # The kernel emits in enumeration order, so this sort is one linear pass.
     solutions.sort()
     return {
         "format": 1,
@@ -365,19 +390,26 @@ def _kernel(
     gamma: int,
     a: int,
     b: int,
-    c_values: list[int],
-    d_pows: list[tuple[int, int, int]],
-    e_pows: list[tuple[int, int, int]],
-    f_pows: list[tuple[int, int, int]],
+    c_table: _SignTable,
+    d_table: _SignTable,
+    e_table: _SignTable,
+    f_table: _SignTable,
     out: list[list[int]],
 ) -> None:
-    # Tight inner scan over (c, d, e, f) for fixed coefficients and (a, b).
-    # The perfect-square gate on the first equation runs before the d/e/f
-    # loops, which prunes the overwhelming majority of assignments.
+    # Scan over (|c|, |d|, |e|, |f|) for fixed coefficients and (a, b): the
+    # right-hand sides see only squares of c, d, e and f.  The perfect-square
+    # gate on the first equation runs before the d/e/f loops, which prunes
+    # the overwhelming majority of assignments.
     a_sq = a * a * alpha
     b_sq = b * b * beta
-    for c in c_values:
-        c_sq = c * c * gamma
+    c_classes, c_walk = c_table
+    d_classes, d_walk = d_table
+    e_classes, e_walk = e_table
+    f_classes, f_walk = f_table
+    # |c| -> (q, {|d|: {|e|: {|f|: p}}}) for every class with a solution.
+    hits: dict[int, tuple[int, dict]] = {}
+    for cm, c2, _ in c_classes:
+        c_sq = c2 * gamma
         val_q2 = a_sq - b_sq - c_sq
         if val_q2 < 0:
             continue
@@ -386,13 +418,16 @@ def _kernel(
         q = isqrt(val_q2)
         if q * q != val_q2:
             continue
-        for d, d2, d4 in d_pows:
+        d_hits: dict[int, dict] = {}
+        for dm, d2, d4 in d_classes:
             ad2 = a_sq * d2
             ad4 = a_sq * d4
-            for e, e2, e4 in e_pows:
+            e_hits: dict[int, dict] = {}
+            for em, e2, e4 in e_classes:
                 part_pq = ad2 - b_sq * e2
                 part_p2 = ad4 - b_sq * e4
-                for f, f2, f4 in f_pows:
+                f_hits: dict[int, int] = {}
+                for fm, f2, f4 in f_classes:
                     val_pq = part_pq - c_sq * f2
                     val_p2 = part_p2 - c_sq * f4
                     if q:
@@ -406,7 +441,31 @@ def _kernel(
                         if root is None:
                             continue
                         p = root
-                    out.append([alpha, beta, gamma, a, b, c, d, e, f, p, q])
+                    f_hits[fm] = p
+                if f_hits:
+                    e_hits[em] = f_hits
+            if e_hits:
+                d_hits[dm] = e_hits
+        if d_hits:
+            hits[cm] = (q, d_hits)
+    # Expand each hit to its signed values in enumeration order.
+    for c, cm in c_walk:
+        entry = hits.get(cm)
+        if entry is None:
+            continue
+        q, d_hits = entry
+        for d, dm in d_walk:
+            e_hits = d_hits.get(dm)
+            if e_hits is None:
+                continue
+            for e, em in e_walk:
+                f_hits = e_hits.get(em)
+                if f_hits is None:
+                    continue
+                for f, fm in f_walk:
+                    p = f_hits.get(fm)
+                    if p is not None:
+                        out.append([alpha, beta, gamma, a, b, c, d, e, f, p, q])
 
 
 # ----------------------------------------------------------------------

@@ -6,6 +6,7 @@ disagreement implicates exactly one side.
 """
 
 import json
+from itertools import product
 from math import gcd, isqrt
 
 ROW_VARS = ("alpha", "beta", "gamma", "a", "b", "c", "d", "e", "f", "p", "q")
@@ -87,6 +88,81 @@ def naive_unit_scan(low, high):
                                             (1, 1, 1, a, b, c, d, e, f) + canonical_pq(p, q)
                                         )
     return found
+
+
+def _oracle_kernel(alpha, beta, gamma, a, b, c_values, d_pows, e_pows, f_pows, out):
+    """The search kernel before the sign quotient: every signed (c, d, e, f)."""
+    a_sq = a * a * alpha
+    b_sq = b * b * beta
+    for c in c_values:
+        c_sq = c * c * gamma
+        val_q2 = a_sq - b_sq - c_sq
+        if val_q2 < 0:
+            continue
+        q = isqrt(val_q2)
+        if q * q != val_q2:
+            continue
+        for d, d2, d4 in d_pows:
+            ad2 = a_sq * d2
+            ad4 = a_sq * d4
+            for e, e2, e4 in e_pows:
+                part_pq = ad2 - b_sq * e2
+                part_p2 = ad4 - b_sq * e4
+                for f, f2, f4 in f_pows:
+                    val_pq = part_pq - c_sq * f2
+                    val_p2 = part_p2 - c_sq * f4
+                    if q:
+                        p, residue = divmod(val_pq, q)
+                        if residue or p * p != val_p2:
+                            continue
+                    else:
+                        if val_pq or val_p2 < 0:
+                            continue
+                        p = isqrt(val_p2)
+                        if p * p != val_p2:
+                            continue
+                    out.append([alpha, beta, gamma, a, b, c, d, e, f, p, q])
+
+
+def oracle_scan_shard(space, shard_id):
+    """``_scan_shard`` as it was before the sign quotient: the same checkpoint record.
+
+    Blocks are the ``(first, second)`` pairs of the enumerated variables;
+    shard ``i`` of ``n`` takes blocks ``[i * B // n, (i + 1) * B // n)``.
+    """
+    def values(name):
+        if name not in space.bounds:
+            return [1]
+        low, high = space.bounds[name]
+        return list(range(low, high + 1))
+
+    names = ("alpha", "beta", "gamma", "a", "b")
+    first, second = space.enumerated_vars[:2]
+    blocks = [(i, j) for i in values(first) for j in values(second)]
+    start = shard_id * len(blocks) // space.shards
+    stop = (shard_id + 1) * len(blocks) // space.shards
+    c_values = values("c")
+    pows = [[(v, v * v, v**4) for v in values(name)] for name in "def"]
+    solutions = []
+    outer = [values(name) for name in names]
+    at = names.index(first)
+    for i, j in blocks[start:stop]:
+        outer[at : at + 2] = [i], [j]
+        for alpha, beta, gamma, a, b in product(*outer):
+            _oracle_kernel(alpha, beta, gamma, a, b, c_values, *pows, solutions)
+    solutions.sort()
+    total = 1
+    for name in space.enumerated_vars:
+        total *= len(values(name))
+    return {
+        "format": 1,
+        "signature": space.signature(),
+        "shard": shard_id,
+        "shards": space.shards,
+        "blocks": [start, stop],
+        "scanned": (stop - start) * (total // len(blocks)),
+        "solutions": solutions,
+    }
 
 
 def _divides(divisor, value):

@@ -28,7 +28,13 @@ from fltaudit.search import (
 )
 from fltaudit.search import _scan_shard as real_scan_shard
 
-from oracles import naive_unit_scan, oracle_conditions, oracle_log_line, oracle_result_log
+from oracles import (
+    naive_unit_scan,
+    oracle_conditions,
+    oracle_log_line,
+    oracle_result_log,
+    oracle_scan_shard,
+)
 
 
 def unit_instance(a, b, c, d, e, f, p, q):
@@ -131,6 +137,19 @@ class TestSearchSpace:
         assert SearchSpace.cube(-2, 2).total_assignments() == 5**6
         assert SearchSpace.cube(-1, 1, case="general").total_assignments() == 3**9
 
+    @pytest.mark.parametrize(
+        "space",
+        [
+            dict(bounds={name: (False, True) for name in "abcdef"}),
+            dict(bounds={**{name: (0, 1) for name in "abcde"}, "f": (0, True)}),
+            dict(bounds={name: (0, 1) for name in "abcdef"}, shards=True),
+        ],
+    )
+    def test_bool_bounds_and_shards_rejected(self, space):
+        # (False, True) is the box of cube(0, 1), under another signature.
+        with pytest.raises(ValueError):
+            SearchSpace(**space)
+
 
 class TestSearchAgainstOracle:
     def test_matches_naive_scan_on_small_box(self):
@@ -166,6 +185,69 @@ class TestSearchAgainstOracle:
         assert (1, 1, 1, 1, 0, 0, 2, 1, 1, 4, 1) in keys
         report = check_conditions(unit_instance(1, 0, 0, 2, 1, 1, p=4, q=1))
         assert not report.counterexample_pairwise and not report.counterexample_adjacent
+
+
+def assert_records_match_oracle(space):
+    """Every shard record, row order included, equals the pre-quotient scan's."""
+    for shard_id in range(space.shards):
+        assert real_scan_shard(space, shard_id) == oracle_scan_shard(space, shard_id)
+
+
+class TestSignQuotientAgainstOracle:
+    @pytest.mark.parametrize("shards", [1, 4, 49])
+    def test_unit_box(self, shards):
+        assert_records_match_oracle(SearchSpace.cube(-3, 3, shards=shards))
+
+    def test_general_box(self):
+        assert_records_match_oracle(SearchSpace.cube(-2, 2, case="general", shards=3))
+
+    def test_orthant(self):
+        bounds = {**{name: (1, 14) for name in "abc"}, **{name: (-5, 5) for name in "def"}}
+        assert_records_match_oracle(SearchSpace(bounds=bounds, shards=14))
+
+    @pytest.mark.parametrize("low, high", [(-5, -2), (0, 3), (-1, 6)])
+    def test_one_signed_and_lopsided_ranges(self, low, high):
+        assert_records_match_oracle(SearchSpace.cube(low, high, shards=3))
+
+    def test_mixed_general_ranges(self):
+        bounds = {
+            "alpha": (-2, 1),
+            "beta": (0, 2),
+            "gamma": (-1, 2),
+            "a": (-3, 2),
+            "b": (-2, 3),
+            "c": (-3, 1),
+            "d": (-1, 3),
+            "e": (-3, -1),
+            "f": (0, 2),
+        }
+        assert_records_match_oracle(SearchSpace(bounds=bounds, case="general", shards=4))
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.lists(
+            st.tuples(st.integers(-4, 4), st.integers(-4, 4)).map(sorted),
+            min_size=6,
+            max_size=6,
+        ),
+        st.integers(1, 5),
+    )
+    def test_random_unit_bounds(self, ranges, shards):
+        bounds = {name: tuple(pair) for name, pair in zip("abcdef", ranges)}
+        assert_records_match_oracle(SearchSpace(bounds=bounds, shards=shards))
+
+    @pytest.mark.parametrize(
+        "bounds",
+        [
+            {name: (-3, 3) for name in "abcdef"},
+            {**{name: (1, 9) for name in "abc"}, **{name: (-4, 2) for name in "def"}},
+        ],
+    )
+    def test_scanned_counts_signed_assignments(self, bounds):
+        result = search(SearchSpace(bounds=bounds, shards=4))
+        assert result.rows
+        assert result.scanned == result.total_assignments
+        assert result.certificate()["scanned"] == result.total_assignments
 
 
 class TestDeterminismAndSharding:
