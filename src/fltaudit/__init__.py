@@ -33,16 +33,16 @@ from .lemma import (
     DerivationError,
     DerivedSystem,
     EvalPoint,
-    LemmaBindings,
     build_lemma_terms,
     consistency_residual,
     derive_system,
     fermat_poly,
     lhs_poly,
+    linear_forms,
     numeric_cross_check,
     verify_identity,
 )
-from .poly import ONE, ZERO, Monomial, NotDivisible, Polynomial, X, Y, Z
+from .poly import ONE, ZERO, NotDivisible, Polynomial, X, Y, Z
 from .pythagoras import (
     PythTriple,
     Representation,
@@ -77,8 +77,6 @@ __all__ = [
     "DerivedSystem",
     "EvalPoint",
     "ImplicationCheck",
-    "LemmaBindings",
-    "Monomial",
     "NotDivisible",
     "ONE",
     "Polynomial",
@@ -102,6 +100,7 @@ __all__ = [
     "fermat_poly",
     "is_pythagorean",
     "lhs_poly",
+    "linear_forms",
     "load_default_manifest",
     "numeric_cross_check",
     "primitive_square_triples",

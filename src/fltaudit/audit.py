@@ -363,13 +363,18 @@ def _check_conditions(config: AuditConfig) -> ClaimEntry:
     return entry
 
 
+def _parity_coprime(x: int, y: int, z: int) -> tuple[int, bool]:
+    """(even count, pairwise coprime) of a triple; C6 holds for it iff (1, True)."""
+    even_count = sum(1 for v in (x, y, z) if v % 2 == 0)
+    return even_count, gcd(x, y) == 1 and gcd(y, z) == 1 and gcd(z, x) == 1
+
+
 def _check_parity_coprime(config: AuditConfig) -> ClaimEntry:
     triples = primitive_square_triples(config.triple_base_max)
     evidence = []
     for x, y, z in triples:
-        even_count = sum(1 for v in (x, y, z) if v % 2 == 0)
-        coprime = gcd(x, y) == 1 and gcd(y, z) == 1 and gcd(z, x) == 1
-        if even_count != 1 or not coprime:
+        even_count, coprime = _parity_coprime(x, y, z)
+        if (even_count, coprime) != (1, True):
             evidence.append(
                 {"triple": [x, y, z], "even_count": even_count, "pairwise_coprime": coprime}
             )
@@ -489,9 +494,7 @@ def replay_evidence(claim_id: str, item: dict, config: AuditConfig | None = None
         x, y, z = item["triple"]
         if x * x + y * y != z * z or gcd(gcd(x, y), z) != 1:
             return False
-        even_count = sum(1 for v in (x, y, z) if v % 2 == 0)
-        coprime = gcd(x, y) == 1 and gcd(y, z) == 1 and gcd(z, x) == 1
-        return even_count != 1 or not coprime
+        return _parity_coprime(x, y, z) != (1, True)
     if claim_id == "C7":
         report = classify_row([item[v] for v in ROW_VARS])
         return report.counterexample_pairwise or report.counterexample_adjacent

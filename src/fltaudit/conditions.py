@@ -28,6 +28,7 @@ from math import gcd
 from operator import attrgetter
 from typing import Callable
 
+from .lemma import linear_forms
 from .search import ConditionReport, classify_row
 
 __all__ = [
@@ -83,13 +84,13 @@ def reduction_row(x: int, y: int, z: int, k: int) -> list[int]:
     t (zx)^(k-1); (d, e, f) = (u, v, w); and p = q = 0, which no flag read
     here depends on.
     """
+    r, s, t, u, v, w = linear_forms(x, y, z)
     xy, yz, zx = x * y, y * z, z * x
-    a, b, c = (x - y) * xy ** (k - 1), (y + z) * yz ** (k - 1), (z + x) * zx ** (k - 1)
-    return [xy, yz, zx, a, b, c, x + y + z, y - z - x, x - y - z, 0, 0]
+    return [xy, yz, zx, r * xy ** (k - 1), s * yz ** (k - 1), t * zx ** (k - 1), u, v, w, 0, 0]
 
 
 def _rst_distinct(x: int, y: int, z: int, reading: str) -> bool:
-    return chain_distinct_nonzero((x - y, y + z, z + x), reading)
+    return chain_distinct_nonzero(linear_forms(x, y, z)[:3], reading)
 
 
 # claim id -> (the ConditionReport flag giving the conclusion under each of

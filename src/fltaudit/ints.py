@@ -4,16 +4,12 @@ from __future__ import annotations
 
 from math import isqrt
 
-# Quadratic residues used by the perfect-square pre-filter.  Any integer
-# square is congruent to one of these mod 16 and mod 9, so membership is a
-# necessary (never sufficient) condition and the filter is sound.
+# Quadratic residues read by the search kernel's perfect-square pre-filter.
+# Any integer square is congruent to one of these mod 16 and mod 9, so
+# membership is a necessary (never sufficient) condition and the filter is
+# sound.
 SQUARES_MOD_16 = frozenset({0, 1, 4, 9})
 SQUARES_MOD_9 = frozenset({0, 1, 4, 7})
-
-
-def passes_square_filter(value: int) -> bool:
-    """Cheap necessary condition for ``value`` being a perfect square."""
-    return value >= 0 and value % 16 in SQUARES_MOD_16 and value % 9 in SQUARES_MOD_9
 
 
 def exact_sqrt(value: int) -> int | None:

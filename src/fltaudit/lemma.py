@@ -15,15 +15,21 @@ The claimed identity under audit is
 
     (8rst)^2 (xyz)^(n-2) (x^n + y^n - z^n) = A^2 + B^2 - C^2.
 
-This module builds both sides by exact expansion, checks the identity
-symbolically and numerically, derives the reduced system
+Each formula is written once, as a plain expression that runs on Python
+ints and on Polynomials alike: ``linear_forms`` gives r..w, ``_fermat_side``
+the product (k rst)^2 (xyz)^(n-2) (x^n + y^n - z^n) for k = 8 and k = 4, and
+the reduced system
 
     Q = (C - A) / 2    M = B / 2    P = (C + A) / 2
 
-from its direct closed forms, and checks the consistency identity
-M^2 - P*Q = (4rst)^2 (xyz)^(n-2) (x^n + y^n - z^n), which is what makes the
-extraction of integers (p, q) with q^2 = Q, pq = M, p^2 = P coherent exactly
-on the Fermat variety x^n + y^n = z^n.
+is the search's own ``system_values`` at (a..f) = (r..w) and
+(alpha, beta, gamma) = ((xy)^(n-2), (yz)^(n-2), (zx)^(n-2)), so the search
+and this module audit one system.  This module builds both sides of the
+identity by exact expansion, checks it symbolically and numerically,
+re-checks Q, M, P against the halved combinations of A, B, C, and checks the
+consistency identity M^2 - P*Q = (4rst)^2 (xyz)^(n-2) (x^n + y^n - z^n),
+which is what makes the extraction of integers (p, q) with q^2 = Q, pq = M,
+p^2 = P coherent exactly on the Fermat variety x^n + y^n = z^n.
 """
 
 from __future__ import annotations
@@ -35,6 +41,7 @@ from random import Random
 from typing import Union
 
 from .poly import ONE, Polynomial, NotDivisible, X, Y, Z
+from .search import system_values
 
 __all__ = [
     "AbcTriple",
@@ -42,13 +49,13 @@ __all__ = [
     "DerivationError",
     "DerivedSystem",
     "EvalPoint",
-    "LemmaBindings",
     "build_lemma_terms",
     "consistency_residual",
     "derive_system",
     "fermat_poly",
     "identity_record",
     "lhs_poly",
+    "linear_forms",
     "numeric_cross_check",
     "sample_points",
     "verify_identity",
@@ -65,26 +72,6 @@ class DerivationError(Exception):
     This signals either an implementation bug or a genuine defect in the
     audited derivation; callers must surface it, never swallow it.
     """
-
-
-@dataclass(frozen=True)
-class LemmaBindings:
-    """The six linear forms, either as polynomials or bound to a point."""
-
-    r: Scalar
-    s: Scalar
-    t: Scalar
-    u: Scalar
-    v: Scalar
-    w: Scalar
-
-    @classmethod
-    def symbolic(cls) -> "LemmaBindings":
-        return cls(r=X - Y, s=Y + Z, t=Z + X, u=X + Y + Z, v=Y - Z - X, w=X - Y - Z)
-
-    @classmethod
-    def at_point(cls, x: int, y: int, z: int) -> "LemmaBindings":
-        return cls(r=x - y, s=y + z, t=z + x, u=x + y + z, v=y - z - x, w=x - y - z)
 
 
 @dataclass(frozen=True)
@@ -110,8 +97,8 @@ class DerivedSystem:
 
     Q is the expression whose value must be q^2, M the one for pq, and P the
     one for p^2.  Instances are only produced by derive_system, which builds
-    each member from its direct closed form and independently re-checks it
-    against the halved combination of (A, B, C).
+    them with system_values and independently re-checks each member against
+    the halved combination of (A, B, C).
     """
 
     Q: Polynomial
@@ -146,6 +133,22 @@ def _require_exponent(n: int) -> None:
         raise ValueError(f"exponent must be an integer >= 3, got {n!r}")
 
 
+def linear_forms(x: Scalar, y: Scalar, z: Scalar) -> tuple[Scalar, ...]:
+    """The six linear forms (r, s, t, u, v, w) of ints or polynomials x, y, z."""
+    return x - y, y + z, z + x, x + y + z, y - z - x, x - y - z
+
+
+def _pair_powers(n: int) -> tuple[Polynomial, Polynomial, Polynomial]:
+    """(xy)^(n-2), (yz)^(n-2), (zx)^(n-2): the coefficients alpha, beta, gamma."""
+    return (X * Y) ** (n - 2), (Y * Z) ** (n - 2), (Z * X) ** (n - 2)
+
+
+def _fermat_side(scale: int, x: Scalar, y: Scalar, z: Scalar, n: int) -> Scalar:
+    """(scale * rst)^2 (xyz)^(n-2) (x^n + y^n - z^n) of ints or polynomials."""
+    r, s, t = linear_forms(x, y, z)[:3]
+    return (scale * r * s * t) ** 2 * (x * y * z) ** (n - 2) * (x**n + y**n - z**n)
+
+
 @lru_cache(maxsize=64)
 def fermat_poly(n: int) -> Polynomial:
     """x^n + y^n - z^n."""
@@ -157,16 +160,12 @@ def fermat_poly(n: int) -> Polynomial:
 def build_lemma_terms(n: int) -> AbcTriple:
     """Expand A, B, C for the given exponent."""
     _require_exponent(n)
-    b = LemmaBindings.symbolic()
-    xy = (X * Y) ** (n - 2)
-    yz = (Y * Z) ** (n - 2)
-    zx = (Z * X) ** (n - 2)
-    u4 = b.u**4
-    v4 = b.v**4
-    w4 = b.w**4
-    a_poly = b.r**2 * (u4 - ONE) * xy - b.s**2 * (v4 - ONE) * yz - b.t**2 * (w4 - ONE) * zx
-    b_poly = 2 * ((b.r * b.u) ** 2 * xy - (b.s * b.v) ** 2 * yz - (b.t * b.w) ** 2 * zx)
-    c_poly = b.r**2 * (u4 + ONE) * xy - b.s**2 * (v4 + ONE) * yz - b.t**2 * (w4 + ONE) * zx
+    r, s, t, u, v, w = linear_forms(X, Y, Z)
+    xy, yz, zx = _pair_powers(n)
+    u4, v4, w4 = u**4, v**4, w**4
+    a_poly = r**2 * (u4 - ONE) * xy - s**2 * (v4 - ONE) * yz - t**2 * (w4 - ONE) * zx
+    b_poly = 2 * ((r * u) ** 2 * xy - (s * v) ** 2 * yz - (t * w) ** 2 * zx)
+    c_poly = r**2 * (u4 + ONE) * xy - s**2 * (v4 + ONE) * yz - t**2 * (w4 + ONE) * zx
     return AbcTriple(A=a_poly, B=b_poly, C=c_poly, n=n)
 
 
@@ -174,8 +173,7 @@ def build_lemma_terms(n: int) -> AbcTriple:
 def lhs_poly(n: int) -> Polynomial:
     """Fully expanded (8rst)^2 (xyz)^(n-2) (x^n + y^n - z^n)."""
     _require_exponent(n)
-    b = LemmaBindings.symbolic()
-    return (8 * b.r * b.s * b.t) ** 2 * (X * Y * Z) ** (n - 2) * fermat_poly(n)
+    return _fermat_side(8, X, Y, Z, n)
 
 
 def verify_identity(n: int) -> Polynomial:
@@ -192,43 +190,30 @@ def numeric_cross_check(n: int, point: EvalPoint) -> tuple[int, int]:
     values follow independent routes and must agree exactly.
     """
     _require_exponent(n)
-    x, y, z = point
-    b = LemmaBindings.at_point(x, y, z)
-    lhs = (8 * b.r * b.s * b.t) ** 2 * (x * y * z) ** (n - 2) * (x**n + y**n - z**n)
-    av, bv, cv = build_lemma_terms(n).evaluate(x, y, z)
-    return lhs, av * av + bv * bv - cv * cv
+    av, bv, cv = build_lemma_terms(n).evaluate(*point)
+    return _fermat_side(8, *point, n), av * av + bv * bv - cv * cv
 
 
 def _halved(poly: Polynomial, what: str) -> Polynomial:
     """Divide every coefficient by 2, refusing if any is odd."""
-    halved: dict[tuple[int, int, int], int] = {}
-    for mono, coeff in poly.terms():
-        if coeff % 2:
-            raise DerivationError(
-                f"halving {what}: coefficient {coeff} of "
-                f"x^{mono.ex}*y^{mono.ey}*z^{mono.ez} is odd"
-            )
-        halved[(mono.ex, mono.ey, mono.ez)] = coeff // 2
-    return Polynomial(halved)
+    half = Polynomial({mono: coeff // 2 for mono, coeff in poly.terms()})
+    if 2 * half != poly:
+        raise DerivationError(f"halving {what}: a coefficient is odd")
+    return half
 
 
 @lru_cache(maxsize=64)
 def derive_system(n: int) -> DerivedSystem:
-    """Build Q, M, P from their closed forms and re-verify the halving route.
+    """Build Q, M, P with system_values and re-verify the halving route.
 
-    Each member is constructed twice: from its direct formula, e.g.
-    Q = r^2 (xy)^(n-2) - s^2 (yz)^(n-2) - t^2 (zx)^(n-2), and from the halved
-    combination of (A, B, C).  Any odd coefficient in a combination, or any
-    disagreement between the two routes, raises DerivationError.
+    Each member is constructed twice: by system_values on the linear forms
+    and pair powers, e.g. Q = r^2 (xy)^(n-2) - s^2 (yz)^(n-2) - t^2 (zx)^(n-2),
+    and from the halved combination of (A, B, C).  Any odd coefficient in a
+    combination, or any disagreement between the two routes, raises
+    DerivationError.
     """
     _require_exponent(n)
-    b = LemmaBindings.symbolic()
-    xy = (X * Y) ** (n - 2)
-    yz = (Y * Z) ** (n - 2)
-    zx = (Z * X) ** (n - 2)
-    q_poly = b.r**2 * xy - b.s**2 * yz - b.t**2 * zx
-    m_poly = (b.r * b.u) ** 2 * xy - (b.s * b.v) ** 2 * yz - (b.t * b.w) ** 2 * zx
-    p_poly = (b.r * b.u**2) ** 2 * xy - (b.s * b.v**2) ** 2 * yz - (b.t * b.w**2) ** 2 * zx
+    q_poly, m_poly, p_poly = system_values(*linear_forms(X, Y, Z), *_pair_powers(n))
 
     abc = build_lemma_terms(n)
     checks = [
@@ -255,15 +240,13 @@ def consistency_residual(n: int) -> ConsistencyResult:
     """
     system = derive_system(n)
     residual = system.M**2 - system.P * system.Q
-    b = LemmaBindings.symbolic()
-    expected = (4 * b.r * b.s * b.t) ** 2 * (X * Y * Z) ** (n - 2) * fermat_poly(n)
     try:
         quotient = residual.div_exact(fermat_poly(n))
     except NotDivisible:
         quotient = None
     return ConsistencyResult(
         residual=residual,
-        matches_product_form=residual == expected,
+        matches_product_form=residual == _fermat_side(4, X, Y, Z, n),
         fermat_quotient=quotient,
         n=n,
     )

@@ -14,10 +14,9 @@ canonical text rendering.
 
 from __future__ import annotations
 
-from typing import Iterator, Mapping, NamedTuple, Union
+from typing import Iterator, Mapping, Union
 
 __all__ = [
-    "Monomial",
     "NotDivisible",
     "Polynomial",
     "X",
@@ -28,18 +27,6 @@ __all__ = [
 ]
 
 _Exponents = tuple[int, int, int]
-
-
-class Monomial(NamedTuple):
-    """Exponent triple of the power product x^ex * y^ey * z^ez."""
-
-    ex: int
-    ey: int
-    ez: int
-
-    @property
-    def degree(self) -> int:
-        return self.ex + self.ey + self.ez
 
 
 class NotDivisible(ArithmeticError):
@@ -108,10 +95,6 @@ class Polynomial:
         exps[idx] = 1
         return cls._from_canonical({(exps[0], exps[1], exps[2]): 1})
 
-    @classmethod
-    def term(cls, coeff: int, ex: int, ey: int, ez: int) -> "Polynomial":
-        return cls({(ex, ey, ez): coeff})
-
     # ------------------------------------------------------------------
     # Inspection
 
@@ -123,23 +106,9 @@ class Polynomial:
     def term_count(self) -> int:
         return len(self._terms)
 
-    def __len__(self) -> int:
-        return len(self._terms)
-
-    def terms(self) -> Iterator[tuple[Monomial, int]]:
-        """Iterate (monomial, coefficient) pairs in unspecified order."""
-        for mono, coeff in self._terms.items():
-            yield Monomial(*mono), coeff
-
-    def sorted_terms(self) -> list[tuple[Monomial, int]]:
-        """Terms in decreasing graded-lex order (the canonical order)."""
-        return [
-            (Monomial(*mono), self._terms[mono])
-            for mono in sorted(self._terms, key=_grlex_key, reverse=True)
-        ]
-
-    def coefficient(self, ex: int, ey: int, ez: int) -> int:
-        return self._terms.get((ex, ey, ez), 0)
+    def terms(self) -> Iterator[tuple[_Exponents, int]]:
+        """Iterate (exponent triple, coefficient) pairs in unspecified order."""
+        return iter(self._terms.items())
 
     def total_degree(self) -> int:
         """Maximum total degree of any term; -1 for the zero polynomial."""
@@ -147,12 +116,12 @@ class Polynomial:
             return -1
         return max(m[0] + m[1] + m[2] for m in self._terms)
 
-    def leading_term(self) -> tuple[Monomial, int]:
+    def leading_term(self) -> tuple[_Exponents, int]:
         """Largest term under graded lex; raises ValueError on zero."""
         if not self._terms:
             raise ValueError("the zero polynomial has no leading term")
         mono = max(self._terms, key=_grlex_key)
-        return Monomial(*mono), self._terms[mono]
+        return mono, self._terms[mono]
 
     # ------------------------------------------------------------------
     # Ring operations

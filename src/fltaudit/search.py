@@ -108,10 +108,12 @@ class ConjectureInstance:
 _row_of = attrgetter(*ROW_VARS)
 
 
-def system_values(
-    a: int, b: int, c: int, d: int, e: int, f: int, alpha: int, beta: int, gamma: int
-) -> tuple[int, int, int]:
-    """The three right-hand sides for one assignment of (a..f, alpha..gamma)."""
+def system_values(a, b, c, d, e, f, alpha, beta, gamma):
+    """The three right-hand sides for one assignment of (a..f, alpha..gamma).
+
+    The arguments may be ints or Polynomials (anything with + - * **): the
+    lemma derives its Q, M, P from this same expression.
+    """
     first = a * a * alpha - b * b * beta - c * c * gamma
     second = (a * d) ** 2 * alpha - (b * e) ** 2 * beta - (c * f) ** 2 * gamma
     third = (a * d * d) ** 2 * alpha - (b * e * e) ** 2 * beta - (c * f * f) ** 2 * gamma
@@ -258,7 +260,12 @@ class SearchSpace:
         for name in required:
             if name not in self.bounds:
                 raise ValueError(f"missing bounds for variable {name!r}")
-            low, high = self.bounds[name]
+            try:
+                low, high = self.bounds[name]
+            except (TypeError, ValueError):
+                raise ValueError(
+                    f"bounds for {name!r} must be a (low, high) pair, got {self.bounds[name]!r}"
+                ) from None
             # Exact types: a bool bound would give the box a second signature.
             if not (type(low) is int and type(high) is int):
                 raise ValueError(f"bounds for {name!r} must be integers")

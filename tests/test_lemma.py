@@ -6,7 +6,6 @@ import pytest
 
 from fltaudit.lemma import (
     DerivationError,
-    LemmaBindings,
     _halved,
     build_lemma_terms,
     consistency_residual,
@@ -14,6 +13,7 @@ from fltaudit.lemma import (
     fermat_poly,
     identity_record,
     lhs_poly,
+    linear_forms,
     numeric_cross_check,
     verify_identity,
 )
@@ -24,19 +24,18 @@ from oracles import abc_at, consistency_rhs_at, identity_lhs_at, qmp_at
 
 class TestBindings:
     def test_symbolic_forms(self):
-        b = LemmaBindings.symbolic()
-        assert b.r == X - Y
-        assert b.s == Y + Z
-        assert b.t == Z + X
-        assert b.u == X + Y + Z
-        assert b.v == Y - Z - X
-        assert b.w == X - Y - Z
+        r, s, t, u, v, w = linear_forms(X, Y, Z)
+        assert r == X - Y
+        assert s == Y + Z
+        assert t == Z + X
+        assert u == X + Y + Z
+        assert v == Y - Z - X
+        assert w == X - Y - Z
 
     def test_point_forms_match_symbolic(self):
-        sym = LemmaBindings.symbolic()
-        num = LemmaBindings.at_point(4, -7, 2)
-        for name in ("r", "s", "t", "u", "v", "w"):
-            assert getattr(sym, name).evaluate(4, -7, 2) == getattr(num, name)
+        sym = linear_forms(X, Y, Z)
+        num = linear_forms(4, -7, 2)
+        assert [form.evaluate(4, -7, 2) for form in sym] == list(num)
 
 
 class TestAbcTriple:
@@ -166,8 +165,8 @@ class TestConsistencyResidual:
 
     def test_quotient_is_product_factor(self):
         result = consistency_residual(3)
-        b = LemmaBindings.symbolic()
-        expected = (4 * b.r * b.s * b.t) ** 2 * (X * Y * Z)
+        r, s, t = linear_forms(X, Y, Z)[:3]
+        expected = (4 * r * s * t) ** 2 * (X * Y * Z)
         assert result.fermat_quotient == expected
 
     def test_residual_vanishes_on_fermat_points(self):

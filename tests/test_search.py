@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fltaudit.checkpoint import CheckpointError, append_record, read_records
-from fltaudit.ints import passes_square_filter
+from fltaudit.ints import SQUARES_MOD_16, SQUARES_MOD_9
 import fltaudit.search as search_module
 from fltaudit.search import (
     ROW_VARS,
@@ -149,6 +149,12 @@ class TestSearchSpace:
         # (False, True) is the box of cube(0, 1), under another signature.
         with pytest.raises(ValueError):
             SearchSpace(**space)
+
+    @pytest.mark.parametrize("bound", [5, None, (1, 2, 3)])
+    def test_bound_that_is_not_a_pair_rejected(self, bound):
+        bounds = {**{name: (0, 1) for name in "abcef"}, "d": bound}
+        with pytest.raises(ValueError, match="bounds for 'd' must be a"):
+            SearchSpace(bounds=bounds)
 
 
 class TestSearchAgainstOracle:
@@ -383,12 +389,14 @@ class TestSquareFilter:
     @given(st.integers(min_value=0, max_value=10**12))
     @settings(max_examples=300, deadline=None)
     def test_never_rejects_a_square(self, root):
-        assert passes_square_filter(root * root)
+        square = root * root
+        assert square % 16 in SQUARES_MOD_16 and square % 9 in SQUARES_MOD_9
 
     def test_rejects_known_non_residues(self):
-        assert not passes_square_filter(-4)
-        assert not passes_square_filter(2)  # 2 mod 16
-        assert not passes_square_filter(48)  # 0 mod 16, 3 mod 9
+        # The kernel's gate: a value passes iff both residues are in the sets.
+        assert -4 % 16 not in SQUARES_MOD_16  # 12 mod 16
+        assert 2 % 16 not in SQUARES_MOD_16
+        assert 48 % 16 in SQUARES_MOD_16 and 48 % 9 not in SQUARES_MOD_9
 
 
 class TestResultLog:
