@@ -6,6 +6,13 @@ fsync'd one per completed shard, so a crash can only ever leave a truncated
 tail behind the last complete record.  A truncated tail is discarded on load
 (the interrupted shard simply reruns); anything else that does not decode is
 reported as corruption.
+
+The search writes one record per shard: ``format``, ``signature``, ``shard``,
+``shards``, ``blocks``, ``scanned`` and ``solutions``.  Format 2 stores a
+zero-product family as one kernel row with ``null`` in its d, e or f slot,
+meaning every value of that variable in the range; format 1 (every row
+explicit) is still read.  The search checks each record against its shard
+before trusting it (``fltaudit.search``).
 """
 
 from __future__ import annotations

@@ -25,10 +25,19 @@ every choice of their signs.  The kernel scans magnitude classes: for fixed
 (alpha, beta, gamma, a, b) it runs the square gate and derives p and q once
 per (|c|, |d|, |e|, |f|), then walks the signed values in enumeration order
 and emits a row for each one whose class had a solution, so rows leave the
-kernel sorted.  A one-signed or lopsided range simply has one-member
-classes.  Classification still runs on every signed row: the literal
-reading of |gamma| != c compares a magnitude with a signed value, and the
-d, e, f chain compares signed values.
+kernel in enumeration order.  A one-signed or lopsided range simply has
+one-member classes.
+
+Where a*alpha = 0, a and d drop out of all three equations (likewise
+(b, e) with b*beta and (c, f) with c*gamma), so every d in the range gives
+the same row.  The kernel scans one |d| there and emits one family entry:
+the row with None in the d slot.  Entries stay families in the checkpoint
+and in the SearchResult; the rows are expanded from them, in enumeration
+order, each time they are walked (classification, the result log), so
+memory grows with the entries and a two-byte report index per row, not
+with a list per row.  Classification still runs on every signed row: the
+literal reading of |gamma| != c compares a magnitude with a signed value,
+and the d, e, f chain compares signed values.
 
 The space is split into shards by a prefix of the enumeration order; each
 completed shard appends one fsync'd record to the checkpoint file, so an
@@ -39,9 +48,10 @@ from __future__ import annotations
 
 import hashlib
 import json
+from array import array
 from concurrent.futures import ProcessPoolExecutor, as_completed
 from dataclasses import dataclass
-from itertools import chain, product
+from itertools import chain, groupby, product
 from math import isqrt
 from operator import attrgetter, itemgetter
 from pathlib import Path
@@ -361,27 +371,33 @@ def _sign_classes(values: list[int]) -> _SignTable:
     return [(m, m * m, m**4) for m in magnitudes], walk
 
 
+def _free_axis(table: _SignTable) -> _SignTable:
+    """The table of an axis whose product is 0: one class, walked once as ``None``."""
+    classes, _ = table
+    return classes[:1], [(None, classes[0][0])]
+
+
 def _scan_shard(space: SearchSpace, shard_id: int) -> dict:
     """Scan one shard and return its checkpoint record."""
     blocks = _prefix_blocks(space)
     start, stop = _shard_block_range(space, shard_id, len(blocks))
 
-    tables = [_sign_classes(space.values_of(name)) for name in "cdef"]
-    solutions: list[list[int]] = []
+    c_table, *def_tables = (_sign_classes(space.values_of(name)) for name in "cdef")
+    # Each of d, e, f as (its table, its free table), indexed by "product is 0".
+    d_pair, e_pair, f_pair = ((table, _free_axis(table)) for table in def_tables)
+    solutions: list[list] = []
 
     # The unit case pins the coefficients to 1; a block pins the first two
-    # enumerated variables.
+    # enumerated variables.  The kernel emits in enumeration order.
     outer = [space.values_of(name) if name in space.bounds else [1] for name in _OUTER_VARS]
     first = _OUTER_VARS.index(space.enumerated_vars[0])
     for i, j in blocks[start:stop]:
         outer[first : first + 2] = [i], [j]
         for alpha, beta, gamma, a, b in product(*outer):
-            _kernel(alpha, beta, gamma, a, b, *tables, solutions)
+            _kernel(alpha, beta, gamma, a, b, c_table, d_pair, e_pair, f_pair, solutions)
 
-    # The kernel emits in enumeration order, so this sort is one linear pass.
-    solutions.sort()
     return {
-        "format": 1,
+        "format": 2,
         "signature": space.signature(),
         "shard": shard_id,
         "shards": space.shards,
@@ -398,23 +414,24 @@ def _kernel(
     a: int,
     b: int,
     c_table: _SignTable,
-    d_table: _SignTable,
-    e_table: _SignTable,
-    f_table: _SignTable,
-    out: list[list[int]],
+    d_pair: tuple[_SignTable, _SignTable],
+    e_pair: tuple[_SignTable, _SignTable],
+    f_pair: tuple[_SignTable, _SignTable],
+    out: list[list],
 ) -> None:
     # Scan over (|c|, |d|, |e|, |f|) for fixed coefficients and (a, b): the
     # right-hand sides see only squares of c, d, e and f.  The perfect-square
     # gate on the first equation runs before the d/e/f loops, which prunes
-    # the overwhelming majority of assignments.
+    # the overwhelming majority of assignments.  Where a*a*alpha is 0, d
+    # drops out of the system: one |d| is scanned and the entry carries
+    # None for d, meaning every d in the range (likewise e and f).
     a_sq = a * a * alpha
     b_sq = b * b * beta
     c_classes, c_walk = c_table
-    d_classes, d_walk = d_table
-    e_classes, e_walk = e_table
-    f_classes, f_walk = f_table
-    # |c| -> (q, {|d|: {|e|: {|f|: p}}}) for every class with a solution.
-    hits: dict[int, tuple[int, dict]] = {}
+    d_classes, d_walk = d_pair[a_sq == 0]
+    e_classes, e_walk = e_pair[b_sq == 0]
+    # |c| -> (q, {|d|: {|e|: {|f|: p}}}, f walk) for every class with a solution.
+    hits: dict[int, tuple[int, dict, list]] = {}
     for cm, c2, _ in c_classes:
         c_sq = c2 * gamma
         val_q2 = a_sq - b_sq - c_sq
@@ -425,6 +442,7 @@ def _kernel(
         q = isqrt(val_q2)
         if q * q != val_q2:
             continue
+        f_classes, f_walk = f_pair[c_sq == 0]
         d_hits: dict[int, dict] = {}
         for dm, d2, d4 in d_classes:
             ad2 = a_sq * d2
@@ -454,13 +472,13 @@ def _kernel(
             if e_hits:
                 d_hits[dm] = e_hits
         if d_hits:
-            hits[cm] = (q, d_hits)
+            hits[cm] = (q, d_hits, f_walk)
     # Expand each hit to its signed values in enumeration order.
     for c, cm in c_walk:
         entry = hits.get(cm)
         if entry is None:
             continue
-        q, d_hits = entry
+        q, d_hits, f_walk = entry
         for d, dm in d_walk:
             e_hits = d_hits.get(dm)
             if e_hits is None:
@@ -479,29 +497,65 @@ def _kernel(
 # Orchestration
 
 
+_PREFIX = itemgetter(0, 1, 2, 3, 4, 5)
+
+
+def _expand(shard_entries: list[list[list]], space: SearchSpace) -> Iterator[list[int]]:
+    """The kernel rows of the shards' entries, in enumeration order.
+
+    A ``None`` in the d, e or f slot stands for every value of that variable
+    in ``space``.  Entries that share (alpha, beta, gamma, a, b, c) share
+    their None slots, so each such group is walked d -> e -> f, a free slot
+    over its whole range; no sort is needed.
+    """
+    d_free, e_free, f_free = (space.values_of(name) for name in "def")
+    for _, group in groupby(chain.from_iterable(shard_entries), _PREFIX):
+        head = next(group)
+        if None not in head:
+            yield head
+            yield from group
+            continue
+        # slot value (None when free) -> next slot's tree; f's leaves hold (p, q).
+        tree: dict = {}
+        for alpha, beta, gamma, a, b, c, d, e, f, p, q in chain((head,), group):
+            tree.setdefault(d, {}).setdefault(e, {})[f] = p, q
+        alpha, beta, gamma, a, b, c = head[:6]
+        for d_key, e_tree in tree.items():
+            for d in d_free if d_key is None else (d_key,):
+                for e_key, f_tree in e_tree.items():
+                    for e in e_free if e_key is None else (e_key,):
+                        for f_key, (p, q) in f_tree.items():
+                            for f in f_free if f_key is None else (f_key,):
+                                yield [alpha, beta, gamma, a, b, c, d, e, f, p, q]
+
+
 class Solutions:
     """``(ConjectureInstance, ConditionReport)`` pairs in key order, built on demand."""
 
-    def __init__(self, rows: list[list[int]], reports: list[ConditionReport]) -> None:
-        self._rows = rows
-        self._reports = reports
+    def __init__(self, result: "SearchResult") -> None:
+        self._result = result
 
     def __len__(self) -> int:
-        return len(self._rows)
+        return len(self._result.report_ids)
 
     def __iter__(self) -> Iterator[tuple[ConjectureInstance, ConditionReport]]:
-        for row, report in zip(self._rows, self._reports):
+        for row, report in zip(self._result.iter_rows(), self._result.iter_reports()):
             yield ConjectureInstance.from_key(row), report
 
 
 @dataclass
 class SearchResult:
-    """Merged outcome of all shards: sorted kernel rows and one shared report per row."""
+    """Merged outcome of all shards: their kernel entries and one shared report per row.
+
+    Row ``i``'s report is ``report_table[report_ids[i]]``, so a row costs two
+    bytes until it is expanded from ``entries``.
+    """
 
     space: SearchSpace
     signature: str
-    rows: list[list[int]]
-    reports: list[ConditionReport]
+    entries: list[list[list]]
+    report_table: list[ConditionReport]
+    report_ids: array
     counterexamples_pairwise: int
     counterexamples_adjacent: int
     adjacent_def_admissible: int
@@ -513,9 +567,22 @@ class SearchResult:
     shards_reused: int
     checkpoint_tail_discarded: bool = False
 
+    def iter_rows(self) -> Iterator[list[int]]:
+        """The kernel rows in enumeration order, expanded from the entries as they go."""
+        return _expand(self.entries, self.space)
+
+    def iter_reports(self) -> Iterator[ConditionReport]:
+        """The report of each row, in the order of ``iter_rows``."""
+        return map(self.report_table.__getitem__, self.report_ids)
+
+    @property
+    def rows(self) -> list[list[int]]:
+        """Every kernel row, in enumeration order (a new list on each call)."""
+        return list(self.iter_rows())
+
     @property
     def solutions(self) -> Solutions:
-        return Solutions(self.rows, self.reports)
+        return Solutions(self)
 
     def counterexamples(self) -> list[dict]:
         """Each counterexample row as a dict.
@@ -527,7 +594,7 @@ class SearchResult:
             return []
         return [
             dict(zip(ROW_VARS, row), readings=_readings(rep))
-            for row, rep in zip(self.rows, self.reports)
+            for row, rep in zip(self.iter_rows(), self.iter_reports())
             if rep.counterexample_pairwise or rep.counterexample_adjacent
         ]
 
@@ -543,38 +610,66 @@ class SearchResult:
         }
 
 
+def _free_slots_match(row: list) -> bool:
+    """Whether a format-2 entry's nulls are exactly its zero-product d, e, f slots."""
+    alpha, beta, gamma, a, b, c, d, e, f, p, q = row
+    return (
+        None not in (alpha, beta, gamma, a, b, c, p, q)
+        and (d is None) == (a * alpha == 0)
+        and (e is None) == (b * beta == 0)
+        and (f is None) == (c * gamma == 0)
+    )
+
+
 def _load_existing_records(space: SearchSpace, signature: str) -> tuple[dict[int, dict], bool]:
     path = space.checkpoint_path
     if path is None or not Path(path).exists():
         return {}, False
     records, truncated = read_records(path)
+    block_count = len(_prefix_blocks(space))
+    per_block = space.total_assignments() // block_count
     existing: dict[int, dict] = {}
     for record in records:
-        for key in ("signature", "shard", "shards", "solutions", "scanned"):
+        for key in ("format", "signature", "shard", "shards", "blocks", "solutions", "scanned"):
             if key not in record:
                 raise CheckpointError(f"checkpoint record is missing field {key!r}")
         if record["signature"] != signature:
             raise CheckpointError(
                 "checkpoint was written for a different search configuration"
             )
-        if not all(type(record[key]) is int for key in ("shard", "shards", "scanned")):
-            raise CheckpointError("checkpoint shard, shards and scanned must be integers")
-        if not (0 <= record["shard"] < space.shards) or record["shards"] != space.shards:
-            raise CheckpointError(f"checkpoint shard {record['shard']} is out of range")
+        if not all(type(record[key]) is int for key in ("format", "shard", "shards", "scanned")):
+            raise CheckpointError("checkpoint format, shard, shards and scanned must be integers")
+        if record["format"] not in (1, 2):
+            raise CheckpointError(f"checkpoint record format {record['format']} is not 1 or 2")
+        shard = record["shard"]
+        if not (0 <= shard < space.shards) or record["shards"] != space.shards:
+            raise CheckpointError(f"checkpoint shard {shard} is out of range")
+        start, stop = _shard_block_range(space, shard, block_count)
+        if record["blocks"] != [start, stop] or record["scanned"] != (stop - start) * per_block:
+            raise CheckpointError(
+                f"checkpoint shard {shard} does not record blocks [{start}, {stop}) "
+                f"and their {(stop - start) * per_block} assignments"
+            )
         # The log writes each row value into an integer slot, so a row must
-        # hold exactly len(ROW_VARS) ints.
+        # hold exactly len(ROW_VARS) ints; format 2 may leave free slots null.
         rows = record["solutions"]
+        slot_types = {int} if record["format"] == 1 else {int, type(None)}
         if not (
             isinstance(rows, list)
             and set(map(type, rows)) <= {list}
             and set(map(len, rows)) <= {len(ROW_VARS)}
-            and set(map(type, chain.from_iterable(rows))) <= {int}
+            and set(map(type, chain.from_iterable(rows))) <= slot_types
         ):
             raise CheckpointError(
-                f"checkpoint shard {record['shard']} holds a row that is not "
+                f"checkpoint shard {shard} holds a row that is not "
                 f"{len(ROW_VARS)} integers"
             )
-        existing.setdefault(record["shard"], record)
+        if record["format"] == 2 and not all(map(_free_slots_match, rows)):
+            raise CheckpointError(
+                f"checkpoint shard {shard} holds a null outside the d, e, f slots "
+                "whose product is 0, or a value inside one"
+            )
+        existing.setdefault(shard, record)
     return existing, truncated
 
 
@@ -624,17 +719,20 @@ def search(
     if missing:
         raise CheckpointError(f"shards {missing} did not complete")
 
-    # Shards cover consecutive runs of the sorted prefix blocks and each
-    # shard's rows are sorted, so the shard-order concatenation is sorted.
-    rows: list[list[int]] = []
-    for sid in range(space.shards):
-        rows.extend(records[sid]["solutions"])
-
-    reports: list[ConditionReport] = []
+    # Shards cover consecutive runs of the prefix blocks and each shard's
+    # entries are in enumeration order, so the shard-order expansion is too.
+    entries = [records[sid]["solutions"] for sid in range(space.shards)]
+    table: list[ConditionReport] = []
+    index_of: dict[int, int] = {}  # id(report) -> its index in table
+    ids = array("H")  # fits: there are at most 2**11 distinct reports
     n_pair = n_adj = n_alt = n_trivial = 0
-    for row in rows:
+    for row in _expand(entries, space):
         report = classify_row(row)
-        reports.append(report)
+        index = index_of.get(id(report))
+        if index is None:
+            index = index_of[id(report)] = len(table)
+            table.append(report)
+        ids.append(index)
         n_pair += report.counterexample_pairwise
         n_adj += report.counterexample_adjacent
         n_alt += report.admissible_with_adjacent_def
@@ -645,8 +743,9 @@ def search(
     return SearchResult(
         space=space,
         signature=signature,
-        rows=rows,
-        reports=reports,
+        entries=entries,
+        report_table=table,
+        report_ids=ids,
         counterexamples_pairwise=n_pair,
         counterexamples_adjacent=n_adj,
         adjacent_def_admissible=n_alt,
@@ -696,14 +795,15 @@ def _line_template(report: ConditionReport) -> tuple[str, Callable[[Sequence[int
 def write_result_log(result: SearchResult, path: str | Path) -> None:
     """Write the normalized result log: one canonical JSON object per solution.
 
-    Each line goes straight to the file's buffer, so memory holds one line
-    and the buffer, however many rows there are.
+    The rows are expanded from the result's entries as they are written and
+    each line goes straight to the file's buffer, so memory holds one row,
+    one line and the buffer, however many rows there are.
     """
     # Reports are interned, so identity picks out each one's template.
     templates: dict[int, tuple] = {}
     with open(path, "w", encoding="utf-8") as handle:
         write = handle.write
-        for row, report in zip(result.rows, result.reports):
+        for row, report in zip(result.iter_rows(), result.iter_reports()):
             entry = templates.get(id(report))
             if entry is None:
                 entry = templates[id(report)] = _line_template(report)

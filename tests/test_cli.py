@@ -8,6 +8,7 @@ import time
 import jsonschema
 import pytest
 
+from fltaudit.checkpoint import append_record, read_records
 from fltaudit.cli import (
     EXIT_ABORTED,
     EXIT_AUDIT_DRIFT,
@@ -190,6 +191,19 @@ class TestSearch:
         )
         assert code == EXIT_IO
         assert "checkpoint" in err
+
+    def test_checkpoint_record_beyond_its_shard_io_exit(self, run_cli, tmp_path):
+        cp = tmp_path / "c.bin"
+        argv = ["search", "--lower", -1, "--upper", 1, "--shards", 3, "--checkpoint", cp]
+        assert run_cli(argv)[0] == EXIT_OK
+        records, _ = read_records(cp)
+        records[2]["scanned"] = -5
+        cp.unlink()
+        for record in records:
+            append_record(cp, record)
+        code, _, err = run_cli(argv)
+        assert code == EXIT_IO
+        assert "checkpoint shard 2" in err
 
     def test_abort_and_resume_resume_is_byte_identical(self, run_cli, tmp_path):
         straight_log = tmp_path / "straight.jsonl"

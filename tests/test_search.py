@@ -5,7 +5,7 @@ import json
 import types
 import time
 import tracemalloc
-from itertools import product, zip_longest
+from itertools import chain, product, zip_longest
 from pathlib import Path
 
 import pytest
@@ -35,6 +35,11 @@ from oracles import (
     oracle_result_log,
     oracle_scan_shard,
 )
+
+
+def rows_with_reports(result):
+    """Each expanded row of a SearchResult paired with its report."""
+    return list(zip(result.iter_rows(), result.iter_reports()))
 
 
 def unit_instance(a, b, c, d, e, f, p, q):
@@ -194,9 +199,15 @@ class TestSearchAgainstOracle:
 
 
 def assert_records_match_oracle(space):
-    """Every shard record, row order included, equals the pre-quotient scan's."""
+    """Every shard record equals the pre-quotient scan's but for its format,
+    and its entries expand to the scan's rows, row order included."""
     for shard_id in range(space.shards):
-        assert real_scan_shard(space, shard_id) == oracle_scan_shard(space, shard_id)
+        got = real_scan_shard(space, shard_id)
+        want = oracle_scan_shard(space, shard_id)
+        assert (got.pop("format"), want.pop("format")) == (2, 1)
+        entries, rows = got.pop("solutions"), want.pop("solutions")
+        assert got == want
+        assert list(search_module._expand([entries], space)) == rows
 
 
 class TestSignQuotientAgainstOracle:
@@ -214,6 +225,22 @@ class TestSignQuotientAgainstOracle:
     @pytest.mark.parametrize("low, high", [(-5, -2), (0, 3), (-1, 6)])
     def test_one_signed_and_lopsided_ranges(self, low, high):
         assert_records_match_oracle(SearchSpace.cube(low, high, shards=3))
+
+    def test_general_families_with_nontrivial_rows(self):
+        # alpha = 0 frees d for every a; beta, gamma < 0 make room for
+        # a, b, c all nonzero, so some of d's families hold nontrivial rows.
+        bounds = {
+            "alpha": (0, 0),
+            "beta": (-2, 1),
+            "gamma": (-2, 1),
+            **{name: (-3, 3) for name in "abcdef"},
+        }
+        space = SearchSpace(bounds=bounds, case="general", shards=3)
+        assert_records_match_oracle(space)
+        assert any(
+            row[6] is None and row[3] * row[4] * row[5] and (row[9], row[10]) != (0, 0)
+            for row in chain.from_iterable(search(space).entries)
+        )
 
     def test_mixed_general_ranges(self):
         bounds = {
@@ -261,7 +288,7 @@ class TestDeterminismAndSharding:
         results = {
             shards: search(SearchSpace.cube(-2, 2, shards=shards)) for shards in (1, 2, 8)
         }
-        rows = {shards: (res.rows, res.reports) for shards, res in results.items()}
+        rows = {shards: rows_with_reports(res) for shards, res in results.items()}
         assert rows[1] == rows[2] == rows[8]
         assert (
             results[1].counterexamples_pairwise
@@ -280,7 +307,26 @@ class TestDeterminismAndSharding:
         space_par = SearchSpace.cube(-2, 2, shards=4)
         seq = search(space_seq)
         par = search(space_par, workers=2)
-        assert (seq.rows, seq.reports) == (par.rows, par.reports)
+        assert rows_with_reports(seq) == rows_with_reports(par)
+
+
+def resume_tampered(tmp_path, field, value):
+    """Search unit [-1, 1] in 2 shards, set ``field`` of shard 1's record, resume.
+
+    ``field`` ``"row"`` replaces the record's first row instead.
+    """
+    cp = tmp_path / "tampered.ckpt"
+    space = SearchSpace.cube(-1, 1, shards=2, checkpoint_path=cp)
+    search(space)
+    records, _ = read_records(cp)
+    if field == "row":
+        records[1]["solutions"][0] = value
+    else:
+        records[1][field] = value
+    cp.unlink()
+    for record in records:
+        append_record(cp, record)
+    return search(space)
 
 
 class TestCheckpointing:
@@ -317,7 +363,7 @@ class TestCheckpointing:
         first = search(space)
         again = search(space)
         assert again.shards_reused == 2
-        assert (first.rows, first.reports) == (again.rows, again.reports)
+        assert rows_with_reports(first) == rows_with_reports(again)
 
     def test_signature_mismatch_rejected(self, tmp_path):
         cp = tmp_path / "stale.ckpt"
@@ -350,19 +396,42 @@ class TestCheckpointing:
         ],
     )
     def test_ill_typed_record_rejected(self, tmp_path, field, value):
-        cp = tmp_path / "tampered.ckpt"
-        space = SearchSpace.cube(-1, 1, shards=2, checkpoint_path=cp)
-        search(space)
-        records, _ = read_records(cp)
-        if field == "row":
-            records[1]["solutions"][0] = value
-        else:
-            records[1][field] = value
-        cp.unlink()
-        for record in records:
-            append_record(cp, record)
         with pytest.raises(CheckpointError):
-            search(space)
+            resume_tampered(tmp_path, field, value)
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("format", 99),
+            ("scanned", -5),
+            ("blocks", [0, 9]),
+            # Shard 1's first entry is (1, 1, 1, 0, 0, 0, null, null, null, 0, 0).
+            ("row", [1, 1, 1, 0, 0, 0, None, None, None, None, 0]),
+            ("row", [1, 1, 1, 1, 0, 0, None, None, None, 1, 1]),
+            ("row", [1, 1, 1, 0, 0, 0, 0, None, None, 0, 0]),
+        ],
+        ids=["format", "scanned", "blocks", "null-p", "null-d-with-a", "d-in-free-slot"],
+    )
+    def test_record_beyond_its_shard_rejected(self, tmp_path, field, value):
+        with pytest.raises(CheckpointError):
+            resume_tampered(tmp_path, field, value)
+
+    @pytest.mark.parametrize("case, bound", [("unit", 3), ("general", 2)])
+    @pytest.mark.parametrize("formats", [(1, 1, 1), (1, 2, 1)])
+    def test_format_one_records_resume(self, tmp_path, case, bound, formats):
+        fresh_log = tmp_path / "fresh.jsonl"
+        write_result_log(search(SearchSpace.cube(-bound, bound, case=case, shards=3)), fresh_log)
+        cp = tmp_path / "old.ckpt"
+        space = SearchSpace.cube(-bound, bound, case=case, shards=3, checkpoint_path=cp)
+        scans = {1: oracle_scan_shard, 2: real_scan_shard}
+        for shard_id, fmt in enumerate(formats):
+            append_record(cp, scans[fmt](space, shard_id))
+        assert [record["format"] for record in read_records(cp)[0]] == list(formats)
+        resumed = search(space)
+        assert resumed.shards_reused == 3
+        resumed_log = tmp_path / "resumed.jsonl"
+        write_result_log(resumed, resumed_log)
+        assert resumed_log.read_bytes() == fresh_log.read_bytes()
 
     def test_truncated_tail_tolerated(self, tmp_path):
         cp = tmp_path / "tail.ckpt"
@@ -423,7 +492,7 @@ def assert_matches_oracle(result, log_path):
     report_flags = {}
     with open(log_path, "rb") as log:
         lines = zip_longest(
-            result.rows, result.reports, log, oracle_result_log(result.rows)
+            result.iter_rows(), result.iter_reports(), log, oracle_result_log(result.rows)
         )
         for count, (row, report, got, (want_row, want_flags, want_line)) in enumerate(lines):
             assert tuple(row) == want_row, f"row {count} out of sorted order"
@@ -452,7 +521,7 @@ class TestStreamedLogAgainstOracle:
         assert any(not flags["case_unit"] for flags in report_flags.values())
         expected = [
             tuple(row)
-            for row, rep in zip(result.rows, result.reports)
+            for row, rep in zip(result.iter_rows(), result.iter_reports())
             if rep.counterexample_pairwise or rep.counterexample_adjacent
         ]
         items = result.counterexamples()
@@ -512,9 +581,11 @@ class TestLineTemplates:
 
     def test_every_flag_combination_matches_oracle_line(self, tmp_path):
         reports = [ConditionReport(*flags) for flags in product((False, True), repeat=11)]
+        rows = [row for _ in reports for row in self.ROWS]
+        row_reports = [report for report in reports for _ in self.ROWS]
         result = types.SimpleNamespace(
-            rows=[row for _ in reports for row in self.ROWS],
-            reports=[report for report in reports for _ in self.ROWS],
+            iter_rows=lambda: iter(rows),
+            iter_reports=lambda: iter(row_reports),
         )
         path = tmp_path / "log.jsonl"
         write_result_log(result, path)
@@ -522,7 +593,7 @@ class TestLineTemplates:
             got = list(log)
         want = [
             oracle_log_line(row, flags_of(report))
-            for row, report in zip(result.rows, result.reports)
+            for row, report in zip(rows, row_reports)
         ]
         assert len(got) == len(want) == 2**11 * len(self.ROWS)
         for count, (line, expected) in enumerate(zip(got, want)):
@@ -538,6 +609,24 @@ class TestLineTemplates:
         finally:
             tracemalloc.stop()
         assert peak < path.stat().st_size / 8
+
+
+class TestMemoryBound:
+    def test_peak_grows_by_a_report_reference_per_row(self, tmp_path):
+        # Trivial rows stay families until they are classified or written,
+        # so each added row costs its report reference and no row list.
+        peaks, rows = [], []
+        for bound in (4, 6):
+            tracemalloc.start()
+            try:
+                result = search(SearchSpace.cube(-bound, bound))
+                write_result_log(result, tmp_path / "log.jsonl")
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            peaks.append(peak)
+            rows.append(len(result.solutions))
+        assert (peaks[1] - peaks[0]) / (rows[1] - rows[0]) <= 16
 
 
 class TestClassifierAgainstOracle:
