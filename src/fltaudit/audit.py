@@ -123,9 +123,6 @@ class AuditConfig:
         if self.triple_base_max < 5:
             raise ValueError(f"triple_base_max must be >= 5, got {self.triple_base_max}")
 
-    def as_dict(self) -> dict:
-        return asdict(self)
-
 
 @dataclass
 class ClaimEntry:
@@ -180,7 +177,7 @@ class AuditReport:
         return {
             "command": "audit",
             "version": self.version,
-            "config": self.config.as_dict(),
+            "config": asdict(self.config),
             "claims": [entry.as_dict() for entry in self.claims],
             "verdict_summary": self.verdict_summary(),
             "elapsed_s": round(self.elapsed_s, 6),

@@ -252,14 +252,12 @@ def consistency_residual(n: int) -> ConsistencyResult:
     )
 
 
-def sample_points(
-    count: int, rng: Random, low: int = -50, high: int = 50
-) -> list[EvalPoint]:
-    """Uniform integer points in [low, high]^3 from the given generator."""
+def sample_points(count: int, rng: Random) -> list[EvalPoint]:
+    """Uniform integer points in [-50, 50]^3 from the given generator."""
     if count < 0:
         raise ValueError(f"count must be >= 0, got {count}")
     return [
-        (rng.randint(low, high), rng.randint(low, high), rng.randint(low, high))
+        (rng.randint(-50, 50), rng.randint(-50, 50), rng.randint(-50, 50))
         for _ in range(count)
     ]
 

@@ -72,28 +72,10 @@ class Polynomial:
     # Constructors
 
     @classmethod
-    def zero(cls) -> "Polynomial":
-        return cls._from_canonical({})
-
-    @classmethod
-    def one(cls) -> "Polynomial":
-        return cls.constant(1)
-
-    @classmethod
     def constant(cls, value: int) -> "Polynomial":
         if not isinstance(value, int):
             raise TypeError(f"constant must be an integer, got {value!r}")
         return cls._from_canonical({(0, 0, 0): value} if value else {})
-
-    @classmethod
-    def variable(cls, name: str) -> "Polynomial":
-        try:
-            idx = "xyz".index(name)
-        except ValueError:
-            raise ValueError(f"unknown variable {name!r}, expected x, y or z") from None
-        exps = [0, 0, 0]
-        exps[idx] = 1
-        return cls._from_canonical({(exps[0], exps[1], exps[2]): 1})
 
     # ------------------------------------------------------------------
     # Inspection
@@ -109,19 +91,6 @@ class Polynomial:
     def terms(self) -> Iterator[tuple[_Exponents, int]]:
         """Iterate (exponent triple, coefficient) pairs in unspecified order."""
         return iter(self._terms.items())
-
-    def total_degree(self) -> int:
-        """Maximum total degree of any term; -1 for the zero polynomial."""
-        if not self._terms:
-            return -1
-        return max(m[0] + m[1] + m[2] for m in self._terms)
-
-    def leading_term(self) -> tuple[_Exponents, int]:
-        """Largest term under graded lex; raises ValueError on zero."""
-        if not self._terms:
-            raise ValueError("the zero polynomial has no leading term")
-        mono = max(self._terms, key=_grlex_key)
-        return mono, self._terms[mono]
 
     # ------------------------------------------------------------------
     # Ring operations
@@ -188,7 +157,7 @@ class Polynomial:
             return NotImplemented
         if exponent < 0:
             raise ValueError(f"polynomial exponent must be >= 0, got {exponent}")
-        result = Polynomial.one()
+        result = ONE
         base = self
         e = exponent
         while e:
@@ -320,8 +289,8 @@ def _render_monomial(mono: _Exponents) -> str:
     return "*".join(bits)
 
 
-X = Polynomial.variable("x")
-Y = Polynomial.variable("y")
-Z = Polynomial.variable("z")
-ONE = Polynomial.one()
-ZERO = Polynomial.zero()
+X = Polynomial._from_canonical({(1, 0, 0): 1})
+Y = Polynomial._from_canonical({(0, 1, 0): 1})
+Z = Polynomial._from_canonical({(0, 0, 1): 1})
+ONE = Polynomial.constant(1)
+ZERO = Polynomial.constant(0)

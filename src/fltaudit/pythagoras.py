@@ -96,15 +96,13 @@ def enumerate_triples(
     *,
     primitive_only: bool = False,
     even_b_only: bool = False,
-    include_negatives: bool = False,
 ) -> list[tuple[int, int, int]]:
     """All ordered triples (a, b, c) with a^2 + b^2 = c^2 and 0 < c <= c_max.
 
     a and b range over positive integers independently, so both (3, 4, 5)
     and (4, 3, 5) appear.  Every such triple is k times a primitive Euclid
     triple (odd leg first) in one of its two orders, so the multiples of
-    ``euclid_primitive_triples`` give each triple exactly once.  With
-    ``include_negatives`` the sign variants of a and b are added as well.
+    ``euclid_primitive_triples`` give each triple exactly once.
     """
     if c_max < 5:
         raise ValueError(f"c_max must be >= 5, got {c_max}")
@@ -115,10 +113,7 @@ def enumerate_triples(
             if even_b_only and k % 2:  # x is odd, so k * x is even iff k is
                 del legs[1]
             c = k * z
-            for a, b in legs:
-                found.append((a, b, c))
-                if include_negatives:
-                    found.extend([(-a, b, c), (a, -b, c), (-a, -b, c)])
+            found.extend((a, b, c) for a, b in legs)
     found.sort()
     return found
 
@@ -146,7 +141,6 @@ def audit_parametrization(
     *,
     primitive_only: bool = False,
     even_b_only: bool = False,
-    include_negatives: bool = False,
     charitable: bool = False,
 ) -> list[PythTriple]:
     """Triples in range that admit no representation under the chosen reading.
@@ -159,10 +153,7 @@ def audit_parametrization(
     failures = [
         PythTriple(a, b, c)
         for a, b, c in enumerate_triples(
-            c_max,
-            primitive_only=primitive_only,
-            even_b_only=even_b_only,
-            include_negatives=include_negatives,
+            c_max, primitive_only=primitive_only, even_b_only=even_b_only
         )
         if represent(a, b, c) is None
     ]

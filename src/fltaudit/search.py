@@ -111,9 +111,6 @@ class ConjectureInstance:
         """Inverse of ``key``: build the instance from a row in key order."""
         return cls(*row)
 
-    def as_dict(self) -> dict[str, int]:
-        return dict(zip(ROW_VARS, self.key()))
-
 
 _row_of = attrgetter(*ROW_VARS)
 
@@ -306,7 +303,7 @@ class SearchSpace:
             bounds={name: (low, high) for name in _CASE_VARS.get(case, ())},
             case=case,
             shards=shards,
-            checkpoint_path=None if checkpoint_path is None else str(checkpoint_path),
+            checkpoint_path=checkpoint_path,
         )
 
     @property
@@ -645,7 +642,8 @@ def _load_existing_records(space: SearchSpace, signature: str) -> tuple[dict[int
         if not (0 <= shard < space.shards) or record["shards"] != space.shards:
             raise CheckpointError(f"checkpoint shard {shard} is out of range")
         start, stop = _shard_block_range(space, shard, block_count)
-        if record["blocks"] != [start, stop] or record["scanned"] != (stop - start) * per_block:
+        blocks_ok = record["blocks"] == [start, stop] and {*map(type, record["blocks"])} == {int}
+        if not blocks_ok or record["scanned"] != (stop - start) * per_block:
             raise CheckpointError(
                 f"checkpoint shard {shard} does not record blocks [{start}, {stop}) "
                 f"and their {(stop - start) * per_block} assignments"

@@ -253,8 +253,7 @@ def oracle_result_log(rows):
         yield row, flags, oracle_log_line(row, flags)
 
 
-def oracle_enumerate_triples(c_max, *, primitive_only=False, even_b_only=False,
-                             include_negatives=False):
+def oracle_enumerate_triples(c_max, *, primitive_only=False, even_b_only=False):
     """Ordered triples with 5 <= c <= c_max by a direct double loop over (c, a)."""
     found = []
     for c in range(5, c_max + 1):
@@ -269,8 +268,6 @@ def oracle_enumerate_triples(c_max, *, primitive_only=False, even_b_only=False,
             if even_b_only and b % 2:
                 continue
             found.append((a, b, c))
-            if include_negatives:
-                found.extend([(-a, b, c), (a, -b, c), (-a, -b, c)])
     found.sort()
     return found
 
@@ -293,15 +290,20 @@ def oracle_represent_triple(a, b, c):
 
 
 def oracle_scan_power_equation(base_max, n):
-    """(x, y, z) with 1 <= x <= y <= base_max and x^n + y^n = z^n via exact n-th roots."""
-    from fltaudit.ints import exact_nth_root
+    """(x, y, z) with 1 <= x <= y <= base_max and x^n + y^n = z^n by an integer walk.
 
-    powers = [0] + [v**n for v in range(1, base_max + 1)]
+    For each x, z only moves up as y does: it is never below y and rises
+    while z^n < x^n + y^n, so no root and no float is ever taken.
+    """
     solutions = []
     for x in range(1, base_max + 1):
+        z = x
         for y in range(x, base_max + 1):
-            z = exact_nth_root(powers[x] + powers[y], n)
-            if z is not None:
+            target = x**n + y**n
+            z = max(z, y)
+            while z**n < target:
+                z += 1
+            if z**n == target:
                 solutions.append((x, y, z))
     return solutions
 

@@ -1,11 +1,8 @@
 """Power-equation scanner sanity checks."""
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from fltaudit.fermat import primitive_square_triples, scan_power_equation
-from fltaudit.ints import exact_nth_root, int_nth_root
 from oracles import oracle_scan_power_equation
 
 
@@ -40,43 +37,7 @@ class TestScan:
         triples = primitive_square_triples(20)
         assert triples == [(3, 4, 5), (5, 12, 13), (8, 15, 17)]
 
-
-class TestIntegerRoots:
-    def test_nth_root_floor(self):
-        assert int_nth_root(26, 3) == 2
-        assert int_nth_root(27, 3) == 3
-        assert int_nth_root(0, 5) == 0
-        assert int_nth_root(1, 7) == 1
-        assert int_nth_root(2**60 - 1, 6) == 1023
-
-    def test_float_seed_far_off(self):
-        # The float seed is off by about 7.7e45 here, so a +-1 walk from it
-        # would take that many steps.
-        root = 10**60 + 7
-        assert int_nth_root(root**3, 3) == root
-        assert int_nth_root(root**3 - 1, 3) == root - 1
-
     def test_radicand_beyond_float_range(self):
         # 20**300 does not convert to a float.
-        assert exact_nth_root(20**300, 300) == 20
-        assert int_nth_root(20**300 - 1, 300) == 19
-        assert int_nth_root(2**4998, 7) == 2**714
-        assert int_nth_root(2**4998 - 1, 7) == 2**714 - 1
         assert scan_power_equation(20, 300) == []
 
-    @given(st.integers(min_value=1, max_value=2**4000), st.integers(min_value=3, max_value=64))
-    @settings(max_examples=300, deadline=None)
-    def test_floor_root_bracket(self, value, degree):
-        root = int_nth_root(value, degree)
-        assert root**degree <= value < (root + 1) ** degree
-
-    def test_exact_nth_root(self):
-        assert exact_nth_root(243, 5) == 3
-        assert exact_nth_root(244, 5) is None
-        assert exact_nth_root(7**6, 3) == 49
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            int_nth_root(-1, 2)
-        with pytest.raises(ValueError):
-            int_nth_root(4, 0)

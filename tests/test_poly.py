@@ -156,23 +156,6 @@ class TestCanonicalForm:
 
 
 class TestOrderAndRendering:
-    def test_leading_term_graded_lex(self):
-        mono, coeff = (X**3 + Y**3 - Z**3).leading_term()
-        assert mono == (3, 0, 0)
-        assert coeff == 1
-        # Higher total degree beats lex order.
-        mono, _ = (X + Y**2).leading_term()
-        assert mono == (0, 2, 0)
-
-    def test_leading_term_of_zero_rejected(self):
-        with pytest.raises(ValueError):
-            ZERO.leading_term()
-
-    def test_total_degree(self):
-        assert (X**2 * Y + Z).total_degree() == 3
-        assert ZERO.total_degree() == -1
-        assert ONE.total_degree() == 0
-
     def test_render_square_of_sum(self):
         assert str((X + Y + Z) ** 2) == "x^2 + 2*x*y + 2*x*z + y^2 + 2*y*z + z^2"
 

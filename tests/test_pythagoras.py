@@ -111,10 +111,6 @@ class TestEnumeration:
         assert (6, 8, 10) not in enumerate_triples(20, primitive_only=True)
         assert (3, 4, 5) in enumerate_triples(20, primitive_only=True)
 
-    def test_negatives_flag(self):
-        triples = enumerate_triples(10, include_negatives=True)
-        assert (-3, 4, 5) in triples and (3, -4, 5) in triples
-
     def test_small_bound_rejected(self):
         with pytest.raises(ValueError):
             enumerate_triples(4)
@@ -127,9 +123,9 @@ class TestEnumeration:
         assert direct == euclid
 
     @pytest.mark.parametrize("c_max", [5, 6, 25, 100, 613])
-    @pytest.mark.parametrize("flags", list(product([False, True], repeat=3)))
+    @pytest.mark.parametrize("flags", list(product([False, True], repeat=2)))
     def test_matches_double_loop_oracle(self, c_max, flags):
-        kwargs = dict(zip(("primitive_only", "even_b_only", "include_negatives"), flags))
+        kwargs = dict(zip(("primitive_only", "even_b_only"), flags))
         assert enumerate_triples(c_max, **kwargs) == oracle_enumerate_triples(c_max, **kwargs)
 
     def test_euclid_triples_always_representable(self):

@@ -111,7 +111,6 @@ class TestRowLayout:
         row = (2, 6, 3, -1, 5, 4, 6, -2, -4, 7, 8)
         inst = ConjectureInstance.from_key(row)
         assert inst.key() == row
-        assert inst.as_dict() == dict(zip(ROW_VARS, row))
 
 
 class TestSearchSpace:
@@ -310,19 +309,20 @@ class TestDeterminismAndSharding:
         assert rows_with_reports(seq) == rows_with_reports(par)
 
 
-def resume_tampered(tmp_path, field, value):
-    """Search unit [-1, 1] in 2 shards, set ``field`` of shard 1's record, resume.
+def resume_tampered(tmp_path, field, value, shard=1):
+    """Search unit [-1, 1] in 2 shards, set ``field`` of one shard's record, resume.
 
-    ``field`` ``"row"`` replaces the record's first row instead.
+    Shard 0 holds blocks [0, 4) and shard 1 blocks [4, 9).  ``field``
+    ``"row"`` replaces the record's first row instead.
     """
     cp = tmp_path / "tampered.ckpt"
     space = SearchSpace.cube(-1, 1, shards=2, checkpoint_path=cp)
     search(space)
     records, _ = read_records(cp)
     if field == "row":
-        records[1]["solutions"][0] = value
+        records[shard]["solutions"][0] = value
     else:
-        records[1][field] = value
+        records[shard][field] = value
     cp.unlink()
     for record in records:
         append_record(cp, record)
@@ -400,21 +400,27 @@ class TestCheckpointing:
             resume_tampered(tmp_path, field, value)
 
     @pytest.mark.parametrize(
-        "field, value",
+        "field, value, shard",
         [
-            ("format", 99),
-            ("scanned", -5),
-            ("blocks", [0, 9]),
+            ("format", 99, 1),
+            ("scanned", -5, 1),
+            ("blocks", [0, 9], 1),
+            # Equal in value but not ints: the header fields are exact ints.
+            ("blocks", [4.0, 9.0], 1),
+            ("blocks", [False, 4], 0),
             # Shard 1's first entry is (1, 1, 1, 0, 0, 0, null, null, null, 0, 0).
-            ("row", [1, 1, 1, 0, 0, 0, None, None, None, None, 0]),
-            ("row", [1, 1, 1, 1, 0, 0, None, None, None, 1, 1]),
-            ("row", [1, 1, 1, 0, 0, 0, 0, None, None, 0, 0]),
+            ("row", [1, 1, 1, 0, 0, 0, None, None, None, None, 0], 1),
+            ("row", [1, 1, 1, 1, 0, 0, None, None, None, 1, 1], 1),
+            ("row", [1, 1, 1, 0, 0, 0, 0, None, None, 0, 0], 1),
         ],
-        ids=["format", "scanned", "blocks", "null-p", "null-d-with-a", "d-in-free-slot"],
+        ids=[
+            "format", "scanned", "blocks", "blocks-float", "blocks-bool",
+            "null-p", "null-d-with-a", "d-in-free-slot",
+        ],
     )
-    def test_record_beyond_its_shard_rejected(self, tmp_path, field, value):
+    def test_record_beyond_its_shard_rejected(self, tmp_path, field, value, shard):
         with pytest.raises(CheckpointError):
-            resume_tampered(tmp_path, field, value)
+            resume_tampered(tmp_path, field, value, shard)
 
     @pytest.mark.parametrize("case, bound", [("unit", 3), ("general", 2)])
     @pytest.mark.parametrize("formats", [(1, 1, 1), (1, 2, 1)])
