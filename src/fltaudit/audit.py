@@ -337,10 +337,7 @@ def _check_conditions(config: AuditConfig) -> ClaimEntry:
         scope={
             "box_bound": config.box_bound,
             "k": config.condition_k,
-            "regimes": {
-                "odd": 2 * config.condition_k + 1,
-                "even": 2 * config.condition_k,
-            },
+            "regimes": {"odd": 2 * config.condition_k + 1},
         },
         verdict=FAILS if failed else HOLDS,
         subverdicts=by_reading,

@@ -32,12 +32,14 @@ Where a*alpha = 0, a and d drop out of all three equations (likewise
 (b, e) with b*beta and (c, f) with c*gamma), so every d in the range gives
 the same row.  The kernel scans one |d| there and emits one family entry:
 the row with None in the d slot.  Entries stay families in the checkpoint
-and in the SearchResult; the rows are expanded from them, in enumeration
-order, each time they are walked (classification, the result log), so
-memory grows with the entries and a two-byte report index per row, not
-with a list per row.  Classification still runs on every signed row: the
-literal reading of |gamma| != c compares a magnitude with a signed value,
-and the d, e, f chain compares signed values.
+and in the SearchResult.  An entry's rows differ only in how their free
+values compare with 0 and with the other d, e, f values, and rows that
+compare alike share a report (``fltaudit.rows``).  So the search classifies
+one row per class of a family's rows, weights its flags by the class size
+and keeps one report code per entry and pattern, and the result log binds
+one line per entry and report: the work and the memory grow with the
+entries, not the rows.  Rows are expanded from the entries, in enumeration
+order, only when they are walked.
 
 The space is split into shards by a prefix of the enumeration order; each
 completed shard appends one fsync'd record to the checkpoint file, so an
@@ -49,9 +51,9 @@ from __future__ import annotations
 import hashlib
 import json
 from array import array
-from concurrent.futures import ProcessPoolExecutor, as_completed
+from collections import Counter
 from dataclasses import dataclass
-from itertools import chain, groupby, product
+from itertools import chain, islice, product
 from math import isqrt
 from operator import attrgetter, itemgetter
 from pathlib import Path
@@ -59,6 +61,24 @@ from typing import Callable, Iterator, Mapping, Sequence
 
 from .checkpoint import CheckpointError, append_record, read_records
 from .ints import SQUARES_MOD_16, SQUARES_MOD_9, exact_sqrt
+from .rows import (
+    _PATTERN_COUNT,
+    _REPORTS,
+    COEFF_VARS,
+    ROW_VARS,
+    UNIT_VARS,
+    ConditionReport,
+    ConjectureInstance,
+    _def_classes,
+    _groups,
+    _pattern,
+    _readings,
+    _report_code,
+    _stripes,
+    check_conditions,
+    classify_row,
+    system_values,
+)
 
 __all__ = [
     "ConditionReport",
@@ -72,178 +92,10 @@ __all__ = [
     "write_result_log",
 ]
 
-COEFF_VARS = ("alpha", "beta", "gamma")
-UNIT_VARS = ("a", "b", "c", "d", "e", "f")
-# Layout of a kernel row, which is also the sort key of its instance.
-ROW_VARS = COEFF_VARS + UNIT_VARS + ("p", "q")
 # The enumerated variables of each case, in enumeration order.
 _CASE_VARS = {"unit": UNIT_VARS, "general": COEFF_VARS + UNIT_VARS}
 
 ShardHook = Callable[[int, dict], None]
-
-
-# ----------------------------------------------------------------------
-# Instances and condition flags
-
-
-@dataclass(frozen=True)
-class ConjectureInstance:
-    """One assignment of all eleven unknowns, its fields in ``ROW_VARS`` order."""
-
-    alpha: int
-    beta: int
-    gamma: int
-    a: int
-    b: int
-    c: int
-    d: int
-    e: int
-    f: int
-    p: int
-    q: int
-
-    def key(self) -> tuple[int, ...]:
-        """The kernel row: the sort key following the enumeration order."""
-        return _row_of(self)
-
-    @classmethod
-    def from_key(cls, row: Sequence[int]) -> "ConjectureInstance":
-        """Inverse of ``key``: build the instance from a row in key order."""
-        return cls(*row)
-
-
-_row_of = attrgetter(*ROW_VARS)
-
-
-def system_values(a, b, c, d, e, f, alpha, beta, gamma):
-    """The three right-hand sides for one assignment of (a..f, alpha..gamma).
-
-    The arguments may be ints or Polynomials (anything with + - * **): the
-    lemma derives its Q, M, P from this same expression.
-    """
-    first = a * a * alpha - b * b * beta - c * c * gamma
-    second = (a * d) ** 2 * alpha - (b * e) ** 2 * beta - (c * f) ** 2 * gamma
-    third = (a * d * d) ** 2 * alpha - (b * e * e) ** 2 * beta - (c * f * f) ** 2 * gamma
-    return first, second, third
-
-
-@dataclass(frozen=True)
-class ConditionReport:
-    """Side-condition flags for an instance, under both chain readings.
-
-    The *_adjacent fields repeat the corresponding chain with only
-    neighbouring values required distinct (and the final "!= 0" applied to
-    the last element only).
-
-    The counterexample verdict always requires d, e, f pairwise distinct and
-    nonzero; the per-reading verdicts differ only in how the coefficient
-    chain |alpha| != |beta| != |gamma| != 0 is read.  Solutions that would
-    qualify only under the weakened adjacent reading of the d, e, f chain
-    are flagged separately (``admissible_with_adjacent_def``) so alternative
-    conventions can be re-counted offline.
-    """
-
-    satisfied: bool
-    trivial: bool
-    def_distinct_nonzero: bool
-    def_distinct_nonzero_adjacent: bool
-    case_unit: bool
-    case_general_distinct: bool
-    case_general_distinct_adjacent: bool
-    divisibility: bool
-    non_unit_divisors: bool
-    counterexample_pairwise: bool
-    counterexample_adjacent: bool
-
-    @property
-    def admissible_with_adjacent_def(self) -> bool:
-        """Would qualify if the d, e, f chain were read adjacent-only."""
-        cases = self.case_unit or (
-            self.case_general_distinct_adjacent
-            and self.divisibility
-            and self.non_unit_divisors
-        )
-        return (
-            self.satisfied
-            and not self.trivial
-            and self.def_distinct_nonzero_adjacent
-            and not self.def_distinct_nonzero
-            and cases
-        )
-
-    def as_dict(self) -> dict[str, bool]:
-        return {
-            "satisfied": self.satisfied,
-            "trivial": self.trivial,
-            "def_distinct_nonzero": self.def_distinct_nonzero,
-            "def_distinct_nonzero_adjacent": self.def_distinct_nonzero_adjacent,
-            "case_unit": self.case_unit,
-            "case_general_distinct": self.case_general_distinct,
-            "case_general_distinct_adjacent": self.case_general_distinct_adjacent,
-            "divisibility": self.divisibility,
-            "non_unit_divisors": self.non_unit_divisors,
-        }
-
-
-# Every report built so far, keyed by its flags (at most 2**11 entries of
-# immutable values); rows share these objects.
-_REPORTS: dict[tuple[bool, ...], ConditionReport] = {}
-
-
-def classify_row(row: Sequence[int]) -> ConditionReport:
-    """Recompute every hypothesis flag and the per-reading counterexample verdicts.
-
-    ``row`` is ``[alpha, beta, gamma, a, b, c, d, e, f, p, q]``.  The report
-    is interned: all rows with the same flags get the same frozen object.
-    """
-    alpha, beta, gamma, a, b, c, d, e, f, p, q = row
-    first, second, third = system_values(a, b, c, d, e, f, alpha, beta, gamma)
-    satisfied = q * q == first and p * q == second and p * p == third
-    trivial = a * b * c == 0 or (p == 0 and q == 0)
-    def_pair = d != 0 and e != 0 and f != 0 and d != e and d != f and e != f
-    def_adj = d != e and e != f and f != 0
-    aa, ab, ag = abs(alpha), abs(beta), abs(gamma)
-    case_unit = alpha == 1 and beta == 1 and gamma == 1
-    gen_pair = aa != 0 and ab != 0 and ag != 0 and aa != ab and aa != ag and ab != ag
-    gen_adj = aa != ab and ab != ag and ag != 0
-    # Zero divides only zero.
-    div_ok = (
-        (a % alpha == 0 if alpha else a == 0)
-        and (b % beta == 0 if beta else b == 0)
-        and (c % gamma == 0 if gamma else c == 0)
-    )
-    # Literal reading of |alpha| != a: a magnitude against a signed value.
-    non_unit = aa != a and ab != b and ag != c
-
-    qualifies = satisfied and not trivial and def_pair
-    general = div_ok and non_unit
-    # In ConditionReport's field order.
-    flags = (satisfied, trivial, def_pair, def_adj, case_unit, gen_pair, gen_adj, div_ok, non_unit)
-    flags += (
-        qualifies and (case_unit or (gen_pair and general)),
-        qualifies and (case_unit or (gen_adj and general)),
-    )
-    report = _REPORTS.get(flags)
-    if report is None:
-        report = _REPORTS[flags] = ConditionReport(*flags)
-    return report
-
-
-def check_conditions(inst: ConjectureInstance) -> ConditionReport:
-    """The shared condition report of one instance.
-
-    ``satisfied`` says whether all three equations hold exactly; ``trivial``
-    marks a zero among a, b, c, or p = q = 0.
-    """
-    return classify_row(inst.key())
-
-
-def _readings(report: ConditionReport) -> dict[str, bool]:
-    """The per-reading counterexample verdicts, as logs and reports spell them."""
-    return {
-        "pairwise": report.counterexample_pairwise,
-        "adjacent": report.counterexample_adjacent,
-    }
 
 
 # ----------------------------------------------------------------------
@@ -494,36 +346,39 @@ def _kernel(
 # Orchestration
 
 
-_PREFIX = itemgetter(0, 1, 2, 3, 4, 5)
+def _free_ranges(space: SearchSpace) -> list[range]:
+    return [range(low, high + 1) for low, high in map(space.bounds.__getitem__, "def")]
 
 
 def _expand(shard_entries: list[list[list]], space: SearchSpace) -> Iterator[list[int]]:
-    """The kernel rows of the shards' entries, in enumeration order.
-
-    A ``None`` in the d, e or f slot stands for every value of that variable
-    in ``space``.  Entries that share (alpha, beta, gamma, a, b, c) share
-    their None slots, so each such group is walked d -> e -> f, a free slot
-    over its whole range; no sort is needed.
-    """
-    d_free, e_free, f_free = (space.values_of(name) for name in "def")
-    for _, group in groupby(chain.from_iterable(shard_entries), _PREFIX):
-        head = next(group)
-        if None not in head:
-            yield head
+    """The kernel rows of the shards' entries, in enumeration order."""
+    free = _free_ranges(space)
+    for group in _groups(shard_entries):
+        if None not in group[0]:
             yield from group
             continue
-        # slot value (None when free) -> next slot's tree; f's leaves hold (p, q).
-        tree: dict = {}
-        for alpha, beta, gamma, a, b, c, d, e, f, p, q in chain((head,), group):
-            tree.setdefault(d, {}).setdefault(e, {})[f] = p, q
-        alpha, beta, gamma, a, b, c = head[:6]
-        for d_key, e_tree in tree.items():
-            for d in d_free if d_key is None else (d_key,):
-                for e_key, f_tree in e_tree.items():
-                    for e in e_free if e_key is None else (e_key,):
-                        for f_key, (p, q) in f_tree.items():
-                            for f in f_free if f_key is None else (f_key,):
-                                yield [alpha, beta, gamma, a, b, c, d, e, f, p, q]
+        for slot, xs, outer, entries in _stripes(group, free):
+            for x in xs:
+                for entry in entries:
+                    yield [*entry[:6], *outer, x, *entry[slot + 1 :]]
+
+
+# Where a family entry has no row with a pattern.
+_NO_CODE = 0xFFFF
+
+
+def _with_code_offsets(entries: list[list[list]]) -> Iterator[tuple[list[list], dict | None]]:
+    """Each group of ``entries`` with, for a family group, where each entry's codes start.
+
+    The offsets index ``SearchResult.family_codes``; an explicit group gets None.
+    """
+    offset = 0
+    for group in _groups(entries):
+        if None not in group[0]:
+            yield group, None
+            continue
+        yield group, {id(entry): offset + _PATTERN_COUNT * k for k, entry in enumerate(group)}
+        offset += _PATTERN_COUNT * len(group)
 
 
 class Solutions:
@@ -533,7 +388,7 @@ class Solutions:
         self._result = result
 
     def __len__(self) -> int:
-        return len(self._result.report_ids)
+        return self._result.row_count
 
     def __iter__(self) -> Iterator[tuple[ConjectureInstance, ConditionReport]]:
         for row, report in zip(self._result.iter_rows(), self._result.iter_reports()):
@@ -542,17 +397,21 @@ class Solutions:
 
 @dataclass
 class SearchResult:
-    """Merged outcome of all shards: their kernel entries and one shared report per row.
+    """Merged outcome of all shards: their kernel entries and the counts of their rows.
 
-    Row ``i``'s report is ``report_table[report_ids[i]]``, so a row costs two
-    bytes until it is expanded from ``entries``.
+    Reports are kept as two-byte codes, per entry, never per row.
+    ``explicit_codes`` holds the code of each entry without a free slot, in
+    entry order.  ``family_codes`` holds ``_PATTERN_COUNT`` codes for each
+    family entry, in entry order: the report of its rows with each pattern
+    (``_NO_CODE`` where none of its rows has it).
     """
 
     space: SearchSpace
     signature: str
     entries: list[list[list]]
-    report_table: list[ConditionReport]
-    report_ids: array
+    explicit_codes: array
+    family_codes: array
+    row_count: int
     counterexamples_pairwise: int
     counterexamples_adjacent: int
     adjacent_def_admissible: int
@@ -570,7 +429,20 @@ class SearchResult:
 
     def iter_reports(self) -> Iterator[ConditionReport]:
         """The report of each row, in the order of ``iter_rows``."""
-        return map(self.report_table.__getitem__, self.report_ids)
+        codes = iter(self.explicit_codes)
+        free = _free_ranges(self.space)
+        for group, first in _with_code_offsets(self.entries):
+            if first is None:
+                yield from map(_REPORTS.__getitem__, islice(codes, len(group)))
+                continue
+            for slot, xs, outer, entries in _stripes(group, free):
+                members = [
+                    ([*outer, None, *entry[slot + 1 : 9]], first[id(entry)]) for entry in entries
+                ]
+                for x in xs:
+                    for values, offset in members:
+                        values[slot - 6] = x
+                        yield _REPORTS[self.family_codes[offset + _pattern(*values)]]
 
     @property
     def rows(self) -> list[list[int]]:
@@ -589,11 +461,21 @@ class SearchResult:
         """
         if not (self.counterexamples_pairwise or self.counterexamples_adjacent):
             return []
-        return [
-            dict(zip(ROW_VARS, row), readings=_readings(rep))
-            for row, rep in zip(self.iter_rows(), self.iter_reports())
-            if rep.counterexample_pairwise or rep.counterexample_adjacent
-        ]
+
+        def is_hit(pair: tuple) -> bool:
+            return pair[1].counterexample_pairwise or pair[1].counterexample_adjacent
+
+        explicit = (entry for entry in chain.from_iterable(self.entries) if None not in entry)
+        hits = list(filter(is_hit, zip(explicit, map(_REPORTS.__getitem__, self.explicit_codes))))
+        # Where the explicit rows hold every counterexample, no family row
+        # is one, and the explicit hits are already in enumeration order.
+        counts = (
+            sum(report.counterexample_pairwise for _, report in hits),
+            sum(report.counterexample_adjacent for _, report in hits),
+        )
+        if counts != (self.counterexamples_pairwise, self.counterexamples_adjacent):
+            hits = list(filter(is_hit, zip(self.iter_rows(), self.iter_reports())))
+        return [dict(zip(ROW_VARS, row), readings=_readings(report)) for row, report in hits]
 
     def certificate(self) -> dict:
         return {
@@ -700,6 +582,10 @@ def search(
             on_shard_complete(sid, record)
 
     if workers > 1 and len(todo) > 1:
+        # Imported here: multiprocessing adds about 2.5 MB of RSS to every
+        # process that imports it, and only a parallel run needs it.
+        from concurrent.futures import ProcessPoolExecutor, as_completed
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             futures = {pool.submit(_scan_shard, space, sid): sid for sid in todo}
             try:
@@ -718,23 +604,29 @@ def search(
         raise CheckpointError(f"shards {missing} did not complete")
 
     # Shards cover consecutive runs of the prefix blocks and each shard's
-    # entries are in enumeration order, so the shard-order expansion is too.
+    # entries are in enumeration order, so the shard-order walk is too.
+    # An explicit row is classified on its own; a family entry once per
+    # class of its rows, its count weighted by the class size.
     entries = [records[sid]["solutions"] for sid in range(space.shards)]
-    table: list[ConditionReport] = []
-    index_of: dict[int, int] = {}  # id(report) -> its index in table
-    ids = array("H")  # fits: there are at most 2**11 distinct reports
-    n_pair = n_adj = n_alt = n_trivial = 0
-    for row in _expand(entries, space):
-        report = classify_row(row)
-        index = index_of.get(id(report))
-        if index is None:
-            index = index_of[id(report)] = len(table)
-            table.append(report)
-        ids.append(index)
-        n_pair += report.counterexample_pairwise
-        n_adj += report.counterexample_adjacent
-        n_alt += report.admissible_with_adjacent_def
-        n_trivial += report.trivial
+    free = _free_ranges(space)
+    explicit_codes = array("H")
+    family_codes = array("H")
+    rows_by_code: Counter[int] = Counter()
+    for entry in chain.from_iterable(entries):
+        if None not in entry:
+            explicit_codes.append(_report_code(entry))
+            continue
+        codes = [_NO_CODE] * _PATTERN_COUNT
+        for values, size in _def_classes(entry, free):
+            n = _pattern(*values)
+            if codes[n] == _NO_CODE:
+                codes[n] = _report_code([*entry[:6], *values, *entry[9:]])
+            rows_by_code[codes[n]] += size
+        family_codes.extend(codes)
+    rows_by_code.update(explicit_codes)
+
+    def rows_where(flag: Callable[[ConditionReport], bool]) -> int:
+        return sum(n for code, n in rows_by_code.items() if flag(_REPORTS[code]))
 
     scanned = sum(records[sid]["scanned"] for sid in range(space.shards))
     total = space.total_assignments()
@@ -742,12 +634,13 @@ def search(
         space=space,
         signature=signature,
         entries=entries,
-        report_table=table,
-        report_ids=ids,
-        counterexamples_pairwise=n_pair,
-        counterexamples_adjacent=n_adj,
-        adjacent_def_admissible=n_alt,
-        trivial_solutions=n_trivial,
+        explicit_codes=explicit_codes,
+        family_codes=family_codes,
+        row_count=sum(rows_by_code.values()),
+        counterexamples_pairwise=rows_where(attrgetter("counterexample_pairwise")),
+        counterexamples_adjacent=rows_where(attrgetter("counterexample_adjacent")),
+        adjacent_def_admissible=rows_where(attrgetter("admissible_with_adjacent_def")),
+        trivial_solutions=rows_where(attrgetter("trivial")),
         scanned=scanned,
         total_assignments=total,
         exhausted=scanned == total,
@@ -769,20 +662,26 @@ def _flag_fields(report: ConditionReport) -> dict:
 
 # The log's frozen line format: keys sorted, compact separators.
 _LOG_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+# The d, e, f slots left open when a family entry's line is bound.
+_DEF_OPEN = ["%d"] * 3
+# A stripe's slot values joined into one write, at most.
+_BLOCK_ROWS = 4096
 
 
-def _line_template(report: ConditionReport) -> tuple[str, Callable[[Sequence[int]], tuple]]:
+def _line_template(report: ConditionReport) -> tuple[str, Callable[[Sequence], tuple]]:
     """The log line of ``report``'s rows as a ``%`` template and its row picker.
 
     ``template % pick(row)`` is the line ``_LOG_ENCODER`` writes for the
     object of ``row``'s variables plus ``_flag_fields(report)``: the flag
-    values are encoded once, and each row variable is an integer slot.
+    values are encoded once, and each row variable is a ``%s`` slot.  A row
+    holding ``"%d"`` in a slot leaves that slot open: that is how a family
+    entry's line is bound with d, e and f still to fill.
     """
     fields = _flag_fields(report)
     keys = sorted(ROW_VARS + tuple(fields))
     encode = _LOG_ENCODER.encode
     parts = [
-        f"{encode(key)}:%d" if key in ROW_VARS
+        f"{encode(key)}:%s" if key in ROW_VARS
         else f"{encode(key)}:{encode(fields[key]).replace('%', '%%')}"
         for key in keys
     ]
@@ -793,16 +692,70 @@ def _line_template(report: ConditionReport) -> tuple[str, Callable[[Sequence[int
 def write_result_log(result: SearchResult, path: str | Path) -> None:
     """Write the normalized result log: one canonical JSON object per solution.
 
-    The rows are expanded from the result's entries as they are written and
-    each line goes straight to the file's buffer, so memory holds one row,
-    one line and the buffer, however many rows there are.
+    An explicit row fills its report's template.  A family's rows are
+    written stripe by stripe: each entry's line is bound once per report
+    with d, e and f left open, split at the stripe's slot once per pattern,
+    and each row joins its split line with its value there.  A stripe goes
+    to the file in writes of at most ``_BLOCK_ROWS`` slot values, so memory
+    holds one block and the file's buffer, however many rows there are.
     """
-    # Reports are interned, so identity picks out each one's template.
-    templates: dict[int, tuple] = {}
+    templates: dict[int, tuple] = {}  # report code -> its line template and picker
+
+    def fill(code: int, row: Sequence) -> str:
+        entry = templates.get(code)
+        if entry is None:
+            entry = templates[code] = _line_template(_REPORTS[code])
+        return entry[0] % entry[1](row)
+
+    codes = iter(result.explicit_codes)
+    free = _free_ranges(result.space)
     with open(path, "w", encoding="utf-8") as handle:
         write = handle.write
-        for row, report in zip(result.iter_rows(), result.iter_reports()):
-            entry = templates.get(id(report))
-            if entry is None:
-                entry = templates[id(report)] = _line_template(report)
-            write(entry[0] % entry[1](row))
+        for group, first in _with_code_offsets(result.entries):
+            if first is None:
+                for row, code in zip(group, islice(codes, len(group))):
+                    write(fill(code, row))
+                continue
+            parts_of: dict[tuple[int, int], list[str]] = {}  # (id(entry), code) -> line parts
+            for slot, xs, outer, entries in _stripes(group, free):
+                at = 2 * (slot - 6) + 1  # x's place among a line's pieces
+                # A row's line depends on x only through the pattern, so each
+                # entry needs a line for each of its marks (0 and its other
+                # d, e, f values) and one for every other x.  Each line is
+                # split at x: the text before it and the text after it.
+                lines = []
+                for entry in entries:
+                    values = [*outer, None, *entry[slot + 1 : 9]]
+                    own = {0, *values} - {None}
+                    texts = [str(value) for value in values]
+                    offset = first[id(entry)]
+                    split: dict[int, tuple[str, str]] = {}  # code -> the split line
+
+                    def around(x: int) -> tuple[str, str]:
+                        values[slot - 6] = x
+                        code = result.family_codes[offset + _pattern(*values)]
+                        pair = split.get(code)
+                        if pair is None:
+                            parts = parts_of.get((id(entry), code))
+                            if parts is None:
+                                line = fill(code, entry[:6] + _DEF_OPEN + entry[9:])
+                                parts = parts_of[id(entry), code] = line.split("%d")
+                            head, to_e, to_f, tail = parts
+                            pieces = [head, texts[0], to_e, texts[1], to_f, texts[2], tail]
+                            pair = split[code] = "".join(pieces[:at]), "".join(pieces[at + 1 :])
+                        return pair
+
+                    marked = {x: around(x) for x in own if x in xs}
+                    fresh = next((x for x in xs if x not in own), None)
+                    lines.append((marked, None if fresh is None else around(fresh)))
+                for start in range(xs.start, xs.stop, _BLOCK_ROWS):
+                    block = range(start, min(start + _BLOCK_ROWS, xs.stop))
+                    write(
+                        "".join(
+                            [
+                                text.join(marked.get(x, rest))
+                                for x, text in zip(block, map(str, block))
+                                for marked, rest in lines
+                            ]
+                        )
+                    )

@@ -5,6 +5,7 @@ import json
 import types
 import time
 import tracemalloc
+from collections import Counter
 from itertools import chain, product, zip_longest
 from pathlib import Path
 
@@ -14,6 +15,7 @@ from hypothesis import strategies as st
 
 from fltaudit.checkpoint import CheckpointError, append_record, read_records
 from fltaudit.ints import SQUARES_MOD_16, SQUARES_MOD_9
+import fltaudit.rows as rows_module
 import fltaudit.search as search_module
 from fltaudit.search import (
     ROW_VARS,
@@ -26,6 +28,8 @@ from fltaudit.search import (
     system_values,
     write_result_log,
 )
+from fltaudit.rows import _def_classes, _pattern
+from fltaudit.search import _DEF_OPEN, _line_template
 from fltaudit.search import _scan_shard as real_scan_shard
 
 from oracles import (
@@ -534,6 +538,10 @@ class TestStreamedLogAgainstOracle:
         assert [tuple(item[v] for v in ROW_VARS) for item in items] == expected
         assert all(item["readings"]["adjacent"] for item in items)
         assert len(expected) == result.counterexamples_adjacent
+        # Counts the explicit rows cannot account for send the lookup
+        # through every row; here it finds the same rows.
+        walked = dataclasses.replace(result, counterexamples_pairwise=1)
+        assert walked.counterexamples() == items
 
     def test_resumed_run(self, tmp_path):
         class Abort(RuntimeError):
@@ -585,25 +593,24 @@ class TestLineTemplates:
         [0] * 11,
     )
 
-    def test_every_flag_combination_matches_oracle_line(self, tmp_path):
-        reports = [ConditionReport(*flags) for flags in product((False, True), repeat=11)]
-        rows = [row for _ in reports for row in self.ROWS]
-        row_reports = [report for report in reports for _ in self.ROWS]
-        result = types.SimpleNamespace(
-            iter_rows=lambda: iter(rows),
-            iter_reports=lambda: iter(row_reports),
-        )
-        path = tmp_path / "log.jsonl"
-        write_result_log(result, path)
-        with open(path, "rb") as log:
-            got = list(log)
-        want = [
-            oracle_log_line(row, flags_of(report))
-            for row, report in zip(rows, row_reports)
-        ]
-        assert len(got) == len(want) == 2**11 * len(self.ROWS)
-        for count, (line, expected) in enumerate(zip(got, want)):
-            assert line == expected, f"log line {count} differs"
+    def test_every_flag_combination_matches_oracle_line(self):
+        # The writer fills a report's template with a row's values; for a
+        # family entry it first fills d, e and f with "%d", splits the line
+        # there, and joins the pieces with each row's d, e and f.
+        count = 0
+        for flags in product((False, True), repeat=11):
+            report = ConditionReport(*flags)
+            template, pick = _line_template(report)
+            for row in self.ROWS:
+                want = oracle_log_line(row, flags_of(report))
+                assert (template % pick(row)).encode() == want, f"line {count} differs"
+                open_row = row[:6] + _DEF_OPEN + row[9:]
+                head, to_e, to_f, tail = (template % pick(open_row)).split("%d")
+                d, e, f = map(str, row[6:9])
+                bound = "".join((head, d, to_e, e, to_f, f, tail))
+                assert bound.encode() == want, f"bound line {count} differs"
+                count += 1
+        assert count == 2**11 * len(self.ROWS)
 
     def test_write_holds_far_less_than_the_log(self, tmp_path):
         result = search(SearchSpace.cube(-6, 6))
@@ -618,9 +625,10 @@ class TestLineTemplates:
 
 
 class TestMemoryBound:
-    def test_peak_grows_by_a_report_reference_per_row(self, tmp_path):
-        # Trivial rows stay families until they are classified or written,
-        # so each added row costs its report reference and no row list.
+    def test_peak_grows_by_the_entries_alone(self, tmp_path):
+        # Family rows are counted by class and written by stripe, and an
+        # explicit row keeps a two-byte report code beside its entry, so
+        # the growth per added row is the entries' share and nothing more.
         peaks, rows = [], []
         for bound in (4, 6):
             tracemalloc.start()
@@ -640,6 +648,134 @@ class TestClassifierAgainstOracle:
     @given(st.lists(st.integers(-3, 3), min_size=11, max_size=11))
     def test_small_rows(self, row):
         assert flags_of(classify_row(row)) == oracle_conditions(row)
+
+
+def assert_pattern_path_matches_rows(result):
+    """The counts and every row's report against ``classify_row`` on each expanded row."""
+    counts = dict.fromkeys(("rows", "trivial", "pairwise", "adjacent", "alt"), 0)
+    for row, report in zip_longest(result.iter_rows(), result.iter_reports()):
+        want = classify_row(row)
+        assert report == want, f"row {row} has {report}, not {want}"
+        counts["rows"] += 1
+        counts["trivial"] += want.trivial
+        counts["pairwise"] += want.counterexample_pairwise
+        counts["adjacent"] += want.counterexample_adjacent
+        counts["alt"] += want.admissible_with_adjacent_def
+    assert counts == {
+        "rows": len(result.solutions),
+        "trivial": result.trivial_solutions,
+        "pairwise": result.counterexamples_pairwise,
+        "adjacent": result.counterexamples_adjacent,
+        "alt": result.adjacent_def_admissible,
+    }
+    return counts
+
+
+def family_slots(result):
+    """The (d, e, f) free-slot patterns of the result's family entries."""
+    return {
+        tuple(value is None for value in entry[6:9])
+        for entry in chain.from_iterable(result.entries)
+        if None in entry
+    }
+
+
+class TestPatternPathAgainstRows:
+    """Family rows are classified once per class; every row must still get its own report."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.lists(
+            st.tuples(st.integers(-4, 4), st.integers(-4, 4)).map(sorted),
+            min_size=6,
+            max_size=6,
+        ),
+    )
+    def test_random_unit_bounds(self, ranges):
+        bounds = {name: tuple(pair) for name, pair in zip("abcdef", ranges)}
+        assert_pattern_path_matches_rows(search(SearchSpace(bounds=bounds, shards=2)))
+
+    @pytest.mark.parametrize(
+        "bounds",
+        [
+            # a = b = c = 0 only: one entry with d, e, f all free, over
+            # ranges that differ, exclude 0 or hold only one sign.
+            {"a": (0, 0), "b": (0, 0), "c": (0, 0), "d": (-3, 1), "e": (2, 4), "f": (-1, 3)},
+            {"a": (0, 0), "b": (0, 0), "c": (0, 0), "d": (1, 3), "e": (-3, -1), "f": (-2, 2)},
+            # b = 0 or c = 0: e and f free beside a fixed d.
+            {"a": (-2, 3), "b": (-1, 0), "c": (0, 2), "d": (-2, 0), "e": (-3, 2), "f": (1, 4)},
+        ],
+    )
+    def test_free_axes_over_unequal_ranges(self, bounds, tmp_path):
+        result = search(SearchSpace(bounds=bounds))
+        assert family_slots(result)
+        assert_pattern_path_matches_rows(result)
+        assert_matches_oracle(result, tmp_path / "log.jsonl")
+
+    def test_unit_cube_holds_an_all_free_entry(self):
+        result = search(SearchSpace.cube(-3, 3, shards=3))
+        assert (True, True, True) in family_slots(result)
+        assert_pattern_path_matches_rows(result)
+
+    def test_general_box(self):
+        # Free a and alpha axes and several free slots at once.
+        result = search(SearchSpace.cube(-2, 2, case="general", shards=5))
+        assert len(family_slots(result)) == 7
+        assert any(0 in (row[0], row[3]) for row in chain.from_iterable(result.entries))
+        counts = assert_pattern_path_matches_rows(result)
+        assert counts["rows"] == 312_753 and counts["adjacent"] == 48
+
+    def test_forged_family_that_fails_the_system(self, tmp_path):
+        # a = 1 fixes d; b = c = 0 free e and f.  q = 1 forces p = d**2 = 1,
+        # so p = 5 fails the second equation for every e and f, yet the
+        # entry's nulls are exactly its zero-product slots and it loads.
+        cp = tmp_path / "forged.ckpt"
+        space = SearchSpace.cube(-1, 1, checkpoint_path=cp)
+        record = real_scan_shard(space, 0)
+        record["solutions"] = [[1, 1, 1, 1, 0, 0, 1, None, None, 5, 1]]
+        append_record(cp, record)
+        result = search(space)
+        assert result.shards_reused == 1 and len(result.solutions) == 9
+        assert_pattern_path_matches_rows(result)
+        assert not any(report.satisfied for report in result.iter_reports())
+        assert_matches_oracle(result, tmp_path / "log.jsonl")
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.lists(st.one_of(st.none(), st.integers(-3, 3)), min_size=3, max_size=3),
+        st.lists(
+            st.tuples(st.integers(-4, 4), st.integers(-4, 4)).map(sorted),
+            min_size=3,
+            max_size=3,
+        ),
+    )
+    def test_classes_count_each_pattern_exactly(self, slots, ranges):
+        # The search weights each class's report by its size, so the sizes
+        # must add up to the rows of each d, e, f pattern, whatever the ranges.
+        free = [range(low, high + 1) for low, high in ranges]
+        entry = [1, 1, 1, 0, 0, 0, *slots, 0, 0]
+        axes = [free[i] if value is None else (value,) for i, value in enumerate(slots)]
+        want = Counter(_pattern(*values) for values in product(*axes))
+        got = Counter()
+        for values, size in _def_classes(entry, free):
+            assert all(value in axis for value, axis in zip(values, axes))
+            got[_pattern(*values)] += size
+        assert got == want
+
+    def test_classifies_far_fewer_rows_than_it_counts(self, monkeypatch):
+        # Every classification, through classify_row or its report code,
+        # evaluates the system once: count those evaluations.
+        calls = []
+        count_system = rows_module.system_values
+
+        def counting(*args):
+            calls.append(1)
+            return count_system(*args)
+
+        monkeypatch.setattr(rows_module, "system_values", counting)
+        result = search(SearchSpace.cube(-8, 8, shards=17))
+        assert len(result.solutions) == 135_681
+        assert len(calls) < 25_000
 
 
 class TestSolutionsAreLazy:
