@@ -29,7 +29,7 @@ from operator import attrgetter
 from typing import Callable
 
 from .lemma import linear_forms
-from .rows import ConditionReport, classify_row
+from .search import ConditionReport, classify_row
 
 __all__ = [
     "CLAIM_IDS",

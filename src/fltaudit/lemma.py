@@ -41,7 +41,7 @@ from random import Random
 from typing import Union
 
 from .poly import ONE, Polynomial, NotDivisible, X, Y, Z
-from .rows import system_values
+from .search import system_values
 
 __all__ = [
     "AbcTriple",

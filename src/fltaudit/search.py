@@ -34,12 +34,12 @@ the same row.  The kernel scans one |d| there and emits one family entry:
 the row with None in the d slot.  Entries stay families in the checkpoint
 and in the SearchResult.  An entry's rows differ only in how their free
 values compare with 0 and with the other d, e, f values, and rows that
-compare alike share a report (``fltaudit.rows``).  So the search classifies
-one row per class of a family's rows, weights its flags by the class size
-and keeps one report code per entry and pattern, and the result log binds
-one line per entry and report: the work and the memory grow with the
-entries, not the rows.  Rows are expanded from the entries, in enumeration
-order, only when they are walked.
+compare alike share a report.  So the search classifies one row per class
+of a family's rows, weights its flags by the class size and keeps one
+report code per entry and pattern, and the result log binds one line per
+entry and report: the work and the memory grow with the entries, not the
+rows.  Rows are expanded from the entries, in enumeration order, only when
+they are walked.
 
 The space is split into shards by a prefix of the enumeration order; each
 completed shard appends one fsync'd record to the checkpoint file, so an
@@ -53,7 +53,8 @@ import json
 from array import array
 from collections import Counter
 from dataclasses import dataclass
-from itertools import chain, islice, product
+from functools import lru_cache
+from itertools import chain, groupby, product
 from math import isqrt
 from operator import attrgetter, itemgetter
 from pathlib import Path
@@ -61,24 +62,6 @@ from typing import Callable, Iterator, Mapping, Sequence
 
 from .checkpoint import CheckpointError, append_record, read_records
 from .ints import SQUARES_MOD_16, SQUARES_MOD_9, exact_sqrt
-from .rows import (
-    _PATTERN_COUNT,
-    _REPORTS,
-    COEFF_VARS,
-    ROW_VARS,
-    UNIT_VARS,
-    ConditionReport,
-    ConjectureInstance,
-    _def_classes,
-    _groups,
-    _pattern,
-    _readings,
-    _report_code,
-    _stripes,
-    check_conditions,
-    classify_row,
-    system_values,
-)
 
 __all__ = [
     "ConditionReport",
@@ -92,10 +75,188 @@ __all__ = [
     "write_result_log",
 ]
 
+COEFF_VARS = ("alpha", "beta", "gamma")
+UNIT_VARS = ("a", "b", "c", "d", "e", "f")
+# Layout of a kernel row, which is also the sort key of its instance.
+ROW_VARS = COEFF_VARS + UNIT_VARS + ("p", "q")
 # The enumerated variables of each case, in enumeration order.
 _CASE_VARS = {"unit": UNIT_VARS, "general": COEFF_VARS + UNIT_VARS}
 
 ShardHook = Callable[[int, dict], None]
+
+
+# ----------------------------------------------------------------------
+# Instances and condition flags
+
+
+@dataclass(frozen=True)
+class ConjectureInstance:
+    """One assignment of all eleven unknowns, its fields in ``ROW_VARS`` order."""
+
+    alpha: int
+    beta: int
+    gamma: int
+    a: int
+    b: int
+    c: int
+    d: int
+    e: int
+    f: int
+    p: int
+    q: int
+
+    def key(self) -> tuple[int, ...]:
+        """The kernel row: the sort key following the enumeration order."""
+        return _row_of(self)
+
+    @classmethod
+    def from_key(cls, row: Sequence[int]) -> "ConjectureInstance":
+        """Inverse of ``key``: build the instance from a row in key order."""
+        return cls(*row)
+
+
+_row_of = attrgetter(*ROW_VARS)
+
+
+def system_values(a, b, c, d, e, f, alpha, beta, gamma):
+    """The three right-hand sides for one assignment of (a..f, alpha..gamma).
+
+    The arguments may be ints or Polynomials (anything with + - * **): the
+    lemma derives its Q, M, P from this same expression.
+    """
+    first = a * a * alpha - b * b * beta - c * c * gamma
+    second = (a * d) ** 2 * alpha - (b * e) ** 2 * beta - (c * f) ** 2 * gamma
+    third = (a * d * d) ** 2 * alpha - (b * e * e) ** 2 * beta - (c * f * f) ** 2 * gamma
+    return first, second, third
+
+
+@dataclass(frozen=True)
+class ConditionReport:
+    """Side-condition flags for an instance, under both chain readings.
+
+    The *_adjacent fields repeat the corresponding chain with only
+    neighbouring values required distinct (and the final "!= 0" applied to
+    the last element only).
+
+    The counterexample verdict always requires d, e, f pairwise distinct and
+    nonzero; the per-reading verdicts differ only in how the coefficient
+    chain |alpha| != |beta| != |gamma| != 0 is read.  Solutions that would
+    qualify only under the weakened adjacent reading of the d, e, f chain
+    are flagged separately (``admissible_with_adjacent_def``) so alternative
+    conventions can be re-counted offline.
+    """
+
+    satisfied: bool
+    trivial: bool
+    def_distinct_nonzero: bool
+    def_distinct_nonzero_adjacent: bool
+    case_unit: bool
+    case_general_distinct: bool
+    case_general_distinct_adjacent: bool
+    divisibility: bool
+    non_unit_divisors: bool
+    counterexample_pairwise: bool
+    counterexample_adjacent: bool
+
+    @property
+    def admissible_with_adjacent_def(self) -> bool:
+        """Would qualify if the d, e, f chain were read adjacent-only."""
+        cases = self.case_unit or (
+            self.case_general_distinct_adjacent
+            and self.divisibility
+            and self.non_unit_divisors
+        )
+        return (
+            self.satisfied
+            and not self.trivial
+            and self.def_distinct_nonzero_adjacent
+            and not self.def_distinct_nonzero
+            and cases
+        )
+
+    def as_dict(self) -> dict[str, bool]:
+        return {
+            "satisfied": self.satisfied,
+            "trivial": self.trivial,
+            "def_distinct_nonzero": self.def_distinct_nonzero,
+            "def_distinct_nonzero_adjacent": self.def_distinct_nonzero_adjacent,
+            "case_unit": self.case_unit,
+            "case_general_distinct": self.case_general_distinct,
+            "case_general_distinct_adjacent": self.case_general_distinct_adjacent,
+            "divisibility": self.divisibility,
+            "non_unit_divisors": self.non_unit_divisors,
+        }
+
+
+# Every report built so far, by its code: bit i of the code is the report's
+# i-th field, so there are at most 2**11 of them.  Rows share these frozen
+# objects, and a stored code costs two bytes where a reference costs eight.
+_REPORTS: dict[int, ConditionReport] = {}
+_CODES: dict[tuple[bool, ...], int] = {}
+
+
+def _report_code(row: Sequence[int]) -> int:
+    """The code in ``_REPORTS`` of ``classify_row(row)``, building the report on first use."""
+    alpha, beta, gamma, a, b, c, d, e, f, p, q = row
+    first, second, third = system_values(a, b, c, d, e, f, alpha, beta, gamma)
+    satisfied = q * q == first and p * q == second and p * p == third
+    trivial = a * b * c == 0 or (p == 0 and q == 0)
+    def_pair = d != 0 and e != 0 and f != 0 and d != e and d != f and e != f
+    def_adj = d != e and e != f and f != 0
+    aa, ab, ag = abs(alpha), abs(beta), abs(gamma)
+    case_unit = alpha == 1 and beta == 1 and gamma == 1
+    gen_pair = aa != 0 and ab != 0 and ag != 0 and aa != ab and aa != ag and ab != ag
+    gen_adj = aa != ab and ab != ag and ag != 0
+    # Zero divides only zero.
+    div_ok = (
+        (a % alpha == 0 if alpha else a == 0)
+        and (b % beta == 0 if beta else b == 0)
+        and (c % gamma == 0 if gamma else c == 0)
+    )
+    # Literal reading of |alpha| != a: a magnitude against a signed value.
+    non_unit = aa != a and ab != b and ag != c
+
+    qualifies = satisfied and not trivial and def_pair
+    general = div_ok and non_unit
+    # In ConditionReport's field order.
+    flags = (satisfied, trivial, def_pair, def_adj, case_unit, gen_pair, gen_adj, div_ok, non_unit)
+    flags += (
+        qualifies and (case_unit or (gen_pair and general)),
+        qualifies and (case_unit or (gen_adj and general)),
+    )
+    code = _CODES.get(flags)
+    if code is None:
+        # Racing threads compute the same code and equal reports.
+        code = sum(flag << bit for bit, flag in enumerate(flags))
+        _REPORTS[code] = ConditionReport(*flags)
+        _CODES[flags] = code
+    return code
+
+
+def classify_row(row: Sequence[int]) -> ConditionReport:
+    """Recompute every hypothesis flag and the per-reading counterexample verdicts.
+
+    ``row`` is ``[alpha, beta, gamma, a, b, c, d, e, f, p, q]``.  The report
+    is interned: all rows with the same flags get the same frozen object.
+    """
+    return _REPORTS[_report_code(row)]
+
+
+def check_conditions(inst: ConjectureInstance) -> ConditionReport:
+    """The shared condition report of one instance.
+
+    ``satisfied`` says whether all three equations hold exactly; ``trivial``
+    marks a zero among a, b, c, or p = q = 0.
+    """
+    return classify_row(inst.key())
+
+
+def _readings(report: ConditionReport) -> dict[str, bool]:
+    """The per-reading counterexample verdicts, as logs and reports spell them."""
+    return {
+        "pairwise": report.counterexample_pairwise,
+        "adjacent": report.counterexample_adjacent,
+    }
 
 
 # ----------------------------------------------------------------------
@@ -162,9 +323,9 @@ class SearchSpace:
     def enumerated_vars(self) -> tuple[str, ...]:
         return _CASE_VARS[self.case]
 
-    def values_of(self, name: str) -> list[int]:
+    def values_of(self, name: str) -> range:
         low, high = self.bounds[name]
-        return list(range(low, high + 1))
+        return range(low, high + 1)
 
     def total_assignments(self) -> int:
         total = 1
@@ -346,39 +507,121 @@ def _kernel(
 # Orchestration
 
 
-def _free_ranges(space: SearchSpace) -> list[range]:
-    return [range(low, high + 1) for low, high in map(space.bounds.__getitem__, "def")]
+_PREFIX = itemgetter(0, 1, 2, 3, 4, 5)
 
 
-def _expand(shard_entries: list[list[list]], space: SearchSpace) -> Iterator[list[int]]:
-    """The kernel rows of the shards' entries, in enumeration order."""
-    free = _free_ranges(space)
-    for group in _groups(shard_entries):
-        if None not in group[0]:
-            yield from group
+def _groups(entries: list[list[list]]) -> Iterator[list[list]]:
+    """The entries in runs sharing (alpha, beta, gamma, a, b, c), in enumeration order.
+
+    The prefix fixes which of d, e, f are free, so a run is either explicit
+    rows only or family entries only.
+    """
+    for _, group in groupby(chain.from_iterable(entries), _PREFIX):
+        yield list(group)
+
+
+def _pattern_key(d: int, e: int, f: int) -> tuple[int, int, int]:
+    """Where each of d, e and f first occurs in (0, d, e, f)."""
+    values = (0, d, e, f)
+    return values.index(d), values.index(e), values.index(f)
+
+
+# The ways d, e and f can compare with 0 and with each other, numbered:
+# values in 0..3 show all 15 of them.
+_PATTERNS = {
+    key: n for n, key in enumerate(sorted({_pattern_key(*v) for v in product(range(4), repeat=3)}))
+}
+_PATTERN_COUNT = len(_PATTERNS)
+
+
+def _pattern(d: int, e: int, f: int) -> int:
+    """The number of the way d, e and f compare with 0 and with each other.
+
+    The rows of a family entry with the same number get the same report.
+    """
+    return _PATTERNS[_pattern_key(d, e, f)]
+
+
+# Entries of a search share their ranges and most of their marks.
+@lru_cache(maxsize=4096)
+def _classes(
+    values: range, marks: frozenset[int], later: tuple[range, ...]
+) -> tuple[tuple[int, int], ...]:
+    """``values`` split into classes, as (representative, size) pairs.
+
+    Each mark in ``values`` is a class of its own.  The other values are
+    grouped by which of the ``later`` ranges hold them, so every value of a
+    class compares alike with the marks and leaves the same number of values
+    to each later range.
+    """
+    low, stop = values.start, values.stop
+    singles = sorted(mark for mark in marks if low <= mark < stop)
+    edges = sorted({low, stop, *(x for r in later for x in (r.start, r.stop) if low < x < stop)})
+    rest: dict[tuple[bool, ...], tuple[int, int]] = {}
+    for start, end in zip(edges, edges[1:]):
+        size = end - start - sum(start <= mark < end for mark in singles)
+        if size:
+            rep = start
+            while rep in marks:  # at most len(marks) steps
+                rep += 1
+            inside = tuple(start in r for r in later)
+            first, total = rest.get(inside, (rep, 0))
+            rest[inside] = first, total + size
+    return (*((mark, 1) for mark in singles), *rest.values())
+
+
+def _def_classes(entry: list, free: list[range]) -> list[tuple[tuple[int, int, int], int]]:
+    """Representative (d, e, f) values of a family entry's rows, each with its row count.
+
+    The free slots are split in d, e, f order.  A slot's marks are 0, the
+    entry's fixed values and the values picked for the slots before it, so
+    all the rows a representative stands for have its pattern, and its
+    count is exact even where the ranges differ.
+    """
+    slots = entry[6:9]
+    fixed = {0, *(value for value in slots if value is not None)}
+    picks: list[tuple[tuple[int, ...], int]] = [((), 1)]
+    for i, value in enumerate(slots):
+        if value is not None:
+            picks = [(picked + (value,), count) for picked, count in picks]
             continue
-        for slot, xs, outer, entries in _stripes(group, free):
-            for x in xs:
-                for entry in entries:
-                    yield [*entry[:6], *outer, x, *entry[slot + 1 :]]
+        later = tuple(free[j] for j in range(i + 1, 3) if slots[j] is None)
+        picks = [
+            (picked + (v,), count * size)
+            for picked, count in picks
+            for v, size in _classes(free[i], frozenset(fixed.union(picked)), later)
+        ]
+    return picks
+
+
+def _family_rows(group: list[list], free: list[range]) -> Iterator[tuple]:
+    """The rows of a family group in enumeration order, as (entry, d, e, f, code slot).
+
+    A ``None`` in the d, e or f slot stands for every value of that
+    variable's range in ``free``.  The group's entries share their None
+    slots, so the group is walked d -> e -> f, a free slot over its whole
+    range; no sort is needed.  The group's codes are ``_PATTERN_COUNT``
+    per entry, in entry order, and a row's code slot is its entry's
+    first plus its pattern.
+    """
+    # slot value (None when free) -> next slot's tree; f's leaves hold the
+    # entry and where its codes start.
+    tree: dict = {}
+    for k, entry in enumerate(group):
+        d_key, e_key, f_key = entry[6:9]
+        tree.setdefault(d_key, {}).setdefault(e_key, {})[f_key] = entry, _PATTERN_COUNT * k
+    d_free, e_free, f_free = free
+    for d_key, e_tree in tree.items():
+        for d in d_free if d_key is None else (d_key,):
+            for e_key, f_tree in e_tree.items():
+                for e in e_free if e_key is None else (e_key,):
+                    for f_key, (entry, first) in f_tree.items():
+                        for f in f_free if f_key is None else (f_key,):
+                            yield entry, d, e, f, first + _pattern(d, e, f)
 
 
 # Where a family entry has no row with a pattern.
 _NO_CODE = 0xFFFF
-
-
-def _with_code_offsets(entries: list[list[list]]) -> Iterator[tuple[list[list], dict | None]]:
-    """Each group of ``entries`` with, for a family group, where each entry's codes start.
-
-    The offsets index ``SearchResult.family_codes``; an explicit group gets None.
-    """
-    offset = 0
-    for group in _groups(entries):
-        if None not in group[0]:
-            yield group, None
-            continue
-        yield group, {id(entry): offset + _PATTERN_COUNT * k for k, entry in enumerate(group)}
-        offset += _PATTERN_COUNT * len(group)
 
 
 class Solutions:
@@ -391,8 +634,9 @@ class Solutions:
         return self._result.row_count
 
     def __iter__(self) -> Iterator[tuple[ConjectureInstance, ConditionReport]]:
-        for row, report in zip(self._result.iter_rows(), self._result.iter_reports()):
-            yield ConjectureInstance.from_key(row), report
+        for codes, rows in self._result._walk():
+            for entry, d, e, f, k in rows:
+                yield ConjectureInstance(*entry[:6], d, e, f, *entry[9:]), _REPORTS[codes[k]]
 
 
 @dataclass
@@ -423,26 +667,37 @@ class SearchResult:
     shards_reused: int
     checkpoint_tail_discarded: bool = False
 
+    def _walk(self) -> Iterator[tuple[array, Iterator[tuple]]]:
+        """Each run of entries sharing (alpha, beta, gamma, a, b, c), in enumeration order.
+
+        A run comes as the report codes its rows can have and a lazy walk of
+        its rows in enumeration order, each as (entry, d, e, f, k): the row
+        is the entry with d, e and f in their slots, ``codes[k]`` is its
+        report code, and the rows that share a k share their entry and code.
+        """
+        free = [self.space.values_of(name) for name in "def"]
+        explicit = family = 0
+        for group in _groups(self.entries):
+            if None not in group[0]:
+                codes = self.explicit_codes[explicit : explicit + len(group)]
+                explicit += len(group)
+                yield codes, ((entry, *entry[6:9], k) for k, entry in enumerate(group))
+            else:
+                codes = self.family_codes[family : family + _PATTERN_COUNT * len(group)]
+                family += len(codes)
+                yield codes, _family_rows(group, free)
+
     def iter_rows(self) -> Iterator[list[int]]:
         """The kernel rows in enumeration order, expanded from the entries as they go."""
-        return _expand(self.entries, self.space)
+        for _, rows in self._walk():
+            for entry, d, e, f, _ in rows:
+                yield [*entry[:6], d, e, f, *entry[9:]]
 
     def iter_reports(self) -> Iterator[ConditionReport]:
         """The report of each row, in the order of ``iter_rows``."""
-        codes = iter(self.explicit_codes)
-        free = _free_ranges(self.space)
-        for group, first in _with_code_offsets(self.entries):
-            if first is None:
-                yield from map(_REPORTS.__getitem__, islice(codes, len(group)))
-                continue
-            for slot, xs, outer, entries in _stripes(group, free):
-                members = [
-                    ([*outer, None, *entry[slot + 1 : 9]], first[id(entry)]) for entry in entries
-                ]
-                for x in xs:
-                    for values, offset in members:
-                        values[slot - 6] = x
-                        yield _REPORTS[self.family_codes[offset + _pattern(*values)]]
+        for codes, rows in self._walk():
+            for *_, k in rows:
+                yield _REPORTS[codes[k]]
 
     @property
     def rows(self) -> list[list[int]]:
@@ -461,21 +716,22 @@ class SearchResult:
         """
         if not (self.counterexamples_pairwise or self.counterexamples_adjacent):
             return []
-
-        def is_hit(pair: tuple) -> bool:
-            return pair[1].counterexample_pairwise or pair[1].counterexample_adjacent
-
-        explicit = (entry for entry in chain.from_iterable(self.entries) if None not in entry)
-        hits = list(filter(is_hit, zip(explicit, map(_REPORTS.__getitem__, self.explicit_codes))))
-        # Where the explicit rows hold every counterexample, no family row
-        # is one, and the explicit hits are already in enumeration order.
-        counts = (
-            sum(report.counterexample_pairwise for _, report in hits),
-            sum(report.counterexample_adjacent for _, report in hits),
-        )
-        if counts != (self.counterexamples_pairwise, self.counterexamples_adjacent):
-            hits = list(filter(is_hit, zip(self.iter_rows(), self.iter_reports())))
-        return [dict(zip(ROW_VARS, row), readings=_readings(report)) for row, report in hits]
+        hits = {
+            code
+            for code, report in list(_REPORTS.items())
+            if report.counterexample_pairwise or report.counterexample_adjacent
+        }
+        # Only runs that have a counterexample report are walked.
+        return [
+            dict(
+                zip(ROW_VARS, (*entry[:6], d, e, f, *entry[9:])),
+                readings=_readings(_REPORTS[codes[k]]),
+            )
+            for codes, rows in self._walk()
+            if hits.intersection(codes)
+            for entry, d, e, f, k in rows
+            if codes[k] in hits
+        ]
 
     def certificate(self) -> dict:
         return {
@@ -608,7 +864,7 @@ def search(
     # An explicit row is classified on its own; a family entry once per
     # class of its rows, its count weighted by the class size.
     entries = [records[sid]["solutions"] for sid in range(space.shards)]
-    free = _free_ranges(space)
+    free = [space.values_of(name) for name in "def"]
     explicit_codes = array("H")
     family_codes = array("H")
     rows_by_code: Counter[int] = Counter()
@@ -664,8 +920,6 @@ def _flag_fields(report: ConditionReport) -> dict:
 _LOG_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
 # The d, e, f slots left open when a family entry's line is bound.
 _DEF_OPEN = ["%d"] * 3
-# A stripe's slot values joined into one write, at most.
-_BLOCK_ROWS = 4096
 
 
 def _line_template(report: ConditionReport) -> tuple[str, Callable[[Sequence], tuple]]:
@@ -692,12 +946,11 @@ def _line_template(report: ConditionReport) -> tuple[str, Callable[[Sequence], t
 def write_result_log(result: SearchResult, path: str | Path) -> None:
     """Write the normalized result log: one canonical JSON object per solution.
 
-    An explicit row fills its report's template.  A family's rows are
-    written stripe by stripe: each entry's line is bound once per report
-    with d, e and f left open, split at the stripe's slot once per pattern,
-    and each row joins its split line with its value there.  A stripe goes
-    to the file in writes of at most ``_BLOCK_ROWS`` slot values, so memory
-    holds one block and the file's buffer, however many rows there are.
+    Each entry's line is bound once per report from the report's template,
+    with d, e and f left open, and each of the entry's rows fills in its d,
+    e and f.  The bound lines of a run of entries are dropped when the run
+    ends, so memory holds one run's lines and the file's buffer, however
+    many rows there are.
     """
     templates: dict[int, tuple] = {}  # report code -> its line template and picker
 
@@ -707,55 +960,15 @@ def write_result_log(result: SearchResult, path: str | Path) -> None:
             entry = templates[code] = _line_template(_REPORTS[code])
         return entry[0] % entry[1](row)
 
-    codes = iter(result.explicit_codes)
-    free = _free_ranges(result.space)
     with open(path, "w", encoding="utf-8") as handle:
         write = handle.write
-        for group, first in _with_code_offsets(result.entries):
-            if first is None:
-                for row, code in zip(group, islice(codes, len(group))):
-                    write(fill(code, row))
-                continue
-            parts_of: dict[tuple[int, int], list[str]] = {}  # (id(entry), code) -> line parts
-            for slot, xs, outer, entries in _stripes(group, free):
-                at = 2 * (slot - 6) + 1  # x's place among a line's pieces
-                # A row's line depends on x only through the pattern, so each
-                # entry needs a line for each of its marks (0 and its other
-                # d, e, f values) and one for every other x.  Each line is
-                # split at x: the text before it and the text after it.
-                lines = []
-                for entry in entries:
-                    values = [*outer, None, *entry[slot + 1 : 9]]
-                    own = {0, *values} - {None}
-                    texts = [str(value) for value in values]
-                    offset = first[id(entry)]
-                    split: dict[int, tuple[str, str]] = {}  # code -> the split line
-
-                    def around(x: int) -> tuple[str, str]:
-                        values[slot - 6] = x
-                        code = result.family_codes[offset + _pattern(*values)]
-                        pair = split.get(code)
-                        if pair is None:
-                            parts = parts_of.get((id(entry), code))
-                            if parts is None:
-                                line = fill(code, entry[:6] + _DEF_OPEN + entry[9:])
-                                parts = parts_of[id(entry), code] = line.split("%d")
-                            head, to_e, to_f, tail = parts
-                            pieces = [head, texts[0], to_e, texts[1], to_f, texts[2], tail]
-                            pair = split[code] = "".join(pieces[:at]), "".join(pieces[at + 1 :])
-                        return pair
-
-                    marked = {x: around(x) for x in own if x in xs}
-                    fresh = next((x for x in xs if x not in own), None)
-                    lines.append((marked, None if fresh is None else around(fresh)))
-                for start in range(xs.start, xs.stop, _BLOCK_ROWS):
-                    block = range(start, min(start + _BLOCK_ROWS, xs.stop))
-                    write(
-                        "".join(
-                            [
-                                text.join(marked.get(x, rest))
-                                for x, text in zip(block, map(str, block))
-                                for marked, rest in lines
-                            ]
-                        )
-                    )
+        for codes, rows in result._walk():
+            # Each code slot's line, split at the open d, e and f.
+            bound: list[list[str] | None] = [None] * len(codes)
+            for entry, d, e, f, k in rows:
+                parts = bound[k]
+                if parts is None:
+                    line = fill(codes[k], entry[:6] + _DEF_OPEN + entry[9:])
+                    parts = bound[k] = line.split("%d")
+                head, to_e, to_f, tail = parts
+                write(f"{head}{d}{to_e}{e}{to_f}{f}{tail}")

@@ -15,7 +15,6 @@ from hypothesis import strategies as st
 
 from fltaudit.checkpoint import CheckpointError, append_record, read_records
 from fltaudit.ints import SQUARES_MOD_16, SQUARES_MOD_9
-import fltaudit.rows as rows_module
 import fltaudit.search as search_module
 from fltaudit.search import (
     ROW_VARS,
@@ -28,8 +27,7 @@ from fltaudit.search import (
     system_values,
     write_result_log,
 )
-from fltaudit.rows import _def_classes, _pattern
-from fltaudit.search import _DEF_OPEN, _line_template
+from fltaudit.search import _DEF_OPEN, _def_classes, _line_template, _pattern
 from fltaudit.search import _scan_shard as real_scan_shard
 
 from oracles import (
@@ -202,15 +200,18 @@ class TestSearchAgainstOracle:
 
 
 def assert_records_match_oracle(space):
-    """Every shard record equals the pre-quotient scan's but for its format,
-    and its entries expand to the scan's rows, row order included."""
+    """Every shard record equals the pre-quotient scan's but for its format
+    and its entries, and the entries expand to the scan's rows, row order
+    included."""
+    rows = []
     for shard_id in range(space.shards):
         got = real_scan_shard(space, shard_id)
         want = oracle_scan_shard(space, shard_id)
         assert (got.pop("format"), want.pop("format")) == (2, 1)
-        entries, rows = got.pop("solutions"), want.pop("solutions")
+        got.pop("solutions")
+        rows += want.pop("solutions")
         assert got == want
-        assert list(search_module._expand([entries], space)) == rows
+    assert search(space).rows == rows
 
 
 class TestSignQuotientAgainstOracle:
@@ -538,10 +539,6 @@ class TestStreamedLogAgainstOracle:
         assert [tuple(item[v] for v in ROW_VARS) for item in items] == expected
         assert all(item["readings"]["adjacent"] for item in items)
         assert len(expected) == result.counterexamples_adjacent
-        # Counts the explicit rows cannot account for send the lookup
-        # through every row; here it finds the same rows.
-        walked = dataclasses.replace(result, counterexamples_pairwise=1)
-        assert walked.counterexamples() == items
 
     def test_resumed_run(self, tmp_path):
         class Abort(RuntimeError):
@@ -594,9 +591,9 @@ class TestLineTemplates:
     )
 
     def test_every_flag_combination_matches_oracle_line(self):
-        # The writer fills a report's template with a row's values; for a
-        # family entry it first fills d, e and f with "%d", splits the line
-        # there, and joins the pieces with each row's d, e and f.
+        # The writer fills a report's template with d, e and f as "%d",
+        # splits the bound line there, and puts each row's d, e and f
+        # between the pieces.
         count = 0
         for flags in product((False, True), repeat=11):
             report = ConditionReport(*flags)
@@ -604,11 +601,11 @@ class TestLineTemplates:
             for row in self.ROWS:
                 want = oracle_log_line(row, flags_of(report))
                 assert (template % pick(row)).encode() == want, f"line {count} differs"
-                open_row = row[:6] + _DEF_OPEN + row[9:]
-                head, to_e, to_f, tail = (template % pick(open_row)).split("%d")
-                d, e, f = map(str, row[6:9])
-                bound = "".join((head, d, to_e, e, to_f, f, tail))
-                assert bound.encode() == want, f"bound line {count} differs"
+                bound = template % pick(row[:6] + _DEF_OPEN + row[9:])
+                head, to_e, to_f, tail = bound.split("%d")
+                d, e, f = row[6:9]
+                line = f"{head}{d}{to_e}{e}{to_f}{f}{tail}"
+                assert line.encode() == want, f"bound line {count} differs"
                 count += 1
         assert count == 2**11 * len(self.ROWS)
 
@@ -626,9 +623,10 @@ class TestLineTemplates:
 
 class TestMemoryBound:
     def test_peak_grows_by_the_entries_alone(self, tmp_path):
-        # Family rows are counted by class and written by stripe, and an
-        # explicit row keeps a two-byte report code beside its entry, so
-        # the growth per added row is the entries' share and nothing more.
+        # Family rows are counted by class and written from lines bound per
+        # entry and dropped with each run of entries, and an explicit row
+        # keeps a two-byte report code beside its entry, so the growth per
+        # added row is the entries' share and nothing more.
         peaks, rows = [], []
         for bound in (4, 6):
             tracemalloc.start()
@@ -766,13 +764,13 @@ class TestPatternPathAgainstRows:
         # Every classification, through classify_row or its report code,
         # evaluates the system once: count those evaluations.
         calls = []
-        count_system = rows_module.system_values
+        count_system = search_module.system_values
 
         def counting(*args):
             calls.append(1)
             return count_system(*args)
 
-        monkeypatch.setattr(rows_module, "system_values", counting)
+        monkeypatch.setattr(search_module, "system_values", counting)
         result = search(SearchSpace.cube(-8, 8, shards=17))
         assert len(result.solutions) == 135_681
         assert len(calls) < 25_000
