@@ -22,11 +22,17 @@ q >= 0, and p >= 0 when q = 0.
 
 c, d, e and f enter the system only squared, so (p, q) is the same for
 every choice of their signs.  The kernel scans magnitude classes: for fixed
-(alpha, beta, gamma, a, b) it runs the square gate and derives p and q once
-per (|c|, |d|, |e|, |f|), then walks the signed values in enumeration order
-and emits a row for each one whose class had a solution, so rows leave the
-kernel in enumeration order.  A one-signed or lopsided range simply has
-one-member classes.
+(alpha, beta, gamma, a, b) it runs the square gate once per |c|, giving q.
+For each (|d|, |e|) it then solves for f^2 rather than loop over |f|: with
+C = c^2 gamma, the second and third equations leave
+C (C + q^2) F^2 - 2 K1 C F + K1^2 - q^2 K2 = 0 in F = f^2, where K1 and K2
+are the a, b, d, e parts of their right-hand sides.  Only the exact integer
+roots that are the square of an |f| in the range go through the p test; a
+free f, a range with few |f| classes, or the degenerate C (C + q^2) = K1 = 0
+loops over the classes instead.  The kernel then walks the signed values in
+enumeration order and emits a row for each one whose class had a solution,
+so rows leave the kernel in enumeration order.  A one-signed or lopsided
+range simply has one-member classes.
 
 Where a*alpha = 0, a and d drop out of all three equations (likewise
 (b, e) with b*beta and (c, f) with c*gamma), so every d in the range gives
@@ -58,7 +64,7 @@ from itertools import chain, groupby, product
 from math import isqrt
 from operator import attrgetter, itemgetter
 from pathlib import Path
-from typing import Callable, Iterator, Mapping, Sequence
+from typing import Callable, Iterator, Mapping, NamedTuple, Sequence
 
 from .checkpoint import CheckpointError, append_record, read_records
 from .ints import SQUARES_MOD_16, SQUARES_MOD_9, exact_sqrt
@@ -89,9 +95,12 @@ ShardHook = Callable[[int, dict], None]
 # Instances and condition flags
 
 
-@dataclass(frozen=True)
-class ConjectureInstance:
-    """One assignment of all eleven unknowns, its fields in ``ROW_VARS`` order."""
+class ConjectureInstance(NamedTuple):
+    """One assignment of all eleven unknowns, its fields in ``ROW_VARS`` order.
+
+    An instance is a tuple of its row: it iterates over the row's values and
+    compares equal to the plain tuple of them.
+    """
 
     alpha: int
     beta: int
@@ -107,15 +116,12 @@ class ConjectureInstance:
 
     def key(self) -> tuple[int, ...]:
         """The kernel row: the sort key following the enumeration order."""
-        return _row_of(self)
+        return tuple(self)
 
     @classmethod
     def from_key(cls, row: Sequence[int]) -> "ConjectureInstance":
         """Inverse of ``key``: build the instance from a row in key order."""
         return cls(*row)
-
-
-_row_of = attrgetter(*ROW_VARS)
 
 
 def system_values(a, b, c, d, e, f, alpha, beta, gamma):
@@ -248,7 +254,7 @@ def check_conditions(inst: ConjectureInstance) -> ConditionReport:
     ``satisfied`` says whether all three equations hold exactly; ``trivial``
     marks a zero among a, b, c, or p = q = 0.
     """
-    return classify_row(inst.key())
+    return classify_row(inst)
 
 
 def _readings(report: ConditionReport) -> dict[str, bool]:
@@ -366,6 +372,11 @@ def _shard_block_range(space: SearchSpace, shard_id: int, block_count: int) -> t
 # The variables fixed around each kernel call, in row order.
 _OUTER_VARS = ROW_VARS[:5]
 
+# Below this many |f| classes the kernel loops over them rather than solve for
+# f**2: with 3 classes the solve costs more than the loop it replaces, with 5
+# it costs less.
+_SOLVE_MIN_CLASSES = 5
+
 # One variable's magnitude classes (m, m**2, m**4) and its (value, magnitude) walk.
 _SignTable = tuple[list[tuple[int, int, int]], list[tuple[int, int]]]
 
@@ -395,6 +406,8 @@ def _scan_shard(space: SearchSpace, shard_id: int) -> dict:
     c_table, *def_tables = (_sign_classes(space.values_of(name)) for name in "cdef")
     # Each of d, e, f as (its table, its free table), indexed by "product is 0".
     d_pair, e_pair, f_pair = ((table, _free_axis(table)) for table in def_tables)
+    # f's classes by their square, for the kernel's solve for f**2.
+    f_squares = {f_class[1]: f_class for f_class in f_pair[0][0]}
     solutions: list[list] = []
 
     # The unit case pins the coefficients to 1; a block pins the first two
@@ -404,7 +417,9 @@ def _scan_shard(space: SearchSpace, shard_id: int) -> dict:
     for i, j in blocks[start:stop]:
         outer[first : first + 2] = [i], [j]
         for alpha, beta, gamma, a, b in product(*outer):
-            _kernel(alpha, beta, gamma, a, b, c_table, d_pair, e_pair, f_pair, solutions)
+            _kernel(
+                alpha, beta, gamma, a, b, c_table, d_pair, e_pair, f_pair, f_squares, solutions
+            )
 
     return {
         "format": 2,
@@ -427,14 +442,16 @@ def _kernel(
     d_pair: tuple[_SignTable, _SignTable],
     e_pair: tuple[_SignTable, _SignTable],
     f_pair: tuple[_SignTable, _SignTable],
+    f_squares: dict[int, tuple[int, int, int]],
     out: list[list],
 ) -> None:
-    # Scan over (|c|, |d|, |e|, |f|) for fixed coefficients and (a, b): the
-    # right-hand sides see only squares of c, d, e and f.  The perfect-square
-    # gate on the first equation runs before the d/e/f loops, which prunes
-    # the overwhelming majority of assignments.  Where a*a*alpha is 0, d
-    # drops out of the system: one |d| is scanned and the entry carries
-    # None for d, meaning every d in the range (likewise e and f).
+    # Scan over (|c|, |d|, |e|) and the |f| that can solve the system, for
+    # fixed coefficients and (a, b): the right-hand sides see only squares of
+    # c, d, e and f.  The perfect-square gate on the first equation runs
+    # before the d/e/f loops, which prunes the overwhelming majority of
+    # assignments.  Where a*a*alpha is 0, d drops out of the system: one |d|
+    # is scanned and the entry carries None for d, meaning every d in the
+    # range (likewise e and f).
     a_sq = a * a * alpha
     b_sq = b * b * beta
     c_classes, c_walk = c_table
@@ -453,6 +470,14 @@ def _kernel(
         if q * q != val_q2:
             continue
         f_classes, f_walk = f_pair[c_sq == 0]
+        # With K1 = part_pq, K2 = part_p2 and F = f**2, pq = K1 - c_sq*F and
+        # p**2 = K2 - c_sq*F**2 give lead*F**2 - 2*K1*c_sq*F + K1**2 - q**2*K2 = 0,
+        # so each (|d|, |e|) tests only the roots F that are the square of a
+        # class.  A free f, too few classes, or lead = K1 = 0 loops over them.
+        solve = c_sq != 0 and len(f_classes) >= _SOLVE_MIN_CLASSES
+        if solve:
+            q2 = q * q
+            lead = c_sq * (c_sq + q2)
         d_hits: dict[int, dict] = {}
         for dm, d2, d4 in d_classes:
             ad2 = a_sq * d2
@@ -461,8 +486,37 @@ def _kernel(
             for em, e2, e4 in e_classes:
                 part_pq = ad2 - b_sq * e2
                 part_p2 = ad4 - b_sq * e4
+                if not (solve and (lead or part_pq)):
+                    candidates = f_classes
+                elif q and lead:
+                    # F = (K1*c_sq +- q*root) / lead, root**2 = c_sq*((c_sq + q**2)*K2 - K1**2).
+                    inner = c_sq * ((c_sq + q2) * part_p2 - part_pq * part_pq)
+                    if inner < 0:
+                        continue
+                    root = isqrt(inner)
+                    if root * root != inner:
+                        continue
+                    mid = part_pq * c_sq
+                    half = q * root
+                    candidates = [
+                        f_squares[square]
+                        for square, residue in (divmod(mid - half, lead), divmod(mid + half, lead))
+                        if not residue and square in f_squares
+                    ]
+                else:
+                    # One root: F = K1 / c_sq where q = 0, and where c_sq = -q**2
+                    # the root of the linear equation.
+                    if lead:
+                        square, residue = divmod(part_pq, c_sq)
+                    else:
+                        square, residue = divmod(
+                            part_pq * part_pq - q2 * part_p2, 2 * part_pq * c_sq
+                        )
+                    if residue or square not in f_squares:
+                        continue
+                    candidates = (f_squares[square],)
                 f_hits: dict[int, int] = {}
-                for fm, f2, f4 in f_classes:
+                for fm, f2, f4 in candidates:
                     val_pq = part_pq - c_sq * f2
                     val_p2 = part_p2 - c_sq * f4
                     if q:

@@ -27,10 +27,12 @@ from fltaudit.search import (
     system_values,
     write_result_log,
 )
-from fltaudit.search import _DEF_OPEN, _def_classes, _line_template, _pattern
+from fltaudit.search import _DEF_OPEN, _def_classes, _free_axis, _kernel, _line_template, _pattern
+from fltaudit.search import _sign_classes
 from fltaudit.search import _scan_shard as real_scan_shard
 
 from oracles import (
+    _oracle_kernel,
     naive_unit_scan,
     oracle_conditions,
     oracle_log_line,
@@ -109,10 +111,47 @@ class TestRowLayout:
         assert isinstance(search_module, types.ModuleType)
 
     def test_instance_fields_follow_row_layout(self):
-        assert tuple(f.name for f in dataclasses.fields(ConjectureInstance)) == ROW_VARS
+        assert ConjectureInstance._fields == ROW_VARS
         row = (2, 6, 3, -1, 5, 4, 6, -2, -4, 7, 8)
         inst = ConjectureInstance.from_key(row)
-        assert inst.key() == row
+        assert inst.key() == row and type(inst.key()) is tuple
+        assert [getattr(inst, name) for name in ROW_VARS] == list(row)
+
+    def test_instance_is_its_row(self):
+        # A NamedTuple: it compares equal to its row tuple and iterates over it.
+        row = (2, 6, 3, -1, 5, 4, 6, -2, -4, 7, 8)
+        inst = ConjectureInstance(*row)
+        assert inst == row and tuple(inst) == row and list(inst) == list(row)
+        assert ConjectureInstance.from_key(inst.key()) == inst
+        assert inst != ConjectureInstance(*row[:-1], 9)
+
+    def test_instance_is_immutable(self):
+        inst = unit_instance(3, 2, 2, 1, -1, 1, p=1, q=1)
+        with pytest.raises(AttributeError):
+            inst.q = 2
+        with pytest.raises(TypeError):
+            inst[10] = 2
+        assert inst.q == 1
+
+    def test_instance_is_hashable(self):
+        inst = unit_instance(3, 2, 2, 1, -1, 1, p=1, q=1)
+        twin = ConjectureInstance.from_key(inst.key())
+        assert hash(inst) == hash(twin) == hash(inst.key())
+        assert {inst: "x"}[twin] == "x" and len({inst, twin}) == 1
+
+    @pytest.mark.parametrize(
+        "row",
+        [
+            (1, 1, 1, 3, 2, 2, 1, -1, 1, 1, 1),
+            (1, 1, 1, 1, 0, 0, 2, 1, 1, 4, 1),
+            (2, 6, 3, -1, 5, 4, 6, -2, -4, 7, 8),
+            (-2, 1, -1, 2, 1, 2, 3, 1, 2, 7, 1),
+        ],
+    )
+    def test_check_conditions_reads_the_row(self, row):
+        inst = ConjectureInstance.from_key(row)
+        assert check_conditions(inst) is classify_row(list(row))
+        assert flags_of(check_conditions(inst)) == oracle_conditions(row)
 
 
 class TestSearchSpace:
@@ -276,6 +315,41 @@ class TestSignQuotientAgainstOracle:
     @pytest.mark.parametrize(
         "bounds",
         [
+            # Negative gamma, with d, e, f wider than a, b, c, so the kernel
+            # solves for f**2: every branch of the solve is taken.
+            {
+                "alpha": (1, 2),
+                "beta": (-2, 2),
+                "gamma": (-3, -1),
+                **{name: (1, 3) for name in "abc"},
+                **{name: (-6, 6) for name in "def"},
+            },
+            {
+                "alpha": (-2, 2),
+                "beta": (-2, 2),
+                "gamma": (-3, -1),
+                **{name: (-2, -1) for name in "abc"},
+                **{name: (-5, 5) for name in "def"},
+            },
+            {
+                "alpha": (-2, 1),
+                "beta": (-1, 2),
+                "gamma": (-2, -1),
+                "a": (-2, 2),
+                "b": (1, 2),
+                "c": (-2, 1),
+                "d": (-4, 6),
+                "e": (-6, 3),
+                "f": (-5, 5),
+            },
+        ],
+    )
+    def test_general_negative_gamma_wide_def(self, bounds):
+        assert_records_match_oracle(SearchSpace(bounds=bounds, case="general", shards=4))
+
+    @pytest.mark.parametrize(
+        "bounds",
+        [
             {name: (-3, 3) for name in "abcdef"},
             {**{name: (1, 9) for name in "abc"}, **{name: (-4, 2) for name in "def"}},
         ],
@@ -285,6 +359,71 @@ class TestSignQuotientAgainstOracle:
         assert result.rows
         assert result.scanned == result.total_assignments
         assert result.certificate()["scanned"] == result.total_assignments
+
+
+def kernel_against_loop(alpha, beta, gamma, a, b, c_values, def_values):
+    """One ``_kernel`` call's rows, and the rows of the plain loop over every
+    signed c, d, e, f with the same fixed values."""
+    c_table, *tables = (_sign_classes(values) for values in (c_values, *[def_values] * 3))
+    pairs = [(table, _free_axis(table)) for table in tables]
+    f_squares = {f_class[1]: f_class for f_class in tables[2][0]}
+    got = []
+    _kernel(alpha, beta, gamma, a, b, c_table, *pairs, f_squares, got)
+    powers = [(v, v * v, v**4) for v in def_values]
+    want = []
+    _oracle_kernel(alpha, beta, gamma, a, b, c_values, powers, powers, powers, want)
+    return got, sorted(want)
+
+
+def solve_branch(row):
+    """Which way the kernel finds the f of a row with c * gamma != 0."""
+    alpha, beta, gamma, a, b, c, d, e, f, p, q = row
+    c_sq = c * c * gamma
+    part_pq = (a * d) ** 2 * alpha - (b * e) ** 2 * beta
+    if not q:
+        return "q = 0"
+    if c_sq * (c_sq + q * q):
+        return "quadratic"
+    return "linear" if part_pq else "loop"
+
+
+class TestSolveForF:
+    """Each branch of the kernel's solve for f**2 against the plain f loop.
+
+    d, e, f span [-6, 6]: seven |f| classes, enough for the kernel to solve
+    rather than loop.
+    """
+
+    DEF = range(-6, 7)
+
+    @pytest.mark.parametrize(
+        "fixed, c_values, branch",
+        [
+            # 5**2 - 4**2 - 3**2 = 0: q = 0 and F = K1 / c**2.
+            ((1, 1, 1, 5, 4), range(3, 4), "q = 0"),
+            # 3**2 - 2**2 - 2**2 = 1: two roots F per (|d|, |e|).
+            ((1, 1, 1, 3, 2), range(1, 4), "quadratic"),
+            ((2, -1, -3, 1, 2), range(1, 3), "quadratic"),
+            # a**2 alpha = b**2 beta and gamma < 0: c**2 gamma = -q**2.
+            # d != +-e gives the linear root F = e**2; d = +-e makes K1 = 0,
+            # where every f solves the system and the kernel loops.
+            ((1, 1, -1, 1, 1), range(1, 2), "linear"),
+            ((1, 1, -1, 1, 1), range(1, 2), "loop"),
+            ((2, 2, -1, 3, 3), range(1, 4), "linear"),
+        ],
+    )
+    def test_branch_matches_loop(self, fixed, c_values, branch):
+        got, want = kernel_against_loop(*fixed, c_values, self.DEF)
+        assert got == want
+        assert any(solve_branch(row) == branch for row in got)
+
+    # Three and four |f| classes take the loop; the one-signed and the
+    # lopsided range have seven classes and take the solve.
+    @pytest.mark.parametrize("def_values", [range(-2, 3), range(-3, 4), range(0, 7), range(-6, 2)])
+    def test_few_or_one_signed_classes(self, def_values):
+        for fixed in [(1, 1, 1, 3, 2), (1, 1, -1, 1, 1), (2, -1, -3, 1, 2)]:
+            got, want = kernel_against_loop(*fixed, range(-3, 0), def_values)
+            assert got and got == want
 
 
 class TestDeterminismAndSharding:
@@ -781,13 +920,13 @@ class TestSolutionsAreLazy:
         result = search(SearchSpace.cube(-2, 2))
         assert result.counterexamples_pairwise == result.counterexamples_adjacent == 0
         built = []
-        init = ConjectureInstance.__init__
+        new = ConjectureInstance.__new__
 
-        def counting_init(self, *args, **kwargs):
+        def counting_new(cls, *args, **kwargs):
             built.append(1)
-            init(self, *args, **kwargs)
+            return new(cls, *args, **kwargs)
 
-        monkeypatch.setattr(ConjectureInstance, "__init__", counting_init)
+        monkeypatch.setattr(ConjectureInstance, "__new__", counting_new)
         assert len(result.solutions) == len(result.rows) > 0
         assert result.counterexamples() == []
         assert built == []
@@ -795,6 +934,10 @@ class TestSolutionsAreLazy:
         assert built == [1]
         assert inst.key() == tuple(result.rows[0])
         assert isinstance(report, ConditionReport)
+        # Each walked solution builds exactly one instance, through __new__.
+        instances = [inst for inst, _ in result.solutions]
+        assert len(built) == 1 + len(instances) == 1 + len(result.solutions)
+        assert instances == [tuple(row) for row in result.rows]
 
 
 # A shard scan that waits for a gate file before scanning shard 1, so a test
