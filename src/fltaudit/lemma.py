@@ -25,7 +25,8 @@ the reduced system
 is the search's own ``system_values`` at (a..f) = (r..w) and
 (alpha, beta, gamma) = ((xy)^(n-2), (yz)^(n-2), (zx)^(n-2)), so the search
 and this module audit one system.  This module builds both sides of the
-identity by exact expansion, checks it symbolically and numerically,
+identity by exact expansion, checks it symbolically (expanding the right
+side as (A - C)(A + C) + B^2, where A - C = -2Q is small) and numerically,
 re-checks Q, M, P against the halved combinations of A, B, C, and checks the
 consistency identity M^2 - P*Q = (4rst)^2 (xyz)^(n-2) (x^n + y^n - z^n),
 which is what makes the extraction of integers (p, q) with q^2 = Q, pq = M,
@@ -36,11 +37,11 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from random import Random
 from typing import Union
 
-from .poly import ONE, Polynomial, NotDivisible, X, Y, Z
+from .poly import ONE, MonomialTable, NotDivisible, Polynomial, X, Y, Z
 from .search import system_values
 
 __all__ = [
@@ -83,12 +84,13 @@ class AbcTriple:
     C: Polynomial
     n: int
 
+    @cached_property
+    def _table(self) -> MonomialTable:
+        # Built from this instance's own A, B, C on first use, never shared.
+        return MonomialTable((self.A, self.B, self.C))
+
     def evaluate(self, x: int, y: int, z: int) -> tuple[int, int, int]:
-        return (
-            self.A.evaluate(x, y, z),
-            self.B.evaluate(x, y, z),
-            self.C.evaluate(x, y, z),
-        )
+        return self._table.evaluate(x, y, z)
 
 
 @dataclass(frozen=True)
@@ -177,9 +179,14 @@ def lhs_poly(n: int) -> Polynomial:
 
 
 def verify_identity(n: int) -> Polynomial:
-    """Residual lhs - (A^2 + B^2 - C^2); the zero polynomial iff the identity holds."""
+    """Residual lhs - (A^2 + B^2 - C^2); the zero polynomial iff the identity holds.
+
+    The right side is expanded as (A - C)(A + C) + B^2, the same polynomial:
+    A - C has 9 terms, so this is one small product in place of squaring
+    A and C.
+    """
     abc = build_lemma_terms(n)
-    return lhs_poly(n) - (abc.A**2 + abc.B**2 - abc.C**2)
+    return lhs_poly(n) - ((abc.A - abc.C) * (abc.A + abc.C) + abc.B**2)
 
 
 def numeric_cross_check(n: int, point: EvalPoint) -> tuple[int, int]:

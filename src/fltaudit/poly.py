@@ -14,9 +14,11 @@ canonical text rendering.
 
 from __future__ import annotations
 
-from typing import Iterator, Mapping, Union
+from operator import mul
+from typing import Iterable, Iterator, Mapping, Union
 
 __all__ = [
+    "MonomialTable",
     "NotDivisible",
     "Polynomial",
     "X",
@@ -175,9 +177,8 @@ class Polynomial:
         """Exact value at an integer point."""
         if not self._terms:
             return 0
-        xp = _powers(x, max(m[0] for m in self._terms))
-        yp = _powers(y, max(m[1] for m in self._terms))
-        zp = _powers(z, max(m[2] for m in self._terms))
+        xs, ys, zs = zip(*self._terms)
+        xp, yp, zp = _powers(x, max(xs)), _powers(y, max(ys)), _powers(z, max(zs))
         total = 0
         for (ex, ey, ez), coeff in self._terms.items():
             total += coeff * xp[ex] * yp[ey] * zp[ez]
@@ -262,6 +263,33 @@ class Polynomial:
 
     def __repr__(self) -> str:
         return f"Polynomial({self})"
+
+
+class MonomialTable:
+    """Several polynomials over the union of their monomials, evaluated together.
+
+    ``evaluate`` builds one set of power tables per point and computes each
+    monomial's value once, for every polynomial that has it.
+    """
+
+    __slots__ = ("_monomials", "_columns", "_degrees")
+
+    def __init__(self, polys: Iterable[Polynomial]) -> None:
+        polys = tuple(polys)
+        monomials = list(dict.fromkeys(m for poly in polys for m in poly._terms))
+        self._monomials = monomials
+        # One coefficient column per polynomial, 0 where it lacks the monomial.
+        self._columns = tuple(
+            [poly._terms.get(m, 0) for m in monomials] for poly in polys
+        )
+        self._degrees = tuple(map(max, zip(*monomials))) if monomials else (0, 0, 0)
+
+    def evaluate(self, x: int, y: int, z: int) -> tuple[int, ...]:
+        """Exact value of each polynomial at an integer point, in input order."""
+        dx, dy, dz = self._degrees
+        xp, yp, zp = _powers(x, dx), _powers(y, dy), _powers(z, dz)
+        values = [xp[ex] * yp[ey] * zp[ez] for ex, ey, ez in self._monomials]
+        return tuple(sum(map(mul, column, values)) for column in self._columns)
 
 
 def _coerce(value: Union[Polynomial, int]) -> Polynomial:

@@ -1,9 +1,11 @@
 """Identity construction, derivation chain, and consistency checks."""
 
+import dataclasses
 import random
 
 import pytest
 
+from fltaudit import lemma
 from fltaudit.lemma import (
     DerivationError,
     _halved,
@@ -59,6 +61,37 @@ class TestAbcTriple:
             assert abc.evaluate(x, y, z) == abc_at(n, x, y, z)
 
 
+def _table_points(seed):
+    """Fixed corner points (zeros, signs, +-50) plus seeded ones in [-50, 50]^3."""
+    corners = [
+        (0, 0, 0), (0, 1, -1), (1, 0, 0), (0, 0, -7), (-3, 0, 5),
+        (50, 50, 50), (-50, -50, -50), (50, -50, 0), (-50, 17, 50), (-1, -2, -3),
+    ]
+    rng = random.Random(seed)
+    return corners + [tuple(rng.randint(-50, 50) for _ in range(3)) for _ in range(15)]
+
+
+class TestSharedTable:
+    @pytest.mark.parametrize("n", range(3, 13))
+    def test_matches_per_polynomial_and_direct_oracles(self, n):
+        abc = build_lemma_terms(n)
+        for x, y, z in _table_points(300 + n):
+            per_poly = tuple(P.evaluate(x, y, z) for P in (abc.A, abc.B, abc.C))
+            assert abc.evaluate(x, y, z) == per_poly == abc_at(n, x, y, z)
+
+    @pytest.mark.parametrize("n", [3, 8])
+    def test_table_reads_the_triple_it_is_given(self, n, monkeypatch):
+        abc = build_lemma_terms(n)
+        abc.evaluate(1, 2, 3)  # the real triple's table exists before the copy
+        mutated = dataclasses.replace(abc, A=abc.A + X)
+        for x, y, z in _table_points(400 + n):
+            av, bv, cv = abc.evaluate(x, y, z)
+            assert mutated.evaluate(x, y, z) == (av + x, bv, cv)
+        monkeypatch.setattr(lemma, "build_lemma_terms", lambda _: mutated)
+        record = identity_record(n, points=20, rng=random.Random(n))
+        assert record["numeric_mismatches"] > 0
+
+
 class TestIdentity:
     def test_lhs_value_at_123(self):
         # (8 * (-1) * 5 * 4)^2 * 6 * (1 + 8 - 27) = 25600 * 6 * (-18)
@@ -78,6 +111,20 @@ class TestIdentity:
     @pytest.mark.parametrize("n", [3, 4, 5, 6])
     def test_residual_is_zero(self, n):
         assert verify_identity(n).is_zero
+
+    @pytest.mark.parametrize("n", range(3, 11))
+    def test_residual_matches_squares_expansion(self, n):
+        abc = build_lemma_terms(n)
+        squares = lhs_poly(n) - (abc.A**2 + abc.B**2 - abc.C**2)
+        assert verify_identity(n) == squares
+
+    def test_residual_reads_the_triple_it_is_given(self, monkeypatch):
+        abc = build_lemma_terms(4)
+        mutated = dataclasses.replace(abc, A=abc.A + X)
+        monkeypatch.setattr(lemma, "build_lemma_terms", lambda _: mutated)
+        residual = verify_identity(4)
+        assert not residual.is_zero
+        assert residual == lhs_poly(4) - (mutated.A**2 + abc.B**2 - abc.C**2)
 
     @pytest.mark.parametrize("n", range(3, 9))
     def test_lhs_total_degree_is_4n(self, n):

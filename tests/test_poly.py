@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fltaudit.poly import ONE, ZERO, NotDivisible, Polynomial, X, Y, Z
+from fltaudit.poly import ONE, ZERO, MonomialTable, NotDivisible, Polynomial, X, Y, Z
 
 coefficients = st.integers(min_value=-9, max_value=9)
 exponents = st.integers(min_value=0, max_value=4)
@@ -153,6 +153,22 @@ class TestCanonicalForm:
         x, y, z = pt
         naive = sum(c * x**ex * y**ey * z**ez for (ex, ey, ez), c in p.terms())
         assert p.evaluate(x, y, z) == naive
+
+
+class TestMonomialTable:
+    @given(polys=st.lists(polynomials, max_size=4), pt=points)
+    @settings(max_examples=60, deadline=None)
+    def test_matches_each_polynomial(self, polys, pt):
+        expected = tuple(p.evaluate(*pt) for p in polys)
+        assert MonomialTable(polys).evaluate(*pt) == expected
+
+    def test_zero_and_constant_members(self):
+        table = MonomialTable([ZERO, 7 * ONE, X * Y - Z, ZERO])
+        assert table.evaluate(2, 3, 4) == (0, 7, 2, 0)
+
+    def test_empty_table(self):
+        assert MonomialTable([]).evaluate(1, 2, 3) == ()
+        assert MonomialTable([ZERO]).evaluate(1, 2, 3) == (0,)
 
 
 class TestOrderAndRendering:
