@@ -30,14 +30,31 @@ _LENGTH = struct.Struct(">I")
 # not a plausibly truncated write.
 MAX_RECORD_BYTES = 1 << 28
 
+# The canonical form: keys sorted, no spaces.
+_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+# The C encoder holds a string for every value it writes until it joins
+# them, several times the size of its output, so a record's rows are
+# encoded this many at a time.
+_ROWS_PER_CALL = 256
+
 
 class CheckpointError(Exception):
     """The checkpoint file content is not usable for this run."""
 
 
 def append_record(path: str | Path, record: dict) -> None:
-    """Append one record and force it to disk before returning."""
-    payload = json.dumps(record, sort_keys=True, separators=(",", ":")).encode("utf-8")
+    """Append one record and force it to disk before returning.
+
+    The payload is the canonical JSON of ``record``, whose rows are under
+    ``"solutions"``; no key that sorts after it may hold another one.
+    """
+    rows = record["solutions"]
+    head, tail = _ENCODER.encode({**record, "solutions": []}).rsplit('"solutions":[]', 1)
+    parts = (
+        _ENCODER.encode(rows[i : i + _ROWS_PER_CALL])[1:-1]
+        for i in range(0, len(rows), _ROWS_PER_CALL)
+    )
+    payload = f'{head}"solutions":[{",".join(parts)}]{tail}'.encode("utf-8")
     with open(path, "ab") as handle:
         handle.write(_LENGTH.pack(len(payload)))
         handle.write(payload)
@@ -46,27 +63,31 @@ def append_record(path: str | Path, record: dict) -> None:
 
 
 def read_records(path: str | Path) -> tuple[list[dict], bool]:
-    """All complete records plus a flag marking a discarded truncated tail."""
-    data = Path(path).read_bytes()
+    """All complete records plus a flag marking a discarded truncated tail.
+
+    Records are read one at a time, so the file is never held whole beside
+    the records decoded from it.
+    """
     records: list[dict] = []
     offset = 0
-    while offset < len(data):
-        if offset + _LENGTH.size > len(data):
-            return records, True
-        (length,) = _LENGTH.unpack_from(data, offset)
-        if length > MAX_RECORD_BYTES:
-            raise CheckpointError(
-                f"record length {length} at byte {offset} exceeds the sanity bound"
-            )
-        start = offset + _LENGTH.size
-        if start + length > len(data):
-            return records, True
-        try:
-            record = json.loads(data[start : start + length])
-        except ValueError as exc:
-            raise CheckpointError(f"undecodable record at byte {offset}: {exc}") from exc
-        if not isinstance(record, dict):
-            raise CheckpointError(f"record at byte {offset} is not an object")
-        records.append(record)
-        offset = start + length
+    with open(path, "rb") as handle:
+        while header := handle.read(_LENGTH.size):
+            if len(header) < _LENGTH.size:
+                return records, True
+            (length,) = _LENGTH.unpack(header)
+            if length > MAX_RECORD_BYTES:
+                raise CheckpointError(
+                    f"record length {length} at byte {offset} exceeds the sanity bound"
+                )
+            payload = handle.read(length)
+            if len(payload) < length:
+                return records, True
+            try:
+                record = json.loads(payload)
+            except ValueError as exc:
+                raise CheckpointError(f"undecodable record at byte {offset}: {exc}") from exc
+            if not isinstance(record, dict):
+                raise CheckpointError(f"record at byte {offset} is not an object")
+            records.append(record)
+            offset += _LENGTH.size + length
     return records, False

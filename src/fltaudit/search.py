@@ -38,18 +38,24 @@ Where a*alpha = 0, a and d drop out of all three equations (likewise
 (b, e) with b*beta and (c, f) with c*gamma), so every d in the range gives
 the same row.  The kernel scans one |d| there and emits one family entry:
 the row with None in the d slot.  Entries stay families in the checkpoint
-and in the SearchResult.  An entry's rows differ only in how their free
-values compare with 0 and with the other d, e, f values, and rows that
-compare alike share a report.  So the search classifies one row per class
-of a family's rows, weights its flags by the class size and keeps one
-report code per entry and pattern, and the result log binds one line per
-entry and report: the work and the memory grow with the entries, not the
-rows.  Rows are expanded from the entries, in enumeration order, only when
-they are walked.
+and in the SearchResult.  A family row is trivial (a = 0) or fails the
+divisibility condition (zero divides only zero), so it is never a
+counterexample, and its report varies with its free values only through the
+two readings of the chain d != e != f != 0: three classes, since the
+pairwise reading implies the adjacent one.  So the search classifies one
+row per entry and counts the whole entry under its report, and a walk of
+the rows classifies one row per entry and class; the result log binds one
+line per entry and class.  The work and the memory grow with the entries,
+not the rows.  Rows are expanded from the entries, in enumeration order,
+only when they are walked.
 
 The space is split into shards by a prefix of the enumeration order; each
 completed shard appends one fsync'd record to the checkpoint file, so an
-interrupted run resumes without rescanning.
+interrupted run resumes without rescanning.  A resume trusts a record only
+where it matches its shard: its blocks and their assignment count, and rows
+of eleven integers inside the search box, their first two enumerated values
+in the shard's blocks and their nulls exactly in the d, e, f slots whose
+product is 0.
 """
 
 from __future__ import annotations
@@ -59,9 +65,8 @@ import json
 from array import array
 from collections import Counter
 from dataclasses import dataclass
-from functools import lru_cache
 from itertools import chain, groupby, product
-from math import isqrt
+from math import isqrt, prod
 from operator import attrgetter, itemgetter
 from pathlib import Path
 from typing import Callable, Iterator, Mapping, NamedTuple, Sequence
@@ -201,14 +206,27 @@ _REPORTS: dict[int, ConditionReport] = {}
 _CODES: dict[tuple[bool, ...], int] = {}
 
 
+def _def_flags(d: int, e: int, f: int) -> tuple[bool, bool]:
+    """The chain d != e != f != 0, read pairwise and adjacent-only."""
+    return (
+        d != 0 and e != 0 and f != 0 and d != e and d != f and e != f,
+        d != e and e != f and f != 0,
+    )
+
+
+def _def_class(d: int, e: int, f: int) -> int:
+    """0, 1 or 2: how many readings of the d, e, f chain hold (pairwise implies adjacent)."""
+    pair, adj = _def_flags(d, e, f)
+    return pair + adj
+
+
 def _report_code(row: Sequence[int]) -> int:
     """The code in ``_REPORTS`` of ``classify_row(row)``, building the report on first use."""
     alpha, beta, gamma, a, b, c, d, e, f, p, q = row
     first, second, third = system_values(a, b, c, d, e, f, alpha, beta, gamma)
     satisfied = q * q == first and p * q == second and p * p == third
     trivial = a * b * c == 0 or (p == 0 and q == 0)
-    def_pair = d != 0 and e != 0 and f != 0 and d != e and d != f and e != f
-    def_adj = d != e and e != f and f != 0
+    def_pair, def_adj = _def_flags(d, e, f)
     aa, ab, ag = abs(alpha), abs(beta), abs(gamma)
     case_unit = alpha == 1 and beta == 1 and gamma == 1
     gen_pair = aa != 0 and ab != 0 and ag != 0 and aa != ab and aa != ag and ab != ag
@@ -574,96 +592,22 @@ def _groups(entries: list[list[list]]) -> Iterator[list[list]]:
         yield list(group)
 
 
-def _pattern_key(d: int, e: int, f: int) -> tuple[int, int, int]:
-    """Where each of d, e and f first occurs in (0, d, e, f)."""
-    values = (0, d, e, f)
-    return values.index(d), values.index(e), values.index(f)
-
-
-# The ways d, e and f can compare with 0 and with each other, numbered:
-# values in 0..3 show all 15 of them.
-_PATTERNS = {
-    key: n for n, key in enumerate(sorted({_pattern_key(*v) for v in product(range(4), repeat=3)}))
-}
-_PATTERN_COUNT = len(_PATTERNS)
-
-
-def _pattern(d: int, e: int, f: int) -> int:
-    """The number of the way d, e and f compare with 0 and with each other.
-
-    The rows of a family entry with the same number get the same report.
-    """
-    return _PATTERNS[_pattern_key(d, e, f)]
-
-
-# Entries of a search share their ranges and most of their marks.
-@lru_cache(maxsize=4096)
-def _classes(
-    values: range, marks: frozenset[int], later: tuple[range, ...]
-) -> tuple[tuple[int, int], ...]:
-    """``values`` split into classes, as (representative, size) pairs.
-
-    Each mark in ``values`` is a class of its own.  The other values are
-    grouped by which of the ``later`` ranges hold them, so every value of a
-    class compares alike with the marks and leaves the same number of values
-    to each later range.
-    """
-    low, stop = values.start, values.stop
-    singles = sorted(mark for mark in marks if low <= mark < stop)
-    edges = sorted({low, stop, *(x for r in later for x in (r.start, r.stop) if low < x < stop)})
-    rest: dict[tuple[bool, ...], tuple[int, int]] = {}
-    for start, end in zip(edges, edges[1:]):
-        size = end - start - sum(start <= mark < end for mark in singles)
-        if size:
-            rep = start
-            while rep in marks:  # at most len(marks) steps
-                rep += 1
-            inside = tuple(start in r for r in later)
-            first, total = rest.get(inside, (rep, 0))
-            rest[inside] = first, total + size
-    return (*((mark, 1) for mark in singles), *rest.values())
-
-
-def _def_classes(entry: list, free: list[range]) -> list[tuple[tuple[int, int, int], int]]:
-    """Representative (d, e, f) values of a family entry's rows, each with its row count.
-
-    The free slots are split in d, e, f order.  A slot's marks are 0, the
-    entry's fixed values and the values picked for the slots before it, so
-    all the rows a representative stands for have its pattern, and its
-    count is exact even where the ranges differ.
-    """
-    slots = entry[6:9]
-    fixed = {0, *(value for value in slots if value is not None)}
-    picks: list[tuple[tuple[int, ...], int]] = [((), 1)]
-    for i, value in enumerate(slots):
-        if value is not None:
-            picks = [(picked + (value,), count) for picked, count in picks]
-            continue
-        later = tuple(free[j] for j in range(i + 1, 3) if slots[j] is None)
-        picks = [
-            (picked + (v,), count * size)
-            for picked, count in picks
-            for v, size in _classes(free[i], frozenset(fixed.union(picked)), later)
-        ]
-    return picks
-
-
-def _family_rows(group: list[list], free: list[range]) -> Iterator[tuple]:
+def _family_rows(group: list[list], free: list[range], codes: list) -> Iterator[tuple]:
     """The rows of a family group in enumeration order, as (entry, d, e, f, code slot).
 
     A ``None`` in the d, e or f slot stands for every value of that
     variable's range in ``free``.  The group's entries share their None
     slots, so the group is walked d -> e -> f, a free slot over its whole
-    range; no sort is needed.  The group's codes are ``_PATTERN_COUNT``
-    per entry, in entry order, and a row's code slot is its entry's
-    first plus its pattern.
+    range; no sort is needed.  ``codes`` has three slots per entry, in entry
+    order, one per ``_def_class``: a row's slot is its entry's first plus
+    its class, filled from the row itself the first time the slot is met.
     """
     # slot value (None when free) -> next slot's tree; f's leaves hold the
     # entry and where its codes start.
     tree: dict = {}
     for k, entry in enumerate(group):
         d_key, e_key, f_key = entry[6:9]
-        tree.setdefault(d_key, {}).setdefault(e_key, {})[f_key] = entry, _PATTERN_COUNT * k
+        tree.setdefault(d_key, {}).setdefault(e_key, {})[f_key] = entry, 3 * k
     d_free, e_free, f_free = free
     for d_key, e_tree in tree.items():
         for d in d_free if d_key is None else (d_key,):
@@ -671,11 +615,10 @@ def _family_rows(group: list[list], free: list[range]) -> Iterator[tuple]:
                 for e in e_free if e_key is None else (e_key,):
                     for f_key, (entry, first) in f_tree.items():
                         for f in f_free if f_key is None else (f_key,):
-                            yield entry, d, e, f, first + _pattern(d, e, f)
-
-
-# Where a family entry has no row with a pattern.
-_NO_CODE = 0xFFFF
+                            k = first + _def_class(d, e, f)
+                            if codes[k] is None:
+                                codes[k] = _report_code([*entry[:6], d, e, f, *entry[9:]])
+                            yield entry, d, e, f, k
 
 
 class Solutions:
@@ -697,18 +640,15 @@ class Solutions:
 class SearchResult:
     """Merged outcome of all shards: their kernel entries and the counts of their rows.
 
-    Reports are kept as two-byte codes, per entry, never per row.
+    Reports are kept as two-byte codes, per entry, never per row:
     ``explicit_codes`` holds the code of each entry without a free slot, in
-    entry order.  ``family_codes`` holds ``_PATTERN_COUNT`` codes for each
-    family entry, in entry order: the report of its rows with each pattern
-    (``_NO_CODE`` where none of its rows has it).
+    entry order.  A family entry's codes are found again on each walk.
     """
 
     space: SearchSpace
     signature: str
     entries: list[list[list]]
     explicit_codes: array
-    family_codes: array
     row_count: int
     counterexamples_pairwise: int
     counterexamples_adjacent: int
@@ -721,25 +661,25 @@ class SearchResult:
     shards_reused: int
     checkpoint_tail_discarded: bool = False
 
-    def _walk(self) -> Iterator[tuple[array, Iterator[tuple]]]:
+    def _walk(self) -> Iterator[tuple[Sequence, Iterator[tuple]]]:
         """Each run of entries sharing (alpha, beta, gamma, a, b, c), in enumeration order.
 
-        A run comes as the report codes its rows can have and a lazy walk of
-        its rows in enumeration order, each as (entry, d, e, f, k): the row
-        is the entry with d, e and f in their slots, ``codes[k]`` is its
-        report code, and the rows that share a k share their entry and code.
+        A run comes as its report codes and a lazy walk of its rows in
+        enumeration order, each as (entry, d, e, f, k): the row is the entry
+        with d, e and f in their slots, ``codes[k]`` is its report code once
+        the row is walked, and the rows that share a k share their entry and
+        code.
         """
         free = [self.space.values_of(name) for name in "def"]
-        explicit = family = 0
+        explicit = 0
         for group in _groups(self.entries):
             if None not in group[0]:
                 codes = self.explicit_codes[explicit : explicit + len(group)]
                 explicit += len(group)
                 yield codes, ((entry, *entry[6:9], k) for k, entry in enumerate(group))
             else:
-                codes = self.family_codes[family : family + _PATTERN_COUNT * len(group)]
-                family += len(codes)
-                yield codes, _family_rows(group, free)
+                codes = [None] * (3 * len(group))
+                yield codes, _family_rows(group, free, codes)
 
     def iter_rows(self) -> Iterator[list[int]]:
         """The kernel rows in enumeration order, expanded from the entries as they go."""
@@ -770,21 +710,19 @@ class SearchResult:
         """
         if not (self.counterexamples_pairwise or self.counterexamples_adjacent):
             return []
+        # A family row has a zero a*alpha, b*beta or c*gamma: it is trivial
+        # or fails div_ok, so never a counterexample.  Only the explicit
+        # entries, each one row, are read.
         hits = {
             code
             for code, report in list(_REPORTS.items())
             if report.counterexample_pairwise or report.counterexample_adjacent
         }
-        # Only runs that have a counterexample report are walked.
+        explicit = (entry for entry in chain.from_iterable(self.entries) if None not in entry)
         return [
-            dict(
-                zip(ROW_VARS, (*entry[:6], d, e, f, *entry[9:])),
-                readings=_readings(_REPORTS[codes[k]]),
-            )
-            for codes, rows in self._walk()
-            if hits.intersection(codes)
-            for entry, d, e, f, k in rows
-            if codes[k] in hits
+            dict(zip(ROW_VARS, entry), readings=_readings(_REPORTS[code]))
+            for entry, code in zip(explicit, self.explicit_codes)
+            if code in hits
         ]
 
     def certificate(self) -> dict:
@@ -815,8 +753,13 @@ def _load_existing_records(space: SearchSpace, signature: str) -> tuple[dict[int
     if path is None or not Path(path).exists():
         return {}, False
     records, truncated = read_records(path)
-    block_count = len(_prefix_blocks(space))
+    blocks = _prefix_blocks(space)
+    block_count = len(blocks)
     per_block = space.total_assignments() // block_count
+    # The values the kernel can emit for alpha..f: the unit case pins the
+    # coefficients to 1.
+    box = [space.values_of(name) if name in space.bounds else range(1, 2) for name in ROW_VARS[:9]]
+    prefix = itemgetter(*map(ROW_VARS.index, space.enumerated_vars[:2]))
     existing: dict[int, dict] = {}
     for record in records:
         for key in ("format", "signature", "shard", "shards", "blocks", "solutions", "scanned"):
@@ -858,6 +801,19 @@ def _load_existing_records(space: SearchSpace, signature: str) -> tuple[dict[int
             raise CheckpointError(
                 f"checkpoint shard {shard} holds a null outside the d, e, f slots "
                 "whose product is 0, or a value inside one"
+            )
+        # Checked on the distinct prefixes and each column's distinct values,
+        # so a resume that reads every entry pays little for it.
+        if not (
+            set(map(prefix, rows)) <= set(blocks[start:stop])
+            and all(
+                value in axis
+                for i, axis in enumerate(box)
+                for value in set(map(itemgetter(i), rows)) - {None}
+            )
+        ):
+            raise CheckpointError(
+                f"checkpoint shard {shard} holds a row outside its blocks or the search box"
             )
         existing.setdefault(shard, record)
     return existing, truncated
@@ -915,24 +871,22 @@ def search(
 
     # Shards cover consecutive runs of the prefix blocks and each shard's
     # entries are in enumeration order, so the shard-order walk is too.
-    # An explicit row is classified on its own; a family entry once per
-    # class of its rows, its count weighted by the class size.
+    # An explicit row is classified on its own.  A family entry is
+    # classified at its first row and counted whole under that report: its
+    # rows differ only in the d, e, f chain flags, and they are all trivial
+    # or fail div_ok, so the trivial, counterexample and adjacent-admissible
+    # flags the counts read are the same for every row of the entry.
     entries = [records[sid]["solutions"] for sid in range(space.shards)]
     free = [space.values_of(name) for name in "def"]
     explicit_codes = array("H")
-    family_codes = array("H")
     rows_by_code: Counter[int] = Counter()
     for entry in chain.from_iterable(entries):
         if None not in entry:
             explicit_codes.append(_report_code(entry))
             continue
-        codes = [_NO_CODE] * _PATTERN_COUNT
-        for values, size in _def_classes(entry, free):
-            n = _pattern(*values)
-            if codes[n] == _NO_CODE:
-                codes[n] = _report_code([*entry[:6], *values, *entry[9:]])
-            rows_by_code[codes[n]] += size
-        family_codes.extend(codes)
+        axes = [(value,) if value is not None else r for value, r in zip(entry[6:9], free)]
+        first = [*entry[:6], *(axis[0] for axis in axes), *entry[9:]]
+        rows_by_code[_report_code(first)] += prod(map(len, axes))
     rows_by_code.update(explicit_codes)
 
     def rows_where(flag: Callable[[ConditionReport], bool]) -> int:
@@ -945,7 +899,6 @@ def search(
         signature=signature,
         entries=entries,
         explicit_codes=explicit_codes,
-        family_codes=family_codes,
         row_count=sum(rows_by_code.values()),
         counterexamples_pairwise=rows_where(attrgetter("counterexample_pairwise")),
         counterexamples_adjacent=rows_where(attrgetter("counterexample_adjacent")),

@@ -205,6 +205,19 @@ class TestSearch:
         assert code == EXIT_IO
         assert "checkpoint shard 2" in err
 
+    def test_checkpoint_row_outside_the_box_io_exit(self, run_cli, tmp_path):
+        cp = tmp_path / "c.bin"
+        argv = ["search", "--lower", -2, "--upper", 2, "--checkpoint", cp]
+        assert run_cli(argv)[0] == EXIT_OK
+        records, _ = read_records(cp)
+        records[0]["solutions"].append([1, 1, 1, 2, 1, 1, 99, 5, 7, 0, 2])
+        cp.unlink()
+        for record in records:
+            append_record(cp, record)
+        code, _, err = run_cli(argv)
+        assert code == EXIT_IO
+        assert "checkpoint shard 0" in err
+
     def test_abort_and_resume_resume_is_byte_identical(self, run_cli, tmp_path):
         straight_log = tmp_path / "straight.jsonl"
         code, _, _ = run_cli(
