@@ -22,7 +22,7 @@ import os
 import struct
 from pathlib import Path
 
-__all__ = ["CheckpointError", "append_record", "read_records"]
+__all__ = ["CANONICAL_JSON", "CheckpointError", "append_record", "read_records"]
 
 _LENGTH = struct.Struct(">I")
 
@@ -30,8 +30,9 @@ _LENGTH = struct.Struct(">I")
 # not a plausibly truncated write.
 MAX_RECORD_BYTES = 1 << 28
 
-# The canonical form: keys sorted, no spaces.
-_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+# The canonical form of every record, result-log line and search signature:
+# keys sorted, no spaces.
+CANONICAL_JSON = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
 # The C encoder holds a string for every value it writes until it joins
 # them, several times the size of its output, so a record's rows are
 # encoded this many at a time.
@@ -49,9 +50,9 @@ def append_record(path: str | Path, record: dict) -> None:
     ``"solutions"``; no key that sorts after it may hold another one.
     """
     rows = record["solutions"]
-    head, tail = _ENCODER.encode({**record, "solutions": []}).rsplit('"solutions":[]', 1)
+    head, tail = CANONICAL_JSON.encode({**record, "solutions": []}).rsplit('"solutions":[]', 1)
     parts = (
-        _ENCODER.encode(rows[i : i + _ROWS_PER_CALL])[1:-1]
+        CANONICAL_JSON.encode(rows[i : i + _ROWS_PER_CALL])[1:-1]
         for i in range(0, len(rows), _ROWS_PER_CALL)
     )
     payload = f'{head}"solutions":[{",".join(parts)}]{tail}'.encode("utf-8")

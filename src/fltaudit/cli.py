@@ -21,6 +21,7 @@ import argparse
 import json
 import random
 import sys
+from contextlib import nullcontext
 from dataclasses import fields
 from pathlib import Path
 
@@ -401,14 +402,15 @@ def _cmd_represent(args: argparse.Namespace) -> tuple[int, dict, str]:
 
 
 def _emit(args: argparse.Namespace, payload: dict, text: str) -> None:
-    if args.format == "json":
-        body = json.dumps(payload, sort_keys=True, indent=2) + "\n"
-    else:
-        body = text
-    if args.out is not None:
-        Path(args.out).write_text(body, encoding="utf-8")
-    else:
-        sys.stdout.write(body)
+    target = nullcontext(sys.stdout) if args.out is None else open(args.out, "w", encoding="utf-8")
+    with target as handle:
+        if args.format == "json":
+            # Streamed: json.dumps with an indent holds a string per token until
+            # it joins them, about 10 MB for a 1.6 MB audit report.
+            json.dump(payload, handle, sort_keys=True, indent=2)
+            handle.write("\n")
+        else:
+            handle.write(text)
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -3,11 +3,9 @@
 The derivation that feeds the three-equation system rests on a chain of
 implications of the shape "if |x|, |y|, |z| satisfy an inequality chain then
 the derived quantities satisfy another".  Inequality chains like
-"d != e != f != 0" are ambiguous, so every implication is checked under two
-readings:
-
-    pairwise: all listed values pairwise distinct, and all of them nonzero;
-    adjacent: only neighbouring values distinct, and the last one nonzero.
+"d != e != f != 0" are ambiguous, so every implication is checked under both
+of the search's ``READINGS`` (pairwise, adjacent), each chain read by the
+search's one definition, ``chain_flags``.
 
 For each implication and each reading, every integer point (x, y, z) in a
 box satisfying the hypothesis is tested, and the points where the conclusion
@@ -16,9 +14,9 @@ fails are returned as counterexamples.
 The conclusions are the search's own side conditions: the point is mapped
 by the reduction to its system skeleton at n = 2k + 1 (``reduction_row``),
 and four of the five conclusions are flags of ``classify_row`` on that row,
-so the search and this audit apply one definition.  Only
-``rst_distinct_nonzero``, about the forms r, s, t themselves, has a predicate
-of its own.
+the report whose three verdicts come from one rule.  Only
+``rst_distinct_nonzero``, about the forms r, s, t themselves, is read off
+``chain_flags`` directly.
 """
 
 from __future__ import annotations
@@ -29,19 +27,16 @@ from operator import attrgetter
 from typing import Callable
 
 from .lemma import linear_forms
-from .search import ConditionReport, classify_row
+from .search import READINGS, ConditionReport, chain_flags, classify_row
 
 __all__ = [
     "CLAIM_IDS",
     "READINGS",
     "ImplicationCheck",
-    "chain_distinct_nonzero",
     "reduction_row",
     "replay_condition_counterexample",
     "verify_condition_derivations",
 ]
-
-READINGS = ("pairwise", "adjacent")
 
 Point = tuple[int, int, int]
 
@@ -62,19 +57,10 @@ class ImplicationCheck:
         return not self.counterexamples
 
 
-def chain_distinct_nonzero(values: tuple[int, ...], reading: str) -> bool:
-    """Evaluate an inequality chain "v1 != v2 != ... != vk != 0"."""
-    if reading == "pairwise":
-        return all(v != 0 for v in values) and len(set(values)) == len(values)
-    if reading == "adjacent":
-        return all(a != b for a, b in zip(values, values[1:])) and values[-1] != 0
-    raise ValueError(f"unknown reading {reading!r}")
-
-
 def _hypothesis(x: int, y: int, z: int, reading: str, needs_coprime: bool) -> bool:
     if needs_coprime and gcd(gcd(x, y), z) != 1:
         return False
-    return chain_distinct_nonzero((abs(x), abs(y), abs(z)), reading)
+    return chain_flags(abs(x), abs(y), abs(z))[READINGS.index(reading)]
 
 
 def reduction_row(x: int, y: int, z: int, k: int) -> list[int]:
@@ -90,7 +76,7 @@ def reduction_row(x: int, y: int, z: int, k: int) -> list[int]:
 
 
 def _rst_distinct(x: int, y: int, z: int, reading: str) -> bool:
-    return chain_distinct_nonzero(linear_forms(x, y, z)[:3], reading)
+    return chain_flags(*linear_forms(x, y, z)[:3])[READINGS.index(reading)]
 
 
 # claim id -> (the ConditionReport flag giving the conclusion under each of

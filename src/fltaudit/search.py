@@ -61,24 +61,25 @@ product is 0.
 from __future__ import annotations
 
 import hashlib
-import json
 from array import array
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from itertools import chain, groupby, product
 from math import isqrt, prod
-from operator import attrgetter, itemgetter
+from operator import attrgetter, itemgetter, lt
 from pathlib import Path
 from typing import Callable, Iterator, Mapping, NamedTuple, Sequence
 
-from .checkpoint import CheckpointError, append_record, read_records
+from .checkpoint import CANONICAL_JSON, CheckpointError, append_record, read_records
 from .ints import SQUARES_MOD_16, SQUARES_MOD_9, exact_sqrt
 
 __all__ = [
+    "READINGS",
     "ConditionReport",
     "ConjectureInstance",
     "SearchResult",
     "SearchSpace",
+    "chain_flags",
     "check_conditions",
     "classify_row",
     "search",
@@ -141,20 +142,31 @@ def system_values(a, b, c, d, e, f, alpha, beta, gamma):
     return first, second, third
 
 
+# The readings of an inequality chain, in the order of ``chain_flags``' pair.
+READINGS = ("pairwise", "adjacent")
+
+
+def chain_flags(u: int, v: int, w: int) -> tuple[bool, bool]:
+    """The chain u != v != w != 0 under each of ``READINGS``.
+
+    Pairwise: u, v and w pairwise distinct and all nonzero.  Adjacent: only
+    neighbours distinct, and only the last one nonzero.  Pairwise implies
+    adjacent.  This is the only place a chain is read.
+    """
+    adjacent = u != v and v != w and w != 0
+    return adjacent and u != 0 and v != 0 and u != w, adjacent
+
+
 @dataclass(frozen=True)
 class ConditionReport:
-    """Side-condition flags for an instance, under both chain readings.
+    """Side-condition flags for an instance, then its three verdicts.
 
-    The *_adjacent fields repeat the corresponding chain with only
-    neighbouring values required distinct (and the final "!= 0" applied to
-    the last element only).
-
-    The counterexample verdict always requires d, e, f pairwise distinct and
-    nonzero; the per-reading verdicts differ only in how the coefficient
-    chain |alpha| != |beta| != |gamma| != 0 is read.  Solutions that would
-    qualify only under the weakened adjacent reading of the d, e, f chain
-    are flagged separately (``admissible_with_adjacent_def``) so alternative
-    conventions can be re-counted offline.
+    Each chain gives two flags (``chain_flags``), the *_adjacent one its
+    adjacent reading.  The verdicts come from one rule (``_report_code``):
+    both counterexample verdicts read the d, e, f chain pairwise and differ
+    in the coefficient chain's reading; ``admissible_with_adjacent_def``
+    reads both chains adjacent-only, where the pairwise d, e, f chain fails,
+    so alternative conventions can be re-counted offline.
     """
 
     satisfied: bool
@@ -168,55 +180,24 @@ class ConditionReport:
     non_unit_divisors: bool
     counterexample_pairwise: bool
     counterexample_adjacent: bool
-
-    @property
-    def admissible_with_adjacent_def(self) -> bool:
-        """Would qualify if the d, e, f chain were read adjacent-only."""
-        cases = self.case_unit or (
-            self.case_general_distinct_adjacent
-            and self.divisibility
-            and self.non_unit_divisors
-        )
-        return (
-            self.satisfied
-            and not self.trivial
-            and self.def_distinct_nonzero_adjacent
-            and not self.def_distinct_nonzero
-            and cases
-        )
+    admissible_with_adjacent_def: bool
 
     def as_dict(self) -> dict[str, bool]:
-        return {
-            "satisfied": self.satisfied,
-            "trivial": self.trivial,
-            "def_distinct_nonzero": self.def_distinct_nonzero,
-            "def_distinct_nonzero_adjacent": self.def_distinct_nonzero_adjacent,
-            "case_unit": self.case_unit,
-            "case_general_distinct": self.case_general_distinct,
-            "case_general_distinct_adjacent": self.case_general_distinct_adjacent,
-            "divisibility": self.divisibility,
-            "non_unit_divisors": self.non_unit_divisors,
-        }
+        """The hypothesis flags: every field but the three verdicts."""
+        return {field.name: getattr(self, field.name) for field in fields(self)[:-3]}
 
 
 # Every report built so far, by its code: bit i of the code is the report's
-# i-th field, so there are at most 2**11 of them.  Rows share these frozen
-# objects, and a stored code costs two bytes where a reference costs eight.
+# i-th field, so codes fit in 2**12, as a two-byte "H" array holds them.  Rows
+# share these frozen objects, and a code costs two bytes where a reference
+# costs eight.
 _REPORTS: dict[int, ConditionReport] = {}
 _CODES: dict[tuple[bool, ...], int] = {}
 
 
-def _def_flags(d: int, e: int, f: int) -> tuple[bool, bool]:
-    """The chain d != e != f != 0, read pairwise and adjacent-only."""
-    return (
-        d != 0 and e != 0 and f != 0 and d != e and d != f and e != f,
-        d != e and e != f and f != 0,
-    )
-
-
 def _def_class(d: int, e: int, f: int) -> int:
     """0, 1 or 2: how many readings of the d, e, f chain hold (pairwise implies adjacent)."""
-    pair, adj = _def_flags(d, e, f)
+    pair, adj = chain_flags(d, e, f)
     return pair + adj
 
 
@@ -226,11 +207,10 @@ def _report_code(row: Sequence[int]) -> int:
     first, second, third = system_values(a, b, c, d, e, f, alpha, beta, gamma)
     satisfied = q * q == first and p * q == second and p * p == third
     trivial = a * b * c == 0 or (p == 0 and q == 0)
-    def_pair, def_adj = _def_flags(d, e, f)
+    def_pair, def_adj = chain_flags(d, e, f)
     aa, ab, ag = abs(alpha), abs(beta), abs(gamma)
     case_unit = alpha == 1 and beta == 1 and gamma == 1
-    gen_pair = aa != 0 and ab != 0 and ag != 0 and aa != ab and aa != ag and ab != ag
-    gen_adj = aa != ab and ab != ag and ag != 0
+    gen_pair, gen_adj = chain_flags(aa, ab, ag)
     # Zero divides only zero.
     div_ok = (
         (a % alpha == 0 if alpha else a == 0)
@@ -240,20 +220,27 @@ def _report_code(row: Sequence[int]) -> int:
     # Literal reading of |alpha| != a: a magnitude against a signed value.
     non_unit = aa != a and ab != b and ag != c
 
-    qualifies = satisfied and not trivial and def_pair
-    general = div_ok and non_unit
-    # In ConditionReport's field order.
-    flags = (satisfied, trivial, def_pair, def_adj, case_unit, gen_pair, gen_adj, div_ok, non_unit)
-    flags += (
-        qualifies and (case_unit or (gen_pair and general)),
-        qualifies and (case_unit or (gen_adj and general)),
-    )
-    code = _CODES.get(flags)
+    # In ConditionReport's field order.  They decide the verdicts, so a report
+    # is built, verdicts and all, once per distinct tuple of them.
+    hypotheses = (satisfied, trivial, def_pair, def_adj, case_unit, gen_pair, gen_adj, div_ok, non_unit)
+    code = _CODES.get(hypotheses)
     if code is None:
+        # One rule gives all three verdicts: a satisfied, nontrivial row whose
+        # d, e, f chain holds, in the unit case or meeting the general-case
+        # conditions.  Each verdict reads the two chains its own way.
+        general = div_ok and non_unit
+        flags = hypotheses + tuple(
+            satisfied and not trivial and def_ok and (case_unit or (gen_ok and general))
+            for def_ok, gen_ok in (
+                (def_pair, gen_pair),
+                (def_pair, gen_adj),
+                (def_adj and not def_pair, gen_adj),
+            )
+        )
         # Racing threads compute the same code and equal reports.
         code = sum(flag << bit for bit, flag in enumerate(flags))
         _REPORTS[code] = ConditionReport(*flags)
-        _CODES[flags] = code
+        _CODES[hypotheses] = code
     return code
 
 
@@ -351,6 +338,10 @@ class SearchSpace:
         low, high = self.bounds[name]
         return range(low, high + 1)
 
+    def kernel_ranges(self) -> list[range]:
+        """The values the kernel can give alpha..f, in row order: unit pins alpha..gamma to 1."""
+        return [self.values_of(n) if n in self.bounds else range(1, 2) for n in ROW_VARS[:9]]
+
     def total_assignments(self) -> int:
         total = 1
         for name in self.enumerated_vars:
@@ -359,14 +350,12 @@ class SearchSpace:
         return total
 
     def signature(self) -> str:
-        payload = json.dumps(
+        payload = CANONICAL_JSON.encode(
             {
                 "case": self.case,
                 "bounds": {k: list(v) for k, v in sorted(self.bounds.items())},
                 "shards": self.shards,
-            },
-            sort_keys=True,
-            separators=(",", ":"),
+            }
         )
         return hashlib.sha256(payload.encode("utf-8")).hexdigest()
 
@@ -386,9 +375,6 @@ def _shard_block_range(space: SearchSpace, shard_id: int, block_count: int) -> t
 # ----------------------------------------------------------------------
 # Shard scanning
 
-
-# The variables fixed around each kernel call, in row order.
-_OUTER_VARS = ROW_VARS[:5]
 
 # Below this many |f| classes the kernel loops over them rather than solve for
 # f**2: with 3 classes the solve costs more than the loop it replaces, with 5
@@ -421,17 +407,18 @@ def _scan_shard(space: SearchSpace, shard_id: int) -> dict:
     blocks = _prefix_blocks(space)
     start, stop = _shard_block_range(space, shard_id, len(blocks))
 
-    c_table, *def_tables = (_sign_classes(space.values_of(name)) for name in "cdef")
+    ranges = space.kernel_ranges()
+    c_table, *def_tables = map(_sign_classes, ranges[5:])
     # Each of d, e, f as (its table, its free table), indexed by "product is 0".
     d_pair, e_pair, f_pair = ((table, _free_axis(table)) for table in def_tables)
     # f's classes by their square, for the kernel's solve for f**2.
     f_squares = {f_class[1]: f_class for f_class in f_pair[0][0]}
     solutions: list[list] = []
 
-    # The unit case pins the coefficients to 1; a block pins the first two
-    # enumerated variables.  The kernel emits in enumeration order.
-    outer = [space.values_of(name) if name in space.bounds else [1] for name in _OUTER_VARS]
-    first = _OUTER_VARS.index(space.enumerated_vars[0])
+    # The variables fixed around each kernel call, alpha..b: a block pins the
+    # first two enumerated ones.  The kernel emits in enumeration order.
+    outer = ranges[:5]
+    first = ROW_VARS.index(space.enumerated_vars[0])
     for i, j in blocks[start:stop]:
         outer[first : first + 2] = [i], [j]
         for alpha, beta, gamma, a, b in product(*outer):
@@ -756,9 +743,7 @@ def _load_existing_records(space: SearchSpace, signature: str) -> tuple[dict[int
     blocks = _prefix_blocks(space)
     block_count = len(blocks)
     per_block = space.total_assignments() // block_count
-    # The values the kernel can emit for alpha..f: the unit case pins the
-    # coefficients to 1.
-    box = [space.values_of(name) if name in space.bounds else range(1, 2) for name in ROW_VARS[:9]]
+    box = space.kernel_ranges()
     prefix = itemgetter(*map(ROW_VARS.index, space.enumerated_vars[:2]))
     existing: dict[int, dict] = {}
     for record in records:
@@ -815,6 +800,12 @@ def _load_existing_records(space: SearchSpace, signature: str) -> tuple[dict[int
             raise CheckpointError(
                 f"checkpoint shard {shard} holds a row outside its blocks or the search box"
             )
+        # The walk and the log take each record's rows as strictly increasing.
+        # Rows of one prefix share their nulls, so None meets only None here.
+        if not all(map(lt, rows, rows[1:])):
+            raise CheckpointError(
+                f"checkpoint shard {shard} holds rows repeated or out of enumeration order"
+            )
         existing.setdefault(shard, record)
     return existing, truncated
 
@@ -852,7 +843,8 @@ def search(
         # process that imports it, and only a parallel run needs it.
         from concurrent.futures import ProcessPoolExecutor, as_completed
 
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        # Fork starts every worker up front, so ask for no more than the shards.
+        with ProcessPoolExecutor(max_workers=min(workers, len(todo))) as pool:
             futures = {pool.submit(_scan_shard, space, sid): sid for sid in todo}
             try:
                 for future in as_completed(futures):
@@ -923,8 +915,6 @@ def _flag_fields(report: ConditionReport) -> dict:
     }
 
 
-# The log's frozen line format: keys sorted, compact separators.
-_LOG_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
 # The d, e, f slots left open when a family entry's line is bound.
 _DEF_OPEN = ["%d"] * 3
 
@@ -932,18 +922,18 @@ _DEF_OPEN = ["%d"] * 3
 def _line_template(report: ConditionReport) -> tuple[str, Callable[[Sequence], tuple]]:
     """The log line of ``report``'s rows as a ``%`` template and its row picker.
 
-    ``template % pick(row)`` is the line ``_LOG_ENCODER`` writes for the
+    ``template % pick(row)`` is the line ``CANONICAL_JSON`` writes for the
     object of ``row``'s variables plus ``_flag_fields(report)``: the flag
     values are encoded once, and each row variable is a ``%s`` slot.  A row
     holding ``"%d"`` in a slot leaves that slot open: that is how a family
     entry's line is bound with d, e and f still to fill.
     """
-    fields = _flag_fields(report)
-    keys = sorted(ROW_VARS + tuple(fields))
-    encode = _LOG_ENCODER.encode
+    flags = _flag_fields(report)
+    keys = sorted(ROW_VARS + tuple(flags))
+    encode = CANONICAL_JSON.encode
     parts = [
         f"{encode(key)}:%s" if key in ROW_VARS
-        else f"{encode(key)}:{encode(fields[key]).replace('%', '%%')}"
+        else f"{encode(key)}:{encode(flags[key]).replace('%', '%%')}"
         for key in keys
     ]
     pick = itemgetter(*(ROW_VARS.index(key) for key in keys if key in ROW_VARS))

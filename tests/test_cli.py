@@ -295,6 +295,16 @@ class TestRepresent:
         jsonschema.validate(payload, load_schema(schema_dir, "represent_report.schema.json"))
         assert payload["representation"] == {"p": 2, "q": 1}
 
+    def test_streamed_report_is_the_one_call_encoding(self, run_cli, tmp_path):
+        # The report is streamed to its file or stdout; the bytes must be json.dumps's.
+        out_file = tmp_path / "rep.json"
+        code, _, _ = run_cli(["represent", 3, 4, 5, "--format", "json", "--out", out_file])
+        assert code == EXIT_OK
+        written = out_file.read_text(encoding="utf-8")
+        want = json.dumps(json.loads(written), sort_keys=True, indent=2) + "\n"
+        assert written == want
+        assert run_cli(["represent", 3, 4, 5, "--format", "json"])[1] == want
+
     def test_none_still_exit_zero(self, run_cli):
         code, out, _ = run_cli(["represent", 9, 12, 15])
         assert code == EXIT_OK

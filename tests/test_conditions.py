@@ -7,13 +7,12 @@ from hypothesis import strategies as st
 from fltaudit.conditions import (
     CLAIM_IDS,
     READINGS,
-    chain_distinct_nonzero,
     reduction_row,
     replay_condition_counterexample,
     verify_condition_derivations,
 )
 from fltaudit.lemma import derive_system
-from fltaudit.search import COEFF_VARS, ROW_VARS, UNIT_VARS, system_values
+from fltaudit.search import COEFF_VARS, ROW_VARS, UNIT_VARS, chain_flags, system_values
 from oracles import oracle_condition_checks, oracle_replay
 
 
@@ -27,21 +26,28 @@ def box4():
 
 
 class TestChainReadings:
+    PAIRWISE = READINGS.index("pairwise")
+    ADJACENT = READINGS.index("adjacent")
+
     def test_pairwise(self):
-        assert chain_distinct_nonzero((1, 2, 3), "pairwise")
-        assert not chain_distinct_nonzero((1, 2, 1), "pairwise")
-        assert not chain_distinct_nonzero((0, 2, 3), "pairwise")
+        assert chain_flags(1, 2, 3)[self.PAIRWISE]
+        assert not chain_flags(1, 2, 1)[self.PAIRWISE]
+        assert not chain_flags(0, 2, 3)[self.PAIRWISE]
 
     def test_adjacent(self):
-        assert chain_distinct_nonzero((1, 2, 1), "adjacent")
-        assert not chain_distinct_nonzero((1, 1, 3), "adjacent")
-        assert not chain_distinct_nonzero((1, 2, 0), "adjacent")
+        assert chain_flags(1, 2, 1)[self.ADJACENT]
+        assert not chain_flags(1, 1, 3)[self.ADJACENT]
+        assert not chain_flags(1, 2, 0)[self.ADJACENT]
         # only the last element carries the nonzero requirement
-        assert chain_distinct_nonzero((0, 2, 3), "adjacent")
+        assert chain_flags(0, 2, 3)[self.ADJACENT]
 
-    def test_unknown_reading(self):
-        with pytest.raises(ValueError):
-            chain_distinct_nonzero((1, 2, 3), "sideways")
+    @given(chain=st.tuples(*[st.integers(-3, 3)] * 3))
+    @settings(max_examples=300, deadline=None)
+    def test_matches_set_oracle(self, chain):
+        u, v, w = chain
+        pairwise = len({u, v, w}) == 3 and 0 not in chain
+        adjacent = u != v and v != w and w != 0
+        assert chain_flags(u, v, w) == (pairwise, adjacent)
 
 
 class TestImplications:

@@ -1,5 +1,6 @@
 """Bounded conjecture search: kernel, sharding, checkpointing, oracle parity."""
 
+import concurrent.futures
 import dataclasses
 import json
 import types
@@ -451,6 +452,34 @@ class TestDeterminismAndSharding:
         par = search(space_par, workers=2)
         assert rows_with_reports(seq) == rows_with_reports(par)
 
+    def test_pool_no_wider_than_the_shards_left(self, monkeypatch):
+        # Fork starts every worker up front, so 64 workers over 2 shards ask for 2.
+        # The pool is faked and runs each shard in this process.
+        asked = []
+
+        class InProcessPool:
+            def __init__(self, max_workers):
+                asked.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc_info):
+                return False
+
+            def submit(self, fn, *args):
+                future = concurrent.futures.Future()
+                future.set_result(fn(*args))
+                return future
+
+            def shutdown(self, cancel_futures=False):
+                pass
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
+        result = search(SearchSpace.cube(-1, 1, shards=2), workers=64)
+        assert asked == [2]
+        assert {inst.key() for inst, _ in result.solutions} == naive_unit_scan(-1, 1)
+
 
 def resume_tampered(tmp_path, field, value, shard=1):
     """Search unit [-1, 1] in 2 shards, set ``field`` of one shard's record, resume.
@@ -561,12 +590,16 @@ class TestCheckpointing:
             ("row", [1, 1, 1, -1, -1, 1, 1, 1, 1, 0, 0], 1),
             ("row", [1, 1, 1, 1, 1, 1, 1, 1, 1, 0, 0], 0),
             ("row", [2, 1, 1, 1, 1, 1, 1, 1, 1, 0, 0], 1),
+            # Entries must increase strictly: the second and the last entry as the first.
+            ("row", [1, 1, 1, 1, -1, 0, -1, -1, None, 0, 0], 1),
+            ("row", [1, 1, 1, 1, 1, 0, 1, 1, None, 0, 0], 1),
         ],
         ids=[
             "format", "scanned", "blocks", "blocks-float", "blocks-bool",
             "null-p", "null-d-with-a", "d-in-free-slot",
             "d-outside-box", "e-outside-box-beside-free-f", "prefix-of-shard-0",
             "prefix-of-shard-1", "unit-coefficient-not-1",
+            "repeated-entry", "entry-out-of-order",
         ],
     )
     def test_record_beyond_its_shard_rejected(self, tmp_path, field, value, shard):
@@ -665,10 +698,7 @@ def assert_matches_oracle(result, log_path):
             assert tuple(row) == want_row, f"row {count} out of sorted order"
             assert got == want_line, f"log line {count} differs"
             if id(report) not in report_flags:
-                report_flags[id(report)] = dict(
-                    dataclasses.asdict(report),
-                    admissible_with_adjacent_def=report.admissible_with_adjacent_def,
-                )
+                report_flags[id(report)] = flags_of(report)
             assert report_flags[id(report)] == want_flags, f"report {count} differs"
     return report_flags
 
@@ -730,11 +760,8 @@ class TestStreamedLogAgainstOracle:
 
 
 def flags_of(report):
-    """A report's fields plus ``admissible_with_adjacent_def``, as the oracles name them."""
-    return dict(
-        dataclasses.asdict(report),
-        admissible_with_adjacent_def=report.admissible_with_adjacent_def,
-    )
+    """A report's fields, as the oracles name them."""
+    return dataclasses.asdict(report)
 
 
 class TestLineTemplates:
@@ -751,7 +778,7 @@ class TestLineTemplates:
         # splits the bound line there, and puts each row's d, e and f
         # between the pieces.
         count = 0
-        for flags in product((False, True), repeat=11):
+        for flags in product((False, True), repeat=12):
             report = ConditionReport(*flags)
             template, pick = _line_template(report)
             for row in self.ROWS:
@@ -763,7 +790,7 @@ class TestLineTemplates:
                 line = f"{head}{d}{to_e}{e}{to_f}{f}{tail}"
                 assert line.encode() == want, f"bound line {count} differs"
                 count += 1
-        assert count == 2**11 * len(self.ROWS)
+        assert count == 2**12 * len(self.ROWS)
 
     def test_write_holds_far_less_than_the_log(self, tmp_path):
         result = search(SearchSpace.cube(-6, 6))
