@@ -24,7 +24,7 @@ from .pythagoras import (
     is_pythagorean,
     represent_triple,
 )
-from .search import ROW_VARS, SearchSpace, classify_row, search
+from .search import READINGS, ROW_VARS, SearchSpace, classify_row, search
 from .version import __version__
 
 __all__ = [
@@ -43,40 +43,6 @@ __all__ = [
 HOLDS = "HOLDS"
 FAILS = "FAILS"
 UNDECIDED = "UNDECIDED"
-
-CLAIM_ORDER = ("C1", "C2", "C3", "C4", "C5", "C6", "C7")
-
-_STATEMENTS = {
-    "C1": (
-        "For each exponent n in scope, (8rst)^2 (xyz)^(n-2) (x^n + y^n - z^n) "
-        "expands to exactly A^2 + B^2 - C^2."
-    ),
-    "C2": (
-        "Every integer triple (A, B, C) with A^2 + B^2 = C^2 is representable "
-        "as A = p^2 - q^2, B = 2pq, C = p^2 + q^2 with integers p > q > 0."
-    ),
-    "C3": (
-        "The direct closed forms for Q, M, P agree with the halved "
-        "combinations (C - A)/2, B/2, (C + A)/2, every halving being exact."
-    ),
-    "C4": (
-        "M^2 - P*Q expands to exactly (4rst)^2 (xyz)^(n-2) (x^n + y^n - z^n), "
-        "so the extraction of (p, q) is coherent precisely on x^n + y^n = z^n."
-    ),
-    "C5": (
-        "For bounded integer (x, y, z) satisfying the stated hypotheses, the "
-        "derived side conditions hold, under each reading of the inequality chains."
-    ),
-    "C6": (
-        "In a primitive integer solution of x^2 + y^2 = z^2, exactly one of "
-        "x, y, z is even and the three are pairwise coprime."
-    ),
-    "C7": (
-        "The three-equation quadratic system has no nontrivial integer "
-        "solution satisfying the side conditions, within the searched box."
-    ),
-}
-
 
 # Field annotations are strings under ``from __future__ import annotations``.
 _FIELD_TYPES = {"int": int, "bool": bool}
@@ -205,10 +171,15 @@ class AuditReport:
 
 
 # ----------------------------------------------------------------------
-# Checkers
+# Checkers: each returns its row's own fields; ``run_audit`` adds the rest.
 
 
-def _check_identity(config: AuditConfig) -> ClaimEntry:
+def _verdict(evidence, otherwise: str = HOLDS) -> str:
+    """The ledger's one rule: FAILS exactly when there is evidence, else ``otherwise``."""
+    return FAILS if evidence else otherwise
+
+
+def _check_identity(config: AuditConfig) -> dict:
     evidence = []
     for n in range(config.identity_n_min, config.identity_n_max + 1):
         residual = verify_identity(n)
@@ -221,21 +192,17 @@ def _check_identity(config: AuditConfig) -> ClaimEntry:
                     "residual_head": rendered[:160],
                 }
             )
-    entry = ClaimEntry(
-        claim_id="C1",
-        statement=_STATEMENTS["C1"],
+    return dict(
         scope={"n_min": config.identity_n_min, "n_max": config.identity_n_max},
-        verdict=FAILS if evidence else HOLDS,
         evidence=evidence,
+        notes=[
+            f"symbolic residual computed for every n in "
+            f"[{config.identity_n_min}, {config.identity_n_max}]"
+        ],
     )
-    entry.notes.append(
-        f"symbolic residual computed for every n in "
-        f"[{config.identity_n_min}, {config.identity_n_max}]"
-    )
-    return entry
 
 
-def _check_parametrization(config: AuditConfig) -> ClaimEntry:
+def _check_parametrization(config: AuditConfig) -> dict:
     failures = audit_parametrization(
         config.c_max,
         primitive_only=config.parametrization_primitive_only,
@@ -250,50 +217,41 @@ def _check_parametrization(config: AuditConfig) -> ClaimEntry:
     primitive_even = audit_parametrization(
         config.c_max, primitive_only=True, even_b_only=True
     )
-    entry = ClaimEntry(
-        claim_id="C2",
-        statement=_STATEMENTS["C2"],
+    return dict(
         scope={
             "c_max": config.c_max,
             "primitive_only": config.parametrization_primitive_only,
             "even_b_only": config.parametrization_even_b_only,
         },
-        verdict=FAILS if failures else HOLDS,
         evidence=[{"triple": list(t.as_tuple())} for t in failures],
         data={
             "literal_failures": len(failures),
             "charitable_failures": len(charitable),
             "primitive_even_b_failures": len(primitive_even),
         },
+        notes=[
+            f"charitable reading (sign flips and swap allowed): "
+            f"{len(charitable)} unrepresentable triples",
+            f"primitive positive triples with even middle term: "
+            f"{len(primitive_even)} unrepresentable (classical case)",
+        ],
     )
-    entry.notes.append(
-        f"charitable reading (sign flips and swap allowed): "
-        f"{len(charitable)} unrepresentable triples"
-    )
-    entry.notes.append(
-        f"primitive positive triples with even middle term: "
-        f"{len(primitive_even)} unrepresentable (classical case)"
-    )
-    return entry
 
 
-def _check_derivation_chain(config: AuditConfig) -> ClaimEntry:
+def _check_derivation_chain(config: AuditConfig) -> dict:
     evidence = []
     for n in range(config.identity_n_min, config.identity_n_max + 1):
         try:
             derive_system(n)
         except DerivationError as exc:
             evidence.append({"n": n, "error": str(exc)})
-    return ClaimEntry(
-        claim_id="C3",
-        statement=_STATEMENTS["C3"],
+    return dict(
         scope={"n_min": config.identity_n_min, "n_max": config.identity_n_max},
-        verdict=FAILS if evidence else HOLDS,
         evidence=evidence,
     )
 
 
-def _check_consistency(config: AuditConfig) -> ClaimEntry:
+def _check_consistency(config: AuditConfig) -> dict:
     evidence = []
     for n in range(config.consistency_n_min, config.consistency_n_max + 1):
         result = consistency_residual(n)
@@ -305,42 +263,29 @@ def _check_consistency(config: AuditConfig) -> ClaimEntry:
                     "fermat_divisible": result.fermat_quotient is not None,
                 }
             )
-    return ClaimEntry(
-        claim_id="C4",
-        statement=_STATEMENTS["C4"],
+    return dict(
         scope={"n_min": config.consistency_n_min, "n_max": config.consistency_n_max},
-        verdict=FAILS if evidence else HOLDS,
         evidence=evidence,
     )
 
 
-def _check_conditions(config: AuditConfig) -> ClaimEntry:
+def _check_conditions(config: AuditConfig) -> dict:
     checks = verify_condition_derivations(config.box_bound, config.condition_k)
-    evidence = []
-    by_reading = {"pairwise": HOLDS, "adjacent": HOLDS}
-    for check in checks:
-        if check.counterexamples:
-            by_reading[check.reading] = FAILS
-            for point in check.counterexamples:
-                evidence.append(
-                    {
-                        "claim": check.claim,
-                        "reading": check.reading,
-                        "point": list(point),
-                        "k": check.k,
-                    }
-                )
-    failed = FAILS in by_reading.values()
-    entry = ClaimEntry(
-        claim_id="C5",
-        statement=_STATEMENTS["C5"],
+    evidence = [
+        {"claim": check.claim, "reading": check.reading, "point": list(point), "k": check.k}
+        for check in checks
+        for point in check.counterexamples
+    ]
+    return dict(
         scope={
             "box_bound": config.box_bound,
             "k": config.condition_k,
             "regimes": {"odd": 2 * config.condition_k + 1},
         },
-        verdict=FAILS if failed else HOLDS,
-        subverdicts=by_reading,
+        subverdicts={
+            reading: _verdict(any(item["reading"] == reading for item in evidence))
+            for reading in READINGS
+        },
         evidence=evidence,
         data={
             "checks": [
@@ -354,7 +299,6 @@ def _check_conditions(config: AuditConfig) -> ClaimEntry:
             ]
         },
     )
-    return entry
 
 
 def _parity_coprime(x: int, y: int, z: int) -> tuple[int, bool]:
@@ -363,7 +307,7 @@ def _parity_coprime(x: int, y: int, z: int) -> tuple[int, bool]:
     return even_count, gcd(x, y) == 1 and gcd(y, z) == 1 and gcd(z, x) == 1
 
 
-def _check_parity_coprime(config: AuditConfig) -> ClaimEntry:
+def _check_parity_coprime(config: AuditConfig) -> dict:
     triples = primitive_square_triples(config.triple_base_max)
     evidence = []
     for x, y, z in triples:
@@ -372,23 +316,19 @@ def _check_parity_coprime(config: AuditConfig) -> ClaimEntry:
             evidence.append(
                 {"triple": [x, y, z], "even_count": even_count, "pairwise_coprime": coprime}
             )
-    verdict = FAILS if evidence else (HOLDS if triples else UNDECIDED)
-    entry = ClaimEntry(
-        claim_id="C6",
-        statement=_STATEMENTS["C6"],
+    # An empty sample decides nothing: C6 is the one checker that states a verdict.
+    verdict = _verdict(evidence) if triples else UNDECIDED
+    return dict(
         scope={"exponent": 2, "base_max": config.triple_base_max},
         verdict=verdict,
         subverdicts={"exponent 2": verdict, "exponent > 2": UNDECIDED},
         evidence=evidence,
         data={"samples": len(triples)},
+        notes=["exponent > 2: UNDECIDED in bounds, no solutions exist to sample"],
     )
-    entry.notes.append(
-        "exponent > 2: UNDECIDED in bounds, no solutions exist to sample"
-    )
-    return entry
 
 
-def _check_search(config: AuditConfig) -> ClaimEntry:
+def _check_search(config: AuditConfig) -> dict:
     space = SearchSpace.cube(
         -config.search_bound,
         config.search_bound,
@@ -396,42 +336,114 @@ def _check_search(config: AuditConfig) -> ClaimEntry:
         shards=config.search_shards,
     )
     result = search(space)
-    evidence = result.counterexamples()
-    entry = ClaimEntry(
-        claim_id="C7",
-        statement=_STATEMENTS["C7"],
+    notes = ["unit-coefficient case only at this scope"]
+    if result.adjacent_def_admissible:
+        notes.append(
+            f"{result.adjacent_def_admissible} nontrivial solutions satisfy the "
+            "side conditions only when the d/e/f chain is read adjacent-only; "
+            "they are logged but not counted as counterexamples"
+        )
+    return dict(
         scope={"case": "unit", "bound": config.search_bound},
-        verdict=FAILS if evidence else HOLDS,
         subverdicts={
-            "pairwise": FAILS if result.counterexamples_pairwise else HOLDS,
-            "adjacent": FAILS if result.counterexamples_adjacent else HOLDS,
+            reading: _verdict(getattr(result, f"counterexamples_{reading}"))
+            for reading in READINGS
         },
-        evidence=evidence,
+        evidence=result.counterexamples(),
         data={
             "solutions": len(result.solutions),
             "trivial_solutions": result.trivial_solutions,
             "adjacent_def_admissible": result.adjacent_def_admissible,
             "certificate": result.certificate(),
         },
+        notes=notes,
     )
-    entry.notes.append("unit-coefficient case only at this scope")
-    if result.adjacent_def_admissible:
-        entry.notes.append(
-            f"{result.adjacent_def_admissible} nontrivial solutions satisfy the "
-            "side conditions only when the d/e/f chain is read adjacent-only; "
-            "they are logged but not counted as counterexamples"
-        )
-    return entry
 
 
-_CHECKERS = {
-    "C1": _check_identity,
-    "C2": _check_parametrization,
-    "C3": _check_derivation_chain,
-    "C4": _check_consistency,
-    "C5": _check_conditions,
-    "C6": _check_parity_coprime,
-    "C7": _check_search,
+# ----------------------------------------------------------------------
+# Evidence replay: True iff a FAILS evidence item still fails.
+
+
+def _replay_parametrization(item: dict, config: AuditConfig) -> bool:
+    a, b, c = item["triple"]
+    return is_pythagorean(a, b, c) and represent_triple(a, b, c) is None
+
+
+def _replay_derivation(item: dict, config: AuditConfig) -> bool:
+    try:
+        derive_system(item["n"])
+    except DerivationError:
+        return True
+    return False
+
+
+def _replay_conditions(item: dict, config: AuditConfig) -> bool:
+    k = item["k"] if item.get("k") is not None else config.condition_k
+    return replay_condition_counterexample(
+        item["claim"], item["reading"], tuple(item["point"]), k
+    )
+
+
+def _replay_parity_coprime(item: dict, config: AuditConfig) -> bool:
+    x, y, z = item["triple"]
+    if x * x + y * y != z * z or gcd(gcd(x, y), z) != 1:
+        return False
+    return _parity_coprime(x, y, z) != (1, True)
+
+
+def _replay_search(item: dict, config: AuditConfig) -> bool:
+    report = classify_row([item[v] for v in ROW_VARS])
+    return report.counterexample_pairwise or report.counterexample_adjacent
+
+
+# ----------------------------------------------------------------------
+# The ledger: claim id -> (statement, checker, replay), in report order.
+# A claim is one row here plus its entry in the expected-verdict manifest.
+# Checkers and replays look up the functions they call when they run.
+
+_CLAIMS = {
+    "C1": (
+        "For each exponent n in scope, (8rst)^2 (xyz)^(n-2) (x^n + y^n - z^n) "
+        "expands to exactly A^2 + B^2 - C^2.",
+        _check_identity,
+        lambda item, config: not verify_identity(item["n"]).is_zero,
+    ),
+    "C2": (
+        "Every integer triple (A, B, C) with A^2 + B^2 = C^2 is representable "
+        "as A = p^2 - q^2, B = 2pq, C = p^2 + q^2 with integers p > q > 0.",
+        _check_parametrization,
+        _replay_parametrization,
+    ),
+    "C3": (
+        "The direct closed forms for Q, M, P agree with the halved "
+        "combinations (C - A)/2, B/2, (C + A)/2, every halving being exact.",
+        _check_derivation_chain,
+        _replay_derivation,
+    ),
+    "C4": (
+        "M^2 - P*Q expands to exactly (4rst)^2 (xyz)^(n-2) (x^n + y^n - z^n), "
+        "so the extraction of (p, q) is coherent precisely on x^n + y^n = z^n.",
+        _check_consistency,
+        lambda item, config: not consistency_residual(item["n"]).holds,
+    ),
+    "C5": (
+        "For bounded integer (x, y, z) satisfying the stated hypotheses, the "
+        "derived side conditions hold, under each reading of the inequality chains.",
+        _check_conditions,
+        _replay_conditions,
+    ),
+    "C6": (
+        "In a primitive integer solution of x^2 + y^2 = z^2, exactly one of "
+        "x, y, z is even and the three are pairwise coprime.",
+        _check_parity_coprime,
+        _replay_parity_coprime,
+    ),
+    "C7": (
+        "The three-equation quadratic system has no nontrivial integer "
+        "solution satisfying the side conditions, within the searched box.",
+        _check_search,
+        _replay_search,
+    ),
 }
 
 
@@ -440,14 +452,16 @@ def run_audit(config: AuditConfig | None = None) -> AuditReport:
     config = config or AuditConfig()
     started = time.perf_counter()
     claims: list[ClaimEntry] = []
-    for claim_id in CLAIM_ORDER:
+    for claim_id, (statement, check, _) in _CLAIMS.items():
         claim_started = time.perf_counter()
         try:
-            entry = _CHECKERS[claim_id](config)
+            found = check(config)
+            verdict = _verdict(found.get("evidence"), found.pop("verdict", HOLDS))
+            entry = ClaimEntry(claim_id, statement, verdict=verdict, **found)
         except Exception as exc:  # noqa: BLE001 - the ledger must always complete
             entry = ClaimEntry(
-                claim_id=claim_id,
-                statement=_STATEMENTS[claim_id],
+                claim_id,
+                statement,
                 scope={},
                 verdict=UNDECIDED,
                 notes=[f"checker raised {type(exc).__name__}: {exc}"],
@@ -459,40 +473,9 @@ def run_audit(config: AuditConfig | None = None) -> AuditReport:
     )
 
 
-# ----------------------------------------------------------------------
-# Evidence replay
-
-
 def replay_evidence(claim_id: str, item: dict, config: AuditConfig | None = None) -> bool:
-    """Re-run one FAILS evidence item through its checker; True iff it still fails."""
-    config = config or AuditConfig()
-    if claim_id == "C1":
-        return not verify_identity(item["n"]).is_zero
-    if claim_id == "C2":
-        a, b, c = item["triple"]
-        return is_pythagorean(a, b, c) and represent_triple(a, b, c) is None
-    if claim_id == "C3":
-        try:
-            derive_system(item["n"])
-        except DerivationError:
-            return True
-        return False
-    if claim_id == "C4":
-        return not consistency_residual(item["n"]).holds
-    if claim_id == "C5":
-        k = item["k"] if item.get("k") is not None else config.condition_k
-        return replay_condition_counterexample(
-            item["claim"], item["reading"], tuple(item["point"]), k
-        )
-    if claim_id == "C6":
-        x, y, z = item["triple"]
-        if x * x + y * y != z * z or gcd(gcd(x, y), z) != 1:
-            return False
-        return _parity_coprime(x, y, z) != (1, True)
-    if claim_id == "C7":
-        report = classify_row([item[v] for v in ROW_VARS])
-        return report.counterexample_pairwise or report.counterexample_adjacent
-    raise KeyError(f"unknown claim id {claim_id!r}")
+    """Re-run one FAILS evidence item through its claim's replay; True iff it still fails."""
+    return _CLAIMS[claim_id][2](item, config or AuditConfig())
 
 
 # ----------------------------------------------------------------------

@@ -103,16 +103,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=_cmd_verify_identity)
 
     p = commands.add_parser("audit", help="run the claim ledger and compare verdicts")
-    p.add_argument("--n-min", type=int, default=3)
-    p.add_argument("--n-max", type=int, default=8)
-    p.add_argument("--c-max", type=int, default=100)
-    p.add_argument("--box-bound", type=int, default=4)
-    p.add_argument("--k", type=int, default=3, help="power parameter for condition checks")
-    p.add_argument("--search-bound", type=int, default=3)
-    p.add_argument("--search-shards", type=int, default=1)
-    p.add_argument("--base-max", type=int, default=100, help="base bound for parity sampling")
-    p.add_argument("--primitive-only", action="store_true")
-    p.add_argument("--even-b-only", action="store_true")
+    # Scope flags default to None: an unset flag leaves AuditConfig's default.
+    p.add_argument("--n-min", type=int, default=None)
+    p.add_argument("--n-max", type=int, default=None)
+    p.add_argument("--c-max", type=int, default=None)
+    p.add_argument("--box-bound", type=int, default=None)
+    p.add_argument("--k", type=int, default=None, help="power parameter for condition checks")
+    p.add_argument("--search-bound", type=int, default=None)
+    p.add_argument("--search-shards", type=int, default=None)
+    p.add_argument("--base-max", type=int, default=None, help="base bound for parity sampling")
+    p.add_argument("--primitive-only", action="store_true", default=None)
+    p.add_argument("--even-b-only", action="store_true", default=None)
     p.add_argument("--config", type=Path, default=None, help="JSON file with scope overrides")
     p.add_argument(
         "--manifest", type=Path, default=None, help="expected-verdict manifest (JSON)"
@@ -219,7 +220,7 @@ _AUDIT_CONFIG_KEYS = {f.name for f in fields(AuditConfig)}
 
 
 def _cmd_audit(args: argparse.Namespace) -> tuple[int, dict, str]:
-    overrides = {
+    flags = {
         "identity_n_min": args.n_min,
         "identity_n_max": args.n_max,
         "consistency_n_min": args.n_min,
@@ -233,6 +234,7 @@ def _cmd_audit(args: argparse.Namespace) -> tuple[int, dict, str]:
         "search_shards": args.search_shards,
         "triple_base_max": args.base_max,
     }
+    overrides = {key: value for key, value in flags.items() if value is not None}
     if args.config is not None:
         if not args.config.exists():
             raise UsageError(f"config file not found: {args.config}")

@@ -674,12 +674,6 @@ class SearchResult:
             for entry, d, e, f, _ in rows:
                 yield [*entry[:6], d, e, f, *entry[9:]]
 
-    def iter_reports(self) -> Iterator[ConditionReport]:
-        """The report of each row, in the order of ``iter_rows``."""
-        for codes, rows in self._walk():
-            for *_, k in rows:
-                yield _REPORTS[codes[k]]
-
     @property
     def rows(self) -> list[list[int]]:
         """Every kernel row, in enumeration order (a new list on each call)."""

@@ -178,7 +178,7 @@ def test_criterion_7_determinism_and_resume(announce, tmp_path):
         rows = {}
         for shards in (1, 2, 8):
             result = search(SearchSpace.cube(-4, 4, shards=shards))
-            rows[shards] = list(zip(result.iter_rows(), result.iter_reports()))
+            rows[shards] = list(result.solutions)
         shards_agree = rows[1] == rows[2] == rows[8]
 
         straight_log = tmp_path / "straight.jsonl"

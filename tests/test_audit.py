@@ -38,6 +38,17 @@ def small_report():
     return run_audit(SMALL)
 
 
+@pytest.fixture(scope="module")
+def default_report():
+    return run_audit()
+
+
+def with_checker(monkeypatch, claim_id, check):
+    """Put ``check`` in place of one claim's checker in the ledger table."""
+    statement, _, replay = audit_mod._CLAIMS[claim_id]
+    monkeypatch.setitem(audit_mod._CLAIMS, claim_id, (statement, check, replay))
+
+
 class TestVerdicts:
     def test_expected_verdicts_small_scope(self, small_report):
         summary = small_report.verdict_summary()
@@ -77,6 +88,20 @@ class TestVerdicts:
     def test_report_completeness(self, small_report):
         ids = [entry.claim_id for entry in small_report.claims]
         assert ids == ["C1", "C2", "C3", "C4", "C5", "C6", "C7"]
+
+    @pytest.mark.parametrize("scope", ["small_report", "default_report"])
+    def test_fails_exactly_when_there_is_evidence(self, request, scope):
+        for entry in request.getfixturevalue(scope).claims:
+            assert (entry.verdict == FAILS) == bool(entry.evidence), entry.claim_id
+
+    @pytest.mark.parametrize(
+        "evidence, verdict", [([{"n": 3}], FAILS), ([], HOLDS)], ids=["evidence", "none"]
+    )
+    def test_verdict_follows_the_evidence(self, monkeypatch, evidence, verdict):
+        with_checker(monkeypatch, "C3", lambda config: {"scope": {}, "evidence": evidence})
+        entry = run_audit(SMALL).claim("C3")
+        assert entry.verdict == verdict
+        assert entry.evidence == evidence
 
     def test_statements_have_no_citation_apparatus(self, small_report):
         for entry in small_report.claims:
@@ -154,9 +179,8 @@ class TestMonotonicity:
 
 
 class TestManifest:
-    def test_default_scope_matches_shipped_manifest(self):
-        report = run_audit()
-        ok, drifts = compare_to_manifest(report, load_default_manifest())
+    def test_default_scope_matches_shipped_manifest(self, default_report):
+        ok, drifts = compare_to_manifest(default_report, load_default_manifest())
         assert ok, drifts
 
     def test_drift_detection(self, small_report):
@@ -180,7 +204,7 @@ class TestIsolation:
         def boom(config):
             raise RuntimeError("synthetic failure")
 
-        monkeypatch.setitem(audit_mod._CHECKERS, "C4", boom)
+        with_checker(monkeypatch, "C4", boom)
         report = run_audit(SMALL)
         entry = report.claim("C4")
         assert entry.verdict == UNDECIDED

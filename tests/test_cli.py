@@ -1,5 +1,6 @@
 """CLI contract: exit codes, schemas, determinism, negative controls."""
 
+import dataclasses
 import json
 import subprocess
 import sys
@@ -8,6 +9,7 @@ import time
 import jsonschema
 import pytest
 
+from fltaudit.audit import AuditConfig
 from fltaudit.checkpoint import append_record, read_records
 from fltaudit.cli import (
     EXIT_ABORTED,
@@ -118,6 +120,27 @@ class TestAudit:
         assert code == EXIT_OK
         payload = json.loads(out_file.read_text())
         assert payload["config"]["c_max"] == 20
+
+    @pytest.mark.parametrize(
+        "flags, file_scope, changed",
+        [
+            ([], None, {}),
+            (["--n-max", 5], None, {"identity_n_max": 5, "consistency_n_max": 5}),
+            (["--c-max", 40], {"c_max": 20}, {"c_max": 20}),
+        ],
+        ids=["no-flags", "n-max", "config-file-wins"],
+    )
+    def test_scope_comes_from_audit_config(self, run_cli, tmp_path, flags, file_scope, changed):
+        # Only given flags override AuditConfig's defaults; a config file wins over them.
+        if file_scope is not None:
+            config = tmp_path / "scope.json"
+            config.write_text(json.dumps(file_scope))
+            flags = [*flags, "--config", config]
+        out_file = tmp_path / "audit.json"
+        code, _, err = run_cli(["audit", *flags, "--format", "json", "--out", out_file])
+        assert code == EXIT_OK, err
+        payload = json.loads(out_file.read_text())
+        assert payload["config"] == {**dataclasses.asdict(AuditConfig()), **changed}
 
     def test_unknown_config_key_rejected(self, run_cli, tmp_path):
         config = tmp_path / "scope.json"

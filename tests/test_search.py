@@ -41,11 +41,6 @@ from oracles import (
 )
 
 
-def rows_with_reports(result):
-    """Each expanded row of a SearchResult paired with its report."""
-    return list(zip(result.iter_rows(), result.iter_reports()))
-
-
 def unit_instance(a, b, c, d, e, f, p, q):
     return ConjectureInstance(
         a=a, b=b, c=c, d=d, e=e, f=f, alpha=1, beta=1, gamma=1, p=p, q=q
@@ -431,7 +426,7 @@ class TestDeterminismAndSharding:
         results = {
             shards: search(SearchSpace.cube(-2, 2, shards=shards)) for shards in (1, 2, 8)
         }
-        rows = {shards: rows_with_reports(res) for shards, res in results.items()}
+        rows = {shards: list(res.solutions) for shards, res in results.items()}
         assert rows[1] == rows[2] == rows[8]
         assert (
             results[1].counterexamples_pairwise
@@ -450,7 +445,7 @@ class TestDeterminismAndSharding:
         space_par = SearchSpace.cube(-2, 2, shards=4)
         seq = search(space_seq)
         par = search(space_par, workers=2)
-        assert rows_with_reports(seq) == rows_with_reports(par)
+        assert list(seq.solutions) == list(par.solutions)
 
     def test_pool_no_wider_than_the_shards_left(self, monkeypatch):
         # Fork starts every worker up front, so 64 workers over 2 shards ask for 2.
@@ -535,7 +530,7 @@ class TestCheckpointing:
         first = search(space)
         again = search(space)
         assert again.shards_reused == 2
-        assert rows_with_reports(first) == rows_with_reports(again)
+        assert list(first.solutions) == list(again.solutions)
 
     def test_signature_mismatch_rejected(self, tmp_path):
         cp = tmp_path / "stale.ckpt"
@@ -691,10 +686,8 @@ def assert_matches_oracle(result, log_path):
     write_result_log(result, log_path)
     report_flags = {}
     with open(log_path, "rb") as log:
-        lines = zip_longest(
-            result.iter_rows(), result.iter_reports(), log, oracle_result_log(result.rows)
-        )
-        for count, (row, report, got, (want_row, want_flags, want_line)) in enumerate(lines):
+        lines = zip_longest(result.solutions, log, oracle_result_log(result.rows))
+        for count, ((row, report), got, (want_row, want_flags, want_line)) in enumerate(lines):
             assert tuple(row) == want_row, f"row {count} out of sorted order"
             assert got == want_line, f"log line {count} differs"
             if id(report) not in report_flags:
@@ -718,7 +711,7 @@ class TestStreamedLogAgainstOracle:
         assert any(not flags["case_unit"] for flags in report_flags.values())
         expected = [
             tuple(row)
-            for row, rep in zip(result.iter_rows(), result.iter_reports())
+            for row, rep in result.solutions
             if rep.counterexample_pairwise or rep.counterexample_adjacent
         ]
         items = result.counterexamples()
@@ -835,7 +828,7 @@ class TestClassifierAgainstOracle:
 def assert_pattern_path_matches_rows(result):
     """The counts and every row's report against ``classify_row`` on each expanded row."""
     counts = dict.fromkeys(("rows", "trivial", "pairwise", "adjacent", "alt"), 0)
-    for row, report in zip_longest(result.iter_rows(), result.iter_reports()):
+    for row, report in result.solutions:
         want = classify_row(row)
         assert report == want, f"row {row} has {report}, not {want}"
         counts["rows"] += 1
@@ -919,7 +912,7 @@ class TestPatternPathAgainstRows:
         result = search(space)
         assert result.shards_reused == 1 and len(result.solutions) == 9
         assert_pattern_path_matches_rows(result)
-        assert not any(report.satisfied for report in result.iter_reports())
+        assert not any(report.satisfied for _, report in result.solutions)
         assert_matches_oracle(result, tmp_path / "log.jsonl")
 
     @settings(max_examples=500, deadline=None)
