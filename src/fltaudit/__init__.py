@@ -9,109 +9,48 @@ audits the claim that every Pythagorean triple is (p^2 - q^2, 2pq, p^2 + q^2)
 with p > q > 0; and exhaustively searches bounded integer boxes for
 counterexamples to the conjecture that the associated three-equation
 quadratic system has no nontrivial solution under its side conditions.
+
+Each exported name is imported from its module on first access (PEP 562), so
+importing the package loads only ``fltaudit.version``.
 """
 
-from .audit import (
-    AuditConfig,
-    AuditReport,
-    ClaimEntry,
-    compare_to_manifest,
-    load_default_manifest,
-    replay_evidence,
-    run_audit,
-)
-from .checkpoint import CheckpointError
-from .conditions import (
-    ImplicationCheck,
-    replay_condition_counterexample,
-    verify_condition_derivations,
-)
-from .fermat import primitive_square_triples, scan_power_equation
-from .lemma import (
-    AbcTriple,
-    ConsistencyResult,
-    DerivationError,
-    DerivedSystem,
-    EvalPoint,
-    build_lemma_terms,
-    consistency_residual,
-    derive_system,
-    fermat_poly,
-    lhs_poly,
-    linear_forms,
-    numeric_cross_check,
-    verify_identity,
-)
-from .poly import ONE, ZERO, NotDivisible, Polynomial, X, Y, Z
-from .pythagoras import (
-    PythTriple,
-    Representation,
-    audit_parametrization,
-    enumerate_triples,
-    euclid_primitive_triples,
-    is_pythagorean,
-    represent_triple,
-    represent_triple_charitable,
-)
-from .search import (
-    ConditionReport,
-    ConjectureInstance,
-    SearchResult,
-    SearchSpace,
-    check_conditions,
-    system_values,
-    write_result_log,
-)
 from .version import __version__
 
-__all__ = [
-    "AbcTriple",
-    "AuditConfig",
-    "AuditReport",
-    "CheckpointError",
-    "ClaimEntry",
-    "ConditionReport",
-    "ConjectureInstance",
-    "ConsistencyResult",
-    "DerivationError",
-    "DerivedSystem",
-    "EvalPoint",
-    "ImplicationCheck",
-    "NotDivisible",
-    "ONE",
-    "Polynomial",
-    "PythTriple",
-    "Representation",
-    "SearchResult",
-    "SearchSpace",
-    "X",
-    "Y",
-    "Z",
-    "ZERO",
-    "__version__",
-    "audit_parametrization",
-    "build_lemma_terms",
-    "check_conditions",
-    "compare_to_manifest",
-    "consistency_residual",
-    "derive_system",
-    "enumerate_triples",
-    "euclid_primitive_triples",
-    "fermat_poly",
-    "is_pythagorean",
-    "lhs_poly",
-    "linear_forms",
-    "load_default_manifest",
-    "numeric_cross_check",
-    "primitive_square_triples",
-    "replay_condition_counterexample",
-    "replay_evidence",
-    "represent_triple",
-    "represent_triple_charitable",
-    "run_audit",
-    "scan_power_equation",
-    "system_values",
-    "verify_condition_derivations",
-    "verify_identity",
-    "write_result_log",
-]
+# Public name -> the submodule that defines it.
+_EXPORTS = {
+    name: module
+    for module, names in {
+        "audit": "AuditConfig AuditReport ClaimEntry compare_to_manifest "
+        "load_default_manifest replay_evidence run_audit",
+        "checkpoint": "CheckpointError",
+        "conditions": "ImplicationCheck replay_condition_counterexample "
+        "verify_condition_derivations",
+        "fermat": "primitive_square_triples scan_power_equation",
+        "lemma": "AbcTriple ConsistencyResult DerivationError DerivedSystem EvalPoint "
+        "build_lemma_terms consistency_residual derive_system fermat_poly lhs_poly "
+        "linear_forms numeric_cross_check verify_identity",
+        "poly": "ONE ZERO NotDivisible Polynomial X Y Z",
+        "pythagoras": "PythTriple Representation audit_parametrization enumerate_triples "
+        "euclid_primitive_triples is_pythagorean represent_triple "
+        "represent_triple_charitable",
+        "search": "ConditionReport ConjectureInstance SearchResult SearchSpace "
+        "check_conditions system_values write_result_log",
+    }.items()
+    for name in names.split()
+}
+
+__all__ = sorted([*_EXPORTS, "__version__"])
+
+
+def __getattr__(name: str):
+    from importlib import import_module
+
+    if name not in _EXPORTS:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(import_module(f".{_EXPORTS[name]}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__})

@@ -19,24 +19,11 @@ from __future__ import annotations
 
 import argparse
 import json
-import random
 import sys
 from contextlib import nullcontext
-from dataclasses import fields
 from pathlib import Path
 
-from .audit import (
-    AuditConfig,
-    compare_to_manifest,
-    load_default_manifest,
-    load_manifest,
-    run_audit,
-)
 from .checkpoint import CheckpointError
-from .fermat import scan_power_equation
-from .lemma import identity_record
-from .pythagoras import is_pythagorean, represent_triple, represent_triple_charitable
-from .search import ROW_VARS, SearchSpace, search, write_result_log
 from .version import __version__
 
 EXIT_OK = 0
@@ -173,9 +160,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 # ----------------------------------------------------------------------
 # Command handlers: each returns (exit_code, json_payload, text_rendering)
+# and imports only the modules it runs, so a run loads no other subcommand's.
 
 
 def _cmd_verify_identity(args: argparse.Namespace) -> tuple[int, dict, str]:
+    import random
+
+    from .lemma import identity_record
+
     if args.n_min < 3:
         raise UsageError(f"--n-min must be >= 3, got {args.n_min}")
     if args.n_min > args.n_max:
@@ -216,10 +208,17 @@ def _cmd_verify_identity(args: argparse.Namespace) -> tuple[int, dict, str]:
     return (EXIT_OK if all_zero else EXIT_IDENTITY), payload, "\n".join(lines) + "\n"
 
 
-_AUDIT_CONFIG_KEYS = {f.name for f in fields(AuditConfig)}
-
-
 def _cmd_audit(args: argparse.Namespace) -> tuple[int, dict, str]:
+    from dataclasses import fields
+
+    from .audit import (
+        AuditConfig,
+        compare_to_manifest,
+        load_default_manifest,
+        load_manifest,
+        run_audit,
+    )
+
     flags = {
         "identity_n_min": args.n_min,
         "identity_n_max": args.n_max,
@@ -244,7 +243,7 @@ def _cmd_audit(args: argparse.Namespace) -> tuple[int, dict, str]:
             raise UsageError(f"config file is not valid JSON: {exc}") from exc
         if not isinstance(file_overrides, dict):
             raise UsageError("config file must hold a JSON object")
-        unknown = set(file_overrides) - _AUDIT_CONFIG_KEYS
+        unknown = set(file_overrides) - {f.name for f in fields(AuditConfig)}
         if unknown:
             raise UsageError(f"unknown config keys: {sorted(unknown)}")
         overrides.update(file_overrides)
@@ -283,6 +282,8 @@ def _cmd_audit(args: argparse.Namespace) -> tuple[int, dict, str]:
 
 
 def _cmd_search(args: argparse.Namespace) -> tuple[int, dict, str]:
+    from .search import ROW_VARS, SearchSpace, search, write_result_log
+
     if args.workers < 1:
         raise UsageError(f"--workers must be >= 1, got {args.workers}")
     try:
@@ -360,6 +361,8 @@ def _cmd_search(args: argparse.Namespace) -> tuple[int, dict, str]:
 
 
 def _cmd_scan_flt(args: argparse.Namespace) -> tuple[int, dict, str]:
+    from .fermat import scan_power_equation
+
     if args.base_max < 1:
         raise UsageError(f"--base-max must be >= 1, got {args.base_max}")
     if args.n_min < 2:
@@ -389,6 +392,8 @@ def _cmd_scan_flt(args: argparse.Namespace) -> tuple[int, dict, str]:
 
 
 def _cmd_represent(args: argparse.Namespace) -> tuple[int, dict, str]:
+    from .pythagoras import is_pythagorean, represent_triple, represent_triple_charitable
+
     finder = represent_triple_charitable if args.charitable else represent_triple
     rep = finder(args.A, args.B, args.C)
     payload = {
