@@ -44,10 +44,12 @@ counterexample, and its report varies with its free values only through the
 two readings of the chain d != e != f != 0: three classes, since the
 pairwise reading implies the adjacent one.  So the search classifies one
 row per entry and counts the whole entry under its report, and a walk of
-the rows classifies one row per entry and class; the result log binds one
-line per entry and class.  The work and the memory grow with the entries,
-not the rows.  Rows are expanded from the entries, in enumeration order,
-only when they are walked.
+the rows classifies one row per entry and class, reading each row's class
+from one table over the box's (d, e) pairs.  The result log binds one line
+per entry and class as a head and a tail, puts each row's (d, e) text and
+f between them and writes 32 lines at a time.  The work and the memory
+grow with the entries, not the rows.  Rows are expanded from the entries,
+in enumeration order, only when they are walked.
 
 The space is split into shards by a prefix of the enumeration order; each
 completed shard appends one fsync'd record to the checkpoint file, so an
@@ -64,7 +66,7 @@ import hashlib
 from array import array
 from collections import Counter
 from dataclasses import dataclass, fields
-from itertools import chain, groupby, product
+from itertools import chain, groupby, islice, product
 from math import isqrt, prod
 from operator import attrgetter, itemgetter, lt
 from pathlib import Path
@@ -579,15 +581,35 @@ def _groups(entries: list[list[list]]) -> Iterator[list[list]]:
         yield list(group)
 
 
-def _family_rows(group: list[list], free: list[range], codes: list) -> Iterator[tuple]:
-    """The rows of a family group in enumeration order, as (entry, d, e, f, code slot).
+def _pair_table(free: list[range]) -> dict[int, dict[int, tuple]]:
+    """Each (d, e) pair of the box, as ``table[d][e] = (record, classes)``.
+
+    ``record`` is ``(d, e, text)``, where ``text`` is the pair's stretch of a
+    log line, from d's value up to f's: the log's keys are sorted, so d, e
+    and f are neighbours in every line.  ``classes[i]`` is the pair's
+    ``_def_class`` at the i-th value of f's range.
+    """
+    d_range, e_range, f_range = free
+    return {
+        d: {
+            e: ((d, e, f'{d},"e":{e},"f":'), bytes(_def_class(d, e, f) for f in f_range))
+            for e in e_range
+        }
+        for d in d_range
+    }
+
+
+def _family_rows(group: list[list], free: list[range], codes: list, table: dict) -> Iterator[tuple]:
+    """The rows of a family group in enumeration order, as (entry, pair, f, code slot).
 
     A ``None`` in the d, e or f slot stands for every value of that
     variable's range in ``free``.  The group's entries share their None
     slots, so the group is walked d -> e -> f, a free slot over its whole
-    range; no sort is needed.  ``codes`` has three slots per entry, in entry
-    order, one per ``_def_class``: a row's slot is its entry's first plus
-    its class, filled from the row itself the first time the slot is met.
+    range; no sort is needed.  ``pair`` is the row's (d, e) record from
+    ``_pair_table``'s ``table``, which also gives each row's ``_def_class``.
+    ``codes`` has three slots per entry, in entry order, one per class: a
+    row's slot is its entry's first plus its class, filled from the row
+    itself the first time the slot is met.
     """
     # slot value (None when free) -> next slot's tree; f's leaves hold the
     # entry and where its codes start.
@@ -598,14 +620,20 @@ def _family_rows(group: list[list], free: list[range], codes: list) -> Iterator[
     d_free, e_free, f_free = free
     for d_key, e_tree in tree.items():
         for d in d_free if d_key is None else (d_key,):
+            pairs = table[d]
             for e_key, f_tree in e_tree.items():
                 for e in e_free if e_key is None else (e_key,):
+                    pair, classes = pairs[e]
                     for f_key, (entry, first) in f_tree.items():
-                        for f in f_free if f_key is None else (f_key,):
-                            k = first + _def_class(d, e, f)
+                        if f_key is None:
+                            cells = zip(f_free, classes)
+                        else:
+                            cells = ((f_key, classes[f_key - f_free.start]),)
+                        for f, cls in cells:
+                            k = first + cls
                             if codes[k] is None:
                                 codes[k] = _report_code([*entry[:6], d, e, f, *entry[9:]])
-                            yield entry, d, e, f, k
+                            yield entry, pair, f, k
 
 
 class Solutions:
@@ -619,7 +647,7 @@ class Solutions:
 
     def __iter__(self) -> Iterator[tuple[ConjectureInstance, ConditionReport]]:
         for codes, rows in self._result._walk():
-            for entry, d, e, f, k in rows:
+            for entry, (d, e, _), f, k in rows:
                 yield ConjectureInstance(*entry[:6], d, e, f, *entry[9:]), _REPORTS[codes[k]]
 
 
@@ -652,26 +680,34 @@ class SearchResult:
         """Each run of entries sharing (alpha, beta, gamma, a, b, c), in enumeration order.
 
         A run comes as its report codes and a lazy walk of its rows in
-        enumeration order, each as (entry, d, e, f, k): the row is the entry
-        with d, e and f in their slots, ``codes[k]`` is its report code once
-        the row is walked, and the rows that share a k share their entry and
-        code.
+        enumeration order, each as (entry, (d, e, text), f, k): the row is
+        the entry with d, e and f in their slots, ``codes[k]`` is its report
+        code once the row is walked, and the rows that share a k share their
+        entry and code.  A family row's (d, e, text) is its pair's record in
+        one ``_pair_table``, built when the first family run is met; an
+        explicit row's text is None.
         """
         free = [self.space.values_of(name) for name in "def"]
+        table = None
         explicit = 0
         for group in _groups(self.entries):
             if None not in group[0]:
                 codes = self.explicit_codes[explicit : explicit + len(group)]
                 explicit += len(group)
-                yield codes, ((entry, *entry[6:9], k) for k, entry in enumerate(group))
+                yield codes, (
+                    (entry, (entry[6], entry[7], None), entry[8], k)
+                    for k, entry in enumerate(group)
+                )
             else:
+                if table is None:
+                    table = _pair_table(free)
                 codes = [None] * (3 * len(group))
-                yield codes, _family_rows(group, free, codes)
+                yield codes, _family_rows(group, free, codes, table)
 
     def iter_rows(self) -> Iterator[list[int]]:
         """The kernel rows in enumeration order, expanded from the entries as they go."""
         for _, rows in self._walk():
-            for entry, d, e, f, _ in rows:
+            for entry, (d, e, _), f, _ in rows:
                 yield [*entry[:6], d, e, f, *entry[9:]]
 
     @property
@@ -911,6 +947,8 @@ def _flag_fields(report: ConditionReport) -> dict:
 
 # The d, e, f slots left open when a family entry's line is bound.
 _DEF_OPEN = ["%d"] * 3
+# Lines joined into each write of the result log.
+_LINES_PER_WRITE = 32
 
 
 def _line_template(report: ConditionReport) -> tuple[str, Callable[[Sequence], tuple]]:
@@ -937,11 +975,14 @@ def _line_template(report: ConditionReport) -> tuple[str, Callable[[Sequence], t
 def write_result_log(result: SearchResult, path: str | Path) -> None:
     """Write the normalized result log: one canonical JSON object per solution.
 
-    Each entry's line is bound once per report from the report's template,
-    with d, e and f left open, and each of the entry's rows fills in its d,
-    e and f.  The bound lines of a run of entries are dropped when the run
-    ends, so memory holds one run's lines and the file's buffer, however
-    many rows there are.
+    An explicit row fills its report's template.  A family entry's line is
+    bound once per report, with d, e and f left open, as the head before
+    d's value and the tail after f's; each of its rows is the head, its
+    (d, e) pair's text, its f and the tail, so only f is formatted per row.
+    The lines go to the file ``_LINES_PER_WRITE`` at a time.  The bound
+    lines of a run of entries are dropped when the run ends, so memory holds
+    one run's bound lines, one (d, e) table, one write's lines and the
+    file's buffer, however many rows there are.
     """
     templates: dict[int, tuple] = {}  # report code -> its line template and picker
 
@@ -951,15 +992,21 @@ def write_result_log(result: SearchResult, path: str | Path) -> None:
             entry = templates[code] = _line_template(_REPORTS[code])
         return entry[0] % entry[1](row)
 
-    with open(path, "w", encoding="utf-8") as handle:
-        write = handle.write
+    def lines() -> Iterator[str]:
         for codes, rows in result._walk():
-            # Each code slot's line, split at the open d, e and f.
-            bound: list[list[str] | None] = [None] * len(codes)
-            for entry, d, e, f, k in rows:
+            # Each code slot's line as its head and tail.
+            bound: list[tuple[str, str] | None] = [None] * len(codes)
+            for entry, (_, _, text), f, k in rows:
+                if text is None:
+                    yield fill(codes[k], entry)
+                    continue
                 parts = bound[k]
                 if parts is None:
-                    line = fill(codes[k], entry[:6] + _DEF_OPEN + entry[9:])
-                    parts = bound[k] = line.split("%d")
-                head, to_e, to_f, tail = parts
-                write(f"{head}{d}{to_e}{e}{to_f}{f}{tail}")
+                    head, _, _, tail = fill(codes[k], entry[:6] + _DEF_OPEN + entry[9:]).split("%d")
+                    parts = bound[k] = head, tail
+                yield f"{parts[0]}{text}{f}{parts[1]}"
+
+    with open(path, "w", encoding="utf-8") as handle:
+        chunks = lines()
+        for chunk in iter(lambda: "".join(islice(chunks, _LINES_PER_WRITE)), ""):
+            handle.write(chunk)

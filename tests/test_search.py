@@ -28,6 +28,7 @@ from fltaudit.search import (
     write_result_log,
 )
 from fltaudit.search import _DEF_OPEN, _def_class, _free_axis, _kernel, _line_template
+from fltaudit.search import _pair_table
 from fltaudit.search import _sign_classes
 from fltaudit.search import _scan_shard as real_scan_shard
 
@@ -747,6 +748,37 @@ class TestStreamedLogAgainstOracle:
         assert result.exhausted and len(result.solutions) > 0
         assert_matches_oracle(result, tmp_path / "log.jsonl")
 
+    @pytest.mark.parametrize(
+        ("case", "bounds"),
+        [
+            # 0 and d's lowest values lie outside f's range, e's highest too.
+            (
+                "unit",
+                {"a": (-3, 3), "b": (-3, 3), "c": (-2, 3), "d": (-4, 2), "e": (-1, 5), "f": (1, 4)},
+            ),
+            # d's whole range lies outside f's, which holds only negatives.
+            (
+                "unit",
+                {"a": (-1, 2), "b": (0, 2), "c": (0, 3), "d": (-4, -1), "e": (2, 5), "f": (-3, -1)},
+            ),
+            # Negative gamma, free a and alpha axes, and 0 outside f's range.
+            (
+                "general",
+                {
+                    "alpha": (1, 2), "beta": (-1, 1), "gamma": (-2, -1),
+                    "a": (-1, 2), "b": (-1, 1), "c": (0, 2),
+                    "d": (-2, 1), "e": (0, 3), "f": (1, 3),
+                },
+            ),
+        ],
+    )
+    def test_lopsided_library_space(self, tmp_path, case, bounds):
+        # c's range holds 0, so some entries leave f free over a range that
+        # misses 0 and some of the d and e values the (d, e) table covers.
+        result = search(SearchSpace(bounds=bounds, case=case, shards=3))
+        assert any(slots[2] for slots in family_slots(result))
+        assert_matches_oracle(result, tmp_path / "log.jsonl")
+
     def test_check_conditions_shares_reports(self):
         inst = unit_instance(3, 2, 2, 1, -1, 1, p=1, q=1)
         assert check_conditions(inst) is check_conditions(ConjectureInstance.from_key(inst.key()))
@@ -785,6 +817,15 @@ class TestLineTemplates:
                 count += 1
         assert count == 2**12 * len(self.ROWS)
 
+    def test_family_lines_split_at_d_into_head_and_tail(self):
+        # A family line is the head, its (d, e) pair's text, f and the tail:
+        # the keys are sorted, so d, e and f are neighbours in every line.
+        for flags in product((False, True), repeat=12):
+            template, pick = _line_template(ConditionReport(*flags))
+            head, to_e, to_f, tail = (template % pick([0] * 6 + _DEF_OPEN + [0] * 2)).split("%d")
+            assert (to_e, to_f) == (',"e":', ',"f":')
+            assert head.endswith('"d":') and tail.startswith(',"gamma":')
+
     def test_write_holds_far_less_than_the_log(self, tmp_path):
         result = search(SearchSpace.cube(-6, 6))
         path = tmp_path / "log.jsonl"
@@ -816,6 +857,50 @@ class TestMemoryBound:
             peaks.append(peak)
             rows.append(len(result.solutions))
         assert (peaks[1] - peaks[0]) / (rows[1] - rows[0]) <= 16
+
+    def test_writer_holds_nothing_sized_by_f_range(self, tmp_path):
+        # Widening f from [-4, 4] to [-40, 40] multiplies the rows by 7.6;
+        # the writer's peak must not follow, whether by a table sized by
+        # f's range or by a buffer sized by a run of rows.
+        peaks, rows = [], []
+        for bound in (4, 40):
+            bounds = {**dict.fromkeys("abcde", (-2, 2)), "f": (-bound, bound)}
+            result = search(SearchSpace(bounds=bounds))
+            tracemalloc.start()
+            try:
+                write_result_log(result, tmp_path / "log.jsonl")
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            peaks.append(peak)
+            rows.append(len(result.solutions))
+        assert rows == [2133, 16317]
+        assert abs(peaks[1] - peaks[0]) < 16 * 1024
+
+
+class TestPairTable:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.lists(
+            st.builds(
+                lambda low, width: range(low, low + width + 1),
+                st.integers(-5, 5),
+                st.integers(0, 4),
+            ),
+            min_size=3,
+            max_size=3,
+        )
+    )
+    def test_cells_match_def_class(self, free):
+        # One-signed, mixed and single-value ranges, 0 in some and not in others.
+        d_range, e_range, f_range = free
+        table = _pair_table(free)
+        assert list(table) == list(d_range)
+        for d, pairs in table.items():
+            assert list(pairs) == list(e_range)
+            for e, ((rec_d, rec_e, text), classes) in pairs.items():
+                assert (rec_d, rec_e, text) == (d, e, f'{d},"e":{e},"f":')
+                assert list(classes) == [_def_class(d, e, f) for f in f_range]
 
 
 class TestClassifierAgainstOracle:
