@@ -3,16 +3,13 @@
 File layout: a sequence of records, each a 4-byte big-endian payload length
 followed by that many bytes of canonical JSON.  Records are appended and
 fsync'd one per completed shard, so a crash can only ever leave a truncated
-tail behind the last complete record.  A truncated tail is discarded on load
-(the interrupted shard simply reruns); anything else that does not decode is
-reported as corruption.
+tail behind the last complete record.  Reading cuts that tail from the file,
+so a record appended after it stays readable (the interrupted shard simply
+reruns); anything else that does not decode is reported as corruption.
 
-The search writes one record per shard: ``format``, ``signature``, ``shard``,
-``shards``, ``blocks``, ``scanned`` and ``solutions``.  Format 2 stores a
-zero-product family as one kernel row with ``null`` in its d, e or f slot,
-meaning every value of that variable in the range; format 1 (every row
-explicit) is still read.  The search checks each record against its shard
-before trusting it (``fltaudit.search``).
+A search record is the header ``fltaudit.search._record_header`` declares
+plus the shard's rows under ``solutions``; a resume trusts it only if the
+search could have written it.
 """
 
 from __future__ import annotations
@@ -64,7 +61,7 @@ def append_record(path: str | Path, record: dict) -> None:
 
 
 def read_records(path: str | Path) -> tuple[list[dict], bool]:
-    """All complete records plus a flag marking a discarded truncated tail.
+    """All complete records plus a flag marking a truncated tail, cut from the file.
 
     Records are read one at a time, so the file is never held whole beside
     the records decoded from it.
@@ -74,7 +71,7 @@ def read_records(path: str | Path) -> tuple[list[dict], bool]:
     with open(path, "rb") as handle:
         while header := handle.read(_LENGTH.size):
             if len(header) < _LENGTH.size:
-                return records, True
+                break
             (length,) = _LENGTH.unpack(header)
             if length > MAX_RECORD_BYTES:
                 raise CheckpointError(
@@ -82,7 +79,7 @@ def read_records(path: str | Path) -> tuple[list[dict], bool]:
                 )
             payload = handle.read(length)
             if len(payload) < length:
-                return records, True
+                break
             try:
                 record = json.loads(payload)
             except ValueError as exc:
@@ -91,4 +88,9 @@ def read_records(path: str | Path) -> tuple[list[dict], bool]:
                 raise CheckpointError(f"record at byte {offset} is not an object")
             records.append(record)
             offset += _LENGTH.size + length
-    return records, False
+        else:
+            return records, False
+    with open(path, "r+b") as handle:
+        handle.truncate(offset)
+        os.fsync(handle.fileno())
+    return records, True

@@ -53,11 +53,12 @@ in enumeration order, only when they are walked.
 
 The space is split into shards by a prefix of the enumeration order; each
 completed shard appends one fsync'd record to the checkpoint file, so an
-interrupted run resumes without rescanning.  A resume trusts a record only
-where it matches its shard: its blocks and their assignment count, and rows
-of eleven integers inside the search box, their first two enumerated values
-in the shard's blocks and their nulls exactly in the d, e, f slots whose
-product is 0.
+interrupted run resumes without rescanning, and a torn tail is cut from the
+file.  A resume trusts a record only if _scan_shard could have written it:
+the header _record_header declares for its shard, and strictly increasing
+rows of eleven integers in the shard's blocks and the search box, nulls
+exactly in the d, e, f slots whose product is 0, each solving the system
+with q >= 0, and p >= 0 where q = 0.
 """
 
 from __future__ import annotations
@@ -368,10 +369,22 @@ def _prefix_blocks(space: SearchSpace) -> list[tuple[int, int]]:
     return [(i, j) for i in space.values_of(first) for j in space.values_of(second)]
 
 
-def _shard_block_range(space: SearchSpace, shard_id: int, block_count: int) -> tuple[int, int]:
-    start = shard_id * block_count // space.shards
-    stop = (shard_id + 1) * block_count // space.shards
-    return start, stop
+def _record_header(space: SearchSpace, shard: int, fmt: int = 2) -> dict:
+    """Every field of ``shard``'s checkpoint record but its rows, in format ``fmt``.
+
+    Format 2 keeps a family as one row, ``null`` in its free d, e or f slots;
+    format 1 (every row explicit) is still read.
+    """
+    block_count = prod(len(space.values_of(name)) for name in space.enumerated_vars[:2])
+    start, stop = (i * block_count // space.shards for i in (shard, shard + 1))
+    return {
+        "format": fmt,
+        "signature": space.signature(),
+        "shard": shard,
+        "shards": space.shards,
+        "blocks": [start, stop],
+        "scanned": (stop - start) * (space.total_assignments() // block_count),
+    }
 
 
 # ----------------------------------------------------------------------
@@ -406,8 +419,8 @@ def _free_axis(table: _SignTable) -> _SignTable:
 
 def _scan_shard(space: SearchSpace, shard_id: int) -> dict:
     """Scan one shard and return its checkpoint record."""
-    blocks = _prefix_blocks(space)
-    start, stop = _shard_block_range(space, shard_id, len(blocks))
+    header = _record_header(space, shard_id)
+    start, stop = header["blocks"]
 
     ranges = space.kernel_ranges()
     c_table, *def_tables = map(_sign_classes, ranges[5:])
@@ -421,22 +434,14 @@ def _scan_shard(space: SearchSpace, shard_id: int) -> dict:
     # first two enumerated ones.  The kernel emits in enumeration order.
     outer = ranges[:5]
     first = ROW_VARS.index(space.enumerated_vars[0])
-    for i, j in blocks[start:stop]:
+    for i, j in _prefix_blocks(space)[start:stop]:
         outer[first : first + 2] = [i], [j]
         for alpha, beta, gamma, a, b in product(*outer):
             _kernel(
                 alpha, beta, gamma, a, b, c_table, d_pair, e_pair, f_pair, f_squares, solutions
             )
 
-    return {
-        "format": 2,
-        "signature": space.signature(),
-        "shard": shard_id,
-        "shards": space.shards,
-        "blocks": [start, stop],
-        "scanned": (stop - start) * (space.total_assignments() // len(blocks)),
-        "solutions": solutions,
-    }
+    return {**header, "solutions": solutions}
 
 
 def _kernel(
@@ -674,7 +679,6 @@ class SearchResult:
     exhausted: bool
     shards_total: int
     shards_reused: int
-    checkpoint_tail_discarded: bool = False
 
     def _walk(self) -> Iterator[tuple[Sequence, Iterator[tuple]]]:
         """Each run of entries sharing (alpha, beta, gamma, a, b, c), in enumeration order.
@@ -765,42 +769,34 @@ def _free_slots_match(row: list) -> bool:
     )
 
 
-def _load_existing_records(space: SearchSpace, signature: str) -> tuple[dict[int, dict], bool]:
+def _load_existing_records(space: SearchSpace, signature: str) -> dict[int, dict]:
+    """The checkpoint's records by shard, each one a record ``_scan_shard`` could write."""
     path = space.checkpoint_path
     if path is None or not Path(path).exists():
-        return {}, False
-    records, truncated = read_records(path)
+        return {}
+    records, _ = read_records(path)
     blocks = _prefix_blocks(space)
-    block_count = len(blocks)
-    per_block = space.total_assignments() // block_count
     box = space.kernel_ranges()
     prefix = itemgetter(*map(ROW_VARS.index, space.enumerated_vars[:2]))
     existing: dict[int, dict] = {}
     for record in records:
-        for key in ("format", "signature", "shard", "shards", "blocks", "solutions", "scanned"):
-            if key not in record:
-                raise CheckpointError(f"checkpoint record is missing field {key!r}")
-        if record["signature"] != signature:
+        shard = record.get("shard")
+        if record.get("signature") != signature:
             raise CheckpointError(
-                "checkpoint was written for a different search configuration"
+                f"checkpoint shard {shard!r} was written for a different search configuration"
             )
-        if not all(type(record[key]) is int for key in ("format", "shard", "shards", "scanned")):
-            raise CheckpointError("checkpoint format, shard, shards and scanned must be integers")
-        if record["format"] not in (1, 2):
-            raise CheckpointError(f"checkpoint record format {record['format']} is not 1 or 2")
-        shard = record["shard"]
-        if not (0 <= shard < space.shards) or record["shards"] != space.shards:
-            raise CheckpointError(f"checkpoint shard {shard} is out of range")
-        start, stop = _shard_block_range(space, shard, block_count)
-        blocks_ok = record["blocks"] == [start, stop] and {*map(type, record["blocks"])} == {int}
-        if not blocks_ok or record["scanned"] != (stop - start) * per_block:
+        if type(shard) is not int or not 0 <= shard < space.shards:
+            raise CheckpointError(f"checkpoint shard {shard!r} is not in [0, {space.shards})")
+        # As canonical JSON, true, 1.0 or "1" never passes for 1, nor a missing key.
+        want = _record_header(space, shard, 1 if record.get("format") == 1 else 2)
+        if CANONICAL_JSON.encode({k: record.get(k) for k in want}) != CANONICAL_JSON.encode(want):
             raise CheckpointError(
-                f"checkpoint shard {shard} does not record blocks [{start}, {stop}) "
-                f"and their {(stop - start) * per_block} assignments"
+                f"checkpoint shard {shard} does not hold format 1 or 2, {space.shards} "
+                f"shards, blocks {want['blocks']} and scanned {want['scanned']}"
             )
         # The log writes each row value into an integer slot, so a row must
         # hold exactly len(ROW_VARS) ints; format 2 may leave free slots null.
-        rows = record["solutions"]
+        rows = record.get("solutions")
         slot_types = {int} if record["format"] == 1 else {int, type(None)}
         if not (
             isinstance(rows, list)
@@ -809,8 +805,7 @@ def _load_existing_records(space: SearchSpace, signature: str) -> tuple[dict[int
             and set(map(type, chain.from_iterable(rows))) <= slot_types
         ):
             raise CheckpointError(
-                f"checkpoint shard {shard} holds a row that is not "
-                f"{len(ROW_VARS)} integers"
+                f"checkpoint shard {shard} holds a row that is not {len(ROW_VARS)} integers"
             )
         if record["format"] == 2 and not all(map(_free_slots_match, rows)):
             raise CheckpointError(
@@ -820,7 +815,7 @@ def _load_existing_records(space: SearchSpace, signature: str) -> tuple[dict[int
         # Checked on the distinct prefixes and each column's distinct values,
         # so a resume that reads every entry pays little for it.
         if not (
-            set(map(prefix, rows)) <= set(blocks[start:stop])
+            set(map(prefix, rows)) <= set(blocks[slice(*want["blocks"])])
             and all(
                 value in axis
                 for i, axis in enumerate(box)
@@ -830,6 +825,10 @@ def _load_existing_records(space: SearchSpace, signature: str) -> tuple[dict[int
             raise CheckpointError(
                 f"checkpoint shard {shard} holds a row outside its blocks or the search box"
             )
+        if min(map(itemgetter(10, 9), rows), default=(0, 0)) < (0, 0):
+            raise CheckpointError(
+                f"checkpoint shard {shard} holds a row with q < 0, or with q = 0 and p < 0"
+            )
         # The walk and the log take each record's rows as strictly increasing.
         # Rows of one prefix share their nulls, so None meets only None here.
         if not all(map(lt, rows, rows[1:])):
@@ -837,7 +836,7 @@ def _load_existing_records(space: SearchSpace, signature: str) -> tuple[dict[int
                 f"checkpoint shard {shard} holds rows repeated or out of enumeration order"
             )
         existing.setdefault(shard, record)
-    return existing, truncated
+    return existing
 
 
 def search(
@@ -856,7 +855,7 @@ def search(
     checkpoint.
     """
     signature = space.signature()
-    existing, truncated = _load_existing_records(space, signature)
+    existing = _load_existing_records(space, signature)
     todo = [sid for sid in range(space.shards) if sid not in existing]
 
     fresh: dict[int, dict] = {}
@@ -886,29 +885,29 @@ def search(
         for sid in todo:
             complete(sid, _scan_shard(space, sid))
 
-    records = {**existing, **fresh}
-    missing = [sid for sid in range(space.shards) if sid not in records]
-    if missing:
-        raise CheckpointError(f"shards {missing} did not complete")
-
     # Shards cover consecutive runs of the prefix blocks and each shard's
     # entries are in enumeration order, so the shard-order walk is too.
     # An explicit row is classified on its own.  A family entry is
     # classified at its first row and counted whole under that report: its
-    # rows differ only in the d, e, f chain flags, and they are all trivial
-    # or fail div_ok, so the trivial, counterexample and adjacent-admissible
-    # flags the counts read are the same for every row of the entry.
+    # free variables drop out of all three equations, its rows differ only
+    # in the d, e, f chain flags, and they are all trivial or fail div_ok, so
+    # ``satisfied`` and the flags the counts read are the same for every row.
+    records = {**existing, **fresh}
     entries = [records[sid]["solutions"] for sid in range(space.shards)]
     free = [space.values_of(name) for name in "def"]
     explicit_codes = array("H")
     rows_by_code: Counter[int] = Counter()
-    for entry in chain.from_iterable(entries):
-        if None not in entry:
-            explicit_codes.append(_report_code(entry))
-            continue
-        axes = [(value,) if value is not None else r for value, r in zip(entry[6:9], free)]
-        first = [*entry[:6], *(axis[0] for axis in axes), *entry[9:]]
-        rows_by_code[_report_code(first)] += prod(map(len, axes))
+    for sid, shard_entries in enumerate(entries):
+        for entry in shard_entries:
+            if None not in entry:
+                code = _report_code(entry)
+                explicit_codes.append(code)
+            else:
+                axes = [(v,) if v is not None else r for v, r in zip(entry[6:9], free)]
+                code = _report_code([*entry[:6], *(axis[0] for axis in axes), *entry[9:]])
+                rows_by_code[code] += prod(map(len, axes))
+            if not _REPORTS[code].satisfied:
+                raise CheckpointError(f"checkpoint shard {sid} holds a row that fails the system")
     rows_by_code.update(explicit_codes)
 
     def rows_where(flag: Callable[[ConditionReport], bool]) -> int:
@@ -931,7 +930,6 @@ def search(
         exhausted=scanned == total,
         shards_total=space.shards,
         shards_reused=len(existing),
-        checkpoint_tail_discarded=truncated,
     )
 
 

@@ -477,11 +477,16 @@ class TestDeterminismAndSharding:
         assert {inst.key() for inst, _ in result.solutions} == naive_unit_scan(-1, 1)
 
 
+# resume_tampered's value that deletes the field.
+DELETED = object()
+
+
 def resume_tampered(tmp_path, field, value, shard=1):
     """Search unit [-1, 1] in 2 shards, set ``field`` of one shard's record, resume.
 
     Shard 0 holds blocks [0, 4) and shard 1 blocks [4, 9).  ``field``
-    ``"row"`` replaces the record's first row instead.
+    ``"row"`` replaces the record's first row instead, ``"insert"`` adds the
+    row in enumeration order, and the value ``DELETED`` deletes the field.
     """
     cp = tmp_path / "tampered.ckpt"
     space = SearchSpace.cube(-1, 1, shards=2, checkpoint_path=cp)
@@ -489,6 +494,10 @@ def resume_tampered(tmp_path, field, value, shard=1):
     records, _ = read_records(cp)
     if field == "row":
         records[shard]["solutions"][0] = value
+    elif field == "insert":
+        records[shard]["solutions"] = sorted([*records[shard]["solutions"], value])
+    elif value is DELETED:
+        del records[shard][field]
     else:
         records[shard][field] = value
     cp.unlink()
@@ -561,11 +570,23 @@ class TestCheckpointing:
             ("shard", "1"),
             ("shards", 2.0),
             ("scanned", "9"),
+            # Equal to 1 or 2 in Python but not in JSON: the header is exact.
+            ("format", True),
+            ("format", 2.0),
+            ("shard", True),
+            ("shards", True),
+            ("scanned", True),
+            *(
+                (key, DELETED)
+                for key in ("format", "signature", "shard", "shards", "blocks", "scanned")
+            ),
         ],
     )
     def test_ill_typed_record_rejected(self, tmp_path, field, value):
-        with pytest.raises(CheckpointError):
+        with pytest.raises(CheckpointError) as caught:
             resume_tampered(tmp_path, field, value)
+        if field != "shard":
+            assert "checkpoint shard 1 " in str(caught.value)
 
     @pytest.mark.parametrize(
         "field, value, shard",
@@ -589,6 +610,11 @@ class TestCheckpointing:
             # Entries must increase strictly: the second and the last entry as the first.
             ("row", [1, 1, 1, 1, -1, 0, -1, -1, None, 0, 0], 1),
             ("row", [1, 1, 1, 1, 1, 0, 1, 1, None, 0, 0], 1),
+            # Shard 1 holds (1, 1, 1, 1, 0, 0, -1, null, null, 1, 1): the
+            # kernel writes each solution once, with q >= 0.
+            ("insert", [1, 1, 1, 1, 0, 0, -1, None, None, -1, -1], 1),
+            # In the box and in order, but p = 5 fails the second equation.
+            ("insert", [1, 1, 1, 1, 1, 1, 1, 1, 1, 5, 1], 1),
         ],
         ids=[
             "format", "scanned", "blocks", "blocks-float", "blocks-bool",
@@ -596,11 +622,20 @@ class TestCheckpointing:
             "d-outside-box", "e-outside-box-beside-free-f", "prefix-of-shard-0",
             "prefix-of-shard-1", "unit-coefficient-not-1",
             "repeated-entry", "entry-out-of-order",
+            "sign-flipped-duplicate", "row-that-fails-the-system",
         ],
     )
     def test_record_beyond_its_shard_rejected(self, tmp_path, field, value, shard):
-        with pytest.raises(CheckpointError):
+        with pytest.raises(CheckpointError, match=f"^checkpoint shard {shard} "):
             resume_tampered(tmp_path, field, value, shard)
+
+    def test_negative_p_beside_zero_q_rejected_on_load(self, tmp_path):
+        # Shard 1 holds (1, 1, 1, 1, 1, 0, 0, 0, null, 0, 0).  The row below
+        # also fails the system, so the message tells the loader's sign check
+        # from the classification pass.
+        row = [1, 1, 1, 1, 1, 0, 0, 0, None, -1, 0]
+        with pytest.raises(CheckpointError, match="^checkpoint shard 1 .*q = 0 and p < 0"):
+            resume_tampered(tmp_path, "insert", row)
 
     @pytest.mark.parametrize("case, bound", [("unit", 3), ("general", 2)])
     @pytest.mark.parametrize("formats", [(1, 1, 1), (1, 2, 1)])
@@ -624,12 +659,20 @@ class TestCheckpointing:
         space = SearchSpace.cube(-1, 1, shards=2, checkpoint_path=cp)
         search(space)
         whole = cp.read_bytes()
+        first_record = whole[: 4 + int.from_bytes(whole[:4], "big")]
         cp.write_bytes(whole[:-3])  # cut into the final record
         records, truncated = read_records(cp)
         assert truncated and len(records) == 1
+        # The tail is cut from the file, so a record appended next stays readable.
+        assert cp.read_bytes() == first_record
+        cp.write_bytes(whole[:-3])
         resumed = search(space)
         assert resumed.shards_reused == 1
         assert {inst.key() for inst, _ in resumed.solutions} == naive_unit_scan(-1, 1)
+        assert cp.read_bytes() == whole
+        again = search(space)
+        assert again.shards_reused == 2
+        assert list(again.solutions) == list(resumed.solutions)
 
     @pytest.mark.parametrize("count", [0, 1, 255, 256, 257, 600])
     def test_append_writes_canonical_json(self, tmp_path, count):
@@ -987,18 +1030,16 @@ class TestPatternPathAgainstRows:
 
     def test_forged_family_that_fails_the_system(self, tmp_path):
         # a = 1 fixes d; b = c = 0 free e and f.  q = 1 forces p = d**2 = 1,
-        # so p = 5 fails the second equation for every e and f, yet the
-        # entry's nulls are exactly its zero-product slots and it loads.
+        # so p = 5 fails the second equation for every e and f.  The entry's
+        # nulls are exactly its zero-product slots, so only its first row's
+        # report can refuse it.
         cp = tmp_path / "forged.ckpt"
         space = SearchSpace.cube(-1, 1, checkpoint_path=cp)
         record = real_scan_shard(space, 0)
         record["solutions"] = [[1, 1, 1, 1, 0, 0, 1, None, None, 5, 1]]
         append_record(cp, record)
-        result = search(space)
-        assert result.shards_reused == 1 and len(result.solutions) == 9
-        assert_pattern_path_matches_rows(result)
-        assert not any(report.satisfied for _, report in result.solutions)
-        assert_matches_oracle(result, tmp_path / "log.jsonl")
+        with pytest.raises(CheckpointError, match="^checkpoint shard 0 .*fails the system"):
+            search(space)
 
     @settings(max_examples=500, deadline=None)
     @given(
