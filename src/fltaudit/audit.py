@@ -3,8 +3,8 @@
 Each claim is a bounded, machine-checkable statement wired to a checker in
 another module.  Verdicts are always scoped: HOLDS means "no violation in
 the configured ranges", never a universal statement; FAILS always carries
-concrete evidence that re-verifies on replay; UNDECIDED marks scopes with
-nothing to sample (or a checker that crashed).
+concrete evidence that re-verifies on replay; UNDECIDED marks a checker that
+crashed, and C6's exponents above 2, where no solution exists to sample.
 """
 
 from __future__ import annotations
@@ -23,6 +23,7 @@ from .pythagoras import (
     audit_parametrization,
     is_pythagorean,
     represent_triple,
+    represent_triple_charitable,
 )
 from .search import READINGS, ROW_VARS, SearchSpace, classify_row, search
 from .version import __version__
@@ -171,35 +172,79 @@ class AuditReport:
 
 
 # ----------------------------------------------------------------------
-# Checkers: each returns its row's own fields; ``run_audit`` adds the rest.
+# Item tests: each returns its claim's evidence for an input that breaks the
+# claim and None otherwise.  The claim's checker maps it over the sample and
+# its replay applies it to one evidence item, so a FAILS item always replays
+# through the code that found it.
 
 
-def _verdict(evidence, otherwise: str = HOLDS) -> str:
-    """The ledger's one rule: FAILS exactly when there is evidence, else ``otherwise``."""
-    return FAILS if evidence else otherwise
+def _identity_failure(n: int) -> dict | None:
+    residual = verify_identity(n)
+    if residual.is_zero:
+        return None
+    head = str(residual)[:160]
+    return {"n": n, "residual_terms": residual.term_count, "residual_head": head}
 
 
-def _check_identity(config: AuditConfig) -> dict:
-    evidence = []
-    for n in range(config.identity_n_min, config.identity_n_max + 1):
-        residual = verify_identity(n)
-        if not residual.is_zero:
-            rendered = str(residual)
-            evidence.append(
-                {
-                    "n": n,
-                    "residual_terms": residual.term_count,
-                    "residual_head": rendered[:160],
-                }
-            )
-    return dict(
-        scope={"n_min": config.identity_n_min, "n_max": config.identity_n_max},
-        evidence=evidence,
-        notes=[
-            f"symbolic residual computed for every n in "
-            f"[{config.identity_n_min}, {config.identity_n_max}]"
-        ],
-    )
+def _derivation_failure(n: int) -> dict | None:
+    try:
+        derive_system(n)
+    except DerivationError as exc:
+        return {"n": n, "error": str(exc)}
+    return None
+
+
+def _consistency_failure(n: int) -> dict | None:
+    result = consistency_residual(n)
+    if result.holds:
+        return None
+    return {
+        "n": n,
+        "matches_product_form": result.matches_product_form,
+        "fermat_divisible": result.fermat_quotient is not None,
+    }
+
+
+def _parity_failure(x: int, y: int, z: int) -> dict | None:
+    """C6 speaks of primitive solutions only, so any other triple passes."""
+    if x * x + y * y != z * z or gcd(gcd(x, y), z) != 1:
+        return None
+    even_count = sum(1 for v in (x, y, z) if v % 2 == 0)
+    coprime = gcd(x, y) == 1 and gcd(y, z) == 1 and gcd(z, x) == 1
+    if (even_count, coprime) == (1, True):
+        return None
+    return {"triple": [x, y, z], "even_count": even_count, "pairwise_coprime": coprime}
+
+
+def _exact_ints(values, count: int):
+    """``values`` if it is a list of ``count`` exact ints, else ``ValueError``."""
+    if not (isinstance(values, (list, tuple)) and list(map(type, values)) == [int] * count):
+        raise ValueError(f"evidence needs {count} integers, got {values!r}")
+    return values
+
+
+# ----------------------------------------------------------------------
+# Checkers return their row's own fields; ``run_audit`` adds the rest.
+# Replays return True iff a FAILS evidence item still fails.
+
+
+def _verdict(evidence) -> str:
+    """The ledger's one rule: FAILS exactly when there is evidence, else HOLDS."""
+    return FAILS if evidence else HOLDS
+
+
+def _per_exponent(test, scope: str, note: str = "") -> tuple:
+    """(checker, replay) of a claim ``test`` decides for each n in ``<scope>_n_min..max``."""
+
+    def check(config: AuditConfig) -> dict:
+        low, high = getattr(config, f"{scope}_n_min"), getattr(config, f"{scope}_n_max")
+        return dict(
+            scope={"n_min": low, "n_max": high},
+            evidence=[found for n in range(low, high + 1) if (found := test(n))],
+            notes=[f"{note} [{low}, {high}]"] if note else [],
+        )
+
+    return check, lambda item, config: test(item["n"]) is not None
 
 
 def _check_parametrization(config: AuditConfig) -> dict:
@@ -208,15 +253,11 @@ def _check_parametrization(config: AuditConfig) -> dict:
         primitive_only=config.parametrization_primitive_only,
         even_b_only=config.parametrization_even_b_only,
     )
-    charitable = audit_parametrization(
-        config.c_max,
-        primitive_only=config.parametrization_primitive_only,
-        even_b_only=config.parametrization_even_b_only,
-        charitable=True,
-    )
-    primitive_even = audit_parametrization(
-        config.c_max, primitive_only=True, even_b_only=True
-    )
+    # The charitable reading tries the literal one first, so each of its
+    # failures is a literal failure; and every primitive triple with even B
+    # is in the sample whatever the two flags are.
+    charitable = sum(represent_triple_charitable(t.A, t.B, t.C) is None for t in failures)
+    primitive_even = sum(gcd(t.A, t.B) == 1 and t.B % 2 == 0 for t in failures)
     return dict(
         scope={
             "c_max": config.c_max,
@@ -226,47 +267,21 @@ def _check_parametrization(config: AuditConfig) -> dict:
         evidence=[{"triple": list(t.as_tuple())} for t in failures],
         data={
             "literal_failures": len(failures),
-            "charitable_failures": len(charitable),
-            "primitive_even_b_failures": len(primitive_even),
+            "charitable_failures": charitable,
+            "primitive_even_b_failures": primitive_even,
         },
         notes=[
             f"charitable reading (sign flips and swap allowed): "
-            f"{len(charitable)} unrepresentable triples",
+            f"{charitable} unrepresentable triples",
             f"primitive positive triples with even middle term: "
-            f"{len(primitive_even)} unrepresentable (classical case)",
+            f"{primitive_even} unrepresentable (classical case)",
         ],
     )
 
 
-def _check_derivation_chain(config: AuditConfig) -> dict:
-    evidence = []
-    for n in range(config.identity_n_min, config.identity_n_max + 1):
-        try:
-            derive_system(n)
-        except DerivationError as exc:
-            evidence.append({"n": n, "error": str(exc)})
-    return dict(
-        scope={"n_min": config.identity_n_min, "n_max": config.identity_n_max},
-        evidence=evidence,
-    )
-
-
-def _check_consistency(config: AuditConfig) -> dict:
-    evidence = []
-    for n in range(config.consistency_n_min, config.consistency_n_max + 1):
-        result = consistency_residual(n)
-        if not result.holds:
-            evidence.append(
-                {
-                    "n": n,
-                    "matches_product_form": result.matches_product_form,
-                    "fermat_divisible": result.fermat_quotient is not None,
-                }
-            )
-    return dict(
-        scope={"n_min": config.consistency_n_min, "n_max": config.consistency_n_max},
-        evidence=evidence,
-    )
+def _replay_parametrization(item: dict, config: AuditConfig) -> bool:
+    a, b, c = _exact_ints(item["triple"], 3)
+    return is_pythagorean(a, b, c) and represent_triple(a, b, c) is None
 
 
 def _check_conditions(config: AuditConfig) -> dict:
@@ -301,27 +316,19 @@ def _check_conditions(config: AuditConfig) -> dict:
     )
 
 
-def _parity_coprime(x: int, y: int, z: int) -> tuple[int, bool]:
-    """(even count, pairwise coprime) of a triple; C6 holds for it iff (1, True)."""
-    even_count = sum(1 for v in (x, y, z) if v % 2 == 0)
-    return even_count, gcd(x, y) == 1 and gcd(y, z) == 1 and gcd(z, x) == 1
+def _replay_conditions(item: dict, config: AuditConfig) -> bool:
+    k = item["k"] if item.get("k") is not None else config.condition_k
+    return replay_condition_counterexample(
+        item["claim"], item["reading"], tuple(item["point"]), k
+    )
 
 
 def _check_parity_coprime(config: AuditConfig) -> dict:
     triples = primitive_square_triples(config.triple_base_max)
-    evidence = []
-    for x, y, z in triples:
-        even_count, coprime = _parity_coprime(x, y, z)
-        if (even_count, coprime) != (1, True):
-            evidence.append(
-                {"triple": [x, y, z], "even_count": even_count, "pairwise_coprime": coprime}
-            )
-    # An empty sample decides nothing: C6 is the one checker that states a verdict.
-    verdict = _verdict(evidence) if triples else UNDECIDED
+    evidence = [found for triple in triples if (found := _parity_failure(*triple))]
     return dict(
         scope={"exponent": 2, "base_max": config.triple_base_max},
-        verdict=verdict,
-        subverdicts={"exponent 2": verdict, "exponent > 2": UNDECIDED},
+        subverdicts={"exponent 2": _verdict(evidence), "exponent > 2": UNDECIDED},
         evidence=evidence,
         data={"samples": len(triples)},
         notes=["exponent > 2: UNDECIDED in bounds, no solutions exist to sample"],
@@ -360,53 +367,21 @@ def _check_search(config: AuditConfig) -> dict:
     )
 
 
-# ----------------------------------------------------------------------
-# Evidence replay: True iff a FAILS evidence item still fails.
-
-
-def _replay_parametrization(item: dict, config: AuditConfig) -> bool:
-    a, b, c = item["triple"]
-    return is_pythagorean(a, b, c) and represent_triple(a, b, c) is None
-
-
-def _replay_derivation(item: dict, config: AuditConfig) -> bool:
-    try:
-        derive_system(item["n"])
-    except DerivationError:
-        return True
-    return False
-
-
-def _replay_conditions(item: dict, config: AuditConfig) -> bool:
-    k = item["k"] if item.get("k") is not None else config.condition_k
-    return replay_condition_counterexample(
-        item["claim"], item["reading"], tuple(item["point"]), k
-    )
-
-
-def _replay_parity_coprime(item: dict, config: AuditConfig) -> bool:
-    x, y, z = item["triple"]
-    if x * x + y * y != z * z or gcd(gcd(x, y), z) != 1:
-        return False
-    return _parity_coprime(x, y, z) != (1, True)
-
-
 def _replay_search(item: dict, config: AuditConfig) -> bool:
-    report = classify_row([item[v] for v in ROW_VARS])
+    report = classify_row(_exact_ints([item[v] for v in ROW_VARS], len(ROW_VARS)))
     return report.counterexample_pairwise or report.counterexample_adjacent
 
 
 # ----------------------------------------------------------------------
 # The ledger: claim id -> (statement, checker, replay), in report order.
 # A claim is one row here plus its entry in the expected-verdict manifest.
-# Checkers and replays look up the functions they call when they run.
+# Item tests look up the functions they call when they run.
 
 _CLAIMS = {
     "C1": (
         "For each exponent n in scope, (8rst)^2 (xyz)^(n-2) (x^n + y^n - z^n) "
         "expands to exactly A^2 + B^2 - C^2.",
-        _check_identity,
-        lambda item, config: not verify_identity(item["n"]).is_zero,
+        *_per_exponent(_identity_failure, "identity", "symbolic residual computed for every n in"),
     ),
     "C2": (
         "Every integer triple (A, B, C) with A^2 + B^2 = C^2 is representable "
@@ -417,14 +392,12 @@ _CLAIMS = {
     "C3": (
         "The direct closed forms for Q, M, P agree with the halved "
         "combinations (C - A)/2, B/2, (C + A)/2, every halving being exact.",
-        _check_derivation_chain,
-        _replay_derivation,
+        *_per_exponent(_derivation_failure, "identity"),
     ),
     "C4": (
         "M^2 - P*Q expands to exactly (4rst)^2 (xyz)^(n-2) (x^n + y^n - z^n), "
         "so the extraction of (p, q) is coherent precisely on x^n + y^n = z^n.",
-        _check_consistency,
-        lambda item, config: not consistency_residual(item["n"]).holds,
+        *_per_exponent(_consistency_failure, "consistency"),
     ),
     "C5": (
         "For bounded integer (x, y, z) satisfying the stated hypotheses, the "
@@ -436,7 +409,7 @@ _CLAIMS = {
         "In a primitive integer solution of x^2 + y^2 = z^2, exactly one of "
         "x, y, z is even and the three are pairwise coprime.",
         _check_parity_coprime,
-        _replay_parity_coprime,
+        lambda item, config: _parity_failure(*_exact_ints(item["triple"], 3)) is not None,
     ),
     "C7": (
         "The three-equation quadratic system has no nontrivial integer "
@@ -456,8 +429,7 @@ def run_audit(config: AuditConfig | None = None) -> AuditReport:
         claim_started = time.perf_counter()
         try:
             found = check(config)
-            verdict = _verdict(found.get("evidence"), found.pop("verdict", HOLDS))
-            entry = ClaimEntry(claim_id, statement, verdict=verdict, **found)
+            entry = ClaimEntry(claim_id, statement, verdict=_verdict(found.get("evidence")), **found)
         except Exception as exc:  # noqa: BLE001 - the ledger must always complete
             entry = ClaimEntry(
                 claim_id,

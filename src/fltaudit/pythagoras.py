@@ -141,20 +141,18 @@ def audit_parametrization(
     *,
     primitive_only: bool = False,
     even_b_only: bool = False,
-    charitable: bool = False,
 ) -> list[PythTriple]:
-    """Triples in range that admit no representation under the chosen reading.
+    """Triples in range that admit no (p, q) under the literal claim.
 
-    The default is the literal claim (exact match with p > q > 0); with
-    ``charitable`` a triple only counts as a failure when no sign flip or
-    swap of (a, b) is representable either.
+    A triple fails when no p > q > 0 matches it exactly.  A charitable
+    failure, where no sign flip or swap of (a, b) is representable either,
+    is one of these: ``represent_triple_charitable`` tries the literal
+    reading first.
     """
-    represent = represent_triple_charitable if charitable else represent_triple
-    failures = [
+    return [
         PythTriple(a, b, c)
         for a, b, c in enumerate_triples(
             c_max, primitive_only=primitive_only, even_b_only=even_b_only
         )
-        if represent(a, b, c) is None
+        if represent_triple(a, b, c) is None
     ]
-    return failures

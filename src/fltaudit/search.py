@@ -797,10 +797,11 @@ def _load_existing_records(space: SearchSpace, signature: str) -> dict[int, dict
         # The log writes each row value into an integer slot, so a row must
         # hold exactly len(ROW_VARS) ints; format 2 may leave free slots null.
         rows = record.get("solutions")
+        if not isinstance(rows, list):
+            raise CheckpointError(f"checkpoint shard {shard} holds no row list")
         slot_types = {int} if record["format"] == 1 else {int, type(None)}
         if not (
-            isinstance(rows, list)
-            and set(map(type, rows)) <= {list}
+            set(map(type, rows)) <= {list}
             and set(map(len, rows)) <= {len(ROW_VARS)}
             and set(map(type, chain.from_iterable(rows))) <= slot_types
         ):

@@ -1,5 +1,8 @@
 """Claim ledger: verdicts, replay, monotonicity, completeness."""
 
+import dataclasses
+from itertools import product
+
 import pytest
 
 import fltaudit.audit as audit_mod
@@ -13,6 +16,8 @@ from fltaudit.audit import (
     replay_evidence,
     run_audit,
 )
+from fltaudit.lemma import ConsistencyResult, DerivationError, verify_identity
+from fltaudit.poly import ONE
 from fltaudit.search import (
     ROW_VARS,
     ConjectureInstance,
@@ -20,6 +25,8 @@ from fltaudit.search import (
     check_conditions,
     search,
 )
+
+from oracles import oracle_enumerate_triples, oracle_represent_triple
 
 SMALL = AuditConfig(
     identity_n_min=3,
@@ -43,6 +50,23 @@ def default_report():
     return run_audit()
 
 
+# A general-case counterexample in [-2, 2]: its eighth value, 1, is the one
+# the bool test replaces with True.
+GENERAL_COUNTEREXAMPLE = (-2, -1, -2, -2, -2, -2, -2, 1, 2, 2, 2)
+
+
+def _derivation_breaks(n):
+    raise DerivationError(f"halving not exact at n={n}")
+
+
+# claim id, the fltaudit.audit name its item test calls, and a broken stand-in.
+BROKEN = [
+    ("C1", "verify_identity", lambda n: verify_identity(n) + ONE),
+    ("C3", "derive_system", _derivation_breaks),
+    ("C4", "consistency_residual", lambda n: ConsistencyResult(ONE, False, None, n)),
+]
+
+
 def with_checker(monkeypatch, claim_id, check):
     """Put ``check`` in place of one claim's checker in the ledger table."""
     statement, _, replay = audit_mod._CLAIMS[claim_id]
@@ -64,7 +88,36 @@ class TestVerdicts:
         triples = [tuple(item["triple"]) for item in small_report.claim("C2").evidence]
         assert (9, 12, 15) in triples
         assert (4, 3, 5) in triples
-        assert small_report.claim("C2").data["primitive_even_b_failures"] == 0
+        data = small_report.claim("C2").data
+        assert data["primitive_even_b_failures"] == 0
+        assert data["charitable_failures"] < data["literal_failures"]
+
+    @pytest.mark.parametrize("flags", list(product([False, True], repeat=2)))
+    def test_c2_counts_match_three_enumerations(self, flags):
+        primitive_only, even_b_only = flags
+        config = AuditConfig(
+            c_max=100,
+            parametrization_primitive_only=primitive_only,
+            parametrization_even_b_only=even_b_only,
+        )
+        data = audit_mod._CLAIMS["C2"][1](config)["data"]
+
+        def failures(representable, **sample):
+            return sum(not representable(*t) for t in oracle_enumerate_triples(100, **sample))
+
+        def literal(a, b, c):
+            return oracle_represent_triple(a, b, c) is not None
+
+        def charitable(a, b, c):
+            swaps = ((a, b), (b, a), (abs(a), abs(b)), (abs(b), abs(a)))
+            return any(literal(x, y, abs(c)) for x, y in swaps)
+
+        sample = dict(primitive_only=primitive_only, even_b_only=even_b_only)
+        assert data == {
+            "literal_failures": failures(literal, **sample),
+            "charitable_failures": failures(charitable, **sample),
+            "primitive_even_b_failures": failures(literal, primitive_only=True, even_b_only=True),
+        }
 
     def test_c5_pairwise_evidence_contains_sum_zero_point(self, small_report):
         entry = small_report.claim("C5")
@@ -79,6 +132,12 @@ class TestVerdicts:
         entry = small_report.claim("C6")
         assert entry.subverdicts["exponent > 2"] == UNDECIDED
         assert entry.data["samples"] > 0
+
+    def test_c6_smallest_scope_samples_one_triple(self):
+        entry = run_audit(dataclasses.replace(SMALL, triple_base_max=5)).claim("C6")
+        assert entry.data["samples"] == 1
+        assert entry.verdict == HOLDS
+        assert entry.subverdicts["exponent 2"] == HOLDS
 
     def test_c7_records_trivial_solutions(self, small_report):
         entry = small_report.claim("C7")
@@ -124,9 +183,38 @@ class TestReplay:
     def test_replay_rejects_fabricated_evidence(self):
         assert not replay_evidence("C2", {"triple": [3, 4, 5]})
         assert not replay_evidence("C1", {"n": 3})
+        # C6 speaks of primitive solutions: neither of these breaks it.
+        assert not replay_evidence("C6", {"triple": [6, 8, 10]})
+        assert not replay_evidence("C6", {"triple": [3, 4, 6]})
         assert not replay_evidence(
             "C5", {"claim": "uvw_distinct_nonzero", "reading": "pairwise", "point": [1, 2, 4], "k": None}
         )
+
+    @pytest.mark.parametrize("claim_id, name, broken", BROKEN, ids=[b[0] for b in BROKEN])
+    def test_real_failures_replay_through_their_item_test(
+        self, monkeypatch, claim_id, name, broken
+    ):
+        with monkeypatch.context() as patch:
+            patch.setattr(audit_mod, name, broken)
+            entry = run_audit(SMALL).claim(claim_id)
+            assert entry.verdict == FAILS
+            assert [item["n"] for item in entry.evidence] == [3, 4]
+            assert all(replay_evidence(claim_id, item, SMALL) for item in entry.evidence)
+        assert not any(replay_evidence(claim_id, item, SMALL) for item in entry.evidence)
+
+    @pytest.mark.parametrize(
+        "claim_id, item",
+        [
+            ("C7", dict(zip(ROW_VARS, map(float, GENERAL_COUNTEREXAMPLE)))),
+            ("C7", dict(zip(ROW_VARS, (*GENERAL_COUNTEREXAMPLE[:7], True, 2, 2, 2)))),
+            ("C2", {"triple": [9.0, 12.0, 15.0]}),
+            ("C6", {"triple": [3.0, 4.0, 5.0]}),
+        ],
+        ids=["C7-float-row", "C7-bool-in-row", "C2-float-triple", "C6-float-triple"],
+    )
+    def test_replay_refuses_values_that_are_not_ints(self, claim_id, item):
+        with pytest.raises(ValueError):
+            replay_evidence(claim_id, item)
 
     def test_unknown_claim_rejected(self):
         with pytest.raises(KeyError):

@@ -145,7 +145,9 @@ class TestAudit:
 
     def test_charitable_reading_shrinks_failures(self):
         literal = audit_parametrization(20)
-        charitable = audit_parametrization(20, charitable=True)
+        # The charitable reading tries the literal one first, so its
+        # failures are the literal failures it cannot rescue either.
+        charitable = [t for t in literal if represent_triple_charitable(t.A, t.B, t.C) is None]
         assert len(charitable) < len(literal)
         charitable_tuples = {t.as_tuple() for t in charitable}
         assert (4, 3, 5) not in charitable_tuples  # swap fixes it

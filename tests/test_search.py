@@ -502,7 +502,12 @@ def resume_tampered(tmp_path, field, value, shard=1):
         records[shard][field] = value
     cp.unlink()
     for record in records:
-        append_record(cp, record)
+        if "solutions" in record:
+            append_record(cp, record)
+        else:  # append_record needs the rows: frame the record by hand
+            payload = json.dumps(record).encode()
+            with open(cp, "ab") as handle:
+                handle.write(len(payload).to_bytes(4, "big") + payload)
     return search(space)
 
 
@@ -587,6 +592,10 @@ class TestCheckpointing:
             resume_tampered(tmp_path, field, value)
         if field != "shard":
             assert "checkpoint shard 1 " in str(caught.value)
+
+    def test_record_without_rows_rejected(self, tmp_path):
+        with pytest.raises(CheckpointError, match="^checkpoint shard 0 holds no row list$"):
+            resume_tampered(tmp_path, "solutions", DELETED, shard=0)
 
     @pytest.mark.parametrize(
         "field, value, shard",
