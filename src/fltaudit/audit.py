@@ -319,7 +319,7 @@ def _check_conditions(config: AuditConfig) -> dict:
 def _replay_conditions(item: dict, config: AuditConfig) -> bool:
     k = item["k"] if item.get("k") is not None else config.condition_k
     return replay_condition_counterexample(
-        item["claim"], item["reading"], tuple(item["point"]), k
+        item["claim"], item["reading"], tuple(_exact_ints(item["point"], 3)), k
     )
 
 

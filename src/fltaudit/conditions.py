@@ -155,9 +155,10 @@ def replay_condition_counterexample(
     claim: str, reading: str, point: Point, k: int
 ) -> bool:
     """True iff the point still satisfies the hypothesis and breaks the conclusion."""
-    if claim not in _CLAIMS:
+    # A str first: an unhashable claim would raise TypeError in the lookup.
+    if type(claim) is not str or claim not in _CLAIMS:
         raise ValueError(f"unknown claim {claim!r}")
-    if reading not in READINGS:
+    if type(reading) is not str or reading not in READINGS:
         raise ValueError(f"unknown reading {reading!r}")
     if len(point) != 3 or not all(type(v) is int for v in (*point, k)):
         raise ValueError(f"need three integers and an integer k, got {point!r} and {k!r}")

@@ -34,6 +34,15 @@ enumeration order and emits a row for each one whose class had a solution,
 so rows leave the kernel in enumeration order.  A one-signed or lopsided
 range simply has one-member classes.
 
+Put w = (a^2 alpha, -b^2 beta, -c^2 gamma) and v = (d^2, e^2, f^2).  A
+solution has (sum w)(sum wv^2) - (sum wv)^2 = q^2 p^2 - (pq)^2 = 0, which by
+Lagrange's identity is w1 w2 (v1-v2)^2 + w1 w3 (v1-v3)^2 + w2 w3 (v2-v3)^2:
+a form in (v2-v1, v3-v1) of discriminant -4 alpha beta gamma (abcq)^2.  So
+with a*alpha, b*beta, c*gamma, q nonzero and -alpha*beta*gamma no square (it
+is -1 in the unit case), only the diagonal |d| = |e| = |f| = m solves, all
+of it with p = m^2 q, and the kernel emits it unscanned.  q = 0 is scanned:
+its form is degenerate, so the argument does not reach it.
+
 Where a*alpha = 0, a and d drop out of all three equations (likewise
 (b, e) with b*beta and (c, f) with c*gamma), so every d in the range gives
 the same row.  The kernel scans one |d| there and emits one family entry:
@@ -417,6 +426,17 @@ def _free_axis(table: _SignTable) -> _SignTable:
     return classes[:1], [(None, classes[0][0])]
 
 
+def _diagonal(d_range: range, e_range: range, f_range: range) -> tuple[list[int], list[tuple]]:
+    """The magnitudes m of the diagonal |d| = |e| = |f| = m and its signed (m, d, e, f) walk."""
+    walk = [
+        (abs(d), d, e, f)
+        for d in d_range
+        for e in sorted({-d, d}) if e in e_range
+        for f in sorted({-d, d}) if f in f_range
+    ]
+    return list(dict.fromkeys(m for m, *_ in walk)), walk
+
+
 def _scan_shard(space: SearchSpace, shard_id: int) -> dict:
     """Scan one shard and return its checkpoint record."""
     header = _record_header(space, shard_id)
@@ -428,6 +448,7 @@ def _scan_shard(space: SearchSpace, shard_id: int) -> dict:
     d_pair, e_pair, f_pair = ((table, _free_axis(table)) for table in def_tables)
     # f's classes by their square, for the kernel's solve for f**2.
     f_squares = {f_class[1]: f_class for f_class in f_pair[0][0]}
+    diagonal = _diagonal(*ranges[6:])
     solutions: list[list] = []
 
     # The variables fixed around each kernel call, alpha..b: a block pins the
@@ -438,7 +459,8 @@ def _scan_shard(space: SearchSpace, shard_id: int) -> dict:
         outer[first : first + 2] = [i], [j]
         for alpha, beta, gamma, a, b in product(*outer):
             _kernel(
-                alpha, beta, gamma, a, b, c_table, d_pair, e_pair, f_pair, f_squares, solutions
+                alpha, beta, gamma, a, b, c_table, d_pair, e_pair, f_pair, f_squares, diagonal,
+                solutions,
             )
 
     return {**header, "solutions": solutions}
@@ -455,22 +477,23 @@ def _kernel(
     e_pair: tuple[_SignTable, _SignTable],
     f_pair: tuple[_SignTable, _SignTable],
     f_squares: dict[int, tuple[int, int, int]],
+    diagonal: tuple[list[int], list[tuple]],
     out: list[list],
 ) -> None:
     # Scan over (|c|, |d|, |e|) and the |f| that can solve the system, for
     # fixed coefficients and (a, b): the right-hand sides see only squares of
-    # c, d, e and f.  The perfect-square gate on the first equation runs
-    # before the d/e/f loops, which prunes the overwhelming majority of
-    # assignments.  Where a*a*alpha is 0, d drops out of the system: one |d|
-    # is scanned and the entry carries None for d, meaning every d in the
-    # range (likewise e and f).
+    # c, d, e and f.  The square gate on the first equation prunes most
+    # classes before the d/e/f loops.  Where a*a*alpha is 0, d drops out of
+    # the system: one |d| is scanned and the entry carries None for d, meaning
+    # every d in the range (likewise e and f).  A diagonal class skips the scan.
     a_sq = a * a * alpha
     b_sq = b * b * beta
+    diagonal_only = a_sq and b_sq and exact_sqrt(-alpha * beta * gamma) is None
     c_classes, c_walk = c_table
     d_classes, d_walk = d_pair[a_sq == 0]
     e_classes, e_walk = e_pair[b_sq == 0]
-    # |c| -> (q, {|d|: {|e|: {|f|: p}}}, f walk) for every class with a solution.
-    hits: dict[int, tuple[int, dict, list]] = {}
+    # |c| -> (q, {|d|: {|e|: {|f|: p}}}, f walk), or (q, {m: m*m*q}, None) on the diagonal.
+    hits: dict[int, tuple[int, dict, list | None]] = {}
     for cm, c2, _ in c_classes:
         c_sq = c2 * gamma
         val_q2 = a_sq - b_sq - c_sq
@@ -480,6 +503,9 @@ def _kernel(
             continue
         q = isqrt(val_q2)
         if q * q != val_q2:
+            continue
+        if q and c_sq and diagonal_only:
+            hits[cm] = (q, {m: m * m * q for m in diagonal[0]}, None)
             continue
         f_classes, f_walk = f_pair[c_sq == 0]
         # With K1 = part_pq, K2 = part_p2 and F = f**2, pq = K1 - c_sq*F and
@@ -555,6 +581,10 @@ def _kernel(
         if entry is None:
             continue
         q, d_hits, f_walk = entry
+        if f_walk is None:
+            for m, d, e, f in diagonal[1]:
+                out.append([alpha, beta, gamma, a, b, c, d, e, f, d_hits[m], q])
+            continue
         for d, dm in d_walk:
             e_hits = d_hits.get(dm)
             if e_hits is None:

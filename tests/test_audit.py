@@ -209,8 +209,17 @@ class TestReplay:
             ("C7", dict(zip(ROW_VARS, (*GENERAL_COUNTEREXAMPLE[:7], True, 2, 2, 2)))),
             ("C2", {"triple": [9.0, 12.0, 15.0]}),
             ("C6", {"triple": [3.0, 4.0, 5.0]}),
+            ("C5", {"claim": "rst_distinct_nonzero", "reading": "pairwise", "point": 7, "k": 3}),
+            ("C5", {"claim": ["x"], "reading": "pairwise", "point": [1, 2, 3], "k": 3}),
         ],
-        ids=["C7-float-row", "C7-bool-in-row", "C2-float-triple", "C6-float-triple"],
+        ids=[
+            "C7-float-row",
+            "C7-bool-in-row",
+            "C2-float-triple",
+            "C6-float-triple",
+            "C5-int-point",
+            "C5-list-claim",
+        ],
     )
     def test_replay_refuses_values_that_are_not_ints(self, claim_id, item):
         with pytest.raises(ValueError):

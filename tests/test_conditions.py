@@ -143,6 +143,13 @@ class TestReplay:
             replay_condition_counterexample("uvw_distinct_nonzero", "sideways", (1, 2, -3), 3)
 
     @pytest.mark.parametrize(
+        "claim, reading", [(["x"], "pairwise"), ("uvw_distinct_nonzero", ["x"])]
+    )
+    def test_unhashable_claim_or_reading_rejected(self, claim, reading):
+        with pytest.raises(ValueError):
+            replay_condition_counterexample(claim, reading, (1, 2, -3), 3)
+
+    @pytest.mark.parametrize(
         "point, k", [((1, 2, 3), 0), ((1, 2, 3), 2.5), ((1.5, 2, -3.5), 3), ((1, 2), 3)]
     )
     def test_malformed_input_rejected(self, point, k):

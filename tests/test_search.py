@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 
 from fltaudit.checkpoint import CheckpointError, append_record, read_records
 from fltaudit.ints import SQUARES_MOD_16, SQUARES_MOD_9, exact_sqrt
+from fltaudit.poly import X, Y, Z
 import fltaudit.search as search_module
 from fltaudit.search import (
     ROW_VARS,
@@ -27,7 +28,7 @@ from fltaudit.search import (
     system_values,
     write_result_log,
 )
-from fltaudit.search import _DEF_OPEN, _def_class, _free_axis, _kernel, _line_template
+from fltaudit.search import _DEF_OPEN, _def_class, _diagonal, _free_axis, _kernel, _line_template
 from fltaudit.search import _pair_table
 from fltaudit.search import _sign_classes
 from fltaudit.search import _scan_shard as real_scan_shard
@@ -364,7 +365,8 @@ def kernel_against_loop(alpha, beta, gamma, a, b, c_values, def_values):
     pairs = [(table, _free_axis(table)) for table in tables]
     f_squares = {f_class[1]: f_class for f_class in tables[2][0]}
     got = []
-    _kernel(alpha, beta, gamma, a, b, c_table, *pairs, f_squares, got)
+    diagonal = _diagonal(*[def_values] * 3)
+    _kernel(alpha, beta, gamma, a, b, c_table, *pairs, f_squares, diagonal, got)
     powers = [(v, v * v, v**4) for v in def_values]
     want = []
     _oracle_kernel(alpha, beta, gamma, a, b, c_values, powers, powers, powers, want)
@@ -378,6 +380,8 @@ def solve_branch(row):
     part_pq = (a * d) ** 2 * alpha - (b * e) ** 2 * beta
     if not q:
         return "q = 0"
+    if a * alpha and b * beta and exact_sqrt(-alpha * beta * gamma) is None:
+        return "diagonal"
     if c_sq * (c_sq + q * q):
         return "quadratic"
     return "linear" if part_pq else "loop"
@@ -397,15 +401,20 @@ class TestSolveForF:
         [
             # 5**2 - 4**2 - 3**2 = 0: q = 0 and F = K1 / c**2.
             ((1, 1, 1, 5, 4), range(3, 4), "q = 0"),
-            # 3**2 - 2**2 - 2**2 = 1: two roots F per (|d|, |e|).
-            ((1, 1, 1, 3, 2), range(1, 4), "quadratic"),
-            ((2, -1, -3, 1, 2), range(1, 3), "quadratic"),
+            # -alpha*beta*gamma = 4 and 1 are squares, so the block is
+            # scanned: two roots F per (|d|, |e|).
+            ((1, 2, -2, 3, 1), range(1, 4), "quadratic"),
+            ((1, -1, 1, 2, 1), range(1, 3), "quadratic"),
             # a**2 alpha = b**2 beta and gamma < 0: c**2 gamma = -q**2.
             # d != +-e gives the linear root F = e**2; d = +-e makes K1 = 0,
             # where every f solves the system and the kernel loops.
             ((1, 1, -1, 1, 1), range(1, 2), "linear"),
             ((1, 1, -1, 1, 1), range(1, 2), "loop"),
             ((2, 2, -1, 3, 3), range(1, 4), "linear"),
+            # -alpha*beta*gamma = -1 and -6 are not squares: q > 0 takes the
+            # diagonal without solving.
+            ((1, 1, 1, 3, 2), range(1, 4), "diagonal"),
+            ((2, -1, -3, 1, 2), range(1, 3), "diagonal"),
         ],
     )
     def test_branch_matches_loop(self, fixed, c_values, branch):
@@ -417,9 +426,115 @@ class TestSolveForF:
     # lopsided range have seven classes and take the solve.
     @pytest.mark.parametrize("def_values", [range(-2, 3), range(-3, 4), range(0, 7), range(-6, 2)])
     def test_few_or_one_signed_classes(self, def_values):
-        for fixed in [(1, 1, 1, 3, 2), (1, 1, -1, 1, 1), (2, -1, -3, 1, 2)]:
+        for fixed in [(1, 1, 1, 3, 2), (1, 1, -1, 1, 1), (2, -1, -3, 1, 2), (1, 2, -2, 3, 1)]:
             got, want = kernel_against_loop(*fixed, range(-3, 0), def_values)
             assert got and got == want
+
+    def test_square_block_keeps_off_diagonal_rows(self):
+        # -alpha*beta*gamma = 4: the block scans, and finds rows off the diagonal.
+        got, want = kernel_against_loop(-2, -1, -2, 4, 2, range(1, 5), self.DEF)
+        assert got == want
+        assert [-2, -1, -2, 4, 2, 4, -4, -3, 4, 18, 2] in got
+
+    @pytest.mark.parametrize(
+        "fixed, c_values, diagonal",
+        [
+            # -alpha*beta*gamma = -1, a, b, c nonzero and q > 0.
+            ((1, 1, 1, 3, 2), range(1, 4), True),
+            # q = 0.
+            ((1, 1, 1, 5, 4), range(3, 4), False),
+            # -alpha*beta*gamma = 4, a positive square.
+            ((-2, -1, -2, 4, 2), range(4, 5), False),
+            # a = 0 frees d; -alpha*beta*gamma = -1 and q = 5.
+            ((1, -1, -1, 0, 3), range(4, 5), False),
+        ],
+    )
+    def test_which_classes_skip_the_scan(self, fixed, c_values, diagonal):
+        # With no f squares to solve into, the scan finds nothing, so every
+        # row comes from the diagonal.
+        c_table, *tables = map(_sign_classes, (c_values, self.DEF, self.DEF, self.DEF))
+        pairs = [(table, _free_axis(table)) for table in tables]
+        got = []
+        _kernel(*fixed, c_table, *pairs, {}, _diagonal(*[self.DEF] * 3), got)
+        want = kernel_against_loop(*fixed, c_values, self.DEF)[1]
+        assert want and got == (want if diagonal else [])
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        st.tuples(*[st.integers(-3, 3)] * 3),
+        st.booleans(),
+        st.tuples(st.integers(-4, 4), st.integers(-4, 4)),
+        st.tuples(st.integers(-4, 4), st.integers(-4, 4)).map(sorted),
+        st.tuples(st.integers(-6, 6), st.integers(-6, 6)).map(sorted),
+    )
+    def test_random_blocks_match_loop(self, coeffs, square, ab, c_bounds, def_bounds):
+        # gamma = -alpha*beta makes -alpha*beta*gamma a square; otherwise it
+        # mostly is not, so both kinds of block are drawn.
+        alpha, beta, gamma = coeffs
+        if square:
+            gamma = -alpha * beta
+        c_values, def_values = (range(low, high + 1) for low, high in (c_bounds, def_bounds))
+        got, want = kernel_against_loop(alpha, beta, gamma, *ab, c_values, def_values)
+        # A None slot is a family's free variable: it stands for the whole range.
+        rows = [
+            [*row[:6], *free, *row[9:]]
+            for row in got
+            for free in product(*[def_values if v is None else (v,) for v in row[6:9]])
+        ]
+        explicit = [row for row in got if None not in row]
+        assert sorted(rows) == want and explicit == sorted(explicit)
+
+
+def lagrange_form(w1, w2, w3):
+    """(A, B, C) of w1 w2 (v1-v2)^2 + w1 w3 (v1-v3)^2 + w2 w3 (v2-v3)^2
+    written as A X^2 + B XY + C Y^2 in X = v2 - v1 and Y = v3 - v1."""
+    return w1 * w2 + w2 * w3, -2 * w2 * w3, w1 * w3 + w2 * w3
+
+
+class TestDiagonalCertificate:
+    """The argument behind the kernel's diagonal (see the search module docstring).
+
+    At a = b = c = 1 the system's weights are w = (alpha, -beta, -gamma) and
+    its values v = (d^2, e^2, f^2); as alpha, beta and gamma are free, so is
+    w, and fixing a, b and c loses nothing.  ``shift`` mutates the system's
+    weight w3 to w3 - shift, so that the mutation test can make both checks
+    fail.
+    """
+
+    @staticmethod
+    def identity_misses(shift):
+        """The grid points where first*third - second^2 is not Lagrange's sum.
+
+        Both sides have degree <= 2 in each of w1, w2, w3, v1, v2, v3, so
+        agreeing on three values of each (w in {-1, 0, 1}, v = d^2 with d in
+        {0, 1, 2}) proves them equal.
+        """
+        misses = []
+        for w1, w2, w3, d, e, f in product(*[(-1, 0, 1)] * 3, *[(0, 1, 2)] * 3):
+            first, second, third = system_values(1, 1, 1, d, e, f, w1, -w2, -(w3 - shift))
+            big_a, big_b, big_c = lagrange_form(w1, w2, w3)
+            x, y = e * e - d * d, f * f - d * d
+            if first * third - second**2 != big_a * x * x + big_b * x * y + big_c * y * y:
+                misses.append((w1, w2, w3, d, e, f))
+        return misses
+
+    @staticmethod
+    def discriminant_residual(shift):
+        """B^2 - 4AC + 4 w1 w2 w3 (w1 + w2 + w3), with w1, w2, w3 as x, y, z.
+
+        The system's first right-hand side gives w1 + w2 + w3, which is q^2.
+        """
+        first = system_values(1, 1, 1, 0, 0, 0, X, -Y, -(Z - shift))[0]
+        big_a, big_b, big_c = lagrange_form(X, Y, Z)
+        return big_b * big_b - 4 * big_a * big_c + 4 * X * Y * Z * first
+
+    def test_identity_and_discriminant(self):
+        assert self.identity_misses(0) == []
+        assert self.discriminant_residual(0).is_zero
+
+    def test_mutation_fails_both(self):
+        assert self.identity_misses(1)
+        assert not self.discriminant_residual(1).is_zero
 
 
 class TestDeterminismAndSharding:
