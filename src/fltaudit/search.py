@@ -21,32 +21,37 @@ The sign symmetry (p, q) -> (-p, -q) is quotiented away by canonicalizing
 q >= 0, and p >= 0 when q = 0.
 
 c, d, e and f enter the system only squared, so (p, q) is the same for
-every choice of their signs.  The kernel scans magnitude classes: for fixed
-(alpha, beta, gamma, a, b) it runs the square gate once per |c|, giving q.
-For each (|d|, |e|) it then solves for f^2 rather than loop over |f|: with
-C = c^2 gamma, the second and third equations leave
-C (C + q^2) F^2 - 2 K1 C F + K1^2 - q^2 K2 = 0 in F = f^2, where K1 and K2
-are the a, b, d, e parts of their right-hand sides.  Only the exact integer
-roots that are the square of an |f| in the range go through the p test; a
-free f, a range with few |f| classes, or the degenerate C (C + q^2) = K1 = 0
-loops over the classes instead.  The kernel then walks the signed values in
-enumeration order and emits a row for each one whose class had a solution,
-so rows leave the kernel in enumeration order.  A one-signed or lopsided
-range simply has one-member classes.
-
-Put w = (a^2 alpha, -b^2 beta, -c^2 gamma) and v = (d^2, e^2, f^2).  A
-solution has (sum w)(sum wv^2) - (sum wv)^2 = q^2 p^2 - (pq)^2 = 0, which by
+every choice of their signs.  The kernel works on magnitude classes: for
+fixed (alpha, beta, gamma, a, b) it runs the square gate once per |c|,
+giving q, and one certificate says which d, e, f solve.  Put
+w = (a^2 alpha, -b^2 beta, -c^2 gamma) and v = (d^2, e^2, f^2).  A solution
+has (sum w)(sum wv^2) - (sum wv)^2 = q^2 p^2 - (pq)^2 = 0, which by
 Lagrange's identity is w1 w2 (v1-v2)^2 + w1 w3 (v1-v3)^2 + w2 w3 (v2-v3)^2:
-a form in (v2-v1, v3-v1) of discriminant -4 alpha beta gamma (abcq)^2.  So
-with a*alpha, b*beta, c*gamma, q nonzero and -alpha*beta*gamma no square (it
-is -1 in the unit case), only the diagonal |d| = |e| = |f| = m solves, all
-of it with p = m^2 q, and the kernel emits it unscanned.  q = 0 is scanned:
-its form is degenerate, so the argument does not reach it.
+a form in x = e^2 - d^2 and y = f^2 - d^2 of discriminant
+-4 w1 w2 w3 q^2 = -4 alpha beta gamma (abcq)^2.
+
+  * A square block has a*alpha, b*beta, c*gamma nonzero and
+    -alpha*beta*gamma a perfect square.  Every other class solves exactly on
+    the diagonal |.| = m of its d, e, f axes with nonzero w, with p = m^2 q:
+    with no w zero the form has no rational null line where q > 0, and
+    where q = 0, w2^2 p^2 = -w1 w2 w3 (v1 - v3)^2; one zero w leaves the one
+    term wi wj (vi - vj)^2; two or three leave every point.  The kernel
+    walks that diagonal unscanned, so the unit case (-1) never scans.
+  * In a square block, with r = sqrt(-alpha beta gamma) |abc| and
+    C = w3 (w1 + w2), C times the form is (C y - w2 w3 x)^2 - (q r x)^2.  So
+    every solution has C y = x (w2 w3 +- q r), or where C = 0,
+    2 w3 y = x (w1 + w3), and x = C = 0 leaves every f.  Each (|d|, |e|)
+    tests only the |f| on those lines (a range with few |f| classes loops
+    over them), and each candidate goes through the exact p test.
+
+The kernel then walks the signed values in enumeration order and emits a
+row for each one whose class had a solution, so rows leave the kernel in
+enumeration order.  A one-signed or lopsided range has one-member classes.
 
 Where a*alpha = 0, a and d drop out of all three equations (likewise
 (b, e) with b*beta and (c, f) with c*gamma), so every d in the range gives
-the same row.  The kernel scans one |d| there and emits one family entry:
-the row with None in the d slot.  Entries stay families in the checkpoint
+the same row.  There the diagonal holds None in the d slot: one family
+entry for every d in the range.  Entries stay families in the checkpoint
 and in the SearchResult.  A family row is trivial (a = 0) or fails the
 divisibility condition (zero divides only zero), so it is never a
 counterexample, and its report varies with its free values only through the
@@ -76,6 +81,7 @@ import hashlib
 from array import array
 from collections import Counter
 from dataclasses import dataclass, fields
+from functools import lru_cache
 from itertools import chain, groupby, islice, product
 from math import isqrt, prod
 from operator import attrgetter, itemgetter, lt
@@ -322,6 +328,9 @@ class SearchSpace:
         if type(self.shards) is not int or self.shards < 1:
             raise ValueError(f"shard count must be an integer >= 1, got {self.shards!r}")
         if self.checkpoint_path is not None:
+            # An empty path names no file: search() and the resume would read it two ways.
+            if not str(self.checkpoint_path):
+                raise ValueError("checkpoint path must not be empty")
             object.__setattr__(self, "checkpoint_path", str(self.checkpoint_path))
 
     @classmethod
@@ -400,9 +409,9 @@ def _record_header(space: SearchSpace, shard: int, fmt: int = 2) -> dict:
 # Shard scanning
 
 
-# Below this many |f| classes the kernel loops over them rather than solve for
-# f**2: with 3 classes the solve costs more than the loop it replaces, with 5
-# it costs less.
+# Below this many |f| classes a square block loops over them rather than test
+# the form's lines: with 3 classes the lines cost more than the loop they
+# replace, with 5 they cost less.
 _SOLVE_MIN_CLASSES = 5
 
 # One variable's magnitude classes (m, m**2, m**4) and its (value, magnitude) walk.
@@ -420,21 +429,25 @@ def _sign_classes(values: list[int]) -> _SignTable:
     return [(m, m * m, m**4) for m in magnitudes], walk
 
 
-def _free_axis(table: _SignTable) -> _SignTable:
-    """The table of an axis whose product is 0: one class, walked once as ``None``."""
-    classes, _ = table
-    return classes[:1], [(None, classes[0][0])]
+@lru_cache(maxsize=8)
+def _diagonal(ranges: tuple[range, ...], free: tuple[bool, ...]) -> tuple[tuple, tuple]:
+    """The magnitudes m of the diagonal |d| = |e| = |f| = m and its signed (m, d, e, f) walk.
 
-
-def _diagonal(d_range: range, e_range: range, f_range: range) -> tuple[list[int], list[tuple]]:
-    """The magnitudes m of the diagonal |d| = |e| = |f| = m and its signed (m, d, e, f) walk."""
-    walk = [
-        (abs(d), d, e, f)
-        for d in d_range
-        for e in sorted({-d, d}) if e in e_range
-        for f in sorted({-d, d}) if f in f_range
-    ]
-    return list(dict.fromkeys(m for m, *_ in walk)), walk
+    Only the axes of ``ranges`` that are not ``free`` lie on the diagonal; a
+    free axis holds None.  The walk is in enumeration order, and with every
+    axis free it is the one point (0, None, None, None).  The cache holds the
+    eight walks of one box, so a process builds each of them once.
+    """
+    lead = free.index(False) if False in free else None
+    walk = tuple(
+        (abs(v), *point)
+        for v in ((0,) if lead is None else ranges[lead])
+        for point in product(*[
+            (None,) if is_free else (v,) if axis == lead else [s for s in sorted({-v, v}) if s in r]
+            for axis, (r, is_free) in enumerate(zip(ranges, free))
+        ])
+    )
+    return tuple(dict.fromkeys(m for m, *_ in walk)), walk
 
 
 def _scan_shard(space: SearchSpace, shard_id: int) -> dict:
@@ -444,11 +457,9 @@ def _scan_shard(space: SearchSpace, shard_id: int) -> dict:
 
     ranges = space.kernel_ranges()
     c_table, *def_tables = map(_sign_classes, ranges[5:])
-    # Each of d, e, f as (its table, its free table), indexed by "product is 0".
-    d_pair, e_pair, f_pair = ((table, _free_axis(table)) for table in def_tables)
-    # f's classes by their square, for the kernel's solve for f**2.
-    f_squares = {f_class[1]: f_class for f_class in f_pair[0][0]}
-    diagonal = _diagonal(*ranges[6:])
+    # f's classes by their square, for the form's lines in a square block.
+    f_squares = {f_class[1]: f_class for f_class in def_tables[2][0]}
+    def_ranges = tuple(ranges[6:])
     solutions: list[list] = []
 
     # The variables fixed around each kernel call, alpha..b: a block pins the
@@ -458,10 +469,7 @@ def _scan_shard(space: SearchSpace, shard_id: int) -> dict:
     for i, j in _prefix_blocks(space)[start:stop]:
         outer[first : first + 2] = [i], [j]
         for alpha, beta, gamma, a, b in product(*outer):
-            _kernel(
-                alpha, beta, gamma, a, b, c_table, d_pair, e_pair, f_pair, f_squares, diagonal,
-                solutions,
-            )
+            _kernel(alpha, beta, gamma, a, b, c_table, def_tables, f_squares, def_ranges, solutions)
 
     return {**header, "solutions": solutions}
 
@@ -473,27 +481,26 @@ def _kernel(
     a: int,
     b: int,
     c_table: _SignTable,
-    d_pair: tuple[_SignTable, _SignTable],
-    e_pair: tuple[_SignTable, _SignTable],
-    f_pair: tuple[_SignTable, _SignTable],
+    def_tables: list[_SignTable],
     f_squares: dict[int, tuple[int, int, int]],
-    diagonal: tuple[list[int], list[tuple]],
+    def_ranges: tuple[range, ...],
     out: list[list],
 ) -> None:
-    # Scan over (|c|, |d|, |e|) and the |f| that can solve the system, for
-    # fixed coefficients and (a, b): the right-hand sides see only squares of
-    # c, d, e and f.  The square gate on the first equation prunes most
-    # classes before the d/e/f loops.  Where a*a*alpha is 0, d drops out of
-    # the system: one |d| is scanned and the entry carries None for d, meaning
-    # every d in the range (likewise e and f).  A diagonal class skips the scan.
+    # For fixed coefficients and (a, b), the |c| classes that pass the square
+    # gate, giving q, and the d, e, f that solve with them: the right-hand
+    # sides see only squares of c, d, e and f.  Outside a square block a
+    # class solves exactly on the diagonal of its fixed axes; inside one the
+    # (|d|, |e|) scan tests the |f| on the form's rational lines.
     a_sq = a * a * alpha
     b_sq = b * b * beta
-    diagonal_only = a_sq and b_sq and exact_sqrt(-alpha * beta * gamma) is None
+    # sqrt(-alpha*beta*gamma) where a*alpha and b*beta are nonzero: the block
+    # is square where it is an integer and c*gamma is nonzero too.
+    root = exact_sqrt(-alpha * beta * gamma) if a_sq and b_sq else None
     c_classes, c_walk = c_table
-    d_classes, d_walk = d_pair[a_sq == 0]
-    e_classes, e_walk = e_pair[b_sq == 0]
-    # |c| -> (q, {|d|: {|e|: {|f|: p}}}, f walk), or (q, {m: m*m*q}, None) on the diagonal.
-    hits: dict[int, tuple[int, dict, list | None]] = {}
+    (d_classes, d_walk), (e_classes, e_walk), (f_classes, f_walk) = def_tables
+    loop = len(f_classes) < _SOLVE_MIN_CLASSES
+    # |c| -> (q, diagonal walk, {m: p}) or (q, None, {|d|: {|e|: {|f|: p}}}): rows share a p.
+    hits: dict[int, tuple[int, tuple | None, dict]] = {}
     for cm, c2, _ in c_classes:
         c_sq = c2 * gamma
         val_q2 = a_sq - b_sq - c_sq
@@ -504,18 +511,20 @@ def _kernel(
         q = isqrt(val_q2)
         if q * q != val_q2:
             continue
-        if q and c_sq and diagonal_only:
-            hits[cm] = (q, {m: m * m * q for m in diagonal[0]}, None)
+        if root is None or not c_sq:
+            magnitudes, walk = _diagonal(def_ranges, (not a_sq, not b_sq, not c_sq))
+            hits[cm] = (q, walk, {m: m * m * q for m in magnitudes})
             continue
-        f_classes, f_walk = f_pair[c_sq == 0]
-        # With K1 = part_pq, K2 = part_p2 and F = f**2, pq = K1 - c_sq*F and
-        # p**2 = K2 - c_sq*F**2 give lead*F**2 - 2*K1*c_sq*F + K1**2 - q**2*K2 = 0,
-        # so each (|d|, |e|) tests only the roots F that are the square of a
-        # class.  A free f, too few classes, or lead = K1 = 0 loops over them.
-        solve = c_sq != 0 and len(f_classes) >= _SOLVE_MIN_CLASSES
-        if solve:
-            q2 = q * q
-            lead = c_sq * (c_sq + q2)
+        # With w = (a_sq, -b_sq, -c_sq), x = e**2 - d**2 and y = f**2 - d**2,
+        # a solution has den*y = x*num for one of the form's lines (num, den):
+        # num = w2*w3 -+ q*root*|abc| and den = C = w3*(w1 + w2), or where
+        # C = 0, num = w1 + w3 and den = 2*w3.  x = C = 0 leaves every f.
+        big_c = c_sq * (b_sq - a_sq)
+        if big_c:
+            qr = q * root * abs(a * b) * cm
+            lo, hi, den = b_sq * c_sq - qr, b_sq * c_sq + qr, big_c
+        else:
+            lo, hi, den = a_sq - c_sq, a_sq - c_sq, -2 * c_sq
         d_hits: dict[int, dict] = {}
         for dm, d2, d4 in d_classes:
             ad2 = a_sq * d2
@@ -524,35 +533,15 @@ def _kernel(
             for em, e2, e4 in e_classes:
                 part_pq = ad2 - b_sq * e2
                 part_p2 = ad4 - b_sq * e4
-                if not (solve and (lead or part_pq)):
+                x = e2 - d2
+                if loop or not (x or big_c):
                     candidates = f_classes
-                elif q and lead:
-                    # F = (K1*c_sq +- q*root) / lead, root**2 = c_sq*((c_sq + q**2)*K2 - K1**2).
-                    inner = c_sq * ((c_sq + q2) * part_p2 - part_pq * part_pq)
-                    if inner < 0:
-                        continue
-                    root = isqrt(inner)
-                    if root * root != inner:
-                        continue
-                    mid = part_pq * c_sq
-                    half = q * root
-                    candidates = [
-                        f_squares[square]
-                        for square, residue in (divmod(mid - half, lead), divmod(mid + half, lead))
-                        if not residue and square in f_squares
-                    ]
                 else:
-                    # One root: F = K1 / c_sq where q = 0, and where c_sq = -q**2
-                    # the root of the linear equation.
-                    if lead:
-                        square, residue = divmod(part_pq, c_sq)
-                    else:
-                        square, residue = divmod(
-                            part_pq * part_pq - q2 * part_p2, 2 * part_pq * c_sq
-                        )
-                    if residue or square not in f_squares:
-                        continue
-                    candidates = (f_squares[square],)
+                    candidates = [
+                        f_squares[d2 + y]
+                        for y, residue in (divmod(x * lo, den), divmod(x * hi, den))
+                        if not residue and d2 + y in f_squares
+                    ]
                 f_hits: dict[int, int] = {}
                 for fm, f2, f4 in candidates:
                     val_pq = part_pq - c_sq * f2
@@ -561,32 +550,27 @@ def _kernel(
                         p, residue = divmod(val_pq, q)
                         if residue or p * p != val_p2:
                             continue
-                    else:
-                        if val_pq:
-                            continue
-                        root = exact_sqrt(val_p2)
-                        if root is None:
-                            continue
-                        p = root
+                    elif val_pq or (p := exact_sqrt(val_p2)) is None:
+                        continue
                     f_hits[fm] = p
                 if f_hits:
                     e_hits[em] = f_hits
             if e_hits:
                 d_hits[dm] = e_hits
         if d_hits:
-            hits[cm] = (q, d_hits, f_walk)
+            hits[cm] = (q, None, d_hits)
     # Expand each hit to its signed values in enumeration order.
     for c, cm in c_walk:
-        entry = hits.get(cm)
-        if entry is None:
+        hit = hits.get(cm)
+        if hit is None:
             continue
-        q, d_hits, f_walk = entry
-        if f_walk is None:
-            for m, d, e, f in diagonal[1]:
-                out.append([alpha, beta, gamma, a, b, c, d, e, f, d_hits[m], q])
+        q, walk, found = hit
+        if walk is not None:
+            for m, d, e, f in walk:
+                out.append([alpha, beta, gamma, a, b, c, d, e, f, found[m], q])
             continue
         for d, dm in d_walk:
-            e_hits = d_hits.get(dm)
+            e_hits = found.get(dm)
             if e_hits is None:
                 continue
             for e, em in e_walk:

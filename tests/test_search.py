@@ -28,7 +28,7 @@ from fltaudit.search import (
     system_values,
     write_result_log,
 )
-from fltaudit.search import _DEF_OPEN, _def_class, _diagonal, _free_axis, _kernel, _line_template
+from fltaudit.search import _DEF_OPEN, _def_class, _diagonal, _kernel, _line_template
 from fltaudit.search import _pair_table
 from fltaudit.search import _sign_classes
 from fltaudit.search import _scan_shard as real_scan_shard
@@ -168,6 +168,12 @@ class TestSearchSpace:
     def test_bad_shards_rejected(self):
         with pytest.raises(ValueError):
             SearchSpace.cube(-1, 1, shards=0)
+
+    def test_empty_checkpoint_path_rejected(self):
+        # search() tests the path for truth and the resume tests it against
+        # None, so "" would reach the resume's read as a file name.
+        with pytest.raises(ValueError, match="checkpoint path must not be empty"):
+            SearchSpace.cube(-1, 1, checkpoint_path="")
 
     def test_signature_depends_on_config(self):
         one = SearchSpace.cube(-2, 2).signature()
@@ -358,15 +364,32 @@ class TestSignQuotientAgainstOracle:
         assert result.certificate()["scanned"] == result.total_assignments
 
 
-def kernel_against_loop(alpha, beta, gamma, a, b, c_values, def_values):
-    """One ``_kernel`` call's rows, and the rows of the plain loop over every
-    signed c, d, e, f with the same fixed values."""
+def run_kernel(alpha, beta, gamma, a, b, c_values, def_values, scan=True):
+    """One ``_kernel`` call's entries; with ``scan`` False, the (|d|, |e|)
+    scan of a square block sees no d, e or f classes and finds nothing."""
     c_table, *tables = (_sign_classes(values) for values in (c_values, *[def_values] * 3))
-    pairs = [(table, _free_axis(table)) for table in tables]
+    if not scan:
+        tables = [([], [])] * 3
     f_squares = {f_class[1]: f_class for f_class in tables[2][0]}
     got = []
-    diagonal = _diagonal(*[def_values] * 3)
-    _kernel(alpha, beta, gamma, a, b, c_table, *pairs, f_squares, diagonal, got)
+    _kernel(alpha, beta, gamma, a, b, c_table, tables, f_squares, (def_values,) * 3, got)
+    return got
+
+
+def expand(entries, def_values):
+    """The rows of kernel entries, in key order: a None slot is a family's
+    free variable and stands for every value in ``def_values``."""
+    return sorted(
+        [*row[:6], *free, *row[9:]]
+        for row in entries
+        for free in product(*[def_values if v is None else (v,) for v in row[6:9]])
+    )
+
+
+def kernel_against_loop(alpha, beta, gamma, a, b, c_values, def_values):
+    """One ``_kernel`` call's entries, and the rows of the plain loop over
+    every signed c, d, e, f with the same fixed values."""
+    got = run_kernel(alpha, beta, gamma, a, b, c_values, def_values)
     powers = [(v, v * v, v**4) for v in def_values]
     want = []
     _oracle_kernel(alpha, beta, gamma, a, b, c_values, powers, powers, powers, want)
@@ -374,56 +397,57 @@ def kernel_against_loop(alpha, beta, gamma, a, b, c_values, def_values):
 
 
 def solve_branch(row):
-    """Which way the kernel finds the f of a row with c * gamma != 0."""
+    """Which way the kernel finds a row: on the diagonal outside a square
+    block, and inside one on the form's two lines, on its one line where
+    C = w3 (w1 + w2) is 0, or by the loop over every f where x = C = 0."""
     alpha, beta, gamma, a, b, c, d, e, f, p, q = row
-    c_sq = c * c * gamma
-    part_pq = (a * d) ** 2 * alpha - (b * e) ** 2 * beta
-    if not q:
-        return "q = 0"
-    if a * alpha and b * beta and exact_sqrt(-alpha * beta * gamma) is None:
+    w1, w2, w3 = a * a * alpha, -b * b * beta, -c * c * gamma
+    if not (w1 and w2 and w3) or exact_sqrt(-alpha * beta * gamma) is None:
         return "diagonal"
-    if c_sq * (c_sq + q * q):
-        return "quadratic"
-    return "linear" if part_pq else "loop"
+    if w3 * (w1 + w2):
+        return "two lines"
+    return "one line" if d * d != e * e else "loop"
+
+
+BRANCH_CASES = [
+    # q = 0 in a square block: -alpha*beta*gamma = 9 and
+    # 2**2 * -3 + 1**2 * 3 + 3**2 * 1 = 0, so the two lines coincide.
+    ((-3, -3, -1, 2, 1), range(3, 4), "two lines"),
+    # -alpha*beta*gamma = 4 and 1 are squares: two lines per (|d|, |e|).
+    ((1, 2, -2, 3, 1), range(1, 4), "two lines"),
+    ((1, -1, 1, 2, 1), range(1, 3), "two lines"),
+    # a**2 alpha = b**2 beta and gamma < 0: C = 0 leaves one line.
+    # d != +-e gives f**2 = e**2 on it; d = +-e makes x = 0, where every f
+    # solves the system and the kernel loops.
+    ((1, 1, -1, 1, 1), range(1, 2), "one line"),
+    ((1, 1, -1, 1, 1), range(1, 2), "loop"),
+    ((2, 2, -1, 3, 3), range(1, 4), "one line"),
+    # -alpha*beta*gamma = -1 and -6 are not squares: the diagonal.
+    ((1, 1, 1, 3, 2), range(1, 4), "diagonal"),
+    ((2, -1, -3, 1, 2), range(1, 3), "diagonal"),
+]
 
 
 class TestSolveForF:
-    """Each branch of the kernel's solve for f**2 against the plain f loop.
+    """Each way the kernel finds f, against the plain f loop.
 
-    d, e, f span [-6, 6]: seven |f| classes, enough for the kernel to solve
-    rather than loop.
+    d, e, f span [-6, 6]: seven |f| classes, enough for a square block to
+    test the form's lines rather than loop.
     """
 
     DEF = range(-6, 7)
 
-    @pytest.mark.parametrize(
-        "fixed, c_values, branch",
-        [
-            # 5**2 - 4**2 - 3**2 = 0: q = 0 and F = K1 / c**2.
-            ((1, 1, 1, 5, 4), range(3, 4), "q = 0"),
-            # -alpha*beta*gamma = 4 and 1 are squares, so the block is
-            # scanned: two roots F per (|d|, |e|).
-            ((1, 2, -2, 3, 1), range(1, 4), "quadratic"),
-            ((1, -1, 1, 2, 1), range(1, 3), "quadratic"),
-            # a**2 alpha = b**2 beta and gamma < 0: c**2 gamma = -q**2.
-            # d != +-e gives the linear root F = e**2; d = +-e makes K1 = 0,
-            # where every f solves the system and the kernel loops.
-            ((1, 1, -1, 1, 1), range(1, 2), "linear"),
-            ((1, 1, -1, 1, 1), range(1, 2), "loop"),
-            ((2, 2, -1, 3, 3), range(1, 4), "linear"),
-            # -alpha*beta*gamma = -1 and -6 are not squares: q > 0 takes the
-            # diagonal without solving.
-            ((1, 1, 1, 3, 2), range(1, 4), "diagonal"),
-            ((2, -1, -3, 1, 2), range(1, 3), "diagonal"),
-        ],
-    )
+    @pytest.mark.parametrize("fixed, c_values, branch", BRANCH_CASES)
     def test_branch_matches_loop(self, fixed, c_values, branch):
         got, want = kernel_against_loop(*fixed, c_values, self.DEF)
         assert got == want
         assert any(solve_branch(row) == branch for row in got)
 
+    def test_every_branch_is_reached(self):
+        assert {case[2] for case in BRANCH_CASES} == {"diagonal", "two lines", "one line", "loop"}
+
     # Three and four |f| classes take the loop; the one-signed and the
-    # lopsided range have seven classes and take the solve.
+    # lopsided range have seven classes and take the lines.
     @pytest.mark.parametrize("def_values", [range(-2, 3), range(-3, 4), range(0, 7), range(-6, 2)])
     def test_few_or_one_signed_classes(self, def_values):
         for fixed in [(1, 1, 1, 3, 2), (1, 1, -1, 1, 1), (2, -1, -3, 1, 2), (1, 2, -2, 3, 1)]:
@@ -431,10 +455,15 @@ class TestSolveForF:
             assert got and got == want
 
     def test_square_block_keeps_off_diagonal_rows(self):
-        # -alpha*beta*gamma = 4: the block scans, and finds rows off the diagonal.
-        got, want = kernel_against_loop(-2, -1, -2, 4, 2, range(1, 5), self.DEF)
-        assert got == want
-        assert [-2, -1, -2, 4, 2, 4, -4, -3, 4, 18, 2] in got
+        # -alpha*beta*gamma = 4 and 9: the blocks scan, and find rows off the
+        # diagonal, the second one at q = 0.
+        for fixed, c_values, row in [
+            ((-2, -1, -2, 4, 2), range(1, 5), [-2, -1, -2, 4, 2, 4, -4, -3, 4, 18, 2]),
+            ((-3, -3, -1, 2, 1), range(3, 4), [-3, -3, -1, 2, 1, 3, 1, 2, 0, 6, 0]),
+        ]:
+            got, want = kernel_against_loop(*fixed, c_values, self.DEF)
+            assert got == want
+            assert row in got
 
     @pytest.mark.parametrize(
         "fixed, c_values, diagonal",
@@ -442,22 +471,37 @@ class TestSolveForF:
             # -alpha*beta*gamma = -1, a, b, c nonzero and q > 0.
             ((1, 1, 1, 3, 2), range(1, 4), True),
             # q = 0.
-            ((1, 1, 1, 5, 4), range(3, 4), False),
+            ((1, 1, 1, 5, 4), range(3, 4), True),
             # -alpha*beta*gamma = 4, a positive square.
             ((-2, -1, -2, 4, 2), range(4, 5), False),
             # a = 0 frees d; -alpha*beta*gamma = -1 and q = 5.
-            ((1, -1, -1, 0, 3), range(4, 5), False),
+            ((1, -1, -1, 0, 3), range(4, 5), True),
         ],
     )
     def test_which_classes_skip_the_scan(self, fixed, c_values, diagonal):
-        # With no f squares to solve into, the scan finds nothing, so every
+        # With no d, e, f classes to scan, the scan finds nothing, so every
         # row comes from the diagonal.
-        c_table, *tables = map(_sign_classes, (c_values, self.DEF, self.DEF, self.DEF))
-        pairs = [(table, _free_axis(table)) for table in tables]
-        got = []
-        _kernel(*fixed, c_table, *pairs, {}, _diagonal(*[self.DEF] * 3), got)
+        got = run_kernel(*fixed, c_values, self.DEF, scan=False)
         want = kernel_against_loop(*fixed, c_values, self.DEF)[1]
-        assert want and got == (want if diagonal else [])
+        assert want and expand(got, self.DEF) == (want if diagonal else [])
+
+    def test_unit_case_never_scans(self):
+        # -alpha*beta*gamma = -1 is no square: every unit-case class, q = 0
+        # and free axes included, is found without the scan.
+        values = range(-4, 5)
+        for a, b in product(values, values):
+            got = run_kernel(1, 1, 1, a, b, values, values, scan=False)
+            assert expand(got, values) == kernel_against_loop(1, 1, 1, a, b, values, values)[1]
+
+    def test_diagonal_holds_none_in_free_slots(self):
+        ranges = (range(-1, 3), range(-2, 2), range(0, 3))
+        assert _diagonal(ranges, (False, True, False)) == (
+            (1, 0, 2), ((1, -1, None, 1), (0, 0, None, 0), (1, 1, None, 1), (2, 2, None, 2)),
+        )
+        assert _diagonal(ranges, (False, False, False))[1] == (
+            (1, -1, -1, 1), (1, -1, 1, 1), (0, 0, 0, 0), (1, 1, -1, 1), (1, 1, 1, 1), (2, 2, -2, 2),
+        )
+        assert _diagonal(ranges, (True, True, True)) == ((0,), ((0, None, None, None),))
 
     @settings(max_examples=80, deadline=None)
     @given(
@@ -475,14 +519,8 @@ class TestSolveForF:
             gamma = -alpha * beta
         c_values, def_values = (range(low, high + 1) for low, high in (c_bounds, def_bounds))
         got, want = kernel_against_loop(alpha, beta, gamma, *ab, c_values, def_values)
-        # A None slot is a family's free variable: it stands for the whole range.
-        rows = [
-            [*row[:6], *free, *row[9:]]
-            for row in got
-            for free in product(*[def_values if v is None else (v,) for v in row[6:9]])
-        ]
         explicit = [row for row in got if None not in row]
-        assert sorted(rows) == want and explicit == sorted(explicit)
+        assert expand(got, def_values) == want and explicit == sorted(explicit)
 
 
 def lagrange_form(w1, w2, w3):
@@ -492,13 +530,13 @@ def lagrange_form(w1, w2, w3):
 
 
 class TestDiagonalCertificate:
-    """The argument behind the kernel's diagonal (see the search module docstring).
+    """The argument behind the kernel's diagonal and lines (see the search
+    module docstring).
 
     At a = b = c = 1 the system's weights are w = (alpha, -beta, -gamma) and
     its values v = (d^2, e^2, f^2); as alpha, beta and gamma are free, so is
-    w, and fixing a, b and c loses nothing.  ``shift`` mutates the system's
-    weight w3 to w3 - shift, so that the mutation test can make both checks
-    fail.
+    w, and fixing a, b and c loses nothing.  Each check takes ``shift``, a
+    mutation of w3 by -shift that makes it fail.
     """
 
     @staticmethod
@@ -535,6 +573,54 @@ class TestDiagonalCertificate:
     def test_mutation_fails_both(self):
         assert self.identity_misses(1)
         assert not self.discriminant_residual(1).is_zero
+
+    @staticmethod
+    def line_misses(shift):
+        """The grid points where C (A x^2 + B xy + C y^2) is not
+        (C y - w2 w3 x)^2 + w1 w2 w3 (w1 + w2 + w3) x^2, for the form's (A, B, C).
+
+        In a square block w1 w2 w3 (w1 + w2 + w3) = -(q r)^2, so where C != 0
+        the form vanishes on the lines C y = (w2 w3 +- q r) x.  Both sides
+        have degree <= 4 in each of w1, w2, w3, x, y, so agreeing on five
+        values of each proves them equal.  ``shift`` mutates the form's w3.
+        """
+        misses = []
+        for w1, w2, w3, x, y in product(range(-2, 3), repeat=5):
+            big_a, big_b, big_c = lagrange_form(w1, w2, w3 - shift)
+            form = big_a * x * x + big_b * x * y + big_c * y * y
+            lines = (big_c * y - w2 * w3 * x) ** 2 + w1 * w2 * w3 * (w1 + w2 + w3) * x * x
+            if big_c * form != lines:
+                misses.append((w1, w2, w3, x, y))
+        return misses
+
+    @staticmethod
+    def q0_misses(shift):
+        """The grid points with w1 + w2 + w3 = -shift where
+        w2^2 third + w1 w2 w3 u1^2 is not w2 second (w2 u2 - w1 u1 + 2 w2 v3),
+        with u = v - v3.
+
+        At q = 0, second = pq = 0, so w2^2 p^2 = -w1 w2 w3 u1^2: off the
+        diagonal (u1 != 0) -alpha beta gamma must be a square.  With w3 put
+        as -(w1 + w2) - shift, both sides have degree <= 3 in w1 and w2 and
+        <= 2 in each v, so w in [-2, 2] and v = d^2 with d in {0, 1, 2}
+        prove them equal.  ``shift`` breaks the constraint q = 0.
+        """
+        misses = []
+        for w1, w2, d, e, f in product(range(-2, 3), range(-2, 3), *[(0, 1, 2)] * 3):
+            w3 = -(w1 + w2) - shift
+            _, second, third = system_values(1, 1, 1, d, e, f, w1, -w2, -w3)
+            u1, u2, v3 = d * d - f * f, e * e - f * f, f * f
+            if w2 * w2 * third + w1 * w2 * w3 * u1 * u1 != w2 * second * (w2 * u2 - w1 * u1 + 2 * w2 * v3):
+                misses.append((w1, w2, d, e, f))
+        return misses
+
+    def test_line_factorisation(self):
+        assert self.line_misses(0) == []
+        assert self.line_misses(1)
+
+    def test_q0_identity(self):
+        assert self.q0_misses(0) == []
+        assert self.q0_misses(1)
 
 
 class TestDeterminismAndSharding:
