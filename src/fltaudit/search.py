@@ -41,8 +41,8 @@ a form in x = e^2 - d^2 and y = f^2 - d^2 of discriminant
     C = w3 (w1 + w2), C times the form is (C y - w2 w3 x)^2 - (q r x)^2.  So
     every solution has C y = x (w2 w3 +- q r), or where C = 0,
     2 w3 y = x (w1 + w3), and x = C = 0 leaves every f.  Each (|d|, |e|)
-    tests only the |f| on those lines (a range with few |f| classes loops
-    over them), and each candidate goes through the exact p test.
+    tests only the |f| on those lines, and each candidate goes through the
+    exact p test.
 
 The kernel then walks the signed values in enumeration order and emits a
 row for each one whose class had a solution, so rows leave the kernel in
@@ -409,11 +409,6 @@ def _record_header(space: SearchSpace, shard: int, fmt: int = 2) -> dict:
 # Shard scanning
 
 
-# Below this many |f| classes a square block loops over them rather than test
-# the form's lines: with 3 classes the lines cost more than the loop they
-# replace, with 5 they cost less.
-_SOLVE_MIN_CLASSES = 5
-
 # One variable's magnitude classes (m, m**2, m**4) and its (value, magnitude) walk.
 _SignTable = tuple[list[tuple[int, int, int]], list[tuple[int, int]]]
 
@@ -498,7 +493,6 @@ def _kernel(
     root = exact_sqrt(-alpha * beta * gamma) if a_sq and b_sq else None
     c_classes, c_walk = c_table
     (d_classes, d_walk), (e_classes, e_walk), (f_classes, f_walk) = def_tables
-    loop = len(f_classes) < _SOLVE_MIN_CLASSES
     # |c| -> (q, diagonal walk, {m: p}) or (q, None, {|d|: {|e|: {|f|: p}}}): rows share a p.
     hits: dict[int, tuple[int, tuple | None, dict]] = {}
     for cm, c2, _ in c_classes:
@@ -516,15 +510,16 @@ def _kernel(
             hits[cm] = (q, walk, {m: m * m * q for m in magnitudes})
             continue
         # With w = (a_sq, -b_sq, -c_sq), x = e**2 - d**2 and y = f**2 - d**2,
-        # a solution has den*y = x*num for one of the form's lines (num, den):
+        # a solution has den*y = x*num for a num in the set of the form's
+        # ``lines`` (they coincide where q = 0):
         # num = w2*w3 -+ q*root*|abc| and den = C = w3*(w1 + w2), or where
         # C = 0, num = w1 + w3 and den = 2*w3.  x = C = 0 leaves every f.
         big_c = c_sq * (b_sq - a_sq)
         if big_c:
             qr = q * root * abs(a * b) * cm
-            lo, hi, den = b_sq * c_sq - qr, b_sq * c_sq + qr, big_c
+            lines, den = {b_sq * c_sq - qr, b_sq * c_sq + qr}, big_c
         else:
-            lo, hi, den = a_sq - c_sq, a_sq - c_sq, -2 * c_sq
+            lines, den = {a_sq - c_sq}, -2 * c_sq
         d_hits: dict[int, dict] = {}
         for dm, d2, d4 in d_classes:
             ad2 = a_sq * d2
@@ -534,14 +529,12 @@ def _kernel(
                 part_pq = ad2 - b_sq * e2
                 part_p2 = ad4 - b_sq * e4
                 x = e2 - d2
-                if loop or not (x or big_c):
+                if not (x or big_c):
                     candidates = f_classes
                 else:
-                    candidates = [
-                        f_squares[d2 + y]
-                        for y, residue in (divmod(x * lo, den), divmod(x * hi, den))
-                        if not residue and d2 + y in f_squares
-                    ]
+                    # A set: both lines give y = 0 at x = 0.
+                    f2s = {d2 + x * n // den for n in lines if not x * n % den}
+                    candidates = [f_squares[f2] for f2 in f2s if f2 in f_squares]
                 f_hits: dict[int, int] = {}
                 for fm, f2, f4 in candidates:
                     val_pq = part_pq - c_sq * f2

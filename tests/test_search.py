@@ -431,8 +431,7 @@ BRANCH_CASES = [
 class TestSolveForF:
     """Each way the kernel finds f, against the plain f loop.
 
-    d, e, f span [-6, 6]: seven |f| classes, enough for a square block to
-    test the form's lines rather than loop.
+    d, e, f span [-6, 6]: seven |f| classes.
     """
 
     DEF = range(-6, 7)
@@ -446,8 +445,8 @@ class TestSolveForF:
     def test_every_branch_is_reached(self):
         assert {case[2] for case in BRANCH_CASES} == {"diagonal", "two lines", "one line", "loop"}
 
-    # Three and four |f| classes take the loop; the one-signed and the
-    # lopsided range have seven classes and take the lines.
+    # Three and four |f| classes, and the one-signed and the lopsided range,
+    # whose classes have one member at some magnitudes.
     @pytest.mark.parametrize("def_values", [range(-2, 3), range(-3, 4), range(0, 7), range(-6, 2)])
     def test_few_or_one_signed_classes(self, def_values):
         for fixed in [(1, 1, 1, 3, 2), (1, 1, -1, 1, 1), (2, -1, -3, 1, 2), (1, 2, -2, 3, 1)]:
