@@ -7,7 +7,7 @@ Exit codes are part of the contract:
     2   identity verification failure
     3   audit verdicts drifted from the expected-verdict manifest
     5   the search found a counterexample
-    64  usage error (bad flags, bad ranges, missing config file)
+    64  usage error (bad flags, bad ranges, empty paths, missing config file)
     70  internal error (an unexpected exception; one line on stderr)
     74  checkpoint or report I/O failure
 
@@ -51,6 +51,13 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
+def _path(text: str) -> Path:
+    # Path("") is Path("."), which would fail as I/O on a directory after the work.
+    if not text:
+        raise argparse.ArgumentTypeError("empty path")
+    return Path(text)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="fltaudit",
@@ -67,7 +74,7 @@ def build_parser() -> argparse.ArgumentParser:
         sub.add_argument(
             "--format", choices=("text", "json"), default="text", help="report format"
         )
-        sub.add_argument("--out", type=Path, default=None, help="write the report to a file")
+        sub.add_argument("--out", type=_path, default=None, help="write the report to a file")
 
     p = commands.add_parser(
         "verify-identity", parents=[], help="expand both sides of the identity per exponent"
@@ -101,9 +108,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--base-max", type=int, default=None, help="base bound for parity sampling")
     p.add_argument("--primitive-only", action="store_true", default=None)
     p.add_argument("--even-b-only", action="store_true", default=None)
-    p.add_argument("--config", type=Path, default=None, help="JSON file with scope overrides")
+    p.add_argument("--config", type=_path, default=None, help="JSON file with scope overrides")
     p.add_argument(
-        "--manifest", type=Path, default=None, help="expected-verdict manifest (JSON)"
+        "--manifest", type=_path, default=None, help="expected-verdict manifest (JSON)"
     )
     p.add_argument(
         "--self-test-sabotage",
@@ -119,9 +126,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--case", choices=("unit", "general"), default="unit")
     p.add_argument("--shards", type=int, default=1)
     p.add_argument("--workers", type=int, default=1)
-    p.add_argument("--checkpoint", type=Path, default=None)
+    p.add_argument("--checkpoint", type=_path, default=None)
     p.add_argument(
-        "--result-log", type=Path, default=None, help="normalized JSONL solution log"
+        "--result-log", type=_path, default=None, help="normalized JSONL solution log"
     )
     p.add_argument(
         "--self-test-sabotage",

@@ -1,15 +1,8 @@
-"""Shared exact-integer helpers: the perfect-square test and its residue filter."""
+"""Shared exact-integer helper: the perfect-square test."""
 
 from __future__ import annotations
 
 from math import isqrt
-
-# Quadratic residues read by the search kernel's perfect-square pre-filter.
-# Any integer square is congruent to one of these mod 16 and mod 9, so
-# membership is a necessary (never sufficient) condition and the filter is
-# sound.
-SQUARES_MOD_16 = frozenset({0, 1, 4, 9})
-SQUARES_MOD_9 = frozenset({0, 1, 4, 7})
 
 
 def exact_sqrt(value: int) -> int | None:
@@ -18,4 +11,3 @@ def exact_sqrt(value: int) -> int | None:
         return None
     root = isqrt(value)
     return root if root * root == value else None
-

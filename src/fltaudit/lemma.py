@@ -109,11 +109,7 @@ class DerivedSystem:
     n: int
 
     def evaluate(self, x: int, y: int, z: int) -> tuple[int, int, int]:
-        return (
-            self.Q.evaluate(x, y, z),
-            self.M.evaluate(x, y, z),
-            self.P.evaluate(x, y, z),
-        )
+        return MonomialTable((self.Q, self.M, self.P)).evaluate(x, y, z)
 
 
 @dataclass(frozen=True)

@@ -175,14 +175,7 @@ class Polynomial:
 
     def evaluate(self, x: int, y: int, z: int) -> int:
         """Exact value at an integer point."""
-        if not self._terms:
-            return 0
-        xs, ys, zs = zip(*self._terms)
-        xp, yp, zp = _powers(x, max(xs)), _powers(y, max(ys)), _powers(z, max(zs))
-        total = 0
-        for (ex, ey, ez), coeff in self._terms.items():
-            total += coeff * xp[ex] * yp[ey] * zp[ez]
-        return total
+        return MonomialTable((self,)).evaluate(x, y, z)[0]
 
     def div_exact(self, divisor: "Polynomial") -> "Polynomial":
         """Quotient q with self == q * divisor, else raise NotDivisible.

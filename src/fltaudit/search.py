@@ -10,9 +10,8 @@ The search enumerates (alpha, beta, gamma, a, b, c, d, e, f) over an integer
 box in lexicographic order ("unit" case pins alpha = beta = gamma = 1) and
 derives p and q instead of scanning them:
 
-  * the first right-hand side must be a nonnegative perfect square (checked
-    with residue pre-filters mod 16 and mod 9 before the exact square root),
-    giving q up to sign;
+  * the first right-hand side must be a nonnegative perfect square, checked
+    by its exact integer square root, giving q up to sign;
   * for q > 0, p is forced as the exact quotient of the second right-hand
     side by q; for q = 0 the second right-hand side must vanish and the
     third must be a perfect square.
@@ -89,7 +88,7 @@ from pathlib import Path
 from typing import Callable, Iterator, Mapping, NamedTuple, Sequence
 
 from .checkpoint import CANONICAL_JSON, CheckpointError, append_record, read_records
-from .ints import SQUARES_MOD_16, SQUARES_MOD_9, exact_sqrt
+from .ints import exact_sqrt
 
 __all__ = [
     "READINGS",
@@ -499,8 +498,6 @@ def _kernel(
         c_sq = c2 * gamma
         val_q2 = a_sq - b_sq - c_sq
         if val_q2 < 0:
-            continue
-        if val_q2 % 16 not in SQUARES_MOD_16 or val_q2 % 9 not in SQUARES_MOD_9:
             continue
         q = isqrt(val_q2)
         if q * q != val_q2:

@@ -379,6 +379,20 @@ class TestParserBasics:
         code, _, _ = run_cli(["represent", 3, 4, 5, "--format", "xml"])
         assert code == EXIT_USAGE
 
+    @pytest.mark.parametrize(
+        "command, flag",
+        [("search", "--checkpoint"), ("search", "--result-log"), ("search", "--out"),
+         ("audit", "--config"), ("audit", "--manifest")],
+    )
+    def test_empty_path_is_a_usage_error(self, run_cli, tmp_path, monkeypatch, command, flag):
+        # Path("") is Path("."): refused at parse time, before any work.
+        monkeypatch.chdir(tmp_path)
+        code, out, err = run_cli([command, flag, ""])
+        assert code == EXIT_USAGE
+        assert f"argument {flag}: empty path" in err
+        assert out == ""
+        assert list(tmp_path.iterdir()) == []
+
     def test_unexpected_exception_exits_internal(self, run_cli, monkeypatch):
         import fltaudit.cli as cli
 

@@ -17,6 +17,11 @@ points = st.tuples(
 )
 
 
+def naive_value(p, x, y, z):
+    """The sum of c * x^ex * y^ey * z^ez over p's terms: evaluation's reference."""
+    return sum(c * x**ex * y**ey * z**ez for (ex, ey, ez), c in p.terms())
+
+
 class TestBasics:
     def test_additive_inverse(self):
         assert X + (-X) == ZERO
@@ -150,16 +155,14 @@ class TestCanonicalForm:
     @given(p=polynomials, pt=points)
     @settings(max_examples=60, deadline=None)
     def test_eval_matches_naive_substitution(self, p, pt):
-        x, y, z = pt
-        naive = sum(c * x**ex * y**ey * z**ez for (ex, ey, ez), c in p.terms())
-        assert p.evaluate(x, y, z) == naive
+        assert p.evaluate(*pt) == naive_value(p, *pt)
 
 
 class TestMonomialTable:
     @given(polys=st.lists(polynomials, max_size=4), pt=points)
     @settings(max_examples=60, deadline=None)
     def test_matches_each_polynomial(self, polys, pt):
-        expected = tuple(p.evaluate(*pt) for p in polys)
+        expected = tuple(naive_value(p, *pt) for p in polys)
         assert MonomialTable(polys).evaluate(*pt) == expected
 
     def test_zero_and_constant_members(self):

@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fltaudit.checkpoint import CheckpointError, append_record, read_records
-from fltaudit.ints import SQUARES_MOD_16, SQUARES_MOD_9, exact_sqrt
+from fltaudit.ints import exact_sqrt
 from fltaudit.poly import X, Y, Z
 import fltaudit.search as search_module
 from fltaudit.search import (
@@ -900,20 +900,6 @@ class TestCheckpointing:
         records, truncated = read_records(path)
         assert not truncated
         assert records == [{"shard": 0, "solutions": []}, {"shard": 1, "solutions": [[1, 2]]}]
-
-
-class TestSquareFilter:
-    @given(st.integers(min_value=0, max_value=10**12))
-    @settings(max_examples=300, deadline=None)
-    def test_never_rejects_a_square(self, root):
-        square = root * root
-        assert square % 16 in SQUARES_MOD_16 and square % 9 in SQUARES_MOD_9
-
-    def test_rejects_known_non_residues(self):
-        # The kernel's gate: a value passes iff both residues are in the sets.
-        assert -4 % 16 not in SQUARES_MOD_16  # 12 mod 16
-        assert 2 % 16 not in SQUARES_MOD_16
-        assert 48 % 16 in SQUARES_MOD_16 and 48 % 9 not in SQUARES_MOD_9
 
 
 class TestResultLog:
