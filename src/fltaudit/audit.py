@@ -18,6 +18,7 @@ from pathlib import Path
 
 from .conditions import replay_condition_counterexample, verify_condition_derivations
 from .fermat import primitive_square_triples
+from .ints import at_least, exact_ints
 from .lemma import DerivationError, consistency_residual, derive_system, verify_identity
 from .pythagoras import (
     audit_parametrization,
@@ -45,9 +46,6 @@ HOLDS = "HOLDS"
 FAILS = "FAILS"
 UNDECIDED = "UNDECIDED"
 
-# Field annotations are strings under ``from __future__ import annotations``.
-_FIELD_TYPES = {"int": int, "bool": bool}
-
 
 @dataclass(frozen=True)
 class AuditConfig:
@@ -67,28 +65,19 @@ class AuditConfig:
     triple_base_max: int = 100
 
     def __post_init__(self) -> None:
-        # Exact types: an int scope refuses bool, float and str values.
+        # Each int scope's least value: an n_max's is its n_min.
+        floors = dict(
+            identity_n_min=3, identity_n_max=self.identity_n_min,
+            consistency_n_min=3, consistency_n_max=self.consistency_n_min,
+            c_max=5, box_bound=3, condition_k=3, search_bound=2, search_shards=1, triple_base_max=5,
+        )
+        # Field annotations are strings under ``from __future__ import annotations``.
         for spec in fields(self):
             value = getattr(self, spec.name)
-            want = _FIELD_TYPES[spec.type]
-            if type(value) is not want:
-                raise ValueError(f"{spec.name} must be {want.__name__}, got {value!r}")
-        if not (3 <= self.identity_n_min <= self.identity_n_max):
-            raise ValueError("identity range needs 3 <= n_min <= n_max")
-        if not (3 <= self.consistency_n_min <= self.consistency_n_max):
-            raise ValueError("consistency range needs 3 <= n_min <= n_max")
-        if self.c_max < 5:
-            raise ValueError(f"c_max must be >= 5, got {self.c_max}")
-        if self.box_bound < 3:
-            raise ValueError(f"box_bound must be >= 3, got {self.box_bound}")
-        if self.condition_k <= 2:
-            raise ValueError(f"condition_k must exceed 2, got {self.condition_k}")
-        if self.search_bound < 2:
-            raise ValueError(f"search_bound must be >= 2, got {self.search_bound}")
-        if self.search_shards < 1:
-            raise ValueError(f"search_shards must be >= 1, got {self.search_shards}")
-        if self.triple_base_max < 5:
-            raise ValueError(f"triple_base_max must be >= 5, got {self.triple_base_max}")
+            if spec.type == "int":
+                at_least(spec.name, value, floors[spec.name])
+            elif type(value) is not bool:
+                raise ValueError(f"{spec.name} must be bool, got {value!r}")
 
 
 @dataclass
@@ -216,13 +205,6 @@ def _parity_failure(x: int, y: int, z: int) -> dict | None:
     return {"triple": [x, y, z], "even_count": even_count, "pairwise_coprime": coprime}
 
 
-def _exact_ints(values, count: int):
-    """``values`` if it is a list of ``count`` exact ints, else ``ValueError``."""
-    if not (isinstance(values, (list, tuple)) and list(map(type, values)) == [int] * count):
-        raise ValueError(f"evidence needs {count} integers, got {values!r}")
-    return values
-
-
 # ----------------------------------------------------------------------
 # Checkers return their row's own fields; ``run_audit`` adds the rest.
 # Replays return True iff a FAILS evidence item still fails.
@@ -280,7 +262,7 @@ def _check_parametrization(config: AuditConfig) -> dict:
 
 
 def _replay_parametrization(item: dict, config: AuditConfig) -> bool:
-    a, b, c = _exact_ints(item["triple"], 3)
+    a, b, c = exact_ints(item["triple"], 3)
     return is_pythagorean(a, b, c) and represent_triple(a, b, c) is None
 
 
@@ -318,9 +300,7 @@ def _check_conditions(config: AuditConfig) -> dict:
 
 def _replay_conditions(item: dict, config: AuditConfig) -> bool:
     k = item["k"] if item.get("k") is not None else config.condition_k
-    return replay_condition_counterexample(
-        item["claim"], item["reading"], tuple(_exact_ints(item["point"], 3)), k
-    )
+    return replay_condition_counterexample(item["claim"], item["reading"], item["point"], k)
 
 
 def _check_parity_coprime(config: AuditConfig) -> dict:
@@ -368,7 +348,7 @@ def _check_search(config: AuditConfig) -> dict:
 
 
 def _replay_search(item: dict, config: AuditConfig) -> bool:
-    report = classify_row(_exact_ints([item[v] for v in ROW_VARS], len(ROW_VARS)))
+    report = classify_row([item[v] for v in ROW_VARS])
     return report.counterexample_pairwise or report.counterexample_adjacent
 
 
@@ -409,7 +389,7 @@ _CLAIMS = {
         "In a primitive integer solution of x^2 + y^2 = z^2, exactly one of "
         "x, y, z is even and the three are pairwise coprime.",
         _check_parity_coprime,
-        lambda item, config: _parity_failure(*_exact_ints(item["triple"], 3)) is not None,
+        lambda item, config: _parity_failure(*exact_ints(item["triple"], 3)) is not None,
     ),
     "C7": (
         "The three-equation quadratic system has no nontrivial integer "

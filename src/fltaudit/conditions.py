@@ -26,6 +26,7 @@ from math import gcd
 from operator import attrgetter
 from typing import Callable
 
+from .ints import at_least, exact_ints
 from .lemma import linear_forms
 from .search import READINGS, ConditionReport, chain_flags, classify_row
 
@@ -117,10 +118,8 @@ def verify_condition_derivations(box_bound: int, k: int) -> list[ImplicationChec
     ``k`` parametrizes the two power-dependent implications; pass a value in
     the regime where they are claimed (k > 2 covers both shapes).
     """
-    if box_bound < 3:
-        raise ValueError(f"box_bound must be >= 3, got {box_bound}")
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
+    at_least("box_bound", box_bound, 3)
+    at_least("k", k, 1)
     span = range(-box_bound, box_bound + 1)
     points = [(x, y, z) for x in span for y in span for z in span]
     # The hypothesis depends only on (reading, needs_coprime): filter once per pair.
@@ -160,9 +159,7 @@ def replay_condition_counterexample(
         raise ValueError(f"unknown claim {claim!r}")
     if type(reading) is not str or reading not in READINGS:
         raise ValueError(f"unknown reading {reading!r}")
-    if len(point) != 3 or not all(type(v) is int for v in (*point, k)):
-        raise ValueError(f"need three integers and an integer k, got {point!r} and {k!r}")
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
+    exact_ints(point, 3)
+    at_least("k", k, 1)
     conclusion = _conclusion(claim, reading, lambda pt: classify_row(reduction_row(*pt, k)))
     return _hypothesis(*point, reading, _CLAIMS[claim][1]) and not conclusion(point)

@@ -8,6 +8,8 @@ from __future__ import annotations
 
 from math import gcd
 
+from .ints import at_least
+
 __all__ = ["primitive_square_triples", "scan_power_equation"]
 
 
@@ -18,10 +20,8 @@ def scan_power_equation(base_max: int, n: int) -> list[tuple[int, int, int]]:
     z <= 2^(1/n) * y < 2 * base_max, so the table up to 2 * base_max is
     complete and no root is ever taken.
     """
-    if base_max < 1:
-        raise ValueError(f"base_max must be >= 1, got {base_max}")
-    if n < 2:
-        raise ValueError(f"exponent must be >= 2, got {n}")
+    at_least("base_max", base_max, 1)
+    at_least("exponent", n, 2)
     powers = [v**n for v in range(2 * base_max + 1)]
     roots = {power: v for v, power in enumerate(powers)}
     solutions: list[tuple[int, int, int]] = []

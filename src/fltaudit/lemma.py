@@ -41,6 +41,7 @@ from functools import cached_property, lru_cache
 from random import Random
 from typing import Union
 
+from .ints import at_least, exact_ints
 from .poly import ONE, MonomialTable, NotDivisible, Polynomial, X, Y, Z
 from .search import system_values
 
@@ -126,11 +127,6 @@ class ConsistencyResult:
         return self.matches_product_form and self.fermat_quotient is not None
 
 
-def _require_exponent(n: int) -> None:
-    if not isinstance(n, int) or n < 3:
-        raise ValueError(f"exponent must be an integer >= 3, got {n!r}")
-
-
 def linear_forms(x: Scalar, y: Scalar, z: Scalar) -> tuple[Scalar, ...]:
     """The six linear forms (r, s, t, u, v, w) of ints or polynomials x, y, z."""
     return x - y, y + z, z + x, x + y + z, y - z - x, x - y - z
@@ -150,14 +146,14 @@ def _fermat_side(scale: int, x: Scalar, y: Scalar, z: Scalar, n: int) -> Scalar:
 @lru_cache(maxsize=64)
 def fermat_poly(n: int) -> Polynomial:
     """x^n + y^n - z^n."""
-    _require_exponent(n)
+    at_least("exponent", n, 3)
     return X**n + Y**n - Z**n
 
 
 @lru_cache(maxsize=64)
 def build_lemma_terms(n: int) -> AbcTriple:
     """Expand A, B, C for the given exponent."""
-    _require_exponent(n)
+    at_least("exponent", n, 3)
     r, s, t, u, v, w = linear_forms(X, Y, Z)
     xy, yz, zx = _pair_powers(n)
     u4, v4, w4 = u**4, v**4, w**4
@@ -170,7 +166,7 @@ def build_lemma_terms(n: int) -> AbcTriple:
 @lru_cache(maxsize=64)
 def lhs_poly(n: int) -> Polynomial:
     """Fully expanded (8rst)^2 (xyz)^(n-2) (x^n + y^n - z^n)."""
-    _require_exponent(n)
+    at_least("exponent", n, 3)
     return _fermat_side(8, X, Y, Z, n)
 
 
@@ -192,8 +188,7 @@ def numeric_cross_check(n: int, point: EvalPoint) -> tuple[int, int]:
     right side by evaluating the expanded polynomials A, B, C, so the two
     values follow independent routes and must agree exactly.
     """
-    _require_exponent(n)
-    av, bv, cv = build_lemma_terms(n).evaluate(*point)
+    av, bv, cv = build_lemma_terms(n).evaluate(*exact_ints(point, 3))
     return _fermat_side(8, *point, n), av * av + bv * bv - cv * cv
 
 
@@ -215,7 +210,7 @@ def derive_system(n: int) -> DerivedSystem:
     combination, or any disagreement between the two routes, raises
     DerivationError.
     """
-    _require_exponent(n)
+    at_least("exponent", n, 3)
     q_poly, m_poly, p_poly = system_values(*linear_forms(X, Y, Z), *_pair_powers(n))
 
     abc = build_lemma_terms(n)
@@ -257,11 +252,9 @@ def consistency_residual(n: int) -> ConsistencyResult:
 
 def sample_points(count: int, rng: Random) -> list[EvalPoint]:
     """Uniform integer points in [-50, 50]^3 from the given generator."""
-    if count < 0:
-        raise ValueError(f"count must be >= 0, got {count}")
     return [
         (rng.randint(-50, 50), rng.randint(-50, 50), rng.randint(-50, 50))
-        for _ in range(count)
+        for _ in range(at_least("count", count, 0))
     ]
 
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from math import gcd
 from typing import Iterator
 
-from .ints import exact_sqrt
+from .ints import at_least, exact_sqrt
 
 __all__ = [
     "PythTriple",
@@ -104,8 +104,7 @@ def enumerate_triples(
     triple (odd leg first) in one of its two orders, so the multiples of
     ``euclid_primitive_triples`` give each triple exactly once.
     """
-    if c_max < 5:
-        raise ValueError(f"c_max must be >= 5, got {c_max}")
+    at_least("c_max", c_max, 5)
     found: list[tuple[int, int, int]] = []
     for x, y, z in euclid_primitive_triples(c_max):
         for k in range(1, 2 if primitive_only else c_max // z + 1):

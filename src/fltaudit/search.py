@@ -88,7 +88,7 @@ from pathlib import Path
 from typing import Callable, Iterator, Mapping, NamedTuple, Sequence
 
 from .checkpoint import CANONICAL_JSON, CheckpointError, append_record, read_records
-from .ints import exact_sqrt
+from .ints import at_least, exact_ints, exact_sqrt
 
 __all__ = [
     "READINGS",
@@ -140,11 +140,6 @@ class ConjectureInstance(NamedTuple):
     def key(self) -> tuple[int, ...]:
         """The kernel row: the sort key following the enumeration order."""
         return tuple(self)
-
-    @classmethod
-    def from_key(cls, row: Sequence[int]) -> "ConjectureInstance":
-        """Inverse of ``key``: build the instance from a row in key order."""
-        return cls(*row)
 
 
 def system_values(a, b, c, d, e, f, alpha, beta, gamma):
@@ -267,7 +262,7 @@ def classify_row(row: Sequence[int]) -> ConditionReport:
     ``row`` is ``[alpha, beta, gamma, a, b, c, d, e, f, p, q]``.  The report
     is interned: all rows with the same flags get the same frozen object.
     """
-    return _REPORTS[_report_code(row)]
+    return _REPORTS[_report_code(exact_ints(row, len(ROW_VARS)))]
 
 
 def check_conditions(inst: ConjectureInstance) -> ConditionReport:
@@ -308,15 +303,14 @@ class SearchSpace:
         for name in required:
             if name not in self.bounds:
                 raise ValueError(f"missing bounds for variable {name!r}")
+            # Exact ints: a bool bound would give the box a second signature.
             try:
-                low, high = self.bounds[name]
-            except (TypeError, ValueError):
+                low, high = exact_ints(self.bounds[name], 2)
+            except ValueError:
                 raise ValueError(
-                    f"bounds for {name!r} must be a (low, high) pair, got {self.bounds[name]!r}"
+                    f"bounds for {name!r} must be a (low, high) pair of integers, "
+                    f"got {self.bounds[name]!r}"
                 ) from None
-            # Exact types: a bool bound would give the box a second signature.
-            if not (type(low) is int and type(high) is int):
-                raise ValueError(f"bounds for {name!r} must be integers")
             if low > high:
                 raise ValueError(f"empty range for {name!r}: [{low}, {high}]")
             clean[name] = (low, high)
@@ -324,8 +318,7 @@ class SearchSpace:
         if extra:
             raise ValueError(f"unexpected bound keys: {sorted(extra)}")
         object.__setattr__(self, "bounds", clean)
-        if type(self.shards) is not int or self.shards < 1:
-            raise ValueError(f"shard count must be an integer >= 1, got {self.shards!r}")
+        at_least("shards", self.shards, 1)
         if self.checkpoint_path is not None:
             # An empty path names no file: search() and the resume would read it two ways.
             if not str(self.checkpoint_path):
@@ -859,6 +852,7 @@ def search(
     durable; exceptions raised there abort the run without damaging the
     checkpoint.
     """
+    at_least("workers", workers, 1)
     signature = space.signature()
     existing = _load_existing_records(space, signature)
     todo = [sid for sid in range(space.shards) if sid not in existing]

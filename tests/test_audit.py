@@ -246,7 +246,7 @@ class TestReplay:
     def test_trivial_search_solution_does_not_replay(self):
         row = (1, 1, 1, 1, 0, 0, 2, 1, 1, 4, 1)
         item = dict(zip(ROW_VARS, row))
-        report = check_conditions(ConjectureInstance.from_key(row))
+        report = check_conditions(ConjectureInstance(*row))
         assert report.satisfied and report.trivial
         assert not replay_evidence("C7", item)
 
@@ -324,6 +324,8 @@ class TestIsolation:
             {"c_max": 100.0},
             {"search_bound": "3"},
             {"parametrization_primitive_only": 1},
+            {"identity_n_max": 8.0},
+            {"consistency_n_min": 5, "consistency_n_max": 4},
         ],
     )
     def test_config_values_need_their_field_type(self, override):

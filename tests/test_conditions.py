@@ -110,10 +110,10 @@ class TestImplications:
         assert checks == [(box_bound, *check) for check in oracle_condition_checks(box_bound, k)]
 
     def test_validation(self):
-        with pytest.raises(ValueError):
-            verify_condition_derivations(2, 3)
-        with pytest.raises(ValueError):
-            verify_condition_derivations(4, 0)
+        # A float or bool k would build float or bool reduction rows.
+        for box_bound, k in [(2, 3), (4, 0), (3, 3.0), (3, True), (3.0, 3)]:
+            with pytest.raises(ValueError):
+                verify_condition_derivations(box_bound, k)
 
 
 class TestReplay:

@@ -28,10 +28,10 @@ class TestScan:
         assert scan_power_equation(base_max, n) == oracle_scan_power_equation(base_max, n)
 
     def test_validation(self):
-        with pytest.raises(ValueError):
-            scan_power_equation(0, 2)
-        with pytest.raises(ValueError):
-            scan_power_equation(10, 1)
+        # A float exponent would scan a float power table; True is not base_max 1.
+        for base_max, n in [(0, 2), (10, 1), (400, 7.0), (True, 2)]:
+            with pytest.raises(ValueError):
+                scan_power_equation(base_max, n)
 
     def test_primitive_filter(self):
         triples = primitive_square_triples(20)

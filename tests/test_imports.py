@@ -43,11 +43,20 @@ def loaded_after(code: str) -> set[str]:
         ),
         (
             "from fltaudit import cli; cli.main(['scan-flt', '--base-max', '20'])",
-            CLI | {"fltaudit.fermat"},
+            CLI | {"fltaudit.fermat", "fltaudit.ints"},
         ),
         (
             "from fltaudit import cli; cli.main(['represent', '3', '4', '5'])",
             CLI | {"fltaudit.pythagoras", "fltaudit.ints"},
+        ),
+        (
+            "from fltaudit import cli; cli.main(['verify-identity', '--n-max', '4', '--points', '5'])",
+            CLI | {"fltaudit.lemma", "fltaudit.poly", "fltaudit.search", "fltaudit.ints"},
+        ),
+        (
+            "from fltaudit import cli; cli.main(['audit', '--box-bound', '3', '--search-bound', '2'])",
+            CLI | {"fltaudit.audit", "fltaudit.conditions", "fltaudit.fermat", "fltaudit.ints",
+                   "fltaudit.lemma", "fltaudit.poly", "fltaudit.pythagoras", "fltaudit.search"},
         ),
     ],
 )

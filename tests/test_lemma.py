@@ -17,6 +17,7 @@ from fltaudit.lemma import (
     lhs_poly,
     linear_forms,
     numeric_cross_check,
+    sample_points,
     verify_identity,
 )
 from fltaudit.poly import X, Y, Z
@@ -48,7 +49,7 @@ class TestAbcTriple:
         assert abc.evaluate(1, 2, 3) == (-11900, -2592, -12292)
 
     def test_rejects_small_exponent(self):
-        for bad in (2, 1, 0, -3):
+        for bad in (2, 1, 0, -3, 3.0):
             with pytest.raises(ValueError):
                 build_lemma_terms(bad)
 
@@ -147,8 +148,13 @@ class TestNumericCrossCheck:
         assert numeric_cross_check(4, (0, 1, 1)) == (0, 0)
 
     def test_rejects_small_exponent(self):
-        with pytest.raises(ValueError):
-            numeric_cross_check(2, (1, 2, 3))
+        # The same ValueError for a point or a point count that is not an int.
+        for n, point in [(2, (1, 2, 3)), (3, (1.5, 2, 3))]:
+            with pytest.raises(ValueError):
+                numeric_cross_check(n, point)
+        for count in (-1, 2.0):
+            with pytest.raises(ValueError):
+                sample_points(count, random.Random(0))
 
     @pytest.mark.parametrize("n", [3, 5, 8])
     def test_agreement_on_random_points(self, n):

@@ -112,8 +112,9 @@ class TestEnumeration:
         assert (3, 4, 5) in enumerate_triples(20, primitive_only=True)
 
     def test_small_bound_rejected(self):
-        with pytest.raises(ValueError):
-            enumerate_triples(4)
+        for c_max in (4, 100.0):
+            with pytest.raises(ValueError):
+                enumerate_triples(c_max)
 
     def test_euclid_route_matches_direct_scan(self):
         # Independent generation: Euclid's formula vs the oracle double loop

@@ -110,7 +110,7 @@ class TestRowLayout:
     def test_instance_fields_follow_row_layout(self):
         assert ConjectureInstance._fields == ROW_VARS
         row = (2, 6, 3, -1, 5, 4, 6, -2, -4, 7, 8)
-        inst = ConjectureInstance.from_key(row)
+        inst = ConjectureInstance(*row)
         assert inst.key() == row and type(inst.key()) is tuple
         assert [getattr(inst, name) for name in ROW_VARS] == list(row)
 
@@ -119,7 +119,7 @@ class TestRowLayout:
         row = (2, 6, 3, -1, 5, 4, 6, -2, -4, 7, 8)
         inst = ConjectureInstance(*row)
         assert inst == row and tuple(inst) == row and list(inst) == list(row)
-        assert ConjectureInstance.from_key(inst.key()) == inst
+        assert ConjectureInstance(*inst.key()) == inst
         assert inst != ConjectureInstance(*row[:-1], 9)
 
     def test_instance_is_immutable(self):
@@ -132,7 +132,7 @@ class TestRowLayout:
 
     def test_instance_is_hashable(self):
         inst = unit_instance(3, 2, 2, 1, -1, 1, p=1, q=1)
-        twin = ConjectureInstance.from_key(inst.key())
+        twin = ConjectureInstance(*inst.key())
         assert hash(inst) == hash(twin) == hash(inst.key())
         assert {inst: "x"}[twin] == "x" and len({inst, twin}) == 1
 
@@ -146,9 +146,19 @@ class TestRowLayout:
         ],
     )
     def test_check_conditions_reads_the_row(self, row):
-        inst = ConjectureInstance.from_key(row)
+        inst = ConjectureInstance(*row)
         assert check_conditions(inst) is classify_row(list(row))
         assert flags_of(check_conditions(inst)) == oracle_conditions(row)
+
+    def test_row_of_non_ints_rejected(self):
+        # No float decides a verdict: this row would classify as satisfied.
+        row = (1.0, 1, 1, 1, 0, 0, 2, 1, 1, 4, 1)
+        with pytest.raises(ValueError):
+            classify_row(list(row))
+        with pytest.raises(ValueError):
+            check_conditions(ConjectureInstance(*row))
+        with pytest.raises(ValueError):
+            classify_row(row[:-1])
 
 
 class TestSearchSpace:
@@ -168,6 +178,10 @@ class TestSearchSpace:
     def test_bad_shards_rejected(self):
         with pytest.raises(ValueError):
             SearchSpace.cube(-1, 1, shards=0)
+        # Nor a worker count that is not an int >= 1: 1.5 would reach the pool.
+        for workers in (0, 1.5):
+            with pytest.raises(ValueError):
+                search(SearchSpace.cube(-1, 1, shards=3), workers=workers)
 
     def test_empty_checkpoint_path_rejected(self):
         # search() tests the path for truth and the resume tests it against
@@ -1019,7 +1033,7 @@ class TestStreamedLogAgainstOracle:
 
     def test_check_conditions_shares_reports(self):
         inst = unit_instance(3, 2, 2, 1, -1, 1, p=1, q=1)
-        assert check_conditions(inst) is check_conditions(ConjectureInstance.from_key(inst.key()))
+        assert check_conditions(inst) is check_conditions(ConjectureInstance(*inst.key()))
 
 
 def flags_of(report):
