@@ -3,8 +3,9 @@
 File layout: a sequence of records, each a 4-byte big-endian payload length
 followed by that many bytes of canonical JSON.  Records are appended and
 fsync'd one per completed shard, so a crash can only ever leave a truncated
-tail behind the last complete record.  Reading cuts that tail from the file,
-so a record appended after it stays readable (the interrupted shard simply
+tail behind the last complete record.  Reading yields the records one at a
+time and, once past the last complete one, cuts that tail from the file, so
+a record appended after it stays readable (the interrupted shard simply
 reruns); anything else that does not decode is reported as corruption.
 
 A search record is the header ``fltaudit.search._record_header`` declares
@@ -18,6 +19,7 @@ import json
 import os
 import struct
 from pathlib import Path
+from typing import Generator
 
 __all__ = ["CANONICAL_JSON", "CheckpointError", "append_record", "read_records"]
 
@@ -60,13 +62,13 @@ def append_record(path: str | Path, record: dict) -> None:
         os.fsync(handle.fileno())
 
 
-def read_records(path: str | Path) -> tuple[list[dict], bool]:
-    """All complete records plus a flag marking a truncated tail, cut from the file.
+def read_records(path: str | Path) -> Generator[dict, None, bool]:
+    """Each complete record in file order; returns whether a truncated tail was cut.
 
-    Records are read one at a time, so the file is never held whole beside
-    the records decoded from it.
+    Records are read and decoded one at a time, so neither the file nor its
+    records are ever held whole.  The tail is cut once the last complete
+    record has been yielded.
     """
-    records: list[dict] = []
     offset = 0
     with open(path, "rb") as handle:
         while header := handle.read(_LENGTH.size):
@@ -86,11 +88,11 @@ def read_records(path: str | Path) -> tuple[list[dict], bool]:
                 raise CheckpointError(f"undecodable record at byte {offset}: {exc}") from exc
             if not isinstance(record, dict):
                 raise CheckpointError(f"record at byte {offset} is not an object")
-            records.append(record)
+            yield record
             offset += _LENGTH.size + length
         else:
-            return records, False
+            return False
     with open(path, "r+b") as handle:
         handle.truncate(offset)
         os.fsync(handle.fileno())
-    return records, True
+    return True

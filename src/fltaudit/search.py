@@ -50,33 +50,39 @@ enumeration order.  A one-signed or lopsided range has one-member classes.
 Where a*alpha = 0, a and d drop out of all three equations (likewise
 (b, e) with b*beta and (c, f) with c*gamma), so every d in the range gives
 the same row.  There the diagonal holds None in the d slot: one family
-entry for every d in the range.  Entries stay families in the checkpoint
-and in the SearchResult.  A family row is trivial (a = 0) or fails the
+entry for every d in the range.  Entries stay families in the checkpoint,
+the spill and every walk.  A family row is trivial (a = 0) or fails the
 divisibility condition (zero divides only zero), so it is never a
 counterexample, and its report varies with its free values only through the
 two readings of the chain d != e != f != 0: three classes, since the
 pairwise reading implies the adjacent one.  So the search classifies one
 row per entry and counts the whole entry under its report, and a walk of
 the rows classifies one row per entry and class, reading each row's class
-from one table over the box's (d, e) pairs.  The result log binds one line
-per entry and class as a head and a tail, puts each row's (d, e) text and
-f between them and writes 32 lines at a time.  The work and the memory
-grow with the entries, not the rows.  Rows are expanded from the entries,
-in enumeration order, only when they are walked.
+from one table over the box's (d, e) pairs.  An explicit row is classified
+once per class of rows that differ only in the signs of d, e and f and
+share their chain flags.  The result log binds one line per entry and class
+as a head and a tail, puts each row's (d, e) text and f between them and
+writes 32 lines at a time.  Rows are expanded from the entries, in
+enumeration order, only when they are walked.
 
 The space is split into shards by a prefix of the enumeration order; each
 completed shard appends one fsync'd record to the checkpoint file, so an
 interrupted run resumes without rescanning, and a torn tail is cut from the
-file.  A resume trusts a record only if _scan_shard could have written it:
-the header _record_header declares for its shard, and strictly increasing
-rows of eleven integers in the shard's blocks and the search box, nulls
-exactly in the d, e, f slots whose product is 0, each solving the system
-with q >= 0, and p >= 0 where q = 0.
+file.  A record, completed or resumed, is counted and then written to a
+private spill file, and dropped; every walk loads the entries back from the
+spill a piece at a time, in shard order.  So memory holds one shard's record
+and two bytes per explicit row, whatever the size of the box, and a walk
+never reads the checkpoint.  A resume trusts a record only if _scan_shard
+could have written it: the header _record_header declares for its shard,
+and strictly increasing rows of eleven integers in the shard's blocks and
+the search box, nulls exactly in the d, e, f slots whose product is 0, each
+solving the system with q >= 0, and p >= 0 where q = 0.
 """
 
 from __future__ import annotations
 
 import hashlib
+import marshal
 from array import array
 from collections import Counter
 from dataclasses import dataclass, fields
@@ -85,7 +91,7 @@ from itertools import chain, groupby, islice, product
 from math import isqrt, prod
 from operator import attrgetter, itemgetter, lt
 from pathlib import Path
-from typing import Callable, Iterator, Mapping, NamedTuple, Sequence
+from typing import BinaryIO, Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .checkpoint import CANONICAL_JSON, CheckpointError, append_record, read_records
 from .ints import at_least, exact_ints, exact_sqrt
@@ -573,13 +579,13 @@ def _kernel(
 _PREFIX = itemgetter(0, 1, 2, 3, 4, 5)
 
 
-def _groups(entries: list[list[list]]) -> Iterator[list[list]]:
+def _groups(entries: Iterable[list]) -> Iterator[list[list]]:
     """The entries in runs sharing (alpha, beta, gamma, a, b, c), in enumeration order.
 
     The prefix fixes which of d, e, f are free, so a run is either explicit
     rows only or family entries only.
     """
-    for _, group in groupby(chain.from_iterable(entries), _PREFIX):
+    for _, group in groupby(entries, _PREFIX):
         yield list(group)
 
 
@@ -648,23 +654,33 @@ class Solutions:
         return self._result.row_count
 
     def __iter__(self) -> Iterator[tuple[ConjectureInstance, ConditionReport]]:
-        for codes, rows in self._result._walk():
+        for codes, run, rows in self._result._walk():
+            if rows is None:
+                for entry, code in zip(run, codes):
+                    yield ConjectureInstance(*entry), _REPORTS[code]
+                continue
             for entry, (d, e, _), f, k in rows:
                 yield ConjectureInstance(*entry[:6], d, e, f, *entry[9:]), _REPORTS[codes[k]]
 
 
 @dataclass
 class SearchResult:
-    """Merged outcome of all shards: their kernel entries and the counts of their rows.
+    """Merged outcome of all shards: where their records lie and the counts of their rows.
 
-    Reports are kept as two-byte codes, per entry, never per row:
-    ``explicit_codes`` holds the code of each entry without a free slot, in
-    entry order.  A family entry's codes are found again on each walk.
+    Each shard's record was counted when it completed, and its entries went
+    to ``spill``, a private unlinked file, in pieces of ``_ROWS_PER_PIECE``
+    entries; ``spans`` gives each piece's ``(offset, length)`` there, in
+    enumeration order.  A walk loads one piece at a time, so memory never
+    holds the box's entries.  Reports are kept as two-byte codes, per entry,
+    never per row: ``explicit_codes`` holds the code of each entry without a
+    free slot, in enumeration order.  A family entry's codes are found again
+    on each walk.
     """
 
     space: SearchSpace
     signature: str
-    entries: list[list[list]]
+    spill: BinaryIO
+    spans: list[tuple[int, int]]
     explicit_codes: array
     row_count: int
     counterexamples_pairwise: int
@@ -677,37 +693,49 @@ class SearchResult:
     shards_total: int
     shards_reused: int
 
-    def _walk(self) -> Iterator[tuple[Sequence, Iterator[tuple]]]:
+    def close(self) -> None:
+        """Close the spill, after which the result cannot be walked; dropping the result does too."""
+        self.spill.close()
+
+    def iter_entries(self) -> Iterator[list]:
+        """The kernel entries in enumeration order, loaded from the spill a piece at a time."""
+        for offset, length in self.spans:
+            self.spill.seek(offset)
+            yield from marshal.loads(self.spill.read(length))
+
+    def _walk(self) -> Iterator[tuple[Sequence, list[list] | None, Iterator[tuple] | None]]:
         """Each run of entries sharing (alpha, beta, gamma, a, b, c), in enumeration order.
 
-        A run comes as its report codes and a lazy walk of its rows in
-        enumeration order, each as (entry, (d, e, text), f, k): the row is
-        the entry with d, e and f in their slots, ``codes[k]`` is its report
-        code once the row is walked, and the rows that share a k share their
-        entry and code.  A family row's (d, e, text) is its pair's record in
-        one ``_pair_table``, built when the first family run is met; an
-        explicit row's text is None.
+        A run comes as ``(codes, run, rows)``.  An explicit run is its
+        entries, each one row, with ``codes[i]`` the report code of
+        ``run[i]``, and ``rows`` None.  A family run comes with ``run`` None
+        and a lazy walk of its rows in enumeration order, each as (entry,
+        (d, e, text), f, k): the row is the entry with d, e and f in their
+        slots, ``codes[k]`` is its report code once the row is walked, and
+        the rows that share a k share their entry and code.  (d, e, text) is
+        the row's pair record in one ``_pair_table``, built when the first
+        family run is met.
         """
         free = [self.space.values_of(name) for name in "def"]
         table = None
         explicit = 0
-        for group in _groups(self.entries):
+        for group in _groups(self.iter_entries()):
             if None not in group[0]:
                 codes = self.explicit_codes[explicit : explicit + len(group)]
                 explicit += len(group)
-                yield codes, (
-                    (entry, (entry[6], entry[7], None), entry[8], k)
-                    for k, entry in enumerate(group)
-                )
+                yield codes, group, None
             else:
                 if table is None:
                     table = _pair_table(free)
                 codes = [None] * (3 * len(group))
-                yield codes, _family_rows(group, free, codes, table)
+                yield codes, None, _family_rows(group, free, codes, table)
 
     def iter_rows(self) -> Iterator[list[int]]:
         """The kernel rows in enumeration order, expanded from the entries as they go."""
-        for _, rows in self._walk():
+        for _, run, rows in self._walk():
+            if rows is None:
+                yield from run
+                continue
             for entry, (d, e, _), f, _ in rows:
                 yield [*entry[:6], d, e, f, *entry[9:]]
 
@@ -736,7 +764,7 @@ class SearchResult:
             for code, report in list(_REPORTS.items())
             if report.counterexample_pairwise or report.counterexample_adjacent
         }
-        explicit = (entry for entry in chain.from_iterable(self.entries) if None not in entry)
+        explicit = (entry for entry in self.iter_entries() if None not in entry)
         return [
             dict(zip(ROW_VARS, entry), readings=_readings(_REPORTS[code]))
             for entry, code in zip(explicit, self.explicit_codes)
@@ -766,17 +794,19 @@ def _free_slots_match(row: list) -> bool:
     )
 
 
-def _load_existing_records(space: SearchSpace, signature: str) -> dict[int, dict]:
-    """The checkpoint's records by shard, each one a record ``_scan_shard`` could write."""
+def _load_existing_records(space: SearchSpace, signature: str) -> Iterator[tuple[int, dict]]:
+    """Each checkpoint record ``_scan_shard`` could write, as (shard, record).
+
+    The records are read, checked and yielded one at a time, in file order;
+    a shard may come more than once.
+    """
     path = space.checkpoint_path
     if path is None or not Path(path).exists():
-        return {}
-    records, _ = read_records(path)
+        return
     blocks = _prefix_blocks(space)
     box = space.kernel_ranges()
     prefix = itemgetter(*map(ROW_VARS.index, space.enumerated_vars[:2]))
-    existing: dict[int, dict] = {}
-    for record in records:
+    for record in read_records(path):
         shard = record.get("shard")
         if record.get("signature") != signature:
             raise CheckpointError(
@@ -833,8 +863,50 @@ def _load_existing_records(space: SearchSpace, signature: str) -> dict[int, dict
             raise CheckpointError(
                 f"checkpoint shard {shard} holds rows repeated or out of enumeration order"
             )
-        existing.setdefault(shard, record)
-    return existing
+        yield shard, record
+
+
+# Entries per piece of the spill: a walk holds one piece's entries at a time.
+# The spill is private to the process that writes and reads it, so it holds
+# marshal's format, which loads several times faster than JSON.
+_ROWS_PER_PIECE = 256
+
+
+def _count_rows(sid: int, entries: list[list], free: list[range], rows_by_code: Counter) -> array:
+    """Count one shard's rows into ``rows_by_code``; return its explicit entries' codes.
+
+    An explicit row is classified once per class of rows that share its
+    coefficients, a, b, c, p, q, the squares of d, e and f and its chain
+    flags: the system sees d, e and f only squared, and the chain flags are
+    the only part of a report that reads their signs.  A family entry is
+    classified at its first row and counted whole under that report: its
+    free variables drop out of all three equations, its rows differ only in
+    the d, e, f chain flags, and they are all trivial or fail div_ok, so
+    ``satisfied`` and the flags the counts read are the same for every row.
+    """
+
+    def code_of(row: list) -> int:
+        code = _report_code(row)
+        if not _REPORTS[code].satisfied:
+            raise CheckpointError(f"checkpoint shard {sid} holds a row that fails the system")
+        return code
+
+    codes = array("H")
+    classes: dict[tuple, int] = {}
+    for entry in entries:
+        if None not in entry:
+            alpha, beta, gamma, a, b, c, d, e, f, p, q = entry
+            key = (alpha, beta, gamma, a, b, c, d * d, e * e, f * f, p, q, *chain_flags(d, e, f))
+            code = classes.get(key)
+            if code is None:
+                code = classes[key] = code_of(entry)
+            codes.append(code)
+        else:
+            axes = [(v,) if v is not None else r for v, r in zip(entry[6:9], free)]
+            code = code_of([*entry[:6], *(axis[0] for axis in axes), *entry[9:]])
+            rows_by_code[code] += prod(map(len, axes))
+    rows_by_code.update(codes)
+    return codes
 
 
 def search(
@@ -851,73 +923,87 @@ def search(
     ``on_shard_complete(shard_id, record)`` fires after a shard's record is
     durable; exceptions raised there abort the run without damaging the
     checkpoint.
+
+    A record, completed or resumed, has its rows counted and then written,
+    a few hundred at a time, to a private, unlinked spill file, and is
+    dropped.  The result walks the rows again from the spill, a piece at a
+    time in shard order, and never reads the checkpoint again: memory holds
+    one shard's record and two bytes per explicit row, whatever the size of
+    the box.
     """
+    # Imported here: only a search needs them.
+    import tempfile
+    import weakref
+
     at_least("workers", workers, 1)
     signature = space.signature()
-    existing = _load_existing_records(space, signature)
-    todo = [sid for sid in range(space.shards) if sid not in existing]
+    free = [space.values_of(name) for name in "def"]
+    spill = tempfile.TemporaryFile()
+    spans: dict[int, list[tuple[int, int]]] = {}  # shard -> its pieces' (offset, length)
+    shard_codes: dict[int, array] = {}
+    rows_by_code: Counter[int] = Counter()
+    scanned = 0
 
-    fresh: dict[int, dict] = {}
+    def keep(sid: int, record: dict) -> None:
+        nonlocal scanned
+        rows = record["solutions"]
+        shard_codes[sid] = _count_rows(sid, rows, free, rows_by_code)
+        scanned += record["scanned"]
+        spans[sid] = [
+            (spill.tell(), spill.write(marshal.dumps(rows[i : i + _ROWS_PER_PIECE])))
+            for i in range(0, len(rows), _ROWS_PER_PIECE)
+        ]
 
     def complete(sid: int, record: dict) -> None:
-        fresh[sid] = record
         if space.checkpoint_path:
             append_record(space.checkpoint_path, record)
+        keep(sid, record)
         if on_shard_complete is not None:
             on_shard_complete(sid, record)
 
-    if workers > 1 and len(todo) > 1:
-        # Imported here: multiprocessing adds about 2.5 MB of RSS to every
-        # process that imports it, and only a parallel run needs it.
-        from concurrent.futures import ProcessPoolExecutor, as_completed
+    try:
+        for sid, record in _load_existing_records(space, signature):
+            if sid not in spans:
+                keep(sid, record)
+        reused = len(spans)
+        todo = [sid for sid in range(space.shards) if sid not in spans]
+        if workers > 1 and len(todo) > 1:
+            # Imported here: multiprocessing adds about 2.5 MB of RSS to every
+            # process that imports it, and only a parallel run needs it.
+            from concurrent.futures import ProcessPoolExecutor, as_completed
 
-        # Fork starts every worker up front, so ask for no more than the shards.
-        with ProcessPoolExecutor(max_workers=min(workers, len(todo))) as pool:
-            futures = {pool.submit(_scan_shard, space, sid): sid for sid in todo}
-            try:
-                for future in as_completed(futures):
-                    complete(futures[future], future.result())
-            except BaseException:
-                pool.shutdown(cancel_futures=True)
-                raise
-    else:
-        for sid in todo:
-            complete(sid, _scan_shard(space, sid))
+            # Fork starts every worker up front, so ask for no more than the shards.
+            with ProcessPoolExecutor(max_workers=min(workers, len(todo))) as pool:
+                futures = {pool.submit(_scan_shard, space, sid): sid for sid in todo}
+                try:
+                    # A future is dropped once its record is kept, and its record with it.
+                    for future in as_completed(futures):
+                        complete(futures.pop(future), future.result())
+                except BaseException:
+                    pool.shutdown(cancel_futures=True)
+                    raise
+        else:
+            for sid in todo:
+                complete(sid, _scan_shard(space, sid))
+    except BaseException:
+        spill.close()
+        raise
 
     # Shards cover consecutive runs of the prefix blocks and each shard's
     # entries are in enumeration order, so the shard-order walk is too.
-    # An explicit row is classified on its own.  A family entry is
-    # classified at its first row and counted whole under that report: its
-    # free variables drop out of all three equations, its rows differ only
-    # in the d, e, f chain flags, and they are all trivial or fail div_ok, so
-    # ``satisfied`` and the flags the counts read are the same for every row.
-    records = {**existing, **fresh}
-    entries = [records[sid]["solutions"] for sid in range(space.shards)]
-    free = [space.values_of(name) for name in "def"]
     explicit_codes = array("H")
-    rows_by_code: Counter[int] = Counter()
-    for sid, shard_entries in enumerate(entries):
-        for entry in shard_entries:
-            if None not in entry:
-                code = _report_code(entry)
-                explicit_codes.append(code)
-            else:
-                axes = [(v,) if v is not None else r for v, r in zip(entry[6:9], free)]
-                code = _report_code([*entry[:6], *(axis[0] for axis in axes), *entry[9:]])
-                rows_by_code[code] += prod(map(len, axes))
-            if not _REPORTS[code].satisfied:
-                raise CheckpointError(f"checkpoint shard {sid} holds a row that fails the system")
-    rows_by_code.update(explicit_codes)
+    for sid in range(space.shards):
+        explicit_codes += shard_codes.pop(sid)
 
     def rows_where(flag: Callable[[ConditionReport], bool]) -> int:
         return sum(n for code, n in rows_by_code.items() if flag(_REPORTS[code]))
 
-    scanned = sum(records[sid]["scanned"] for sid in range(space.shards))
     total = space.total_assignments()
-    return SearchResult(
+    result = SearchResult(
         space=space,
         signature=signature,
-        entries=entries,
+        spill=spill,
+        spans=list(chain.from_iterable(spans[sid] for sid in range(space.shards))),
         explicit_codes=explicit_codes,
         row_count=sum(rows_by_code.values()),
         counterexamples_pairwise=rows_where(attrgetter("counterexample_pairwise")),
@@ -928,8 +1014,11 @@ def search(
         total_assignments=total,
         exhausted=scanned == total,
         shards_total=space.shards,
-        shards_reused=len(existing),
+        shards_reused=reused,
     )
+    # The spill lives as long as the result; closed, it is gone from the disk.
+    weakref.finalize(result, spill.close)
+    return result
 
 
 def _flag_fields(report: ConditionReport) -> dict:
@@ -978,8 +1067,8 @@ def write_result_log(result: SearchResult, path: str | Path) -> None:
     (d, e) pair's text, its f and the tail, so only f is formatted per row.
     The lines go to the file ``_LINES_PER_WRITE`` at a time.  The bound
     lines of a run of entries are dropped when the run ends, so memory holds
-    one run's bound lines, one (d, e) table, one write's lines and the
-    file's buffer, however many rows there are.
+    one piece of the spill, one run's bound lines, one (d, e) table, one
+    write's lines and the file's buffer, however many rows there are.
     """
     templates: dict[int, tuple] = {}  # report code -> its line template and picker
 
@@ -990,13 +1079,14 @@ def write_result_log(result: SearchResult, path: str | Path) -> None:
         return entry[0] % entry[1](row)
 
     def lines() -> Iterator[str]:
-        for codes, rows in result._walk():
+        for codes, run, rows in result._walk():
+            if rows is None:
+                for entry, code in zip(run, codes):
+                    yield fill(code, entry)
+                continue
             # Each code slot's line as its head and tail.
             bound: list[tuple[str, str] | None] = [None] * len(codes)
             for entry, (_, _, text), f, k in rows:
-                if text is None:
-                    yield fill(codes[k], entry)
-                    continue
                 parts = bound[k]
                 if parts is None:
                     head, _, _, tail = fill(codes[k], entry[:6] + _DEF_OPEN + entry[9:]).split("%d")

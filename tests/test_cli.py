@@ -10,7 +10,7 @@ import jsonschema
 import pytest
 
 from fltaudit.audit import AuditConfig
-from fltaudit.checkpoint import append_record, read_records
+from fltaudit.checkpoint import append_record
 from fltaudit.cli import (
     EXIT_ABORTED,
     EXIT_AUDIT_DRIFT,
@@ -21,6 +21,8 @@ from fltaudit.cli import (
     EXIT_OK,
     EXIT_USAGE,
 )
+
+from checkpoints import read_all
 
 
 def load_schema(schema_dir, name):
@@ -219,7 +221,7 @@ class TestSearch:
         cp = tmp_path / "c.bin"
         argv = ["search", "--lower", -1, "--upper", 1, "--shards", 3, "--checkpoint", cp]
         assert run_cli(argv)[0] == EXIT_OK
-        records, _ = read_records(cp)
+        records, _ = read_all(cp)
         records[2]["scanned"] = -5
         cp.unlink()
         for record in records:
@@ -232,7 +234,7 @@ class TestSearch:
         cp = tmp_path / "c.bin"
         argv = ["search", "--lower", -2, "--upper", 2, "--checkpoint", cp]
         assert run_cli(argv)[0] == EXIT_OK
-        records, _ = read_records(cp)
+        records, _ = read_all(cp)
         records[0]["solutions"].append([1, 1, 1, 2, 1, 1, 99, 5, 7, 0, 2])
         cp.unlink()
         for record in records:

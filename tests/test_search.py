@@ -2,11 +2,12 @@
 
 import concurrent.futures
 import dataclasses
+import hashlib
 import json
 import types
 import time
 import tracemalloc
-from itertools import chain, product, zip_longest
+from itertools import islice, product, zip_longest
 from pathlib import Path
 
 import pytest
@@ -33,6 +34,7 @@ from fltaudit.search import _pair_table
 from fltaudit.search import _sign_classes
 from fltaudit.search import _scan_shard as real_scan_shard
 
+from checkpoints import read_all
 from oracles import (
     _oracle_kernel,
     naive_unit_scan,
@@ -299,7 +301,7 @@ class TestSignQuotientAgainstOracle:
         assert_records_match_oracle(space)
         assert any(
             row[6] is None and row[3] * row[4] * row[5] and (row[9], row[10]) != (0, 0)
-            for row in chain.from_iterable(search(space).entries)
+            for row in search(space).iter_entries()
         )
 
     def test_mixed_general_ranges(self):
@@ -705,7 +707,7 @@ def resume_tampered(tmp_path, field, value, shard=1):
     cp = tmp_path / "tampered.ckpt"
     space = SearchSpace.cube(-1, 1, shards=2, checkpoint_path=cp)
     search(space)
-    records, _ = read_records(cp)
+    records, _ = read_all(cp)
     if field == "row":
         records[shard]["solutions"][0] = value
     elif field == "insert":
@@ -744,7 +746,7 @@ class TestCheckpointing:
 
         with pytest.raises(Abort):
             search(space, on_shard_complete=abort_after_two)
-        records, truncated = read_records(cp)
+        records, truncated = read_all(cp)
         assert not truncated
         assert [rec["shard"] for rec in records] == [0, 1]
 
@@ -870,7 +872,7 @@ class TestCheckpointing:
         scans = {1: oracle_scan_shard, 2: real_scan_shard}
         for shard_id, fmt in enumerate(formats):
             append_record(cp, scans[fmt](space, shard_id))
-        assert [record["format"] for record in read_records(cp)[0]] == list(formats)
+        assert [record["format"] for record in read_all(cp)[0]] == list(formats)
         resumed = search(space)
         assert resumed.shards_reused == 3
         resumed_log = tmp_path / "resumed.jsonl"
@@ -884,7 +886,7 @@ class TestCheckpointing:
         whole = cp.read_bytes()
         first_record = whole[: 4 + int.from_bytes(whole[:4], "big")]
         cp.write_bytes(whole[:-3])  # cut into the final record
-        records, truncated = read_records(cp)
+        records, truncated = read_all(cp)
         assert truncated and len(records) == 1
         # The tail is cut from the file, so a record appended next stays readable.
         assert cp.read_bytes() == first_record
@@ -905,13 +907,24 @@ class TestCheckpointing:
         append_record(path, record)
         want = json.dumps(record, sort_keys=True, separators=(",", ":")).encode()
         assert path.read_bytes()[4:] == want
-        assert read_records(path) == ([record], False)
+        assert read_all(path) == ([record], False)
+
+    def test_records_are_read_one_at_a_time(self, tmp_path):
+        # A record is yielded before the next one is read.
+        path = tmp_path / "records.ckpt"
+        append_record(path, {"shard": 0, "solutions": []})
+        with open(path, "ab") as handle:
+            handle.write((5).to_bytes(4, "big") + b"nope!")
+        reader = read_records(path)
+        assert next(reader) == {"shard": 0, "solutions": []}
+        with pytest.raises(CheckpointError, match="^undecodable record at byte 30:"):
+            next(reader)
 
     def test_append_and_read_round_trip(self, tmp_path):
         path = tmp_path / "records.ckpt"
         append_record(path, {"shard": 0, "solutions": []})
         append_record(path, {"shard": 1, "solutions": [[1, 2]]})
-        records, truncated = read_records(path)
+        records, truncated = read_all(path)
         assert not truncated
         assert records == [{"shard": 0, "solutions": []}, {"shard": 1, "solutions": [[1, 2]]}]
 
@@ -1130,6 +1143,104 @@ class TestMemoryBound:
         assert abs(peaks[1] - peaks[0]) < 16 * 1024
 
 
+GENERAL_2_LOG_SHA256 = "22af9fa344a311af7aa32867fef626c0cc7bcbfd62372ff16574404f8c45a2fa"
+
+
+class TestStreamedWalk:
+    """A result walks its rows from its own spill, a piece at a time, in shard order."""
+
+    def test_every_way_to_run_walks_the_oracle_rows(self, tmp_path):
+        # 25 shards, one per (alpha, beta) block: a resume and a process pool
+        # meet the shards out of order, and a torn tail reruns the last one.
+        # TestStreamedLogAgainstOracle checks this box's log line by line;
+        # here each run's log must be that log's bytes.
+        space = SearchSpace.cube(-2, 2, case="general", shards=25)
+        want_rows = [
+            row for sid in range(space.shards) for row in oracle_scan_shard(space, sid)["solutions"]
+        ]
+        cp = tmp_path / "run.ckpt"
+        at_cp = dataclasses.replace(space, checkpoint_path=str(cp))
+
+        def torn():
+            cp.write_bytes(cp.read_bytes()[:-3])
+            return search(at_cp)
+
+        runs = [
+            ("fresh", lambda: search(space), 0),
+            ("workers", lambda: search(at_cp, workers=2), 0),
+            ("resumed", lambda: search(at_cp), 25),
+            ("torn", torn, 24),
+        ]
+        log = tmp_path / "log.jsonl"
+        for name, run, reused in runs:
+            result = run()
+            assert result.shards_reused == reused, name
+            assert result.rows == want_rows, name
+            write_result_log(result, log)
+            digest = hashlib.sha256()
+            with open(log, "rb") as handle:
+                for block in iter(lambda: handle.read(1 << 20), b""):
+                    digest.update(block)
+            # The CI pin of this box's log, fresh, in 5 shards and resumed.
+            assert digest.hexdigest() == GENERAL_2_LOG_SHA256, name
+
+    @pytest.mark.parametrize("damage", ["overwrite", "truncate"])
+    def test_walk_never_reads_the_checkpoint_again(self, tmp_path, damage):
+        cp = tmp_path / "run.ckpt"
+        space = SearchSpace.cube(-4, 4, shards=7, checkpoint_path=cp)
+        results = [search(space), search(space)]
+        assert [result.shards_reused for result in results] == [0, 7]
+        rows, logs = [], []
+        for k, result in enumerate(results):
+            rows.append(result.rows)
+            logs.append(tmp_path / f"before{k}.jsonl")
+            write_result_log(result, logs[-1])
+        if damage == "overwrite":
+            cp.write_bytes(bytes(cp.stat().st_size))
+        else:
+            cp.write_bytes(b"")
+        for k, result in enumerate(results):
+            assert result.rows == rows[k]
+            after = tmp_path / f"after{k}.jsonl"
+            write_result_log(result, after)
+            assert after.read_bytes() == logs[k].read_bytes()
+        assert logs[0].read_bytes() == logs[1].read_bytes()
+
+    def test_walks_interleave(self):
+        # Each walk reads its own place in the spill, so two may run at once.
+        result = search(SearchSpace.cube(-4, 4, shards=7))
+        rows = result.rows
+        lagged = zip(result.iter_rows(), islice(result.iter_rows(), 700, None))
+        assert list(lagged) == list(zip(rows, rows[700:]))
+
+    def test_spill_closes_with_the_result(self):
+        result = search(SearchSpace.cube(-1, 1))
+        spill = result.spill
+        del result
+        assert spill.closed
+        result = search(SearchSpace.cube(-1, 1))
+        result.close()
+        with pytest.raises(ValueError):
+            next(result.iter_rows())
+
+    def test_peak_follows_the_shard_not_the_box(self):
+        # One shard holds the box's entries while it is counted; 25 shards
+        # hold a 25th of them.  Every walk loads the entries one piece of the
+        # spill at a time, through iter_entries.
+        peaks = []
+        for shards in (1, 25):
+            tracemalloc.start()
+            try:
+                result = search(SearchSpace.cube(-2, 2, case="general", shards=shards))
+                for _ in result.iter_entries():
+                    pass
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            peaks.append(peak)
+        assert peaks[1] < peaks[0] / 2
+
+
 class TestPairTable:
     @settings(max_examples=200, deadline=None)
     @given(
@@ -1187,7 +1298,7 @@ def family_slots(result):
     """The (d, e, f) free-slot patterns of the result's family entries."""
     return {
         tuple(value is None for value in entry[6:9])
-        for entry in chain.from_iterable(result.entries)
+        for entry in result.iter_entries()
         if None in entry
     }
 
@@ -1233,7 +1344,7 @@ class TestPatternPathAgainstRows:
         # Free a and alpha axes and several free slots at once.
         result = search(SearchSpace.cube(-2, 2, case="general", shards=5))
         assert len(family_slots(result)) == 7
-        assert any(0 in (row[0], row[3]) for row in chain.from_iterable(result.entries))
+        assert any(0 in (row[0], row[3]) for row in result.iter_entries())
         counts = assert_pattern_path_matches_rows(result)
         assert counts["rows"] == 312_753 and counts["adjacent"] == 48
 
@@ -1301,8 +1412,10 @@ class TestPatternPathAgainstRows:
         monkeypatch.setattr(search_module, "system_values", counting)
         result = search(SearchSpace.cube(-8, 8, shards=17))
         assert len(result.solutions) == 135_681
-        # One classification per entry, explicit or family.
-        assert len(calls) == sum(map(len, result.entries)) == 10_193
+        # One classification per family entry and per class of explicit rows
+        # that share all but the signs of d, e, f and their chain flags.
+        assert sum(1 for _ in result.iter_entries()) == 10_193
+        assert len(calls) == 4_817
 
 
 class TestSolutionsAreLazy:
@@ -1354,7 +1467,7 @@ class TestParallelDurability:
         seen = []
 
         def hook(shard_id, record):
-            records, _ = read_records(cp)
+            records, _ = read_all(cp)
             seen.append((shard_id, [rec["shard"] for rec in records]))
             Path(str(cp) + ".gate").touch()  # let shard 1 finish
 
