@@ -43,27 +43,36 @@ a form in x = e^2 - d^2 and y = f^2 - d^2 of discriminant
     tests only the |f| on those lines, and each candidate goes through the
     exact p test.
 
-The kernel then walks the signed values in enumeration order and emits a
-row for each one whose class had a solution, so rows leave the kernel in
-enumeration order.  A one-signed or lopsided range has one-member classes.
+The kernel then walks the signed values of c in enumeration order.  A
+class outside a square block leaves it as one class entry,
+[alpha, beta, gamma, a, b, c, None, None, None, None, q]: it stands for
+the signed diagonal of its fixed axes, p = m^2 q, and is written only where
+that diagonal has a point.  A square block's solutions leave it as explicit
+rows, one per signed (d, e, f) of a class that solved, in enumeration
+order.  A one-signed or lopsided range has one-member classes.
 
 Where a*alpha = 0, a and d drop out of all three equations (likewise
 (b, e) with b*beta and (c, f) with c*gamma), so every d in the range gives
 the same row.  There the diagonal holds None in the d slot: one family
-entry for every d in the range.  Entries stay families in the checkpoint,
-the spill and every walk.  A family row is trivial (a = 0) or fails the
-divisibility condition (zero divides only zero), so it is never a
-counterexample, and its report varies with its free values only through the
-two readings of the chain d != e != f != 0: three classes, since the
-pairwise reading implies the adjacent one.  So the search classifies one
-row per entry and counts the whole entry under its report, and a walk of
-the rows classifies one row per entry and class, reading each row's class
-from one table over the box's (d, e) pairs.  An explicit row is classified
-once per class of rows that differ only in the signs of d, e and f and
-share their chain flags.  The result log binds one line per entry and class
-as a head and a tail, puts each row's (d, e) text and f between them and
-writes 32 lines at a time.  Rows are expanded from the entries, in
-enumeration order, only when they are walked.
+entry for every d in the range.  A class entry is counted from its
+diagonal's walk without being expanded: on the diagonal the right-hand
+sides are first, m^2 first and m^4 first, so with p = m^2 q one classified
+row checks the system for every m.  A family row is trivial (a = 0) or
+fails the divisibility condition (zero divides only zero), so it is never a
+counterexample, and its report varies with its free values only through
+the two readings of the chain d != e != f != 0: three classes, since the
+pairwise reading implies the adjacent one.  So the search classifies one row per class
+entry with a free axis and counts the whole class under its report, and
+one row per chain class of the diagonal where no axis is free.  An explicit
+row of a square block is classified once per class of rows that differ
+only in the signs of d, e and f and share their chain flags.  A walk
+expands each class entry, as it loads it, into the diagonal's explicit
+rows and family entries; it classifies one family row per entry and class,
+reading each row's class from one table over the box's (d, e) pairs.  The
+result log binds one line per entry and class as a head and a tail, puts
+each row's (d, e) text and f between them and writes 32 lines at a time.
+Rows are expanded from the entries, in enumeration order, only when they
+are walked.
 
 The space is split into shards by a prefix of the enumeration order; each
 completed shard appends one fsync'd record to the checkpoint file, so an
@@ -73,10 +82,13 @@ private spill file, and dropped; every walk loads the entries back from the
 spill a piece at a time, in shard order.  So memory holds one shard's record
 and two bytes per explicit row, whatever the size of the box, and a walk
 never reads the checkpoint.  A resume trusts a record only if _scan_shard
-could have written it: the header _record_header declares for its shard,
-and strictly increasing rows of eleven integers in the shard's blocks and
-the search box, nulls exactly in the d, e, f slots whose product is 0, each
-solving the system with q >= 0, and p >= 0 where q = 0.
+could have written it: the header _record_header declares for its shard
+and no other key, and strictly increasing rows of eleven integers in the
+shard's blocks and the search box, each solving the system with q >= 0,
+and p >= 0 where q = 0.  In format 3 a square block holds explicit rows
+and any other prefix one class entry with a point on its diagonal; format
+2 holds explicit rows and family entries, nulls exactly in the d, e, f
+slots whose product is 0; format 1 holds explicit rows only.
 """
 
 from __future__ import annotations
@@ -385,11 +397,13 @@ def _prefix_blocks(space: SearchSpace) -> list[tuple[int, int]]:
     return [(i, j) for i in space.values_of(first) for j in space.values_of(second)]
 
 
-def _record_header(space: SearchSpace, shard: int, fmt: int = 2) -> dict:
+def _record_header(space: SearchSpace, shard: int, fmt: int = 3) -> dict:
     """Every field of ``shard``'s checkpoint record but its rows, in format ``fmt``.
 
-    Format 2 keeps a family as one row, ``null`` in its free d, e or f slots;
-    format 1 (every row explicit) is still read.
+    Format 3 keeps each class outside a square block as one class entry,
+    ``[alpha, beta, gamma, a, b, c, null, null, null, null, q]``, and each
+    square-block row explicit.  Formats 2 (a family as one row, ``null`` in
+    its free d, e or f slots) and 1 (every row explicit) are still read.
     """
     block_count = prod(len(space.values_of(name)) for name in space.enumerated_vars[:2])
     start, stop = (i * block_count // space.shards for i in (shard, shard + 1))
@@ -423,8 +437,8 @@ def _sign_classes(values: list[int]) -> _SignTable:
 
 
 @lru_cache(maxsize=8)
-def _diagonal(ranges: tuple[range, ...], free: tuple[bool, ...]) -> tuple[tuple, tuple]:
-    """The magnitudes m of the diagonal |d| = |e| = |f| = m and its signed (m, d, e, f) walk.
+def _diagonal(ranges: tuple[range, ...], free: tuple[bool, ...]) -> tuple[tuple, ...]:
+    """The signed (m, d, e, f) walk of the diagonal |d| = |e| = |f| = m.
 
     Only the axes of ``ranges`` that are not ``free`` lie on the diagonal; a
     free axis holds None.  The walk is in enumeration order, and with every
@@ -432,7 +446,7 @@ def _diagonal(ranges: tuple[range, ...], free: tuple[bool, ...]) -> tuple[tuple,
     eight walks of one box, so a process builds each of them once.
     """
     lead = free.index(False) if False in free else None
-    walk = tuple(
+    return tuple(
         (abs(v), *point)
         for v in ((0,) if lead is None else ranges[lead])
         for point in product(*[
@@ -440,7 +454,24 @@ def _diagonal(ranges: tuple[range, ...], free: tuple[bool, ...]) -> tuple[tuple,
             for axis, (r, is_free) in enumerate(zip(ranges, free))
         ])
     )
-    return tuple(dict.fromkeys(m for m, *_ in walk)), walk
+
+
+def _free_axes(entry: Sequence) -> tuple[bool, bool, bool]:
+    """Which of d, e and f drop out of the system for ``entry``: a*alpha, b*beta or c*gamma is 0."""
+    alpha, beta, gamma, a, b, c = entry[:6]
+    return not a * alpha, not b * beta, not c * gamma
+
+
+@lru_cache(maxsize=2)
+def _diagonal_classes(ranges: tuple[range, ...]) -> tuple[bytes, dict[int, tuple]]:
+    """The ``_def_class`` of each point of the walk with no free axis, and each class's
+    first point."""
+    walk = _diagonal(ranges, (False, False, False))
+    classes = bytes(_def_class(d, e, f) for _, d, e, f in walk)
+    firsts: dict[int, tuple] = {}
+    for cls, point in zip(classes, walk):
+        firsts.setdefault(cls, point)
+    return classes, firsts
 
 
 def _scan_shard(space: SearchSpace, shard_id: int) -> dict:
@@ -482,8 +513,9 @@ def _kernel(
     # For fixed coefficients and (a, b), the |c| classes that pass the square
     # gate, giving q, and the d, e, f that solve with them: the right-hand
     # sides see only squares of c, d, e and f.  Outside a square block a
-    # class solves exactly on the diagonal of its fixed axes; inside one the
-    # (|d|, |e|) scan tests the |f| on the form's rational lines.
+    # class solves exactly on the diagonal of its fixed axes, and one class
+    # entry, null in d, e, f and p, stands for it; inside one the (|d|, |e|)
+    # scan tests the |f| on the form's rational lines.
     a_sq = a * a * alpha
     b_sq = b * b * beta
     # sqrt(-alpha*beta*gamma) where a*alpha and b*beta are nonzero: the block
@@ -491,8 +523,8 @@ def _kernel(
     root = exact_sqrt(-alpha * beta * gamma) if a_sq and b_sq else None
     c_classes, c_walk = c_table
     (d_classes, d_walk), (e_classes, e_walk), (f_classes, f_walk) = def_tables
-    # |c| -> (q, diagonal walk, {m: p}) or (q, None, {|d|: {|e|: {|f|: p}}}): rows share a p.
-    hits: dict[int, tuple[int, tuple | None, dict]] = {}
+    # |c| -> (q, None) for a class entry, or (q, {|d|: {|e|: {|f|: p}}}): rows share a p.
+    hits: dict[int, tuple[int, dict | None]] = {}
     for cm, c2, _ in c_classes:
         c_sq = c2 * gamma
         val_q2 = a_sq - b_sq - c_sq
@@ -502,8 +534,8 @@ def _kernel(
         if q * q != val_q2:
             continue
         if root is None or not c_sq:
-            magnitudes, walk = _diagonal(def_ranges, (not a_sq, not b_sq, not c_sq))
-            hits[cm] = (q, walk, {m: m * m * q for m in magnitudes})
+            if _diagonal(def_ranges, (not a_sq, not b_sq, not c_sq)):
+                hits[cm] = (q, None)
             continue
         # With w = (a_sq, -b_sq, -c_sq), x = e**2 - d**2 and y = f**2 - d**2,
         # a solution has den*y = x*num for a num in the set of the form's
@@ -547,16 +579,15 @@ def _kernel(
             if e_hits:
                 d_hits[dm] = e_hits
         if d_hits:
-            hits[cm] = (q, None, d_hits)
+            hits[cm] = (q, d_hits)
     # Expand each hit to its signed values in enumeration order.
     for c, cm in c_walk:
         hit = hits.get(cm)
         if hit is None:
             continue
-        q, walk, found = hit
-        if walk is not None:
-            for m, d, e, f in walk:
-                out.append([alpha, beta, gamma, a, b, c, d, e, f, found[m], q])
+        q, found = hit
+        if found is None:
+            out.append([alpha, beta, gamma, a, b, c, None, None, None, None, q])
             continue
         for d, dm in d_walk:
             e_hits = found.get(dm)
@@ -671,10 +702,11 @@ class SearchResult:
     to ``spill``, a private unlinked file, in pieces of ``_ROWS_PER_PIECE``
     entries; ``spans`` gives each piece's ``(offset, length)`` there, in
     enumeration order.  A walk loads one piece at a time, so memory never
-    holds the box's entries.  Reports are kept as two-byte codes, per entry,
-    never per row: ``explicit_codes`` holds the code of each entry without a
-    free slot, in enumeration order.  A family entry's codes are found again
-    on each walk.
+    holds the box's entries.  Reports are kept as two-byte codes, never per
+    family row: ``explicit_codes`` holds the code of each entry without a
+    free slot that ``iter_entries`` yields, in enumeration order, the rows of
+    class entries' diagonals included.  A family entry's codes are found
+    again on each walk.
     """
 
     space: SearchSpace
@@ -698,10 +730,23 @@ class SearchResult:
         self.spill.close()
 
     def iter_entries(self) -> Iterator[list]:
-        """The kernel entries in enumeration order, loaded from the spill a piece at a time."""
+        """The entries in enumeration order, loaded from the spill a piece at a time.
+
+        Each is an explicit row of eleven integers or a family entry, None in
+        its free d, e or f slots, as format 2 holds them.  A class entry of a
+        format-3 record is expanded here, as its piece is walked, into the
+        signed diagonal of its fixed axes, one entry per point, p = m**2 q.
+        """
+        ranges = tuple(self.space.values_of(name) for name in "def")
         for offset, length in self.spans:
             self.spill.seek(offset)
-            yield from marshal.loads(self.spill.read(length))
+            for entry in marshal.loads(self.spill.read(length)):
+                if entry[9] is not None:
+                    yield entry
+                    continue
+                head, q = entry[:6], entry[10]
+                for m, d, e, f in _diagonal(ranges, _free_axes(entry)):
+                    yield [*head, d, e, f, m * m * q, q]
 
     def _walk(self) -> Iterator[tuple[Sequence, list[list] | None, Iterator[tuple] | None]]:
         """Each run of entries sharing (alpha, beta, gamma, a, b, c), in enumeration order.
@@ -785,15 +830,37 @@ class SearchResult:
 
 def _free_slots_match(row: list) -> bool:
     """Whether a format-2 entry's nulls are exactly its zero-product d, e, f slots."""
-    alpha, beta, gamma, a, b, c, d, e, f, p, q = row
-    return (
-        None not in (alpha, beta, gamma, a, b, c, p, q)
-        and (d is None) == (a * alpha == 0)
-        and (e is None) == (b * beta == 0)
-        and (f is None) == (c * gamma == 0)
-    )
+    if None in (*row[:6], *row[9:]):
+        return False
+    return tuple(v is None for v in row[6:9]) == _free_axes(row)
 
 
+def _square_block(alpha: int, beta: int, gamma: int, a: int, b: int, c: int) -> bool:
+    """Whether a*alpha, b*beta and c*gamma are nonzero and -alpha*beta*gamma is a perfect square."""
+    if not (a * alpha and b * beta and c * gamma):
+        return False
+    return exact_sqrt(-alpha * beta * gamma) is not None
+
+
+def _format_three_fault(rows: list[list], def_ranges: tuple[range, ...]) -> str | None:
+    """What in a format-3 record's ``rows`` ``_scan_shard`` never writes, or None.
+
+    A prefix in a square block holds explicit rows; any other prefix holds
+    one class entry, null in d, e, f and p, whose diagonal has a point.
+    """
+    explicit = {tuple(row[:6]) for row in rows if None not in row}
+    if not all(_square_block(*prefix) for prefix in explicit):
+        return "an explicit row outside a square block"
+    for row in rows:
+        if None not in row:
+            continue
+        if row[6:10] != [None] * 4 or None in row[:6] or row[10] is None:
+            return "a class entry with a value in its d, e, f or p slot, or a null outside them"
+        if _square_block(*row[:6]):
+            return "a class entry inside a square block"
+        if not _diagonal(def_ranges, _free_axes(row)):
+            return "a class entry whose diagonal is empty"
+    return None
 def _load_existing_records(space: SearchSpace, signature: str) -> Iterator[tuple[int, dict]]:
     """Each checkpoint record ``_scan_shard`` could write, as (shard, record).
 
@@ -805,6 +872,7 @@ def _load_existing_records(space: SearchSpace, signature: str) -> Iterator[tuple
         return
     blocks = _prefix_blocks(space)
     box = space.kernel_ranges()
+    def_ranges = tuple(box[6:])
     prefix = itemgetter(*map(ROW_VARS.index, space.enumerated_vars[:2]))
     for record in read_records(path):
         shard = record.get("shard")
@@ -815,18 +883,24 @@ def _load_existing_records(space: SearchSpace, signature: str) -> Iterator[tuple
         if type(shard) is not int or not 0 <= shard < space.shards:
             raise CheckpointError(f"checkpoint shard {shard!r} is not in [0, {space.shards})")
         # As canonical JSON, true, 1.0 or "1" never passes for 1, nor a missing key.
-        want = _record_header(space, shard, 1 if record.get("format") == 1 else 2)
+        fmt = record.get("format")
+        want = _record_header(space, shard, fmt if type(fmt) is int and fmt in (1, 2) else 3)
         if CANONICAL_JSON.encode({k: record.get(k) for k in want}) != CANONICAL_JSON.encode(want):
             raise CheckpointError(
-                f"checkpoint shard {shard} does not hold format 1 or 2, {space.shards} "
+                f"checkpoint shard {shard} does not hold format 1, 2 or 3, {space.shards} "
                 f"shards, blocks {want['blocks']} and scanned {want['scanned']}"
             )
         # The log writes each row value into an integer slot, so a row must
-        # hold exactly len(ROW_VARS) ints; format 2 may leave free slots null.
+        # hold exactly len(ROW_VARS) ints; formats 2 and 3 may leave slots null.
         rows = record.get("solutions")
         if not isinstance(rows, list):
             raise CheckpointError(f"checkpoint shard {shard} holds no row list")
-        slot_types = {int} if record["format"] == 1 else {int, type(None)}
+        extra = sorted(set(record) - {*want, "solutions"})
+        if extra:
+            raise CheckpointError(
+                f"checkpoint shard {shard} holds keys the search never writes: {extra}"
+            )
+        slot_types = {int} if fmt == 1 else {int, type(None)}
         if not (
             set(map(type, rows)) <= {list}
             and set(map(len, rows)) <= {len(ROW_VARS)}
@@ -835,11 +909,13 @@ def _load_existing_records(space: SearchSpace, signature: str) -> Iterator[tuple
             raise CheckpointError(
                 f"checkpoint shard {shard} holds a row that is not {len(ROW_VARS)} integers"
             )
-        if record["format"] == 2 and not all(map(_free_slots_match, rows)):
+        if fmt == 2 and not all(map(_free_slots_match, rows)):
             raise CheckpointError(
                 f"checkpoint shard {shard} holds a null outside the d, e, f slots "
                 "whose product is 0, or a value inside one"
             )
+        if fmt == 3 and (fault := _format_three_fault(rows, def_ranges)):
+            raise CheckpointError(f"checkpoint shard {shard} holds {fault}")
         # Checked on the distinct prefixes and each column's distinct values,
         # so a resume that reads every entry pays little for it.
         if not (
@@ -853,12 +929,14 @@ def _load_existing_records(space: SearchSpace, signature: str) -> Iterator[tuple
             raise CheckpointError(
                 f"checkpoint shard {shard} holds a row outside its blocks or the search box"
             )
-        if min(map(itemgetter(10, 9), rows), default=(0, 0)) < (0, 0):
+        # A class entry's p is null; it is m**2 q, so q >= 0 is its whole sign check.
+        if min(((row[10], row[9] or 0) for row in rows), default=(0, 0)) < (0, 0):
             raise CheckpointError(
                 f"checkpoint shard {shard} holds a row with q < 0, or with q = 0 and p < 0"
             )
-        # The walk and the log take each record's rows as strictly increasing.
-        # Rows of one prefix share their nulls, so None meets only None here.
+        # The walk and the log take each record's rows as strictly increasing,
+        # so a prefix holds one class entry.  Rows of one prefix share their
+        # nulls, so None meets only None here.
         if not all(map(lt, rows, rows[1:])):
             raise CheckpointError(
                 f"checkpoint shard {shard} holds rows repeated or out of enumeration order"
@@ -872,8 +950,10 @@ def _load_existing_records(space: SearchSpace, signature: str) -> Iterator[tuple
 _ROWS_PER_PIECE = 256
 
 
-def _count_rows(sid: int, entries: list[list], free: list[range], rows_by_code: Counter) -> array:
-    """Count one shard's rows into ``rows_by_code``; return its explicit entries' codes.
+def _count_rows(
+    sid: int, entries: list[list], free: tuple[range, ...], rows_by_code: Counter
+) -> array:
+    """Count one shard's rows into ``rows_by_code``; return its explicit rows' codes.
 
     An explicit row is classified once per class of rows that share its
     coefficients, a, b, c, p, q, the squares of d, e and f and its chain
@@ -883,6 +963,16 @@ def _count_rows(sid: int, entries: list[list], free: list[range], rows_by_code: 
     free variables drop out of all three equations, its rows differ only in
     the d, e, f chain flags, and they are all trivial or fail div_ok, so
     ``satisfied`` and the flags the counts read are the same for every row.
+
+    A class entry is counted from its diagonal's walk, never expanded.  On
+    the diagonal |.| = m of its fixed axes the right-hand sides are first,
+    m**2 first and m**4 first, and p = m**2 q, so the system holds at every
+    m where it holds at one: each classified row checks it for them all.
+    With a free axis the walk's points are family entries sharing their
+    counted flags, so the class is classified once and counted whole.  With
+    none its rows are explicit, and each takes the code of its _def_class's
+    first row on the walk, since m changes no flag: p = 0 with q = 0 for
+    every m or for none.
     """
 
     def code_of(row: list) -> int:
@@ -901,10 +991,25 @@ def _count_rows(sid: int, entries: list[list], free: list[range], rows_by_code: 
             if code is None:
                 code = classes[key] = code_of(entry)
             codes.append(code)
-        else:
-            axes = [(v,) if v is not None else r for v, r in zip(entry[6:9], free)]
-            code = code_of([*entry[:6], *(axis[0] for axis in axes), *entry[9:]])
-            rows_by_code[code] += prod(map(len, axes))
+            continue
+        points = 1
+        if entry[9] is None:
+            head, q = entry[:6], entry[10]
+            free_axes = _free_axes(entry)
+            if not any(free_axes):
+                cells, firsts = _diagonal_classes(free)
+                by_class = {
+                    cls: code_of([*head, d, e, f, m * m * q, q])
+                    for cls, (m, d, e, f) in firsts.items()
+                }
+                codes.extend(map(by_class.__getitem__, cells))
+                continue
+            walk = _diagonal(free, free_axes)
+            (m, *fixed), points = walk[0], len(walk)
+            entry = [*head, *fixed, m * m * q, q]
+        axes = [(v,) if v is not None else r for v, r in zip(entry[6:9], free)]
+        code = code_of([*entry[:6], *(axis[0] for axis in axes), *entry[9:]])
+        rows_by_code[code] += points * prod(map(len, axes))
     rows_by_code.update(codes)
     return codes
 
@@ -937,7 +1042,7 @@ def search(
 
     at_least("workers", workers, 1)
     signature = space.signature()
-    free = [space.values_of(name) for name in "def"]
+    free = tuple(space.values_of(name) for name in "def")
     spill = tempfile.TemporaryFile()
     spans: dict[int, list[tuple[int, int]]] = {}  # shard -> its pieces' (offset, length)
     shard_codes: dict[int, array] = {}
@@ -971,17 +1076,27 @@ def search(
             # Imported here: multiprocessing adds about 2.5 MB of RSS to every
             # process that imports it, and only a parallel run needs it.
             from concurrent.futures import ProcessPoolExecutor, as_completed
+            from concurrent.futures.process import BrokenProcessPool
 
-            # Fork starts every worker up front, so ask for no more than the shards.
-            with ProcessPoolExecutor(max_workers=min(workers, len(todo))) as pool:
-                futures = {pool.submit(_scan_shard, space, sid): sid for sid in todo}
-                try:
-                    # A future is dropped once its record is kept, and its record with it.
-                    for future in as_completed(futures):
-                        complete(futures.pop(future), future.result())
-                except BaseException:
-                    pool.shutdown(cancel_futures=True)
-                    raise
+            try:
+                # Fork starts every worker up front, so ask for no more than the shards.
+                with ProcessPoolExecutor(max_workers=min(workers, len(todo))) as pool:
+                    futures = {pool.submit(_scan_shard, space, sid): sid for sid in todo}
+                    try:
+                        # A future is dropped once its record is kept, and its record with it.
+                        for future in as_completed(futures):
+                            complete(futures.pop(future), future.result())
+                    except BaseException:
+                        pool.shutdown(cancel_futures=True)
+                        raise
+            except BrokenProcessPool as exc:
+                where = space.checkpoint_path
+                raise BrokenProcessPool(
+                    f"a search worker died; checkpoint {where!r} keeps every shard "
+                    "completed so far, and the same search rerun resumes from it"
+                    if where
+                    else "a search worker died; with no checkpoint, a rerun scans every shard again"
+                ) from exc
         else:
             for sid in todo:
                 complete(sid, _scan_shard(space, sid))

@@ -165,6 +165,48 @@ def oracle_scan_shard(space, shard_id):
     }
 
 
+def oracle_format_two_record(space, shard_id):
+    """``oracle_scan_shard``'s record as a format-2 record.
+
+    Where a*alpha, b*beta or c*gamma is 0, the rows that differ only in d,
+    e or f collapse into one family entry, null in those slots, placed at
+    its first row.
+    """
+    record = oracle_scan_shard(space, shard_id)
+    entries = {}
+    for row in record["solutions"]:
+        alpha, beta, gamma, a, b, c = row[:6]
+        free = (a * alpha == 0, b * beta == 0, c * gamma == 0)
+        slots = tuple(None if is_free else v for v, is_free in zip(row[6:9], free))
+        entries.setdefault((*row[:6], *slots, *row[9:]), None)
+    return {**record, "format": 2, "solutions": [list(entry) for entry in entries]}
+
+
+def oracle_expand(entries, def_values):
+    """The explicit rows that format-3 ``entries`` stand for, in their order.
+
+    ``def_values`` holds the values of d, e and f.  An entry without a null
+    is one row.  A class entry ``[alpha, beta, gamma, a, b, c, null, null,
+    null, null, q]`` stands for each (d, e, f) whose slots with a*alpha,
+    b*beta or c*gamma nonzero share one magnitude m (0 where there are
+    none), with p = m**2 q.
+    """
+    rows = []
+    for entry in entries:
+        if None not in entry:
+            rows.append(list(entry))
+            continue
+        alpha, beta, gamma, a, b, c = entry[:6]
+        q = entry[10]
+        fixed = (a * alpha != 0, b * beta != 0, c * gamma != 0)
+        for point in product(*def_values):
+            magnitudes = {abs(v) for v, is_fixed in zip(point, fixed) if is_fixed}
+            if len(magnitudes) <= 1:
+                m = magnitudes.pop() if magnitudes else 0
+                rows.append([*entry[:6], *point, m * m * q, q])
+    return rows
+
+
 def _divides(divisor, value):
     return value == 0 if divisor == 0 else value % divisor == 0
 

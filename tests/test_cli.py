@@ -22,7 +22,7 @@ from fltaudit.cli import (
     EXIT_USAGE,
 )
 
-from checkpoints import read_all
+from checkpoints import dying_scan, read_all
 
 
 def load_schema(schema_dir, name):
@@ -216,6 +216,23 @@ class TestSearch:
         )
         assert code == EXIT_IO
         assert "checkpoint" in err
+
+    def test_dead_worker_internal_exit_names_the_resumable_checkpoint(
+        self, run_cli, tmp_path, monkeypatch
+    ):
+        # --workers 2 over 3 shards: three processes, and shard 1's worker dies.
+        import fltaudit.search
+
+        cp = tmp_path / "dead.ckpt"
+        argv = ["search", "--lower", -2, "--upper", 2, "--shards", 3, "--workers", 2,
+                "--checkpoint", cp]
+        monkeypatch.setattr(fltaudit.search, "_scan_shard", dying_scan)
+        code, _, err = run_cli(argv)
+        assert code == EXIT_INTERNAL
+        assert "a search worker died" in err and str(cp) in err and "rerun resumes" in err
+        monkeypatch.undo()
+        code, out, _ = run_cli([*argv, "--format", "json"])
+        assert code == EXIT_OK and json.loads(out)["exhausted"]
 
     def test_checkpoint_record_beyond_its_shard_io_exit(self, run_cli, tmp_path):
         cp = tmp_path / "c.bin"

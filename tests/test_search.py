@@ -4,6 +4,7 @@ import concurrent.futures
 import dataclasses
 import hashlib
 import json
+import re
 import types
 import time
 import tracemalloc
@@ -19,6 +20,7 @@ from fltaudit.ints import exact_sqrt
 from fltaudit.poly import X, Y, Z
 import fltaudit.search as search_module
 from fltaudit.search import (
+    COEFF_VARS,
     ROW_VARS,
     ConditionReport,
     ConjectureInstance,
@@ -34,11 +36,13 @@ from fltaudit.search import _pair_table
 from fltaudit.search import _sign_classes
 from fltaudit.search import _scan_shard as real_scan_shard
 
-from checkpoints import read_all
+from checkpoints import dying_scan, read_all
 from oracles import (
     _oracle_kernel,
     naive_unit_scan,
     oracle_conditions,
+    oracle_expand,
+    oracle_format_two_record,
     oracle_log_line,
     oracle_result_log,
     oracle_scan_shard,
@@ -260,14 +264,16 @@ class TestSearchAgainstOracle:
 def assert_records_match_oracle(space):
     """Every shard record equals the pre-quotient scan's but for its format
     and its entries, and the entries expand to the scan's rows, row order
-    included."""
+    included, both by the oracle's expansion and by the search's."""
     rows = []
+    def_values = [space.values_of(name) for name in "def"]
     for shard_id in range(space.shards):
         got = real_scan_shard(space, shard_id)
         want = oracle_scan_shard(space, shard_id)
-        assert (got.pop("format"), want.pop("format")) == (2, 1)
-        got.pop("solutions")
-        rows += want.pop("solutions")
+        assert (got.pop("format"), want.pop("format")) == (3, 1)
+        shard_rows = want.pop("solutions")
+        assert oracle_expand(got.pop("solutions"), def_values) == shard_rows
+        rows += shard_rows
         assert got == want
     assert search(space).rows == rows
 
@@ -393,23 +399,20 @@ def run_kernel(alpha, beta, gamma, a, b, c_values, def_values, scan=True):
 
 
 def expand(entries, def_values):
-    """The rows of kernel entries, in key order: a None slot is a family's
-    free variable and stands for every value in ``def_values``."""
-    return sorted(
-        [*row[:6], *free, *row[9:]]
-        for row in entries
-        for free in product(*[def_values if v is None else (v,) for v in row[6:9]])
-    )
+    """The rows of kernel entries in their order, by the oracle's expansion:
+    a class entry stands for its diagonal, every value in ``def_values``
+    on its free axes."""
+    return oracle_expand(entries, [def_values] * 3)
 
 
 def kernel_against_loop(alpha, beta, gamma, a, b, c_values, def_values):
-    """One ``_kernel`` call's entries, and the rows of the plain loop over
-    every signed c, d, e, f with the same fixed values."""
+    """The rows of one ``_kernel`` call's entries, and the rows of the plain
+    loop over every signed c, d, e, f with the same fixed values, in key order."""
     got = run_kernel(alpha, beta, gamma, a, b, c_values, def_values)
     powers = [(v, v * v, v**4) for v in def_values]
     want = []
     _oracle_kernel(alpha, beta, gamma, a, b, c_values, powers, powers, powers, want)
-    return got, sorted(want)
+    return expand(got, def_values), sorted(want)
 
 
 def solve_branch(row):
@@ -495,28 +498,34 @@ class TestSolveForF:
     )
     def test_which_classes_skip_the_scan(self, fixed, c_values, diagonal):
         # With no d, e, f classes to scan, the scan finds nothing, so every
-        # row comes from the diagonal.
+        # row comes from the diagonal, one class entry per signed c.
         got = run_kernel(*fixed, c_values, self.DEF, scan=False)
         want = kernel_against_loop(*fixed, c_values, self.DEF)[1]
         assert want and expand(got, self.DEF) == (want if diagonal else [])
+        assert all(entry[6:10] == [None] * 4 for entry in got)
+        assert len({tuple(entry[:6]) for entry in got}) == len(got)
 
     def test_unit_case_never_scans(self):
         # -alpha*beta*gamma = -1 is no square: every unit-case class, q = 0
-        # and free axes included, is found without the scan.
+        # and free axes included, is found without the scan, as a class entry.
         values = range(-4, 5)
         for a, b in product(values, values):
             got = run_kernel(1, 1, 1, a, b, values, values, scan=False)
             assert expand(got, values) == kernel_against_loop(1, 1, 1, a, b, values, values)[1]
+            assert all(entry[9] is None for entry in got)
 
     def test_diagonal_holds_none_in_free_slots(self):
         ranges = (range(-1, 3), range(-2, 2), range(0, 3))
         assert _diagonal(ranges, (False, True, False)) == (
-            (1, 0, 2), ((1, -1, None, 1), (0, 0, None, 0), (1, 1, None, 1), (2, 2, None, 2)),
+            (1, -1, None, 1), (0, 0, None, 0), (1, 1, None, 1), (2, 2, None, 2),
         )
-        assert _diagonal(ranges, (False, False, False))[1] == (
+        assert _diagonal(ranges, (False, False, False)) == (
             (1, -1, -1, 1), (1, -1, 1, 1), (0, 0, 0, 0), (1, 1, -1, 1), (1, 1, 1, 1), (2, 2, -2, 2),
         )
-        assert _diagonal(ranges, (True, True, True)) == ((0,), ((0, None, None, None),))
+        assert _diagonal(ranges, (True, True, True)) == ((0, None, None, None),)
+        # No magnitude is common to d's and e's ranges: the diagonal is empty,
+        # so the kernel writes no class entry for it.
+        assert _diagonal((range(1, 2), range(2, 3), range(0, 1)), (False, False, True)) == ()
 
     @settings(max_examples=80, deadline=None)
     @given(
@@ -534,8 +543,7 @@ class TestSolveForF:
             gamma = -alpha * beta
         c_values, def_values = (range(low, high + 1) for low, high in (c_bounds, def_bounds))
         got, want = kernel_against_loop(alpha, beta, gamma, *ab, c_values, def_values)
-        explicit = [row for row in got if None not in row]
-        assert expand(got, def_values) == want and explicit == sorted(explicit)
+        assert got == want
 
 
 def lagrange_form(w1, w2, w3):
@@ -695,19 +703,27 @@ class TestDeterminismAndSharding:
 
 # resume_tampered's value that deletes the field.
 DELETED = object()
+# The null d, e, f and p slots of a format-3 class entry.
+NULLS = [None] * 4
 
 
-def resume_tampered(tmp_path, field, value, shard=1):
-    """Search unit [-1, 1] in 2 shards, set ``field`` of one shard's record, resume.
+def resume_tampered(tmp_path, field, value, shard=1, fmt=3, space=None):
+    """Search ``space`` (unit [-1, 1] in 2 shards), set ``field`` of one shard's record, resume.
 
-    Shard 0 holds blocks [0, 4) and shard 1 blocks [4, 9).  ``field``
-    ``"row"`` replaces the record's first row instead, ``"insert"`` adds the
-    row in enumeration order, and the value ``DELETED`` deletes the field.
+    In unit [-1, 1], shard 0 holds blocks [0, 4) and shard 1 blocks [4, 9).
+    ``field`` ``"row"`` replaces the record's first row instead, ``"insert"``
+    adds the row in enumeration order, and the value ``DELETED`` deletes the
+    field.  With ``fmt`` 2 every record is first replaced by the oracle's
+    format-2 record of its shard.
     """
     cp = tmp_path / "tampered.ckpt"
-    space = SearchSpace.cube(-1, 1, shards=2, checkpoint_path=cp)
+    space = dataclasses.replace(
+        space or SearchSpace.cube(-1, 1, shards=2), checkpoint_path=str(cp)
+    )
     search(space)
     records, _ = read_all(cp)
+    if fmt == 2:
+        records = [oracle_format_two_record(space, record["shard"]) for record in records]
     if field == "row":
         records[shard]["solutions"][0] = value
     elif field == "insert":
@@ -814,32 +830,33 @@ class TestCheckpointing:
             resume_tampered(tmp_path, "solutions", DELETED, shard=0)
 
     @pytest.mark.parametrize(
-        "field, value, shard",
+        "field, value, shard, fmt",
         [
-            ("format", 99, 1),
-            ("scanned", -5, 1),
-            ("blocks", [0, 9], 1),
+            ("format", 99, 1, 3),
+            ("scanned", -5, 1, 3),
+            ("blocks", [0, 9], 1, 3),
             # Equal in value but not ints: the header fields are exact ints.
-            ("blocks", [4.0, 9.0], 1),
-            ("blocks", [False, 4], 0),
+            ("blocks", [4.0, 9.0], 1, 3),
+            ("blocks", [False, 4], 0, 3),
+            # The rows below tamper with format-2 records, the oracle's.
             # Shard 1's first entry is (1, 1, 1, 0, 0, 0, null, null, null, 0, 0).
-            ("row", [1, 1, 1, 0, 0, 0, None, None, None, None, 0], 1),
-            ("row", [1, 1, 1, 1, 0, 0, None, None, None, 1, 1], 1),
-            ("row", [1, 1, 1, 0, 0, 0, 0, None, None, 0, 0], 1),
+            ("row", [1, 1, 1, 0, 0, 0, None, None, None, None, 0], 1, 2),
+            ("row", [1, 1, 1, 1, 0, 0, None, None, None, 1, 1], 1, 2),
+            ("row", [1, 1, 1, 0, 0, 0, 0, None, None, 0, 0], 1, 2),
             # Shard 1 holds the (a, b) prefixes from (0, 0) on, each of a..f in [-1, 1].
-            ("row", [1, 1, 1, 1, 1, 1, 2, 1, 1, 0, 0], 1),
-            ("row", [1, 1, 1, 1, 1, 0, 1, -5, None, 0, 0], 1),
-            ("row", [1, 1, 1, -1, -1, 1, 1, 1, 1, 0, 0], 1),
-            ("row", [1, 1, 1, 1, 1, 1, 1, 1, 1, 0, 0], 0),
-            ("row", [2, 1, 1, 1, 1, 1, 1, 1, 1, 0, 0], 1),
+            ("row", [1, 1, 1, 1, 1, 1, 2, 1, 1, 0, 0], 1, 2),
+            ("row", [1, 1, 1, 1, 1, 0, 1, -5, None, 0, 0], 1, 2),
+            ("row", [1, 1, 1, -1, -1, 1, 1, 1, 1, 0, 0], 1, 2),
+            ("row", [1, 1, 1, 1, 1, 1, 1, 1, 1, 0, 0], 0, 2),
+            ("row", [2, 1, 1, 1, 1, 1, 1, 1, 1, 0, 0], 1, 2),
             # Entries must increase strictly: the second and the last entry as the first.
-            ("row", [1, 1, 1, 1, -1, 0, -1, -1, None, 0, 0], 1),
-            ("row", [1, 1, 1, 1, 1, 0, 1, 1, None, 0, 0], 1),
+            ("row", [1, 1, 1, 1, -1, 0, -1, -1, None, 0, 0], 1, 2),
+            ("row", [1, 1, 1, 1, 1, 0, 1, 1, None, 0, 0], 1, 2),
             # Shard 1 holds (1, 1, 1, 1, 0, 0, -1, null, null, 1, 1): the
             # kernel writes each solution once, with q >= 0.
-            ("insert", [1, 1, 1, 1, 0, 0, -1, None, None, -1, -1], 1),
+            ("insert", [1, 1, 1, 1, 0, 0, -1, None, None, -1, -1], 1, 2),
             # In the box and in order, but p = 5 fails the second equation.
-            ("insert", [1, 1, 1, 1, 1, 1, 1, 1, 1, 5, 1], 1),
+            ("insert", [1, 1, 1, 1, 1, 1, 1, 1, 1, 5, 1], 1, 2),
         ],
         ids=[
             "format", "scanned", "blocks", "blocks-float", "blocks-bool",
@@ -850,9 +867,60 @@ class TestCheckpointing:
             "sign-flipped-duplicate", "row-that-fails-the-system",
         ],
     )
-    def test_record_beyond_its_shard_rejected(self, tmp_path, field, value, shard):
+    def test_record_beyond_its_shard_rejected(self, tmp_path, field, value, shard, fmt):
         with pytest.raises(CheckpointError, match=f"^checkpoint shard {shard} "):
-            resume_tampered(tmp_path, field, value, shard)
+            resume_tampered(tmp_path, field, value, shard, fmt)
+
+    @pytest.mark.parametrize(
+        "field, value, message, space",
+        [
+            # Shard 1's first entry is (1, 1, 1, 0, 0, 0, null, null, null, null, 0),
+            # and it holds (1, 1, 1, 1, 0, 0, null, null, null, null, 1).
+            # q**2 = 1 is not a**2 - b**2 - c**2 = 0.
+            ("row", [1, 1, 1, 0, 0, 0, *NULLS, 1], "a row that fails the system", None),
+            ("insert", [1, 1, 1, 1, 0, 0, *NULLS, -1], "a row with q < 0", None),
+            ("row", [1, 1, 1, 0, 0, 0, 0, None, None, None, 0], "a class entry with a value", None),
+            ("row", [1, 1, 1, 0, 0, 0, None, None, None, 0, 0], "a class entry with a value", None),
+            ("row", [1, 1, 1, 0, 0, 0, *NULLS, None], "a class entry with a value", None),
+            ("insert", [1, 1, 1, 1, 0, 0, *NULLS, 1], "rows repeated", None),
+            # A solution, but outside a square block it is its class entry's.
+            ("row", [1, 1, 1, 0, 0, 0, 0, 0, 0, 0, 0], "an explicit row outside a square", None),
+            # -alpha*beta*gamma = 1: the first prefix, all -1, is a square block.
+            (
+                "row",
+                [-1, -1, -1, -1, -1, -1, *NULLS, 1],
+                "a class entry inside a square block",
+                SearchSpace(
+                    bounds={**dict.fromkeys(COEFF_VARS, (-1, -1)), **dict.fromkeys("abcdef", (-1, 1))},
+                    case="general",
+                    shards=2,
+                ),
+            ),
+            # |d| = |e| never holds, so (a, b) = (1, 1) has no diagonal.
+            (
+                "insert",
+                [1, 1, 1, 1, 1, 0, *NULLS, 0],
+                "a class entry whose diagonal is empty",
+                SearchSpace(
+                    bounds={**dict.fromkeys("abcf", (-1, 1)), "d": (1, 1), "e": (2, 2)}, shards=2
+                ),
+            ),
+        ],
+        ids=[
+            "square-gate", "negative-q", "value-in-d", "value-in-p", "null-q",
+            "second-entry-for-a-prefix", "explicit-row-outside-square-block",
+            "class-entry-in-square-block", "empty-diagonal",
+        ],
+    )
+    def test_format_three_entry_the_search_never_writes(
+        self, tmp_path, field, value, message, space
+    ):
+        with pytest.raises(CheckpointError, match=f"^checkpoint shard 1 holds {message}"):
+            resume_tampered(tmp_path, field, value, space=space)
+
+    def test_record_with_an_extra_key_rejected(self, tmp_path):
+        with pytest.raises(CheckpointError, match=r"^checkpoint shard 1 holds keys .*\['extra'\]"):
+            resume_tampered(tmp_path, "extra", "anything")
 
     def test_negative_p_beside_zero_q_rejected_on_load(self, tmp_path):
         # Shard 1 holds (1, 1, 1, 1, 1, 0, 0, 0, null, 0, 0).  The row below
@@ -860,16 +928,16 @@ class TestCheckpointing:
         # from the classification pass.
         row = [1, 1, 1, 1, 1, 0, 0, 0, None, -1, 0]
         with pytest.raises(CheckpointError, match="^checkpoint shard 1 .*q = 0 and p < 0"):
-            resume_tampered(tmp_path, "insert", row)
+            resume_tampered(tmp_path, "insert", row, fmt=2)
 
     @pytest.mark.parametrize("case, bound", [("unit", 3), ("general", 2)])
-    @pytest.mark.parametrize("formats", [(1, 1, 1), (1, 2, 1)])
+    @pytest.mark.parametrize("formats", [(1, 1, 1), (1, 2, 1), (1, 2, 3), (3, 2, 1), (2, 3, 2)])
     def test_format_one_records_resume(self, tmp_path, case, bound, formats):
         fresh_log = tmp_path / "fresh.jsonl"
         write_result_log(search(SearchSpace.cube(-bound, bound, case=case, shards=3)), fresh_log)
         cp = tmp_path / "old.ckpt"
         space = SearchSpace.cube(-bound, bound, case=case, shards=3, checkpoint_path=cp)
-        scans = {1: oracle_scan_shard, 2: real_scan_shard}
+        scans = {1: oracle_scan_shard, 2: oracle_format_two_record, 3: real_scan_shard}
         for shard_id, fmt in enumerate(formats):
             append_record(cp, scans[fmt](space, shard_id))
         assert [record["format"] for record in read_all(cp)[0]] == list(formats)
@@ -1355,7 +1423,7 @@ class TestPatternPathAgainstRows:
         # report can refuse it.
         cp = tmp_path / "forged.ckpt"
         space = SearchSpace.cube(-1, 1, checkpoint_path=cp)
-        record = real_scan_shard(space, 0)
+        record = oracle_format_two_record(space, 0)
         record["solutions"] = [[1, 1, 1, 1, 0, 0, 1, None, None, 5, 1]]
         append_record(cp, record)
         with pytest.raises(CheckpointError, match="^checkpoint shard 0 .*fails the system"):
@@ -1410,12 +1478,15 @@ class TestPatternPathAgainstRows:
             return count_system(*args)
 
         monkeypatch.setattr(search_module, "system_values", counting)
-        result = search(SearchSpace.cube(-8, 8, shards=17))
+        space = SearchSpace.cube(-8, 8, shards=17)
+        result = search(space)
         assert len(result.solutions) == 135_681
-        # One classification per family entry and per class of explicit rows
-        # that share all but the signs of d, e, f and their chain flags.
+        # One classification per class entry with a free axis, and one per
+        # _def_class on the diagonal of a class entry with none.  The records
+        # hold 209 class entries, which expand to 10,193 entries.
+        assert len(calls) == 321
+        assert sum(len(real_scan_shard(space, sid)["solutions"]) for sid in range(17)) == 209
         assert sum(1 for _ in result.iter_entries()) == 10_193
-        assert len(calls) == 4_817
 
 
 class TestSolutionsAreLazy:
@@ -1476,3 +1547,20 @@ class TestParallelDurability:
         assert seen[0] == (0, [0])  # durable before shard 1 was allowed to scan
         assert seen[1] == (1, [0, 1])
         assert {inst.key() for inst, _ in result.solutions} == naive_unit_scan(-1, 1)
+
+    def test_dead_worker_names_the_checkpoint_a_rerun_resumes(self, tmp_path, monkeypatch):
+        # Two workers, so three processes; the one scanning shard 1 dies.
+        from concurrent.futures.process import BrokenProcessPool
+
+        cp = tmp_path / "dead.ckpt"
+        space = SearchSpace.cube(-2, 2, shards=3, checkpoint_path=cp)
+        monkeypatch.setattr(search_module, "_scan_shard", dying_scan)
+        message = f"checkpoint {re.escape(repr(str(cp)))} keeps every shard .* rerun resumes"
+        with pytest.raises(BrokenProcessPool, match=message):
+            search(space, workers=2)
+        with pytest.raises(BrokenProcessPool, match="with no checkpoint, a rerun scans every shard"):
+            search(SearchSpace.cube(-2, 2, shards=3), workers=2)
+        monkeypatch.undo()
+        resumed = search(space)
+        assert resumed.shards_reused < 3
+        assert resumed.rows == search(SearchSpace.cube(-2, 2, shards=3)).rows
