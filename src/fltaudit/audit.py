@@ -280,7 +280,9 @@ def _check_conditions(config: AuditConfig) -> dict:
             "regimes": {"odd": 2 * config.condition_k + 1},
         },
         subverdicts={
-            reading: _verdict(any(item["reading"] == reading for item in evidence))
+            reading: _verdict(
+                any(check.counterexamples for check in checks if check.reading == reading)
+            )
             for reading in READINGS
         },
         evidence=evidence,

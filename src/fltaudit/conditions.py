@@ -22,6 +22,7 @@ the report whose three verdicts come from one rule.  Only
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import product
 from math import gcd
 from operator import attrgetter
 from typing import Callable
@@ -58,10 +59,18 @@ class ImplicationCheck:
         return not self.counterexamples
 
 
+def _point_flags(x: int, y: int, z: int) -> tuple[tuple[bool, bool], bool]:
+    """The chain |x| != |y| != |z| != 0 under each of READINGS, and gcd(x, y, z) = 1.
+
+    A hypothesis is one reading's flag, and the coprimality flag too where the
+    claim assumes it.
+    """
+    return chain_flags(abs(x), abs(y), abs(z)), gcd(gcd(x, y), z) == 1
+
+
 def _hypothesis(x: int, y: int, z: int, reading: str, needs_coprime: bool) -> bool:
-    if needs_coprime and gcd(gcd(x, y), z) != 1:
-        return False
-    return chain_flags(abs(x), abs(y), abs(z))[READINGS.index(reading)]
+    chain, coprime = _point_flags(x, y, z)
+    return chain[READINGS.index(reading)] and (coprime or not needs_coprime)
 
 
 def reduction_row(x: int, y: int, z: int, k: int) -> list[int]:
@@ -121,13 +130,18 @@ def verify_condition_derivations(box_bound: int, k: int) -> list[ImplicationChec
     at_least("box_bound", box_bound, 3)
     at_least("k", k, 1)
     span = range(-box_bound, box_bound + 1)
-    points = [(x, y, z) for x in span for y in span for z in span]
-    # The hypothesis depends only on (reading, needs_coprime): filter once per pair.
-    admitted = {
-        (reading, coprime): [pt for pt in points if _hypothesis(*pt, reading, coprime)]
-        for reading in READINGS
-        for coprime in (False, True)
+    # The hypothesis depends only on (reading, needs_coprime): read each
+    # point's flags once and file it under every pair it satisfies.
+    admitted: dict[tuple[str, bool], list[Point]] = {
+        (reading, coprime): [] for reading in READINGS for coprime in (False, True)
     }
+    for pt in product(span, repeat=3):
+        chain, coprime = _point_flags(*pt)
+        for reading, flag in zip(READINGS, chain):
+            if flag:
+                admitted[reading, False].append(pt)
+                if coprime:
+                    admitted[reading, True].append(pt)
     # The weakest hypothesis admits every point any other admits: classify
     # each admitted point's reduction row once.  The rows are built from ints
     # checked above, so they skip classify_row's check.

@@ -43,7 +43,6 @@ from typing import Union
 
 from .ints import at_least, exact_ints
 from .poly import ONE, MonomialTable, NotDivisible, Polynomial, X, Y, Z
-from .search import system_values
 
 __all__ = [
     "AbcTriple",
@@ -210,6 +209,9 @@ def derive_system(n: int) -> DerivedSystem:
     combination, or any disagreement between the two routes, raises
     DerivationError.
     """
+    # Imported here: verify-identity never derives, so it never loads the search.
+    from .search import system_values
+
     at_least("exponent", n, 3)
     q_poly, m_poly, p_poly = system_values(*linear_forms(X, Y, Z), *_pair_powers(n))
 

@@ -1,5 +1,8 @@
 """Power-equation scanner sanity checks."""
 
+import subprocess
+import sys
+
 import pytest
 
 from fltaudit.fermat import primitive_square_triples, scan_power_equation
@@ -41,3 +44,26 @@ class TestScan:
         # 20**300 does not convert to a float.
         assert scan_power_equation(20, 300) == []
 
+
+class TestSquareRoute:
+    """n = 2 takes the factor pairs of x^2; the root walk stays the reference."""
+
+    @pytest.mark.parametrize("base_max", [*range(1, 151), 613])
+    def test_matches_root_oracle(self, base_max):
+        assert scan_power_equation(base_max, 2) == oracle_scan_power_equation(base_max, 2)
+
+    def test_counts_at_the_audit_scope(self):
+        assert len(scan_power_equation(1500, 2)) == 1661
+        assert len(primitive_square_triples(1500)) == 267
+
+    def test_large_bound_answers_at_once(self):
+        # An all-pairs scan would try 450 million pairs here.
+        proc = subprocess.run(
+            [sys.executable, "-m", "fltaudit", "scan-flt", "--n-min", "2", "--n-max", "2",
+             "--base-max", "30000"],
+            capture_output=True,
+            text=True,
+            timeout=5,
+        )
+        assert proc.returncode == 0
+        assert "n=2: 49309 solution(s) (3, 4, 5), (5, 12, 13)" in proc.stdout

@@ -51,7 +51,7 @@ def loaded_after(code: str) -> set[str]:
         ),
         (
             "from fltaudit import cli; cli.main(['verify-identity', '--n-max', '4', '--points', '5'])",
-            CLI | {"fltaudit.lemma", "fltaudit.poly", "fltaudit.search", "fltaudit.ints"},
+            CLI | {"fltaudit.lemma", "fltaudit.poly", "fltaudit.ints"},
         ),
         (
             "from fltaudit import cli; cli.main(['audit', '--box-bound', '3', '--search-bound', '2'])",
