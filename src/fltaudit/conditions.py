@@ -29,7 +29,7 @@ from typing import Callable
 
 from .ints import at_least, exact_ints
 from .lemma import linear_forms
-from .search import _REPORTS, READINGS, ConditionReport, _report_code, chain_flags, classify_row
+from .search import _REPORTS, READINGS, _report_code, chain_flags
 
 __all__ = [
     "CLAIM_IDS",
@@ -85,8 +85,10 @@ def reduction_row(x: int, y: int, z: int, k: int) -> list[int]:
     return [xy, yz, zx, r * xy ** (k - 1), s * yz ** (k - 1), t * zx ** (k - 1), u, v, w, 0, 0]
 
 
-def _rst_distinct(x: int, y: int, z: int, reading: str) -> bool:
-    return chain_flags(*linear_forms(x, y, z)[:3])[READINGS.index(reading)]
+def _facts(pt: Point, k: int) -> tuple[int, tuple[bool, bool]]:
+    """What the conclusions read of a point: the report code of its reduction
+    row, and the chain r != s != t != 0 of its forms under each of READINGS."""
+    return _report_code(reduction_row(*pt, k)), chain_flags(*linear_forms(*pt)[:3])
 
 
 # claim id -> (the ConditionReport flag giving the conclusion under each of
@@ -108,17 +110,18 @@ CLAIM_IDS = tuple(_CLAIMS)
 
 
 def _conclusion(
-    claim: str, reading: str, report_of: Callable[[Point], ConditionReport]
+    claim: str, reading: str, facts_of: Callable[[Point], tuple]
 ) -> Callable[[Point], bool]:
     """The claim's conclusion under one reading, as a test of a point.
 
-    ``report_of`` gives the ``classify_row`` report of a point's reduction row.
+    ``facts_of`` gives a point's ``_facts``.
     """
     flags = _CLAIMS[claim][0]
+    index = READINGS.index(reading)
     if flags is None:
-        return lambda pt: _rst_distinct(*pt, reading)
-    flag = attrgetter(flags[READINGS.index(reading)])
-    return lambda pt: flag(report_of(pt))
+        return lambda pt: facts_of(pt)[1][index]
+    flag = attrgetter(flags[index])
+    return lambda pt: flag(_REPORTS[facts_of(pt)[0]])
 
 
 def verify_condition_derivations(box_bound: int, k: int) -> list[ImplicationCheck]:
@@ -142,17 +145,21 @@ def verify_condition_derivations(box_bound: int, k: int) -> list[ImplicationChec
                 admitted[reading, False].append(pt)
                 if coprime:
                     admitted[reading, True].append(pt)
-    # The weakest hypothesis admits every point any other admits: classify
-    # each admitted point's reduction row once.  The rows are built from ints
-    # checked above, so they skip classify_row's check.
-    reports = {
-        pt: _REPORTS[_report_code(reduction_row(*pt, k))] for pt in admitted["adjacent", False]
-    }
+    # The weakest hypothesis admits every point any other admits: read each
+    # admitted point's facts once, for every claim and reading.  Points share
+    # the few distinct fact pairs, so the table holds no more than one
+    # reference per point.  The rows are built from ints checked above, so
+    # they skip classify_row's check.
+    shared: dict[tuple, tuple] = {}
+    facts = {}
+    for pt in admitted["adjacent", False]:
+        key = _facts(pt, k)
+        facts[pt] = shared.setdefault(key, key)
     checks: list[ImplicationCheck] = []
     for claim, (_, needs_coprime, needs_k) in _CLAIMS.items():
         for reading in READINGS:
             hypothesis = admitted[reading, needs_coprime]
-            conclusion = _conclusion(claim, reading, reports.__getitem__)
+            conclusion = _conclusion(claim, reading, facts.__getitem__)
             failures = tuple(pt for pt in hypothesis if not conclusion(pt))
             checks.append(
                 ImplicationCheck(
@@ -178,5 +185,5 @@ def replay_condition_counterexample(
         raise ValueError(f"unknown reading {reading!r}")
     exact_ints(point, 3)
     at_least("k", k, 1)
-    conclusion = _conclusion(claim, reading, lambda pt: classify_row(reduction_row(*pt, k)))
+    conclusion = _conclusion(claim, reading, lambda pt: _facts(pt, k))
     return _hypothesis(*point, reading, _CLAIMS[claim][1]) and not conclusion(point)

@@ -66,13 +66,14 @@ entry with a free axis and counts the whole class under its report, and
 one row per chain class of the diagonal where no axis is free.  An explicit
 row of a square block is classified once per class of rows that differ
 only in the signs of d, e and f and share their chain flags.  A walk
-expands each class entry, as it loads it, into the diagonal's explicit
-rows and family entries; it classifies one family row per entry and class,
-reading each row's class from one table over the box's (d, e) pairs.  The
-result log binds one line per entry and class as a head and a tail, puts
-each row's (d, e) text and f between them and writes 32 lines at a time.
-Rows are expanded from the entries, in enumeration order, only when they
-are walked.
+takes each class entry as one run and expands it once into the diagonal's
+explicit rows or family entries, one p = m^2 q per magnitude m shared by
+the rows at m; an explicit run goes to its consumer whole.  It classifies
+one family row per entry and class, reading each row's class from one
+table over the box's (d, e) pairs.  The result log binds one line per
+entry and class as a head and a tail, puts each row's (d, e) text and f
+between them and writes 256 lines at a time.  Rows are expanded from the
+entries, in enumeration order, only when they are walked.
 
 The space is split into shards by a prefix of the enumeration order; each
 completed shard appends one fsync'd record to the checkpoint file, so an
@@ -391,10 +392,11 @@ class SearchSpace:
         return hashlib.sha256(payload.encode("utf-8")).hexdigest()
 
 
-def _prefix_blocks(space: SearchSpace) -> list[tuple[int, int]]:
-    # Shard granularity: the first two coordinates of the enumeration order.
-    first, second = space.enumerated_vars[:2]
-    return [(i, j) for i in space.values_of(first) for j in space.values_of(second)]
+def _prefix_blocks(space: SearchSpace, start: int, stop: int) -> list[tuple[int, int]]:
+    # Blocks start..stop-1 of the shard granularity, pairs of values of the
+    # first two enumerated variables in enumeration order, by index arithmetic.
+    first, second = (space.values_of(name) for name in space.enumerated_vars[:2])
+    return [(first[k // len(second)], second[k % len(second)]) for k in range(start, stop)]
 
 
 def _record_header(space: SearchSpace, shard: int, fmt: int = 3) -> dict:
@@ -462,6 +464,18 @@ def _free_axes(entry: Sequence) -> tuple[bool, bool, bool]:
     return not a * alpha, not b * beta, not c * gamma
 
 
+def _class_rows(entry: Sequence, ranges: tuple[range, ...]) -> list[list]:
+    """The entries a format-3 class entry stands for: the one place it is expanded.
+
+    One per point (m, d, e, f) of its signed diagonal, in enumeration order,
+    None in its free slots, and p = m**2 q built once per m, shared at m.
+    """
+    alpha, beta, gamma, a, b, c, *_, q = entry
+    walk = _diagonal(ranges, _free_axes(entry))
+    p_of = {m: m * m * q for m in {point[0] for point in walk}}
+    return [[alpha, beta, gamma, a, b, c, d, e, f, p_of[m], q] for m, d, e, f in walk]
+
+
 @lru_cache(maxsize=2)
 def _diagonal_classes(ranges: tuple[range, ...]) -> tuple[bytes, dict[int, tuple]]:
     """The ``_def_class`` of each point of the walk with no free axis, and each class's
@@ -490,7 +504,7 @@ def _scan_shard(space: SearchSpace, shard_id: int) -> dict:
     # first two enumerated ones.  The kernel emits in enumeration order.
     outer = ranges[:5]
     first = ROW_VARS.index(space.enumerated_vars[0])
-    for i, j in _prefix_blocks(space)[start:stop]:
+    for i, j in _prefix_blocks(space, start, stop):
         outer[first : first + 2] = [i], [j]
         for alpha, beta, gamma, a, b in product(*outer):
             _kernel(alpha, beta, gamma, a, b, c_table, def_tables, f_squares, def_ranges, solutions)
@@ -613,14 +627,14 @@ _PREFIX = itemgetter(0, 1, 2, 3, 4, 5)
 def _groups(entries: Iterable[list]) -> Iterator[list[list]]:
     """The entries in runs sharing (alpha, beta, gamma, a, b, c), in enumeration order.
 
-    The prefix fixes which of d, e, f are free, so a run is either explicit
-    rows only or family entries only.
+    The prefix fixes which of d, e, f are free, so a run is explicit rows
+    only, family entries only or one format-3 class entry.
     """
     for _, group in groupby(entries, _PREFIX):
         yield list(group)
 
 
-def _pair_table(free: list[range]) -> dict[int, dict[int, tuple]]:
+def _pair_table(free: Sequence[range]) -> dict[int, dict[int, tuple]]:
     """Each (d, e) pair of the box, as ``table[d][e] = (record, classes)``.
 
     ``record`` is ``(d, e, text)``, where ``text`` is the pair's stretch of a
@@ -638,7 +652,7 @@ def _pair_table(free: list[range]) -> dict[int, dict[int, tuple]]:
     }
 
 
-def _family_rows(group: list[list], free: list[range], codes: list, table: dict) -> Iterator[tuple]:
+def _family_rows(group: list[list], free: Sequence, codes: list, table: dict) -> Iterator[tuple]:
     """The rows of a family group in enumeration order, as (entry, pair, f, code slot).
 
     A ``None`` in the d, e or f slot stands for every value of that
@@ -687,8 +701,7 @@ class Solutions:
     def __iter__(self) -> Iterator[tuple[ConjectureInstance, ConditionReport]]:
         for codes, run, rows in self._result._walk():
             if rows is None:
-                for entry, code in zip(run, codes):
-                    yield ConjectureInstance(*entry), _REPORTS[code]
+                yield from zip(map(ConjectureInstance._make, run), map(_REPORTS.__getitem__, codes))
                 continue
             for entry, (d, e, _), f, k in rows:
                 yield ConjectureInstance(*entry[:6], d, e, f, *entry[9:]), _REPORTS[codes[k]]
@@ -700,13 +713,14 @@ class SearchResult:
 
     Each shard's record was counted when it completed, and its entries went
     to ``spill``, a private unlinked file, in pieces of ``_ROWS_PER_PIECE``
-    entries; ``spans`` gives each piece's ``(offset, length)`` there, in
-    enumeration order.  A walk loads one piece at a time, so memory never
-    holds the box's entries.  Reports are kept as two-byte codes, never per
-    family row: ``explicit_codes`` holds the code of each entry without a
-    free slot that ``iter_entries`` yields, in enumeration order, the rows of
-    class entries' diagonals included.  A family entry's codes are found
-    again on each walk.
+    entries, as the record holds them; ``spans`` gives each piece's
+    ``(offset, length)`` there, in enumeration order.  A walk loads one
+    piece at a time, so memory never holds the box's entries, and expands a
+    class entry only when it reaches it.  Reports are kept as two-byte
+    codes, never per family row: ``explicit_codes`` holds the code of each
+    entry without a free slot that ``iter_entries`` yields, in enumeration
+    order, the rows of class entries' diagonals included.  A family entry's
+    codes are found again on each walk.
     """
 
     space: SearchSpace
@@ -729,42 +743,47 @@ class SearchResult:
         """Close the spill, after which the result cannot be walked; dropping the result does too."""
         self.spill.close()
 
+    def _stored(self) -> Iterator[list]:
+        """The entries as the records hold them, loaded from the spill a piece at a time."""
+        for offset, length in self.spans:
+            self.spill.seek(offset)
+            yield from marshal.loads(self.spill.read(length))
+
     def iter_entries(self) -> Iterator[list]:
         """The entries in enumeration order, loaded from the spill a piece at a time.
 
         Each is an explicit row of eleven integers or a family entry, None in
         its free d, e or f slots, as format 2 holds them.  A class entry of a
-        format-3 record is expanded here, as its piece is walked, into the
-        signed diagonal of its fixed axes, one entry per point, p = m**2 q.
+        format-3 record comes as ``_class_rows`` expands it, one entry per
+        point of the signed diagonal of its fixed axes, p = m**2 q.
         """
         ranges = tuple(self.space.values_of(name) for name in "def")
-        for offset, length in self.spans:
-            self.spill.seek(offset)
-            for entry in marshal.loads(self.spill.read(length)):
-                if entry[9] is not None:
-                    yield entry
-                    continue
-                head, q = entry[:6], entry[10]
-                for m, d, e, f in _diagonal(ranges, _free_axes(entry)):
-                    yield [*head, d, e, f, m * m * q, q]
+        for entry in self._stored():
+            if entry[9] is None:
+                yield from _class_rows(entry, ranges)
+            else:
+                yield entry
 
     def _walk(self) -> Iterator[tuple[Sequence, list[list] | None, Iterator[tuple] | None]]:
         """Each run of entries sharing (alpha, beta, gamma, a, b, c), in enumeration order.
 
-        A run comes as ``(codes, run, rows)``.  An explicit run is its
-        entries, each one row, with ``codes[i]`` the report code of
-        ``run[i]``, and ``rows`` None.  A family run comes with ``run`` None
-        and a lazy walk of its rows in enumeration order, each as (entry,
-        (d, e, text), f, k): the row is the entry with d, e and f in their
-        slots, ``codes[k]`` is its report code once the row is walked, and
-        the rows that share a k share their entry and code.  (d, e, text) is
-        the row's pair record in one ``_pair_table``, built when the first
-        family run is met.
+        A format-3 class entry, alone in its prefix, is its own run, expanded
+        once by ``_class_rows``.  A run comes as ``(codes, run, rows)``.  An
+        explicit run is its entries, each one row, with ``codes[i]`` the
+        report code of ``run[i]``, and ``rows`` None.  A family run comes
+        with ``run`` None and a lazy walk of its rows in enumeration order,
+        each as (entry, (d, e, text), f, k): the row is the entry with d, e
+        and f in their slots, ``codes[k]`` is its report code once the row
+        is walked, and the rows that share a k share their entry and code.
+        (d, e, text) is the row's pair record in one ``_pair_table``, built
+        when the first family run is met.
         """
-        free = [self.space.values_of(name) for name in "def"]
+        free = tuple(self.space.values_of(name) for name in "def")
         table = None
         explicit = 0
-        for group in _groups(self.iter_entries()):
+        for group in _groups(self._stored()):
+            if group[0][9] is None:
+                group = _class_rows(group[0], free)
             if None not in group[0]:
                 codes = self.explicit_codes[explicit : explicit + len(group)]
                 explicit += len(group)
@@ -870,7 +889,6 @@ def _load_existing_records(space: SearchSpace, signature: str) -> Iterator[tuple
     path = space.checkpoint_path
     if path is None or not Path(path).exists():
         return
-    blocks = _prefix_blocks(space)
     box = space.kernel_ranges()
     def_ranges = tuple(box[6:])
     prefix = itemgetter(*map(ROW_VARS.index, space.enumerated_vars[:2]))
@@ -919,7 +937,7 @@ def _load_existing_records(space: SearchSpace, signature: str) -> Iterator[tuple
         # Checked on the distinct prefixes and each column's distinct values,
         # so a resume that reads every entry pays little for it.
         if not (
-            set(map(prefix, rows)) <= set(blocks[slice(*want["blocks"])])
+            set(map(prefix, rows)) <= set(_prefix_blocks(space, *want["blocks"]))
             and all(
                 value in axis
                 for i, axis in enumerate(box)
@@ -1149,7 +1167,7 @@ def _flag_fields(report: ConditionReport) -> dict:
 # The d, e, f slots left open when a family entry's line is bound.
 _DEF_OPEN = ["%d"] * 3
 # Lines joined into each write of the result log.
-_LINES_PER_WRITE = 32
+_LINES_PER_WRITE = 256
 
 
 def _line_template(report: ConditionReport) -> tuple[str, Callable[[Sequence], tuple]]:
@@ -1196,8 +1214,7 @@ def write_result_log(result: SearchResult, path: str | Path) -> None:
     def lines() -> Iterator[str]:
         for codes, run, rows in result._walk():
             if rows is None:
-                for entry, code in zip(run, codes):
-                    yield fill(code, entry)
+                yield from map(fill, codes, run)
                 continue
             # Each code slot's line as its head and tail.
             bound: list[tuple[str, str] | None] = [None] * len(codes)

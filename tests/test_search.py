@@ -32,7 +32,7 @@ from fltaudit.search import (
     write_result_log,
 )
 from fltaudit.search import _DEF_OPEN, _def_class, _diagonal, _kernel, _line_template
-from fltaudit.search import _pair_table
+from fltaudit.search import _free_axes, _pair_table
 from fltaudit.search import _sign_classes
 from fltaudit.search import _scan_shard as real_scan_shard
 
@@ -1307,6 +1307,62 @@ class TestStreamedWalk:
                 tracemalloc.stop()
             peaks.append(peak)
         assert peaks[1] < peaks[0] / 2
+
+
+class TestClassRuns:
+    """A walk expands each class entry once, as one run whose rows share p per magnitude."""
+
+    # General, 3 shards of 2 (alpha, beta) blocks.  Shards 0 and 1 hold
+    # square-block rows and class entries with and without a free axis.
+    MIXED = {
+        "alpha": (1, 2),
+        "beta": (-1, 1),
+        "gamma": (-1, 1),
+        "a": (0, 2),
+        **{name: (1, 2) for name in "bc"},
+        **{name: (-3, 3) for name in "def"},
+    }
+
+    @pytest.mark.parametrize("formats", [None, (3, 1, 2), (2, 3, 1)])
+    def test_rows_and_solutions_walk_the_oracle_rows(self, tmp_path, formats):
+        space = SearchSpace(
+            bounds=self.MIXED, case="general", shards=3, checkpoint_path=tmp_path / "mixed.ckpt"
+        )
+        if formats is not None:
+            scans = {1: oracle_scan_shard, 2: oracle_format_two_record, 3: real_scan_shard}
+            for shard_id, fmt in enumerate(formats):
+                append_record(space.checkpoint_path, scans[fmt](space, shard_id))
+        entries = [
+            entry for sid in range(space.shards) for entry in real_scan_shard(space, sid)["solutions"]
+        ]
+        kinds = {"explicit" if None not in entry else any(_free_axes(entry)) for entry in entries}
+        assert kinds == {"explicit", True, False}
+        want = [
+            row for sid in range(space.shards) for row in oracle_scan_shard(space, sid)["solutions"]
+        ]
+        result = search(space)
+        assert result.shards_reused == (0 if formats is None else 3)
+        for rows in (result.rows, list(result.iter_rows())):
+            assert rows == want
+            assert {type(row) for row in rows} == {list}
+        solutions = list(result.solutions)
+        assert [list(inst) for inst, _ in solutions] == want
+        assert {type(inst) for inst, _ in solutions} == {ConjectureInstance}
+        assert all(flags_of(report) == oracle_conditions(inst) for inst, report in solutions)
+
+    def test_rows_at_one_magnitude_share_their_p(self):
+        # Unit, a, b, c > 0: every row comes from a class entry with no free
+        # axis, at m = |d| = |e| = |f|.  p = m**2 q above 256 is a new int
+        # object wherever it is computed, so only a shared p passes.
+        bounds = {**{name: (1, 16) for name in "abc"}, **{name: (-12, 12) for name in "def"}}
+        result = search(SearchSpace(bounds=bounds, shards=4))
+        for rows in (result.rows, [inst for inst, _ in result.solutions]):
+            by_class: dict[tuple, list] = {}
+            for row in rows:
+                by_class.setdefault((*row[:6], abs(row[6])), []).append(row[9])
+            assert any(len(ps) > 1 and ps[0] > 256 for ps in by_class.values())
+            for ps in by_class.values():
+                assert all(p is ps[0] for p in ps)
 
 
 class TestPairTable:
