@@ -80,7 +80,12 @@ def reduction_row(x: int, y: int, z: int, k: int) -> list[int]:
     t (zx)^(k-1); (d, e, f) = (u, v, w); and p = q = 0, which no flag read
     here depends on.
     """
-    r, s, t, u, v, w = linear_forms(x, y, z)
+    return _skeleton(x, y, z, linear_forms(x, y, z), k)
+
+
+def _skeleton(x: int, y: int, z: int, forms: tuple[int, ...], k: int) -> list[int]:
+    """``reduction_row`` of (x, y, z) from its ``linear_forms``, already built."""
+    r, s, t, u, v, w = forms
     xy, yz, zx = x * y, y * z, z * x
     return [xy, yz, zx, r * xy ** (k - 1), s * yz ** (k - 1), t * zx ** (k - 1), u, v, w, 0, 0]
 
@@ -88,7 +93,8 @@ def reduction_row(x: int, y: int, z: int, k: int) -> list[int]:
 def _facts(pt: Point, k: int) -> tuple[int, tuple[bool, bool]]:
     """What the conclusions read of a point: the report code of its reduction
     row, and the chain r != s != t != 0 of its forms under each of READINGS."""
-    return _report_code(reduction_row(*pt, k)), chain_flags(*linear_forms(*pt)[:3])
+    forms = linear_forms(*pt)
+    return _report_code(_skeleton(*pt, forms, k)), chain_flags(*forms[:3])
 
 
 # claim id -> (the ConditionReport flag giving the conclusion under each of

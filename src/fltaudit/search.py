@@ -68,12 +68,12 @@ row of a square block is classified once per class of rows that differ
 only in the signs of d, e and f and share their chain flags.  A walk
 takes each class entry as one run and expands it once into the diagonal's
 explicit rows or family entries, one p = m^2 q per magnitude m shared by
-the rows at m; an explicit run goes to its consumer whole.  It classifies
-one family row per entry and class, reading each row's class from one
-table over the box's (d, e) pairs.  The result log binds one line per
-entry and class as a head and a tail, puts each row's (d, e) text and f
-between them and writes 256 lines at a time.  Rows are expanded from the
-entries, in enumeration order, only when they are walked.
+the rows at m; an explicit run goes to its consumer whole.  It walks
+family rows in runs of equal class, read from one table over the box's
+(d, e) pairs, and classifies one row per (p, q, class) of a prefix.  The
+result log binds one line per such slot as a head and a tail, joins each
+run's f texts between them and writes 256 lines at a time.  Rows are
+expanded from the entries, in enumeration order, only when they are walked.
 
 The space is split into shards by a prefix of the enumeration order; each
 completed shard appends one fsync'd record to the checkpoint file, so an
@@ -634,59 +634,61 @@ def _groups(entries: Iterable[list]) -> Iterator[list[list]]:
         yield list(group)
 
 
-def _pair_table(free: Sequence[range]) -> dict[int, dict[int, tuple]]:
-    """Each (d, e) pair of the box, as ``table[d][e] = (record, classes)``.
+def _run_table(d_range: range, e_range: range, f_range: range) -> dict[int, dict[int, tuple]]:
+    """Each (d, e) pair of the box, as ``table[d][e] = (text, runs)``.
 
-    ``record`` is ``(d, e, text)``, where ``text`` is the pair's stretch of a
-    log line, from d's value up to f's: the log's keys are sorted, so d, e
-    and f are neighbours in every line.  ``classes[i]`` is the pair's
-    ``_def_class`` at the i-th value of f's range.
+    ``text`` is the pair's stretch of a log line, from d's value up to f's:
+    the log's keys are sorted, so d, e and f are neighbours in every line.
+    ``runs`` cuts f's range into its stretches of equal ``_def_class``, each
+    ``(class, i, j)`` for the values ``f_range[i:j]``.  The class changes
+    only at f in {0, d, e}, so a pair has at most 7 runs, whatever f's range.
     """
-    d_range, e_range, f_range = free
-    return {
-        d: {
-            e: ((d, e, f'{d},"e":{e},"f":'), bytes(_def_class(d, e, f) for f in f_range))
-            for e in e_range
-        }
-        for d in d_range
-    }
+    table: dict[int, dict[int, tuple]] = {}
+    shared: dict[tuple, tuple] = {}  # pairs share one tuple per distinct run
+    for d, e in product(d_range, e_range):
+        runs, i = [], 0
+        for cls, cells in groupby(f_range, lambda f: _def_class(d, e, f)):
+            run = cls, i, (i := i + len(list(cells)))
+            runs.append(shared.setdefault(run, run))
+        table.setdefault(d, {})[e] = f'{d},"e":{e},"f":', runs
+    return table
 
 
-def _family_rows(group: list[list], free: Sequence, codes: list, table: dict) -> Iterator[tuple]:
-    """The rows of a family group in enumeration order, as (entry, pair, f, code slot).
+def _family_runs(group: list[list], free: Sequence, codes: list, table: dict) -> Iterator[tuple]:
+    """A family group's rows in enumeration order, in runs of equal class.
 
-    A ``None`` in the d, e or f slot stands for every value of that
-    variable's range in ``free``.  The group's entries share their None
-    slots, so the group is walked d -> e -> f, a free slot over its whole
-    range; no sort is needed.  ``pair`` is the row's (d, e) record from
-    ``_pair_table``'s ``table``, which also gives each row's ``_def_class``.
-    ``codes`` has three slots per entry, in entry order, one per class: a
-    row's slot is its entry's first plus its class, filled from the row
-    itself the first time the slot is met.
+    A run ``(entry, d, e, text, k, i, j)`` is the entry with d, e and each f
+    of ``free[2][i:j]`` in its slots, ``text`` the pair's text in ``table``
+    and ``codes[k]`` the rows' report code.  A None slot stands for its range
+    in ``free``; a group's entries share their None slots, so it is walked
+    d -> e -> f, unsorted.  Every family row solves the system (the count
+    checked it), so in a group a report reads only p, q and the class.
     """
     # slot value (None when free) -> next slot's tree; f's leaves hold the
-    # entry and where its codes start.
+    # entry and where its (p, q)'s codes start.
     tree: dict = {}
-    for k, entry in enumerate(group):
+    firsts: dict[tuple, int] = {}
+    for entry in group:
         d_key, e_key, f_key = entry[6:9]
-        tree.setdefault(d_key, {}).setdefault(e_key, {})[f_key] = entry, 3 * k
+        first = firsts.setdefault((entry[9], entry[10]), 3 * len(firsts))
+        tree.setdefault(d_key, {}).setdefault(e_key, {})[f_key] = entry, first
     d_free, e_free, f_free = free
     for d_key, e_tree in tree.items():
         for d in d_free if d_key is None else (d_key,):
             pairs = table[d]
             for e_key, f_tree in e_tree.items():
                 for e in e_free if e_key is None else (e_key,):
-                    pair, classes = pairs[e]
+                    text, runs = pairs[e]
                     for f_key, (entry, first) in f_tree.items():
-                        if f_key is None:
-                            cells = zip(f_free, classes)
-                        else:
-                            cells = ((f_key, classes[f_key - f_free.start]),)
-                        for f, cls in cells:
+                        cells = runs
+                        if f_key is not None:
+                            i = f_key - f_free.start
+                            cells = ((_def_class(d, e, f_key), i, i + 1),)
+                        for cls, i, j in cells:
                             k = first + cls
                             if codes[k] is None:
-                                codes[k] = _report_code([*entry[:6], d, e, f, *entry[9:]])
-                            yield entry, pair, f, k
+                                codes[k] = _report_code([*entry[:6], d, e, f_free[i], *entry[9:]])
+                            yield entry, d, e, text, k, i, j
 
 
 class Solutions:
@@ -699,12 +701,15 @@ class Solutions:
         return self._result.row_count
 
     def __iter__(self) -> Iterator[tuple[ConjectureInstance, ConditionReport]]:
-        for codes, run, rows in self._result._walk():
-            if rows is None:
+        f_range = self._result.space.values_of("f")
+        for codes, run, runs in self._result._walk():
+            if runs is None:
                 yield from zip(map(ConjectureInstance._make, run), map(_REPORTS.__getitem__, codes))
                 continue
-            for entry, (d, e, _), f, k in rows:
-                yield ConjectureInstance(*entry[:6], d, e, f, *entry[9:]), _REPORTS[codes[k]]
+            for entry, d, e, _, k, i, j in runs:
+                report = _REPORTS[codes[k]]
+                for f in f_range[i:j]:
+                    yield ConjectureInstance(*entry[:6], d, e, f, *entry[9:]), report
 
 
 @dataclass
@@ -768,15 +773,11 @@ class SearchResult:
         """Each run of entries sharing (alpha, beta, gamma, a, b, c), in enumeration order.
 
         A format-3 class entry, alone in its prefix, is its own run, expanded
-        once by ``_class_rows``.  A run comes as ``(codes, run, rows)``.  An
+        once by ``_class_rows``.  A run comes as ``(codes, run, runs)``.  An
         explicit run is its entries, each one row, with ``codes[i]`` the
-        report code of ``run[i]``, and ``rows`` None.  A family run comes
-        with ``run`` None and a lazy walk of its rows in enumeration order,
-        each as (entry, (d, e, text), f, k): the row is the entry with d, e
-        and f in their slots, ``codes[k]`` is its report code once the row
-        is walked, and the rows that share a k share their entry and code.
-        (d, e, text) is the row's pair record in one ``_pair_table``, built
-        when the first family run is met.
+        report code of ``run[i]``, and ``runs`` None.  A family run comes
+        with ``run`` None and ``_family_runs``' lazy walk of its rows, over
+        one ``_run_table`` built at the first family run, filling ``codes``.
         """
         free = tuple(self.space.values_of(name) for name in "def")
         table = None
@@ -790,18 +791,20 @@ class SearchResult:
                 yield codes, group, None
             else:
                 if table is None:
-                    table = _pair_table(free)
+                    table = _run_table(*free)
                 codes = [None] * (3 * len(group))
-                yield codes, None, _family_rows(group, free, codes, table)
+                yield codes, None, _family_runs(group, free, codes, table)
 
     def iter_rows(self) -> Iterator[list[int]]:
         """The kernel rows in enumeration order, expanded from the entries as they go."""
-        for _, run, rows in self._walk():
-            if rows is None:
+        f_range = self.space.values_of("f")
+        for _, run, runs in self._walk():
+            if runs is None:
                 yield from run
                 continue
-            for entry, (d, e, _), f, _ in rows:
-                yield [*entry[:6], d, e, f, *entry[9:]]
+            for entry, d, e, _, _, i, j in runs:
+                for f in f_range[i:j]:
+                    yield [*entry[:6], d, e, f, *entry[9:]]
 
     @property
     def rows(self) -> list[list[int]]:
@@ -1194,16 +1197,16 @@ def _line_template(report: ConditionReport) -> tuple[str, Callable[[Sequence], t
 def write_result_log(result: SearchResult, path: str | Path) -> None:
     """Write the normalized result log: one canonical JSON object per solution.
 
-    An explicit row fills its report's template.  A family entry's line is
-    bound once per report, with d, e and f left open, as the head before
-    d's value and the tail after f's; each of its rows is the head, its
-    (d, e) pair's text, its f and the tail, so only f is formatted per row.
-    The lines go to the file ``_LINES_PER_WRITE`` at a time.  The bound
-    lines of a run of entries are dropped when the run ends, so memory holds
-    one piece of the spill, one run's bound lines, one (d, e) table, one
-    write's lines and the file's buffer, however many rows there are.
+    An explicit row fills its report's template.  A family line is bound
+    once per code slot of its run of entries as a head, before d's value,
+    and a tail, after f's: a row is the head, its (d, e) text, its f and the
+    tail, and a run of one class is one join of its f texts.  A write takes
+    ``_LINES_PER_WRITE`` lines, cutting a run where it fills, so memory holds
+    one piece of the spill, one run's bound lines, one (d, e) table and two
+    writes' lines, however many rows there are.
     """
     templates: dict[int, tuple] = {}  # report code -> its line template and picker
+    f_texts = list(map(str, result.space.values_of("f")))
 
     def fill(code: int, row: Sequence) -> str:
         entry = templates.get(code)
@@ -1211,21 +1214,32 @@ def write_result_log(result: SearchResult, path: str | Path) -> None:
             entry = templates[code] = _line_template(_REPORTS[code])
         return entry[0] % entry[1](row)
 
-    def lines() -> Iterator[str]:
-        for codes, run, rows in result._walk():
-            if rows is None:
-                yield from map(fill, codes, run)
+    def lines() -> Iterator[tuple[str, str, list[str]]]:
+        # Runs of lines as (head, tail, texts), a line head + text + tail per text.
+        for codes, run, runs in result._walk():
+            if runs is None:
+                # Filled no faster than the write has room: one write's lines are held at most.
+                filled = map(fill, codes, run)
+                while piece := list(islice(filled, room)):
+                    yield "", "", piece
                 continue
-            # Each code slot's line as its head and tail.
-            bound: list[tuple[str, str] | None] = [None] * len(codes)
-            for entry, (_, _, text), f, k in rows:
+            bound: list[list[str] | None] = [None] * len(codes)  # each code slot's head and tail
+            for entry, _, _, text, k, i, j in runs:
                 parts = bound[k]
                 if parts is None:
-                    head, _, _, tail = fill(codes[k], entry[:6] + _DEF_OPEN + entry[9:]).split("%d")
-                    parts = bound[k] = head, tail
-                yield f"{parts[0]}{text}{f}{parts[1]}"
+                    parts = bound[k] = fill(codes[k], entry[:6] + _DEF_OPEN + entry[9:]).split("%d")[::3]
+                yield parts[0] + text, parts[1], f_texts[i:j]
 
     with open(path, "w", encoding="utf-8") as handle:
-        chunks = lines()
-        for chunk in iter(lambda: "".join(islice(chunks, _LINES_PER_WRITE)), ""):
-            handle.write(chunk)
+        batch: list[str] = []
+        room = _LINES_PER_WRITE  # lines the current write has room for
+        for head, tail, texts in lines():
+            while texts:
+                piece, texts = texts[:room], texts[room:]
+                batch.append(head + (tail + head).join(piece) + tail)
+                room -= len(piece)
+                if not room:
+                    handle.write("".join(batch))
+                    batch.clear()
+                    room = _LINES_PER_WRITE
+        handle.write("".join(batch))

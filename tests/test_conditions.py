@@ -1,9 +1,12 @@
 """Side-condition implication checks over bounded boxes."""
 
+from itertools import product
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import fltaudit.conditions as conditions_module
 from fltaudit.conditions import (
     CLAIM_IDS,
     READINGS,
@@ -172,6 +175,15 @@ class TestReductionRow:
         assert reduction_row(2, 2, 3, 3)[ROW_VARS.index("a")] == 0  # x == y kills r
         row = reduction_row(0, 2, 3, 2)  # a zero coordinate kills xy and zx
         assert row[ROW_VARS.index("alpha")] == row[ROW_VARS.index("gamma")] == 0
+
+    def test_each_admitted_point_builds_its_forms_once(self, monkeypatch):
+        # Its reduction row and its r, s, t chain flags share one linear_forms.
+        calls = []
+        forms = conditions_module.linear_forms
+        monkeypatch.setattr(conditions_module, "linear_forms", lambda *pt: calls.append(pt) or forms(*pt))
+        verify_condition_derivations(4, 3)
+        span = range(-4, 5)
+        assert calls == [pt for pt in product(span, repeat=3) if chain_flags(*map(abs, pt))[1]]
 
     @pytest.mark.parametrize("k", [1, 2, 3])
     def test_system_values_match_symbolic_system(self, k):

@@ -32,7 +32,7 @@ from fltaudit.search import (
     write_result_log,
 )
 from fltaudit.search import _DEF_OPEN, _def_class, _diagonal, _kernel, _line_template
-from fltaudit.search import _free_axes, _pair_table
+from fltaudit.search import _free_axes, _run_table
 from fltaudit.search import _sign_classes
 from fltaudit.search import _scan_shard as real_scan_shard
 
@@ -1030,6 +1030,18 @@ def assert_matches_oracle(result, log_path):
     return report_flags
 
 
+# General, 3 shards of 2 (alpha, beta) blocks.  Shards 0 and 1 hold
+# square-block rows and class entries with and without a free axis.
+MIXED = {
+    "alpha": (1, 2),
+    "beta": (-1, 1),
+    "gamma": (-1, 1),
+    "a": (0, 2),
+    **{name: (1, 2) for name in "bc"},
+    **{name: (-3, 3) for name in "def"},
+}
+
+
 class TestStreamedLogAgainstOracle:
     @pytest.mark.parametrize("shards", [1, 7, 81])
     def test_unit_box(self, tmp_path, shards):
@@ -1112,6 +1124,29 @@ class TestStreamedLogAgainstOracle:
         assert any(slots[2] for slots in family_slots(result))
         assert_matches_oracle(result, tmp_path / "log.jsonl")
 
+    @pytest.mark.parametrize(
+        ("case", "bounds"),
+        [
+            # One-signed, uneven d, e, f: runs start and end inside f's range.
+            ("unit", {**dict.fromkeys("abc", (-3, 3)), "d": (1, 5), "e": (-4, 2), "f": (2, 9)}),
+            # A wide f range: runs of up to 40 rows, f past d, e and 0.
+            ("unit", {**dict.fromkeys("abcde", (-2, 2)), "f": (-40, 40)}),
+            # q != 0 family entries of one prefix and class with different
+            # p = m**2 q: each (p, q, class) binds its own line.
+            ("general", MIXED),
+        ],
+    )
+    def test_family_runs(self, tmp_path, case, bounds):
+        result = search(SearchSpace(bounds=bounds, case=case, shards=3))
+        assert family_slots(result)
+        if case == "general":
+            pqs: dict[tuple, set] = {}
+            for row in result.iter_rows():
+                if any(_free_axes(row)):
+                    pqs.setdefault((*row[:6], _def_class(*row[6:9])), set()).add(tuple(row[9:]))
+            assert any(len(pq) > 1 and all(q for _, q in pq) for pq in pqs.values())
+        assert_matches_oracle(result, tmp_path / "log.jsonl")
+
     def test_check_conditions_shares_reports(self):
         inst = unit_instance(3, 2, 2, 1, -1, 1, p=1, q=1)
         assert check_conditions(inst) is check_conditions(ConjectureInstance(*inst.key()))
@@ -1170,6 +1205,23 @@ class TestLineTemplates:
             tracemalloc.stop()
         assert peak < path.stat().st_size / 8
 
+
+    def test_each_write_holds_256_lines(self, tmp_path, monkeypatch):
+        # f over [-40, 40] gives family runs of up to 40 rows: a run that
+        # does not fit the write is cut where the write fills.
+        result = search(SearchSpace(bounds={**dict.fromkeys("abcde", (-2, 2)), "f": (-40, 40)}))
+        writes = []
+
+        def recording_open(*args, **kwargs):
+            handle = open(*args, **kwargs)
+            write = handle.write
+            handle.write = lambda text: writes.append(text.count("\n")) or write(text)
+            return handle
+
+        monkeypatch.setattr(search_module, "open", recording_open, raising=False)
+        write_result_log(result, tmp_path / "log.jsonl")
+        assert sum(writes) == len(result.solutions) == 16317
+        assert set(writes[:-1]) == {256} and writes[-1] == 16317 % 256
 
 class TestMemoryBound:
     def test_peak_grows_by_the_entries_alone(self, tmp_path):
@@ -1312,21 +1364,10 @@ class TestStreamedWalk:
 class TestClassRuns:
     """A walk expands each class entry once, as one run whose rows share p per magnitude."""
 
-    # General, 3 shards of 2 (alpha, beta) blocks.  Shards 0 and 1 hold
-    # square-block rows and class entries with and without a free axis.
-    MIXED = {
-        "alpha": (1, 2),
-        "beta": (-1, 1),
-        "gamma": (-1, 1),
-        "a": (0, 2),
-        **{name: (1, 2) for name in "bc"},
-        **{name: (-3, 3) for name in "def"},
-    }
-
     @pytest.mark.parametrize("formats", [None, (3, 1, 2), (2, 3, 1)])
     def test_rows_and_solutions_walk_the_oracle_rows(self, tmp_path, formats):
         space = SearchSpace(
-            bounds=self.MIXED, case="general", shards=3, checkpoint_path=tmp_path / "mixed.ckpt"
+            bounds=MIXED, case="general", shards=3, checkpoint_path=tmp_path / "mixed.ckpt"
         )
         if formats is not None:
             scans = {1: oracle_scan_shard, 2: oracle_format_two_record, 3: real_scan_shard}
@@ -1365,7 +1406,7 @@ class TestClassRuns:
                 assert all(p is ps[0] for p in ps)
 
 
-class TestPairTable:
+class TestRunTable:
     @settings(max_examples=200, deadline=None)
     @given(
         st.lists(
@@ -1381,13 +1422,55 @@ class TestPairTable:
     def test_cells_match_def_class(self, free):
         # One-signed, mixed and single-value ranges, 0 in some and not in others.
         d_range, e_range, f_range = free
-        table = _pair_table(free)
+        table = _run_table(*free)
         assert list(table) == list(d_range)
         for d, pairs in table.items():
             assert list(pairs) == list(e_range)
-            for e, ((rec_d, rec_e, text), classes) in pairs.items():
-                assert (rec_d, rec_e, text) == (d, e, f'{d},"e":{e},"f":')
-                assert list(classes) == [_def_class(d, e, f) for f in f_range]
+            for e, (text, runs) in pairs.items():
+                assert text == f'{d},"e":{e},"f":'
+                assert_runs_expand_to_def_class(d, e, f_range, runs)
+
+    def test_a_pair_has_at_most_seven_runs(self):
+        # The class changes only at f in {0, d, e}: distinct and inside f's
+        # range, they cut it into 7 runs, however wide it is.
+        f_range = range(-40, 41)
+        table = _run_table(range(-3, 4), range(-3, 4), f_range)
+        counts = set()
+        for d, pairs in table.items():
+            for e, (_, runs) in pairs.items():
+                assert_runs_expand_to_def_class(d, e, f_range, runs)
+                counts.add(len(runs))
+        assert max(counts) == 7
+
+    def test_cube_log_classifies_once_per_slot(self, tmp_path, monkeypatch):
+        # A family row's report reads only its prefix, p, q and class, so
+        # the log classifies one row per (run of entries, p, q, class).
+        result = search(SearchSpace.cube(-8, 8, shards=17))
+        slots = {
+            (*row[:6], *row[9:], _def_class(*row[6:9]))
+            for row in result.iter_rows()
+            if any(_free_axes(row))
+        }
+        calls = []
+        report_code = search_module._report_code
+
+        def counting(row):
+            calls.append(1)
+            return report_code(row)
+
+        monkeypatch.setattr(search_module, "_report_code", counting)
+        write_result_log(result, tmp_path / "log.jsonl")
+        assert len(calls) == len(slots) == 1011
+
+
+def assert_runs_expand_to_def_class(d, e, f_range, runs):
+    """The runs cover f's range in order, one class each, no two neighbours alike."""
+    assert len(runs) <= 7
+    assert [i for _, i, _ in runs] == [0] + [j for _, _, j in runs[:-1]]
+    assert runs[-1][2] == len(f_range)
+    assert all(a[0] != b[0] for a, b in zip(runs, runs[1:]))
+    cells = [cls for cls, i, j in runs for _ in f_range[i:j]]
+    assert cells == [_def_class(d, e, f) for f in f_range]
 
 
 class TestClassifierAgainstOracle:
@@ -1547,27 +1630,48 @@ class TestPatternPathAgainstRows:
 
 class TestSolutionsAreLazy:
     def test_len_and_empty_counterexamples_build_no_instances(self, monkeypatch):
-        result = search(SearchSpace.cube(-2, 2))
+        # Unit [-2, 2] has family runs only.
+        self.assert_built_only_as_walked(monkeypatch, dict.fromkeys("abcdef", (-2, 2)), True)
+
+    def test_explicit_runs_build_instances_only_as_walked(self, monkeypatch):
+        # The one-signed a, b, c of the CI's orthant pin leave no axis free.
+        bounds = {**dict.fromkeys("abc", (1, 16)), **dict.fromkeys("def", (-6, 6))}
+        self.assert_built_only_as_walked(monkeypatch, bounds, False)
+
+    @staticmethod
+    def assert_built_only_as_walked(monkeypatch, bounds, family):
+        result = search(SearchSpace(bounds=bounds, shards=4))
+        assert {None in entry for entry in result.iter_entries()} == {family}
         assert result.counterexamples_pairwise == result.counterexamples_adjacent == 0
+        rows = result.rows
+        # A family run builds its instances through __new__, an explicit run
+        # through _make, which does not call __new__: count both.
         built = []
-        new = ConjectureInstance.__new__
+        new, make = ConjectureInstance.__new__, ConjectureInstance._make
 
         def counting_new(cls, *args, **kwargs):
             built.append(1)
             return new(cls, *args, **kwargs)
 
+        def counting_make(cls, iterable):
+            built.append(1)
+            return make(iterable)
+
         monkeypatch.setattr(ConjectureInstance, "__new__", counting_new)
-        assert len(result.solutions) == len(result.rows) > 0
+        monkeypatch.setattr(ConjectureInstance, "_make", classmethod(counting_make))
+        assert len(result.solutions) == len(rows) > 100
         assert result.counterexamples() == []
         assert built == []
         inst, report = next(iter(result.solutions))
         assert built == [1]
-        assert inst.key() == tuple(result.rows[0])
+        assert inst.key() == tuple(rows[0])
         assert isinstance(report, ConditionReport)
-        # Each walked solution builds exactly one instance, through __new__.
+        assert [list(inst) for inst, _ in islice(result.solutions, 100)] == rows[:100]
+        assert len(built) == 101
+        # Each walked solution builds exactly one instance.
         instances = [inst for inst, _ in result.solutions]
-        assert len(built) == 1 + len(instances) == 1 + len(result.solutions)
-        assert instances == [tuple(row) for row in result.rows]
+        assert len(built) == 101 + len(instances) == 101 + len(rows)
+        assert instances == [tuple(row) for row in rows]
 
 
 # A shard scan that waits for a gate file before scanning shard 1, so a test
