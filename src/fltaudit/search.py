@@ -57,23 +57,24 @@ the same row.  There the diagonal holds None in the d slot: one family
 entry for every d in the range.  A class entry is counted from its
 diagonal's walk without being expanded: on the diagonal the right-hand
 sides are first, m^2 first and m^4 first, so with p = m^2 q one classified
-row checks the system for every m.  A family row is trivial (a = 0) or
-fails the divisibility condition (zero divides only zero), so it is never a
-counterexample, and its report varies with its free values only through
-the two readings of the chain d != e != f != 0: three classes, since the
-pairwise reading implies the adjacent one.  So the search classifies one row per class
-entry with a free axis and counts the whole class under its report, and
-one row per chain class of the diagonal where no axis is free.  An explicit
-row of a square block is classified once per class of rows that differ
-only in the signs of d, e and f and share their chain flags.  A walk
-takes each class entry as one run and expands it once into the diagonal's
-explicit rows or family entries, one p = m^2 q per magnitude m shared by
-the rows at m; an explicit run goes to its consumer whole.  It walks
-family rows in runs of equal class, read from one table over the box's
-(d, e) pairs, and classifies one row per (p, q, class) of a prefix.  The
-result log binds one line per such slot as a head and a tail, joins each
-run's f texts between them and writes 256 lines at a time.  Rows are
-expanded from the entries, in enumeration order, only when they are walked.
+row checks the system for every m, and p = 0 exactly where q = 0.  A
+family row is trivial (a = 0) or fails the divisibility condition (zero
+divides only zero), so it is never a counterexample, and its free values
+drop out.  So every row an entry stands for has the entry's report but for
+the chain d != e != f != 0, whose two readings give three classes.  The
+search classifies one row per class or family entry, and once per class
+of a square block's explicit rows that differ only in the signs of d, e
+and f and share their chain flags.  It keeps one code per entry, and a
+row's code is its entry's with the row's own chain class: no walk
+classifies.  A walk takes each class entry as one run and expands it once
+into the diagonal's explicit rows or family entries, one p = m^2 q per
+magnitude m shared by the rows at m; an explicit run goes to its consumer
+whole.  It walks family rows in runs of equal class, read from one table
+over the box's (d, e) pairs, with one code slot per (p, q, class) of a
+prefix.  The result log binds one line per such slot as a head and a
+tail, joins each run's f texts between them and writes 256 lines at a
+time.  Rows are expanded from the entries, in enumeration order, only when
+they are walked.
 
 The space is split into shards by a prefix of the enumeration order; each
 completed shard appends one fsync'd record to the checkpoint file, so an
@@ -81,7 +82,7 @@ interrupted run resumes without rescanning, and a torn tail is cut from the
 file.  A record, completed or resumed, is counted and then written to a
 private spill file, and dropped; every walk loads the entries back from the
 spill a piece at a time, in shard order.  So memory holds one shard's record
-and two bytes per explicit row, whatever the size of the box, and a walk
+and two bytes per stored entry, whatever the size of the box, and a walk
 never reads the checkpoint.  A resume trusts a record only if _scan_shard
 could have written it: the header _record_header declares for its shard
 and no other key, and strictly increasing rows of eleven integers in the
@@ -255,24 +256,45 @@ def _report_code(row: Sequence[int]) -> int:
     # is built, verdicts and all, once per distinct tuple of them.
     hypotheses = (satisfied, trivial, def_pair, def_adj, case_unit, gen_pair, gen_adj, div_ok, non_unit)
     code = _CODES.get(hypotheses)
-    if code is None:
-        # One rule gives all three verdicts: a satisfied, nontrivial row whose
-        # d, e, f chain holds, in the unit case or meeting the general-case
-        # conditions.  Each verdict reads the two chains its own way.
-        general = div_ok and non_unit
-        flags = hypotheses + tuple(
-            satisfied and not trivial and def_ok and (case_unit or (gen_ok and general))
-            for def_ok, gen_ok in (
-                (def_pair, gen_pair),
-                (def_pair, gen_adj),
-                (def_adj and not def_pair, gen_adj),
-            )
+    return _new_code(hypotheses) if code is None else code
+
+
+def _new_code(hypotheses: tuple[bool, ...]) -> int:
+    """The code of the report with these nine hypothesis flags, interning it on first use."""
+    # One rule gives all three verdicts: a satisfied, nontrivial row whose
+    # d, e, f chain holds, in the unit case or meeting the general-case
+    # conditions.  Each verdict reads the two chains its own way.
+    satisfied, trivial, def_pair, def_adj, case_unit, gen_pair, gen_adj, div_ok, non_unit = hypotheses
+    general = div_ok and non_unit
+    flags = hypotheses + tuple(
+        satisfied and not trivial and def_ok and (case_unit or (gen_ok and general))
+        for def_ok, gen_ok in (
+            (def_pair, gen_pair),
+            (def_pair, gen_adj),
+            (def_adj and not def_pair, gen_adj),
         )
-        # Racing threads compute the same code and equal reports.
-        code = sum(flag << bit for bit, flag in enumerate(flags))
-        _REPORTS[code] = ConditionReport(*flags)
-        _CODES[hypotheses] = code
+    )
+    # A code keeps its first report, so rows always share one object.
+    code = sum(flag << bit for bit, flag in enumerate(flags))
+    _REPORTS.setdefault(code, ConditionReport(*flags))
+    _CODES[hypotheses] = code
     return code
+
+
+@lru_cache(maxsize=None)
+def _chain_codes(code: int) -> tuple[int, int, int]:
+    """The codes of ``code``'s report with each ``_def_class`` (0, 1, 2) of the d, e, f chain.
+
+    Every row a stored entry stands for has the entry's report but for
+    these two flags, so a walk reads a row's code here and classifies none.
+    """
+    hypotheses = [bool(code >> bit & 1) for bit in range(9)]
+    codes = []
+    for cls in range(3):
+        # The pairwise reading holds in class 2 alone; the adjacent in 1 and 2.
+        hypotheses[2:4] = cls == 2, cls > 0
+        codes.append(_new_code(tuple(hypotheses)))
+    return tuple(codes)
 
 
 def classify_row(row: Sequence[int]) -> ConditionReport:
@@ -477,15 +499,11 @@ def _class_rows(entry: Sequence, ranges: tuple[range, ...]) -> list[list]:
 
 
 @lru_cache(maxsize=2)
-def _diagonal_classes(ranges: tuple[range, ...]) -> tuple[bytes, dict[int, tuple]]:
-    """The ``_def_class`` of each point of the walk with no free axis, and each class's
-    first point."""
-    walk = _diagonal(ranges, (False, False, False))
-    classes = bytes(_def_class(d, e, f) for _, d, e, f in walk)
-    firsts: dict[int, tuple] = {}
-    for cls, point in zip(classes, walk):
-        firsts.setdefault(cls, point)
-    return classes, firsts
+def _diagonal_classes(ranges: tuple[range, ...]) -> tuple[bytes, Counter]:
+    """The ``_def_class`` of each point of the walk with no free axis, and how many points
+    each class has."""
+    cells = bytes(_def_class(d, e, f) for _, d, e, f in _diagonal(ranges, (False, False, False)))
+    return cells, Counter(cells)
 
 
 def _scan_shard(space: SearchSpace, shard_id: int) -> dict:
@@ -624,16 +642,6 @@ def _kernel(
 _PREFIX = itemgetter(0, 1, 2, 3, 4, 5)
 
 
-def _groups(entries: Iterable[list]) -> Iterator[list[list]]:
-    """The entries in runs sharing (alpha, beta, gamma, a, b, c), in enumeration order.
-
-    The prefix fixes which of d, e, f are free, so a run is explicit rows
-    only, family entries only or one format-3 class entry.
-    """
-    for _, group in groupby(entries, _PREFIX):
-        yield list(group)
-
-
 def _run_table(d_range: range, e_range: range, f_range: range) -> dict[int, dict[int, tuple]]:
     """Each (d, e) pair of the box, as ``table[d][e] = (text, runs)``.
 
@@ -654,23 +662,28 @@ def _run_table(d_range: range, e_range: range, f_range: range) -> dict[int, dict
     return table
 
 
-def _family_runs(group: list[list], free: Sequence, codes: list, table: dict) -> Iterator[tuple]:
+def _family_runs(
+    group: list[list], codes: Iterable[int], free: Sequence, slots: list, table: dict
+) -> Iterator[tuple]:
     """A family group's rows in enumeration order, in runs of equal class.
 
     A run ``(entry, d, e, text, k, i, j)`` is the entry with d, e and each f
     of ``free[2][i:j]`` in its slots, ``text`` the pair's text in ``table``
-    and ``codes[k]`` the rows' report code.  A None slot stands for its range
+    and ``slots[k]`` the rows' report code.  A None slot stands for its range
     in ``free``; a group's entries share their None slots, so it is walked
-    d -> e -> f, unsorted.  Every family row solves the system (the count
-    checked it), so in a group a report reads only p, q and the class.
+    d -> e -> f, unsorted.  ``codes`` holds each entry's stored code; in a
+    group a row's report reads only p, q and the class, so ``slots`` gets
+    ``_chain_codes`` of one code per (p, q), before the first run.
     """
     # slot value (None when free) -> next slot's tree; f's leaves hold the
     # entry and where its (p, q)'s codes start.
     tree: dict = {}
     firsts: dict[tuple, int] = {}
-    for entry in group:
+    for entry, code in zip(group, codes):
         d_key, e_key, f_key = entry[6:9]
-        first = firsts.setdefault((entry[9], entry[10]), 3 * len(firsts))
+        first = firsts.setdefault((entry[9], entry[10]), len(slots))
+        if first == len(slots):
+            slots += _chain_codes(code)
         tree.setdefault(d_key, {}).setdefault(e_key, {})[f_key] = entry, first
     d_free, e_free, f_free = free
     for d_key, e_tree in tree.items():
@@ -685,10 +698,7 @@ def _family_runs(group: list[list], free: Sequence, codes: list, table: dict) ->
                             i = f_key - f_free.start
                             cells = ((_def_class(d, e, f_key), i, i + 1),)
                         for cls, i, j in cells:
-                            k = first + cls
-                            if codes[k] is None:
-                                codes[k] = _report_code([*entry[:6], d, e, f_free[i], *entry[9:]])
-                            yield entry, d, e, text, k, i, j
+                            yield entry, d, e, text, first + cls, i, j
 
 
 class Solutions:
@@ -722,17 +732,16 @@ class SearchResult:
     ``(offset, length)`` there, in enumeration order.  A walk loads one
     piece at a time, so memory never holds the box's entries, and expands a
     class entry only when it reaches it.  Reports are kept as two-byte
-    codes, never per family row: ``explicit_codes`` holds the code of each
-    entry without a free slot that ``iter_entries`` yields, in enumeration
-    order, the rows of class entries' diagonals included.  A family entry's
-    codes are found again on each walk.
+    codes, one per stored entry: ``codes[i]`` is the report of the i-th
+    entry ``_stored`` yields, or of its first row, and every other row it
+    stands for has ``_chain_codes`` of it at the row's ``_def_class``.
     """
 
     space: SearchSpace
     signature: str
     spill: BinaryIO
     spans: list[tuple[int, int]]
-    explicit_codes: array
+    codes: array
     row_count: int
     counterexamples_pairwise: int
     counterexamples_adjacent: int
@@ -754,46 +763,41 @@ class SearchResult:
             self.spill.seek(offset)
             yield from marshal.loads(self.spill.read(length))
 
-    def iter_entries(self) -> Iterator[list]:
-        """The entries in enumeration order, loaded from the spill a piece at a time.
-
-        Each is an explicit row of eleven integers or a family entry, None in
-        its free d, e or f slots, as format 2 holds them.  A class entry of a
-        format-3 record comes as ``_class_rows`` expands it, one entry per
-        point of the signed diagonal of its fixed axes, p = m**2 q.
-        """
-        ranges = tuple(self.space.values_of(name) for name in "def")
-        for entry in self._stored():
-            if entry[9] is None:
-                yield from _class_rows(entry, ranges)
-            else:
-                yield entry
-
     def _walk(self) -> Iterator[tuple[Sequence, list[list] | None, Iterator[tuple] | None]]:
         """Each run of entries sharing (alpha, beta, gamma, a, b, c), in enumeration order.
 
-        A format-3 class entry, alone in its prefix, is its own run, expanded
-        once by ``_class_rows``.  A run comes as ``(codes, run, runs)``.  An
-        explicit run is its entries, each one row, with ``codes[i]`` the
-        report code of ``run[i]``, and ``runs`` None.  A family run comes
-        with ``run`` None and ``_family_runs``' lazy walk of its rows, over
-        one ``_run_table`` built at the first family run, filling ``codes``.
+        The prefix fixes which of d, e, f are free, so a run is explicit rows
+        only, family entries only or one format-3 class entry, which
+        ``_class_rows`` expands once.  A run comes as ``(codes, run, runs)``.
+        An explicit run is its entries, each one row, with ``codes[i]`` the
+        report code of ``run[i]``, and ``runs`` None; a class entry's
+        diagonal rows read theirs from ``_diagonal_classes``' cells.  A
+        family run comes with ``run`` None and ``_family_runs``' lazy walk of
+        its rows, over one ``_run_table`` built at the first family run, and
+        ``codes`` its code slots.
         """
         free = tuple(self.space.values_of(name) for name in "def")
         table = None
-        explicit = 0
-        for group in _groups(self._stored()):
+        start = 0
+        for _, group in groupby(self._stored(), _PREFIX):
+            group = list(group)
+            codes = self.codes[start : start + len(group)]
+            start += len(group)
             if group[0][9] is None:
+                code = codes[0]
                 group = _class_rows(group[0], free)
+                if None in group[0]:
+                    codes = [code] * len(group)
+                else:
+                    chain = _chain_codes(code)
+                    codes = [chain[cls] for cls in _diagonal_classes(free)[0]]
             if None not in group[0]:
-                codes = self.explicit_codes[explicit : explicit + len(group)]
-                explicit += len(group)
                 yield codes, group, None
             else:
                 if table is None:
                     table = _run_table(*free)
-                codes = [None] * (3 * len(group))
-                yield codes, None, _family_runs(group, free, codes, table)
+                slots: list[int] = []
+                yield slots, None, _family_runs(group, codes, free, slots, table)
 
     def iter_rows(self) -> Iterator[list[int]]:
         """The kernel rows in enumeration order, expanded from the entries as they go."""
@@ -823,18 +827,18 @@ class SearchResult:
         """
         if not (self.counterexamples_pairwise or self.counterexamples_adjacent):
             return []
-        # A family row has a zero a*alpha, b*beta or c*gamma: it is trivial
-        # or fails div_ok, so never a counterexample.  Only the explicit
-        # entries, each one row, are read.
+        # Only an explicit entry, one row, can be a hit: a family row has a
+        # zero a*alpha, b*beta or c*gamma, so it is trivial or fails div_ok,
+        # and a row on a class entry's diagonal repeats a magnitude in d, e,
+        # f, so its pairwise chain fails.
         hits = {
             code
             for code, report in list(_REPORTS.items())
             if report.counterexample_pairwise or report.counterexample_adjacent
         }
-        explicit = (entry for entry in self.iter_entries() if None not in entry)
         return [
             dict(zip(ROW_VARS, entry), readings=_readings(_REPORTS[code]))
-            for entry, code in zip(explicit, self.explicit_codes)
+            for entry, code in zip(self._stored(), self.codes)
             if code in hits
         ]
 
@@ -974,26 +978,18 @@ _ROWS_PER_PIECE = 256
 def _count_rows(
     sid: int, entries: list[list], free: tuple[range, ...], rows_by_code: Counter
 ) -> array:
-    """Count one shard's rows into ``rows_by_code``; return its explicit rows' codes.
+    """Count one shard's rows into ``rows_by_code``; return one code per entry.
 
     An explicit row is classified once per class of rows that share its
     coefficients, a, b, c, p, q, the squares of d, e and f and its chain
     flags: the system sees d, e and f only squared, and the chain flags are
-    the only part of a report that reads their signs.  A family entry is
-    classified at its first row and counted whole under that report: its
-    free variables drop out of all three equations, its rows differ only in
-    the d, e, f chain flags, and they are all trivial or fail div_ok, so
-    ``satisfied`` and the flags the counts read are the same for every row.
-
-    A class entry is counted from its diagonal's walk, never expanded.  On
-    the diagonal |.| = m of its fixed axes the right-hand sides are first,
-    m**2 first and m**4 first, and p = m**2 q, so the system holds at every
-    m where it holds at one: each classified row checks it for them all.
-    With a free axis the walk's points are family entries sharing their
-    counted flags, so the class is classified once and counted whole.  With
-    none its rows are explicit, and each takes the code of its _def_class's
-    first row on the walk, since m changes no flag: p = 0 with q = 0 for
-    every m or for none.
+    the only part of a report that reads their signs.  A family or class
+    entry is classified at its first row and never expanded: its other rows
+    differ from that row only in the chain flags (see the module docstring).
+    A family, and a class entry with a free axis, is counted whole under
+    that report, since the counts read only flags its rows share; a
+    diagonal with no free axis is counted per _def_class, under
+    ``_chain_codes`` of the entry's code.
     """
 
     def code_of(row: list) -> int:
@@ -1012,26 +1008,23 @@ def _count_rows(
             if code is None:
                 code = classes[key] = code_of(entry)
             codes.append(code)
+            rows_by_code[code] += 1
             continue
         points = 1
         if entry[9] is None:
             head, q = entry[:6], entry[10]
-            free_axes = _free_axes(entry)
-            if not any(free_axes):
-                cells, firsts = _diagonal_classes(free)
-                by_class = {
-                    cls: code_of([*head, d, e, f, m * m * q, q])
-                    for cls, (m, d, e, f) in firsts.items()
-                }
-                codes.extend(map(by_class.__getitem__, cells))
-                continue
-            walk = _diagonal(free, free_axes)
+            walk = _diagonal(free, _free_axes(entry))
             (m, *fixed), points = walk[0], len(walk)
             entry = [*head, *fixed, m * m * q, q]
         axes = [(v,) if v is not None else r for v, r in zip(entry[6:9], free)]
         code = code_of([*entry[:6], *(axis[0] for axis in axes), *entry[9:]])
-        rows_by_code[code] += points * prod(map(len, axes))
-    rows_by_code.update(codes)
+        codes.append(code)
+        if None in entry:
+            rows_by_code[code] += points * prod(map(len, axes))
+            continue
+        chain = _chain_codes(code)
+        for cls, count in _diagonal_classes(free)[1].items():
+            rows_by_code[chain[cls]] += count
     return codes
 
 
@@ -1054,7 +1047,7 @@ def search(
     a few hundred at a time, to a private, unlinked spill file, and is
     dropped.  The result walks the rows again from the spill, a piece at a
     time in shard order, and never reads the checkpoint again: memory holds
-    one shard's record and two bytes per explicit row, whatever the size of
+    one shard's record and two bytes per stored entry, whatever the size of
     the box.
     """
     # Imported here: only a search needs them.
@@ -1127,9 +1120,9 @@ def search(
 
     # Shards cover consecutive runs of the prefix blocks and each shard's
     # entries are in enumeration order, so the shard-order walk is too.
-    explicit_codes = array("H")
+    codes = array("H")
     for sid in range(space.shards):
-        explicit_codes += shard_codes.pop(sid)
+        codes += shard_codes.pop(sid)
 
     def rows_where(flag: Callable[[ConditionReport], bool]) -> int:
         return sum(n for code, n in rows_by_code.items() if flag(_REPORTS[code]))
@@ -1140,7 +1133,7 @@ def search(
         signature=signature,
         spill=spill,
         spans=list(chain.from_iterable(spans[sid] for sid in range(space.shards))),
-        explicit_codes=explicit_codes,
+        codes=codes,
         row_count=sum(rows_by_code.values()),
         counterexamples_pairwise=rows_where(attrgetter("counterexample_pairwise")),
         counterexamples_adjacent=rows_where(attrgetter("counterexample_adjacent")),
@@ -1223,9 +1216,9 @@ def write_result_log(result: SearchResult, path: str | Path) -> None:
                 while piece := list(islice(filled, room)):
                     yield "", "", piece
                 continue
-            bound: list[list[str] | None] = [None] * len(codes)  # each code slot's head and tail
+            bound: dict[int, list[str]] = {}  # each code slot's head and tail
             for entry, _, _, text, k, i, j in runs:
-                parts = bound[k]
+                parts = bound.get(k)
                 if parts is None:
                     parts = bound[k] = fill(codes[k], entry[:6] + _DEF_OPEN + entry[9:]).split("%d")[::3]
                 yield parts[0] + text, parts[1], f_texts[i:j]

@@ -31,7 +31,8 @@ from fltaudit.search import (
     system_values,
     write_result_log,
 )
-from fltaudit.search import _DEF_OPEN, _def_class, _diagonal, _kernel, _line_template
+from fltaudit.search import _DEF_OPEN, _REPORTS, _chain_codes, _def_class, _diagonal, _kernel
+from fltaudit.search import _line_template, _report_code
 from fltaudit.search import _free_axes, _run_table
 from fltaudit.search import _sign_classes
 from fltaudit.search import _scan_shard as real_scan_shard
@@ -306,8 +307,8 @@ class TestSignQuotientAgainstOracle:
         space = SearchSpace(bounds=bounds, case="general", shards=3)
         assert_records_match_oracle(space)
         assert any(
-            row[6] is None and row[3] * row[4] * row[5] and (row[9], row[10]) != (0, 0)
-            for row in search(space).iter_entries()
+            _free_axes(row)[0] and row[3] * row[4] * row[5] and (row[9], row[10]) != (0, 0)
+            for row in search(space).iter_rows()
         )
 
     def test_mixed_general_ranges(self):
@@ -947,6 +948,35 @@ class TestCheckpointing:
         write_result_log(resumed, resumed_log)
         assert resumed_log.read_bytes() == fresh_log.read_bytes()
 
+    @pytest.mark.parametrize("formats", [(1, 2), (2, 1)])
+    def test_counterexamples_after_resuming_old_formats(self, tmp_path, formats):
+        # Square blocks hold explicit rows, 144 of them adjacent counterexamples,
+        # beside diagonal classes, in records of formats 1 and 2.
+        bounds = {
+            "alpha": (-2, -1),
+            "beta": (-1, -1),
+            "gamma": (-2, -1),
+            **dict.fromkeys("abc", (1, 4)),
+            **dict.fromkeys("def", (-4, 4)),
+        }
+        fresh = search(SearchSpace(bounds=bounds, case="general", shards=2))
+        cp = tmp_path / "old.ckpt"
+        space = SearchSpace(bounds=bounds, case="general", shards=2, checkpoint_path=cp)
+        scans = {1: oracle_scan_shard, 2: oracle_format_two_record}
+        for shard_id, fmt in enumerate(formats):
+            append_record(cp, scans[fmt](space, shard_id))
+        resumed = search(space)
+        assert resumed.shards_reused == 2
+        assert len(resumed.solutions) == 7_820
+        items = resumed.counterexamples()
+        assert items == fresh.counterexamples()
+        assert [tuple(item[v] for v in ROW_VARS) for item in items] == [
+            tuple(inst)
+            for inst, report in resumed.solutions
+            if report.counterexample_pairwise or report.counterexample_adjacent
+        ]
+        assert len(items) == resumed.counterexamples_adjacent == 144
+
     def test_truncated_tail_tolerated(self, tmp_path):
         cp = tmp_path / "tail.ckpt"
         space = SearchSpace.cube(-1, 1, shards=2, checkpoint_path=cp)
@@ -1346,13 +1376,13 @@ class TestStreamedWalk:
     def test_peak_follows_the_shard_not_the_box(self):
         # One shard holds the box's entries while it is counted; 25 shards
         # hold a 25th of them.  Every walk loads the entries one piece of the
-        # spill at a time, through iter_entries.
+        # spill at a time, as _stored loads them.
         peaks = []
         for shards in (1, 25):
             tracemalloc.start()
             try:
                 result = search(SearchSpace.cube(-2, 2, case="general", shards=shards))
-                for _ in result.iter_entries():
+                for _ in result._stored():
                     pass
                 _, peak = tracemalloc.get_traced_memory()
             finally:
@@ -1444,7 +1474,8 @@ class TestRunTable:
 
     def test_cube_log_classifies_once_per_slot(self, tmp_path, monkeypatch):
         # A family row's report reads only its prefix, p, q and class, so
-        # the log classifies one row per (run of entries, p, q, class).
+        # the log binds one line per (run of entries, p, q, class), and
+        # reads each one's code from its entry's code: it classifies none.
         result = search(SearchSpace.cube(-8, 8, shards=17))
         slots = {
             (*row[:6], *row[9:], _def_class(*row[6:9]))
@@ -1460,7 +1491,7 @@ class TestRunTable:
 
         monkeypatch.setattr(search_module, "_report_code", counting)
         write_result_log(result, tmp_path / "log.jsonl")
-        assert len(calls) == len(slots) == 1011
+        assert (len(calls), len(slots)) == (0, 1011)
 
 
 def assert_runs_expand_to_def_class(d, e, f_range, runs):
@@ -1478,6 +1509,18 @@ class TestClassifierAgainstOracle:
     @given(st.lists(st.integers(-3, 3), min_size=11, max_size=11))
     def test_small_rows(self, row):
         assert flags_of(classify_row(row)) == oracle_conditions(row)
+
+    @settings(max_examples=400, deadline=None)
+    @given(st.lists(st.integers(-3, 3), min_size=11, max_size=11))
+    def test_chain_codes_follow_the_signs_of_def(self, row):
+        # The signs of d, e and f move only the chain's class: every flip
+        # reads its code from the row's chain codes at its _def_class.
+        chain = _chain_codes(_report_code(row))
+        for signs in product((1, -1), repeat=3):
+            flipped = [*row[:6], *(s * v for s, v in zip(signs, row[6:9])), *row[9:]]
+            code = chain[_def_class(*flipped[6:9])]
+            assert code == _report_code(flipped)
+            assert flags_of(_REPORTS[code]) == oracle_conditions(flipped)
 
 
 def assert_pattern_path_matches_rows(result):
@@ -1503,11 +1546,7 @@ def assert_pattern_path_matches_rows(result):
 
 def family_slots(result):
     """The (d, e, f) free-slot patterns of the result's family entries."""
-    return {
-        tuple(value is None for value in entry[6:9])
-        for entry in result.iter_entries()
-        if None in entry
-    }
+    return {_free_axes(entry) for entry in result._stored() if any(_free_axes(entry))}
 
 
 class TestPatternPathAgainstRows:
@@ -1551,7 +1590,7 @@ class TestPatternPathAgainstRows:
         # Free a and alpha axes and several free slots at once.
         result = search(SearchSpace.cube(-2, 2, case="general", shards=5))
         assert len(family_slots(result)) == 7
-        assert any(0 in (row[0], row[3]) for row in result.iter_entries())
+        assert any(0 in (row[0], row[3]) for row in result._stored())
         counts = assert_pattern_path_matches_rows(result)
         assert counts["rows"] == 312_753 and counts["adjacent"] == 48
 
@@ -1620,12 +1659,32 @@ class TestPatternPathAgainstRows:
         space = SearchSpace.cube(-8, 8, shards=17)
         result = search(space)
         assert len(result.solutions) == 135_681
-        # One classification per class entry with a free axis, and one per
-        # _def_class on the diagonal of a class entry with none.  The records
-        # hold 209 class entries, which expand to 10,193 entries.
-        assert len(calls) == 321
+        # One classification per class entry, whether or not an axis is
+        # free.  The records hold 209 class entries, whose diagonals hold
+        # 10,193 points, each an explicit row or a family entry.
+        assert len(calls) == 209
         assert sum(len(real_scan_shard(space, sid)["solutions"]) for sid in range(17)) == 209
-        assert sum(1 for _ in result.iter_entries()) == 10_193
+        free = tuple(space.values_of(name) for name in "def")
+        points = sum(len(_diagonal(free, _free_axes(entry))) for entry in result._stored())
+        assert points == 10_193
+
+    def test_walks_classify_no_row(self, tmp_path, monkeypatch):
+        # Every walk reads its reports from the stored codes: rows,
+        # solutions and the log evaluate the system for no row.
+        result = search(SearchSpace.cube(-8, 8, shards=17))
+        calls = []
+        for name in ("_report_code", "system_values"):
+            original = getattr(search_module, name)
+
+            def counting(*args, original=original):
+                calls.append(1)
+                return original(*args)
+
+            monkeypatch.setattr(search_module, name, counting)
+        assert len(result.rows) == len(result.solutions) == 135_681
+        assert sum(1 for _ in result.solutions) == 135_681
+        write_result_log(result, tmp_path / "log.jsonl")
+        assert calls == []
 
 
 class TestSolutionsAreLazy:
@@ -1641,7 +1700,7 @@ class TestSolutionsAreLazy:
     @staticmethod
     def assert_built_only_as_walked(monkeypatch, bounds, family):
         result = search(SearchSpace(bounds=bounds, shards=4))
-        assert {None in entry for entry in result.iter_entries()} == {family}
+        assert {any(_free_axes(entry)) for entry in result._stored()} == {family}
         assert result.counterexamples_pairwise == result.counterexamples_adjacent == 0
         rows = result.rows
         # A family run builds its instances through __new__, an explicit run
