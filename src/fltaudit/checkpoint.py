@@ -9,8 +9,8 @@ a record appended after it stays readable (the interrupted shard simply
 reruns); anything else that does not decode is reported as corruption.
 
 A search record is the header ``fltaudit.search._record_header`` declares
-plus the shard's rows under ``solutions``; a resume trusts it only if the
-search could have written it.
+plus the shard's rows under ``solutions``; a resume checks its header and
+rows, though not that it holds every entry (see ``fltaudit.search``).
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ __all__ = ["CANONICAL_JSON", "CheckpointError", "append_record", "read_records"]
 _LENGTH = struct.Struct(">I")
 
 # Sanity bound on a single record; a length prefix beyond this is garbage,
-# not a plausibly truncated write.
+# not a plausibly truncated write.  No record larger than this is written.
 MAX_RECORD_BYTES = 1 << 28
 
 # The canonical form of every record, result-log line and search signature:
@@ -46,7 +46,9 @@ def append_record(path: str | Path, record: dict) -> None:
     """Append one record and force it to disk before returning.
 
     The payload is the canonical JSON of ``record``, whose rows are under
-    ``"solutions"``; no key that sorts after it may hold another one.
+    ``"solutions"``; no key that sorts after it may hold another one.  A
+    payload that ``read_records`` would refuse is refused before the file is
+    opened.
     """
     rows = record["solutions"]
     head, tail = CANONICAL_JSON.encode({**record, "solutions": []}).rsplit('"solutions":[]', 1)
@@ -55,6 +57,11 @@ def append_record(path: str | Path, record: dict) -> None:
         for i in range(0, len(rows), _ROWS_PER_CALL)
     )
     payload = f'{head}"solutions":[{",".join(parts)}]{tail}'.encode("utf-8")
+    if len(payload) > MAX_RECORD_BYTES:
+        raise CheckpointError(
+            f"record of {len(payload)} bytes exceeds the {MAX_RECORD_BYTES}-byte bound "
+            "a resume reads; more shards make smaller records"
+        )
     with open(path, "ab") as handle:
         handle.write(_LENGTH.pack(len(payload)))
         handle.write(payload)

@@ -64,33 +64,34 @@ drop out.  So every row an entry stands for has the entry's report but for
 the chain d != e != f != 0, whose two readings give three classes.  The
 search classifies one row per class or family entry, and once per class
 of a square block's explicit rows that differ only in the signs of d, e
-and f and share their chain flags.  It keeps one code per entry, and a
-row's code is its entry's with the row's own chain class: no walk
-classifies.  A walk takes each class entry as one run and expands it once
-into the diagonal's explicit rows or family entries, one p = m^2 q per
-magnitude m shared by the rows at m; an explicit run goes to its consumer
-whole.  It walks family rows in runs of equal class, read from one table
-over the box's (d, e) pairs, with one code slot per (p, q, class) of a
-prefix.  The result log binds one line per such slot as a head and a
-tail, joins each run's f texts between them and writes 256 lines at a
-time.  Rows are expanded from the entries, in enumeration order, only when
-they are walked.
+and f and share their chain flags.  It stores one code per entry, beside
+the entry, and a row's code is its entry's with the row's own chain class:
+no walk classifies.  A walk takes each class entry as one run and expands
+it once into the diagonal's explicit rows or family entries, one
+p = m^2 q per magnitude m shared by the rows at m; an explicit run goes to
+its consumer whole.  It walks family rows in runs of equal class, read
+from one table over the box's (d, e) pairs, each run with its rows' code.
+The result log binds one line per (p, code) of a prefix, which fixes q, as
+a head and a tail, joins each run's f texts between them and writes 256
+lines at a time.  Rows are expanded from the entries, in enumeration
+order, only when they are walked.
 
 The space is split into shards by a prefix of the enumeration order; each
 completed shard appends one fsync'd record to the checkpoint file, so an
 interrupted run resumes without rescanning, and a torn tail is cut from the
-file.  A record, completed or resumed, is counted and then written to a
-private spill file, and dropped; every walk loads the entries back from the
-spill a piece at a time, in shard order.  So memory holds one shard's record
-and two bytes per stored entry, whatever the size of the box, and a walk
-never reads the checkpoint.  A resume trusts a record only if _scan_shard
-could have written it: the header _record_header declares for its shard
-and no other key, and strictly increasing rows of eleven integers in the
-shard's blocks and the search box, each solving the system with q >= 0,
-and p >= 0 where q = 0.  In format 3 a square block holds explicit rows
-and any other prefix one class entry with a point on its diagonal; format
-2 holds explicit rows and family entries, nulls exactly in the d, e, f
-slots whose product is 0; format 1 holds explicit rows only.
+file.  A record, completed or resumed, is counted and then written with
+its entries' codes to a private spill file, and dropped; every walk loads
+the entries and their codes back from the spill a piece at a time, in
+shard order.  So memory holds one shard's record, whatever the size of the
+box, and a walk never reads the checkpoint.  A resume checks each record:
+the header _record_header declares for its shard and no other key, and
+strictly increasing rows of eleven integers in the shard's blocks and the
+search box, each solving the system with q >= 0, and p >= 0 where q = 0.
+In format 3 a square block holds explicit rows and any other prefix one
+class entry with a point on its diagonal; format 2 holds explicit rows and
+family entries, nulls exactly in the d, e, f slots whose product is 0;
+format 1 holds explicit rows only.  A record with an entry missing passes
+these checks: only a rescan finds it.
 """
 
 from __future__ import annotations
@@ -663,28 +664,23 @@ def _run_table(d_range: range, e_range: range, f_range: range) -> dict[int, dict
 
 
 def _family_runs(
-    group: list[list], codes: Iterable[int], free: Sequence, slots: list, table: dict
+    group: Sequence[list], codes: Iterable[int], free: Sequence, table: dict
 ) -> Iterator[tuple]:
     """A family group's rows in enumeration order, in runs of equal class.
 
-    A run ``(entry, d, e, text, k, i, j)`` is the entry with d, e and each f
-    of ``free[2][i:j]`` in its slots, ``text`` the pair's text in ``table``
-    and ``slots[k]`` the rows' report code.  A None slot stands for its range
-    in ``free``; a group's entries share their None slots, so it is walked
-    d -> e -> f, unsorted.  ``codes`` holds each entry's stored code; in a
-    group a row's report reads only p, q and the class, so ``slots`` gets
-    ``_chain_codes`` of one code per (p, q), before the first run.
+    A run ``(entry, d, e, text, code, i, j)`` is the entry with d, e and each
+    f of ``free[2][i:j]`` in its slots, ``text`` the pair's text in ``table``
+    and ``code`` the rows' report code.  A None slot stands for its range in
+    ``free``; a group's entries share their None slots, so it is walked
+    d -> e -> f, unsorted.  ``codes`` holds each entry's stored code, and a
+    row's code is ``_chain_codes`` of it at the row's class.
     """
     # slot value (None when free) -> next slot's tree; f's leaves hold the
-    # entry and where its (p, q)'s codes start.
+    # entry and its codes by class.
     tree: dict = {}
-    firsts: dict[tuple, int] = {}
     for entry, code in zip(group, codes):
         d_key, e_key, f_key = entry[6:9]
-        first = firsts.setdefault((entry[9], entry[10]), len(slots))
-        if first == len(slots):
-            slots += _chain_codes(code)
-        tree.setdefault(d_key, {}).setdefault(e_key, {})[f_key] = entry, first
+        tree.setdefault(d_key, {}).setdefault(e_key, {})[f_key] = entry, _chain_codes(code)
     d_free, e_free, f_free = free
     for d_key, e_tree in tree.items():
         for d in d_free if d_key is None else (d_key,):
@@ -692,13 +688,13 @@ def _family_runs(
             for e_key, f_tree in e_tree.items():
                 for e in e_free if e_key is None else (e_key,):
                     text, runs = pairs[e]
-                    for f_key, (entry, first) in f_tree.items():
+                    for f_key, (entry, chain) in f_tree.items():
                         cells = runs
                         if f_key is not None:
                             i = f_key - f_free.start
                             cells = ((_def_class(d, e, f_key), i, i + 1),)
                         for cls, i, j in cells:
-                            yield entry, d, e, text, first + cls, i, j
+                            yield entry, d, e, text, chain[cls], i, j
 
 
 class Solutions:
@@ -716,8 +712,8 @@ class Solutions:
             if runs is None:
                 yield from zip(map(ConjectureInstance._make, run), map(_REPORTS.__getitem__, codes))
                 continue
-            for entry, d, e, _, k, i, j in runs:
-                report = _REPORTS[codes[k]]
+            for entry, d, e, _, code, i, j in runs:
+                report = _REPORTS[code]
                 for f in f_range[i:j]:
                     yield ConjectureInstance(*entry[:6], d, e, f, *entry[9:]), report
 
@@ -728,12 +724,12 @@ class SearchResult:
 
     Each shard's record was counted when it completed, and its entries went
     to ``spill``, a private unlinked file, in pieces of ``_ROWS_PER_PIECE``
-    entries, as the record holds them; ``spans`` gives each piece's
+    entries, as the record holds them, each piece beside its entries' report
+    codes as one ``bytes`` of two-byte codes; ``spans`` gives each piece's
     ``(offset, length)`` there, in enumeration order.  A walk loads one
-    piece at a time, so memory never holds the box's entries, and expands a
-    class entry only when it reaches it.  Reports are kept as two-byte
-    codes, one per stored entry: ``codes[i]`` is the report of the i-th
-    entry ``_stored`` yields, or of its first row, and every other row it
+    piece at a time, so memory never holds the box's entries or their codes,
+    and expands a class entry only when it reaches it.  An entry's code is
+    the report of the entry, or of its first row, and every other row it
     stands for has ``_chain_codes`` of it at the row's ``_def_class``.
     """
 
@@ -741,7 +737,6 @@ class SearchResult:
     signature: str
     spill: BinaryIO
     spans: list[tuple[int, int]]
-    codes: array
     row_count: int
     counterexamples_pairwise: int
     counterexamples_adjacent: int
@@ -757,32 +752,31 @@ class SearchResult:
         """Close the spill, after which the result cannot be walked; dropping the result does too."""
         self.spill.close()
 
-    def _stored(self) -> Iterator[list]:
-        """The entries as the records hold them, loaded from the spill a piece at a time."""
+    def _stored(self) -> Iterator[tuple[list, int]]:
+        """Each entry as the records hold it, with its report code, loaded a piece at a time."""
         for offset, length in self.spans:
             self.spill.seek(offset)
-            yield from marshal.loads(self.spill.read(length))
+            entries, codes = marshal.loads(self.spill.read(length))
+            yield from zip(entries, array("H", codes))
 
-    def _walk(self) -> Iterator[tuple[Sequence, list[list] | None, Iterator[tuple] | None]]:
+    def _walk(self) -> Iterator[tuple[Sequence | None, Sequence | None, Iterator[tuple] | None]]:
         """Each run of entries sharing (alpha, beta, gamma, a, b, c), in enumeration order.
 
         The prefix fixes which of d, e, f are free, so a run is explicit rows
         only, family entries only or one format-3 class entry, which
-        ``_class_rows`` expands once.  A run comes as ``(codes, run, runs)``.
-        An explicit run is its entries, each one row, with ``codes[i]`` the
-        report code of ``run[i]``, and ``runs`` None; a class entry's
-        diagonal rows read theirs from ``_diagonal_classes``' cells.  A
-        family run comes with ``run`` None and ``_family_runs``' lazy walk of
-        its rows, over one ``_run_table`` built at the first family run, and
-        ``codes`` its code slots.
+        ``_class_rows`` expands once.  A run comes as ``(codes, run, runs)``,
+        its codes read from ``_stored`` beside its entries.  An explicit run
+        is its entries, each one row, with ``codes[i]`` the report code of
+        ``run[i]``, and ``runs`` None; a class entry's diagonal rows read
+        theirs from ``_diagonal_classes``' cells.  A family run comes as
+        ``_family_runs``' lazy walk of its rows, each with its code, over one
+        ``_run_table`` built at the first family run, with ``codes`` and
+        ``run`` None.
         """
         free = tuple(self.space.values_of(name) for name in "def")
         table = None
-        start = 0
-        for _, group in groupby(self._stored(), _PREFIX):
-            group = list(group)
-            codes = self.codes[start : start + len(group)]
-            start += len(group)
+        for _, group in groupby(self._stored(), lambda stored: _PREFIX(stored[0])):
+            group, codes = zip(*group)
             if group[0][9] is None:
                 code = codes[0]
                 group = _class_rows(group[0], free)
@@ -796,8 +790,7 @@ class SearchResult:
             else:
                 if table is None:
                     table = _run_table(*free)
-                slots: list[int] = []
-                yield slots, None, _family_runs(group, codes, free, slots, table)
+                yield None, None, _family_runs(group, codes, free, table)
 
     def iter_rows(self) -> Iterator[list[int]]:
         """The kernel rows in enumeration order, expanded from the entries as they go."""
@@ -838,7 +831,7 @@ class SearchResult:
         }
         return [
             dict(zip(ROW_VARS, entry), readings=_readings(_REPORTS[code]))
-            for entry, code in zip(self._stored(), self.codes)
+            for entry, code in self._stored()
             if code in hits
         ]
 
@@ -888,7 +881,7 @@ def _format_three_fault(rows: list[list], def_ranges: tuple[range, ...]) -> str 
             return "a class entry whose diagonal is empty"
     return None
 def _load_existing_records(space: SearchSpace, signature: str) -> Iterator[tuple[int, dict]]:
-    """Each checkpoint record ``_scan_shard`` could write, as (shard, record).
+    """Each checkpoint record that passes the resume's checks, as (shard, record).
 
     The records are read, checked and yielded one at a time, in file order;
     a shard may come more than once.
@@ -1043,12 +1036,11 @@ def search(
     durable; exceptions raised there abort the run without damaging the
     checkpoint.
 
-    A record, completed or resumed, has its rows counted and then written,
-    a few hundred at a time, to a private, unlinked spill file, and is
-    dropped.  The result walks the rows again from the spill, a piece at a
-    time in shard order, and never reads the checkpoint again: memory holds
-    one shard's record and two bytes per stored entry, whatever the size of
-    the box.
+    A record, completed or resumed, has its rows counted and then written
+    with their codes, a few hundred at a time, to a private, unlinked spill
+    file, and is dropped.  The result walks the rows again from the spill, a
+    piece at a time in shard order, and never reads the checkpoint again:
+    memory holds one shard's record, whatever the size of the box.
     """
     # Imported here: only a search needs them.
     import tempfile
@@ -1059,19 +1051,18 @@ def search(
     free = tuple(space.values_of(name) for name in "def")
     spill = tempfile.TemporaryFile()
     spans: dict[int, list[tuple[int, int]]] = {}  # shard -> its pieces' (offset, length)
-    shard_codes: dict[int, array] = {}
     rows_by_code: Counter[int] = Counter()
     scanned = 0
 
     def keep(sid: int, record: dict) -> None:
         nonlocal scanned
         rows = record["solutions"]
-        shard_codes[sid] = _count_rows(sid, rows, free, rows_by_code)
+        codes = _count_rows(sid, rows, free, rows_by_code)
         scanned += record["scanned"]
-        spans[sid] = [
-            (spill.tell(), spill.write(marshal.dumps(rows[i : i + _ROWS_PER_PIECE])))
-            for i in range(0, len(rows), _ROWS_PER_PIECE)
-        ]
+        spans[sid] = []
+        for i in range(0, len(rows), _ROWS_PER_PIECE):
+            piece = rows[i : i + _ROWS_PER_PIECE], codes[i : i + _ROWS_PER_PIECE].tobytes()
+            spans[sid].append((spill.tell(), spill.write(marshal.dumps(piece))))
 
     def complete(sid: int, record: dict) -> None:
         if space.checkpoint_path:
@@ -1118,12 +1109,6 @@ def search(
         spill.close()
         raise
 
-    # Shards cover consecutive runs of the prefix blocks and each shard's
-    # entries are in enumeration order, so the shard-order walk is too.
-    codes = array("H")
-    for sid in range(space.shards):
-        codes += shard_codes.pop(sid)
-
     def rows_where(flag: Callable[[ConditionReport], bool]) -> int:
         return sum(n for code, n in rows_by_code.items() if flag(_REPORTS[code]))
 
@@ -1132,8 +1117,9 @@ def search(
         space=space,
         signature=signature,
         spill=spill,
+        # Shards cover consecutive runs of the prefix blocks and each shard's
+        # entries are in enumeration order, so the shard-order walk is too.
         spans=list(chain.from_iterable(spans[sid] for sid in range(space.shards))),
-        codes=codes,
         row_count=sum(rows_by_code.values()),
         counterexamples_pairwise=rows_where(attrgetter("counterexample_pairwise")),
         counterexamples_adjacent=rows_where(attrgetter("counterexample_adjacent")),
@@ -1191,7 +1177,7 @@ def write_result_log(result: SearchResult, path: str | Path) -> None:
     """Write the normalized result log: one canonical JSON object per solution.
 
     An explicit row fills its report's template.  A family line is bound
-    once per code slot of its run of entries as a head, before d's value,
+    once per (p, code) of its run of entries as a head, before d's value,
     and a tail, after f's: a row is the head, its (d, e) text, its f and the
     tail, and a run of one class is one join of its f texts.  A write takes
     ``_LINES_PER_WRITE`` lines, cutting a run where it fills, so memory holds
@@ -1216,11 +1202,11 @@ def write_result_log(result: SearchResult, path: str | Path) -> None:
                 while piece := list(islice(filled, room)):
                     yield "", "", piece
                 continue
-            bound: dict[int, list[str]] = {}  # each code slot's head and tail
-            for entry, _, _, text, k, i, j in runs:
-                parts = bound.get(k)
+            bound: dict[tuple, list[str]] = {}  # head and tail by (p, code); the prefix fixes q
+            for entry, _, _, text, code, i, j in runs:
+                parts = bound.get((entry[9], code))
                 if parts is None:
-                    parts = bound[k] = fill(codes[k], entry[:6] + _DEF_OPEN + entry[9:]).split("%d")[::3]
+                    parts = bound[entry[9], code] = fill(code, entry[:6] + _DEF_OPEN + entry[9:]).split("%d")[::3]
                 yield parts[0] + text, parts[1], f_texts[i:j]
 
     with open(path, "w", encoding="utf-8") as handle:

@@ -247,6 +247,20 @@ class TestSearch:
         assert code == EXIT_IO
         assert "checkpoint shard 2" in err
 
+    def test_record_over_the_read_bound_io_exit(self, run_cli, tmp_path, monkeypatch):
+        # Unit [-2, 2] in 2 shards writes records of 531 and 558 bytes.
+        import fltaudit.checkpoint
+
+        monkeypatch.setattr(fltaudit.checkpoint, "MAX_RECORD_BYTES", 200)
+        cp = tmp_path / "big.ckpt"
+        code, _, err = run_cli(
+            ["search", "--lower", -2, "--upper", 2, "--shards", 2, "--checkpoint", cp]
+        )
+        assert code == EXIT_IO
+        assert err.count("\n") == 1
+        assert "531 bytes exceeds the 200-byte bound" in err and "more shards" in err
+        assert not cp.exists()
+
     def test_checkpoint_row_outside_the_box_io_exit(self, run_cli, tmp_path):
         cp = tmp_path / "c.bin"
         argv = ["search", "--lower", -2, "--upper", 2, "--checkpoint", cp]

@@ -2,9 +2,11 @@
 
 import concurrent.futures
 import dataclasses
+import functools
 import hashlib
 import json
 import re
+import tempfile
 import types
 import time
 import tracemalloc
@@ -12,9 +14,10 @@ from itertools import islice, product, zip_longest
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import fltaudit.checkpoint as checkpoint_module
 from fltaudit.checkpoint import CheckpointError, append_record, read_records
 from fltaudit.ints import exact_sqrt
 from fltaudit.poly import X, Y, Z
@@ -708,6 +711,34 @@ DELETED = object()
 NULLS = [None] * 4
 
 
+# Each format's record writer: the oracle's formats 1 and 2, the search's format 3.
+RECORD_WRITERS = {1: oracle_scan_shard, 2: oracle_format_two_record, 3: real_scan_shard}
+
+
+@functools.lru_cache(maxsize=None)
+def cube_record(case, bound, shards, fmt, shard):
+    """Shard ``shard``'s format-``fmt`` record of the cube [-bound, bound], built once per test run.
+
+    It is kept as the bytes ``append_record`` writes for it, its length
+    prefix and canonical JSON, which hold far less than the decoded rows.
+    A SearchSpace cannot be hashed, so the cache is keyed by plain values.
+    """
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "record.ckpt"
+        space = SearchSpace.cube(-bound, bound, case=case, shards=shards)
+        append_record(path, RECORD_WRITERS[fmt](space, shard))
+        return path.read_bytes()
+
+
+@functools.lru_cache(maxsize=None)
+def cube_log_digest(case, bound, shards):
+    """The sha256 of a fresh result log of the cube [-bound, bound], made once per test run."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "fresh.jsonl"
+        write_result_log(search(SearchSpace.cube(-bound, bound, case=case, shards=shards)), path)
+        return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
 def resume_tampered(tmp_path, field, value, shard=1, fmt=3, space=None):
     """Search ``space`` (unit [-1, 1] in 2 shards), set ``field`` of one shard's record, resume.
 
@@ -934,19 +965,19 @@ class TestCheckpointing:
     @pytest.mark.parametrize("case, bound", [("unit", 3), ("general", 2)])
     @pytest.mark.parametrize("formats", [(1, 1, 1), (1, 2, 1), (1, 2, 3), (3, 2, 1), (2, 3, 2)])
     def test_format_one_records_resume(self, tmp_path, case, bound, formats):
-        fresh_log = tmp_path / "fresh.jsonl"
-        write_result_log(search(SearchSpace.cube(-bound, bound, case=case, shards=3)), fresh_log)
+        # Each box's fresh log and each (format, shard) record are made once.
         cp = tmp_path / "old.ckpt"
         space = SearchSpace.cube(-bound, bound, case=case, shards=3, checkpoint_path=cp)
-        scans = {1: oracle_scan_shard, 2: oracle_format_two_record, 3: real_scan_shard}
-        for shard_id, fmt in enumerate(formats):
-            append_record(cp, scans[fmt](space, shard_id))
+        cp.write_bytes(
+            b"".join(cube_record(case, bound, 3, fmt, sid) for sid, fmt in enumerate(formats))
+        )
         assert [record["format"] for record in read_all(cp)[0]] == list(formats)
         resumed = search(space)
         assert resumed.shards_reused == 3
         resumed_log = tmp_path / "resumed.jsonl"
         write_result_log(resumed, resumed_log)
-        assert resumed_log.read_bytes() == fresh_log.read_bytes()
+        digest = hashlib.sha256(resumed_log.read_bytes()).hexdigest()
+        assert digest == cube_log_digest(case, bound, 3)
 
     @pytest.mark.parametrize("formats", [(1, 2), (2, 1)])
     def test_counterexamples_after_resuming_old_formats(self, tmp_path, formats):
@@ -976,6 +1007,22 @@ class TestCheckpointing:
             if report.counterexample_pairwise or report.counterexample_adjacent
         ]
         assert len(items) == resumed.counterexamples_adjacent == 144
+
+    def test_record_over_the_read_bound_is_never_written(self, tmp_path, monkeypatch):
+        # read_records refuses a record above MAX_RECORD_BYTES, so the writer
+        # refuses it first, before it opens the file: no rerun can meet it.
+        # Unit [-2, 2] in 2 shards writes records of 531 and 558 bytes.
+        monkeypatch.setattr(checkpoint_module, "MAX_RECORD_BYTES", 200)
+        cp = tmp_path / "big.ckpt"
+        message = "^record of 531 bytes exceeds the 200-byte bound a resume reads; more shards"
+        with pytest.raises(CheckpointError, match=message):
+            search(SearchSpace.cube(-2, 2, shards=2, checkpoint_path=cp))
+        assert not cp.exists()
+        # A record at the bound is written, and read back.
+        monkeypatch.setattr(checkpoint_module, "MAX_RECORD_BYTES", 531)
+        with pytest.raises(CheckpointError, match="^record of 558 bytes"):
+            search(SearchSpace.cube(-2, 2, shards=2, checkpoint_path=cp))
+        assert [record["shard"] for record in read_all(cp)[0]] == [0]
 
     def test_truncated_tail_tolerated(self, tmp_path):
         cp = tmp_path / "tail.ckpt"
@@ -1025,6 +1072,54 @@ class TestCheckpointing:
         records, truncated = read_all(path)
         assert not truncated
         assert records == [{"shard": 0, "solutions": []}, {"shard": 1, "solutions": [[1, 2]]}]
+
+
+class TestTamperedRecords:
+    """A checkpoint with one record changed is resumed, and walks, or refused with CheckpointError.
+
+    A resume does not find every change: a record with an entry deleted
+    passes every check, and only a rescan finds it.
+    """
+
+    @settings(
+        max_examples=100, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+    )
+    @given(
+        box=st.sampled_from([("unit", 2), ("general", 1)]),
+        fmt=st.sampled_from(sorted(RECORD_WRITERS)),
+        shard=st.integers(0, 2),
+        change=st.sampled_from(["slot", "delete", "insert"]),
+        index=st.integers(0, 2**16),
+        slot=st.integers(0, len(ROW_VARS) - 1),
+        value=st.none() | st.integers(-3, 3),
+        after=st.booleans(),
+    )
+    def test_resumed_or_refused(self, tmp_path, box, fmt, shard, change, index, slot, value, after):
+        # Every record of these boxes holds at least two rows.
+        case, bound = box
+        records = [json.loads(cube_record(case, bound, 3, fmt, sid)[4:]) for sid in range(3)]
+        rows = records[shard]["solutions"]
+        i = index % len(rows)
+        changed = [*rows[i]]
+        changed[slot] = value
+        if change == "slot":
+            rows[i] = changed
+        elif change == "delete":
+            del rows[i]
+        else:
+            rows.insert(i + after, changed)
+        cp = tmp_path / "tampered.ckpt"
+        cp.unlink(missing_ok=True)
+        for record in records:
+            append_record(cp, record)
+        space = SearchSpace.cube(-bound, bound, case=case, shards=3, checkpoint_path=cp)
+        try:
+            result = search(space)
+        except CheckpointError:
+            return
+        assert result.shards_reused == 3
+        assert len(result.rows) == len(result.solutions)
+        result.counterexamples()
 
 
 class TestResultLog:
@@ -1546,7 +1641,7 @@ def assert_pattern_path_matches_rows(result):
 
 def family_slots(result):
     """The (d, e, f) free-slot patterns of the result's family entries."""
-    return {_free_axes(entry) for entry in result._stored() if any(_free_axes(entry))}
+    return {_free_axes(entry) for entry, _ in result._stored() if any(_free_axes(entry))}
 
 
 class TestPatternPathAgainstRows:
@@ -1590,7 +1685,7 @@ class TestPatternPathAgainstRows:
         # Free a and alpha axes and several free slots at once.
         result = search(SearchSpace.cube(-2, 2, case="general", shards=5))
         assert len(family_slots(result)) == 7
-        assert any(0 in (row[0], row[3]) for row in result._stored())
+        assert any(0 in (row[0], row[3]) for row, _ in result._stored())
         counts = assert_pattern_path_matches_rows(result)
         assert counts["rows"] == 312_753 and counts["adjacent"] == 48
 
@@ -1665,7 +1760,7 @@ class TestPatternPathAgainstRows:
         assert len(calls) == 209
         assert sum(len(real_scan_shard(space, sid)["solutions"]) for sid in range(17)) == 209
         free = tuple(space.values_of(name) for name in "def")
-        points = sum(len(_diagonal(free, _free_axes(entry))) for entry in result._stored())
+        points = sum(len(_diagonal(free, _free_axes(entry))) for entry, _ in result._stored())
         assert points == 10_193
 
     def test_walks_classify_no_row(self, tmp_path, monkeypatch):
@@ -1700,7 +1795,7 @@ class TestSolutionsAreLazy:
     @staticmethod
     def assert_built_only_as_walked(monkeypatch, bounds, family):
         result = search(SearchSpace(bounds=bounds, shards=4))
-        assert {any(_free_axes(entry)) for entry in result._stored()} == {family}
+        assert {any(_free_axes(entry)) for entry, _ in result._stored()} == {family}
         assert result.counterexamples_pairwise == result.counterexamples_adjacent == 0
         rows = result.rows
         # A family run builds its instances through __new__, an explicit run
