@@ -64,17 +64,18 @@ drop out.  So every row an entry stands for has the entry's report but for
 the chain d != e != f != 0, whose two readings give three classes.  The
 search classifies one row per class or family entry, and once per class
 of a square block's explicit rows that differ only in the signs of d, e
-and f and share their chain flags.  It stores one code per entry, beside
-the entry, and a row's code is its entry's with the row's own chain class:
-no walk classifies.  A walk takes each class entry as one run and expands
+and f and share their chain flags.  A report's code is the bits of its
+nine hypothesis flags.  The search stores one code per entry, beside the
+entry, and a row's code is its entry's with the row's own chain bits: no
+walk classifies.  A walk takes each class entry as one run and expands
 it once into the diagonal's explicit rows or family entries, one
 p = m^2 q per magnitude m shared by the rows at m; an explicit run goes to
-its consumer whole.  It walks family rows in runs of equal class, read
-from one table over the box's (d, e) pairs, each run with its rows' code.
-The result log binds one line per (p, code) of a prefix, which fixes q, as
-a head and a tail, joins each run's f texts between them and writes 256
-lines at a time.  Rows are expanded from the entries, in enumeration
-order, only when they are walked.
+its consumer whole.  It walks family rows in runs of equal code, read
+from one table over the box's (d, e) pairs; rows and solutions expand those
+runs by one path.  The result log binds one line per (p, code) of a
+prefix, which fixes q, as a head and a tail, joins each run's f texts
+between them and writes 256 lines at a time.  Rows are expanded from the
+entries, in enumeration order, only when they are walked.
 
 The space is split into shards by a prefix of the enumeration order; each
 completed shard appends one fsync'd record to the checkpoint file, so an
@@ -102,7 +103,7 @@ from array import array
 from collections import Counter
 from dataclasses import dataclass, fields
 from functools import lru_cache
-from itertools import chain, groupby, islice, product
+from itertools import chain, groupby, islice, product, repeat
 from math import isqrt, prod
 from operator import attrgetter, itemgetter, lt
 from pathlib import Path
@@ -195,11 +196,13 @@ class ConditionReport:
     """Side-condition flags for an instance, then its three verdicts.
 
     Each chain gives two flags (``chain_flags``), the *_adjacent one its
-    adjacent reading.  The verdicts come from one rule (``_report_code``):
-    both counterexample verdicts read the d, e, f chain pairwise and differ
-    in the coefficient chain's reading; ``admissible_with_adjacent_def``
-    reads both chains adjacent-only, where the pairwise d, e, f chain fails,
-    so alternative conventions can be re-counted offline.
+    adjacent reading.  A report's code is the bits of its nine hypothesis
+    flags, in field order, and the verdicts follow from them by one rule
+    (``_report``): both counterexample verdicts read the d, e, f chain
+    pairwise and differ in the coefficient chain's reading;
+    ``admissible_with_adjacent_def`` reads both chains adjacent-only, where
+    the pairwise d, e, f chain fails, so alternative conventions can be
+    re-counted offline.
     """
 
     satisfied: bool
@@ -221,17 +224,20 @@ class ConditionReport:
 
 
 # Every report built so far, by its code: bit i of the code is the report's
-# i-th field, so codes fit in 2**12, as a two-byte "H" array holds them.  Rows
-# share these frozen objects, and a code costs two bytes where a reference
-# costs eight.
+# i-th hypothesis flag, so codes fit in 2**9, as a two-byte "H" array holds
+# them, and the three verdicts follow from those bits.  Rows share these
+# frozen objects, and a code costs two bytes where a reference costs eight.
+# A plain dict, filled by _report_code: C5 reads it once per hypothesis point.
 _REPORTS: dict[int, ConditionReport] = {}
-_CODES: dict[tuple[bool, ...], int] = {}
+
+# The bits of the d, e, f chain's two readings in a code, pairwise then adjacent.
+_DEF_MASK = 0b1100
 
 
-def _def_class(d: int, e: int, f: int) -> int:
-    """0, 1 or 2: how many readings of the d, e, f chain hold (pairwise implies adjacent)."""
+def _def_bits(d: int, e: int, f: int) -> int:
+    """The d, e, f chain's bits of a code: 0, 0b1000 (adjacent only) or 0b1100 (both)."""
     pair, adj = chain_flags(d, e, f)
-    return pair + adj
+    return 0b1100 if pair else 0b1000 if adj else 0
 
 
 def _report_code(row: Sequence[int]) -> int:
@@ -253,49 +259,41 @@ def _report_code(row: Sequence[int]) -> int:
     # Literal reading of |alpha| != a: a magnitude against a signed value.
     non_unit = aa != a and ab != b and ag != c
 
-    # In ConditionReport's field order.  They decide the verdicts, so a report
-    # is built, verdicts and all, once per distinct tuple of them.
-    hypotheses = (satisfied, trivial, def_pair, def_adj, case_unit, gen_pair, gen_adj, div_ok, non_unit)
-    code = _CODES.get(hypotheses)
-    return _new_code(hypotheses) if code is None else code
-
-
-def _new_code(hypotheses: tuple[bool, ...]) -> int:
-    """The code of the report with these nine hypothesis flags, interning it on first use."""
-    # One rule gives all three verdicts: a satisfied, nontrivial row whose
-    # d, e, f chain holds, in the unit case or meeting the general-case
-    # conditions.  Each verdict reads the two chains its own way.
-    satisfied, trivial, def_pair, def_adj, case_unit, gen_pair, gen_adj, div_ok, non_unit = hypotheses
-    general = div_ok and non_unit
-    flags = hypotheses + tuple(
-        satisfied and not trivial and def_ok and (case_unit or (gen_ok and general))
-        for def_ok, gen_ok in (
-            (def_pair, gen_pair),
-            (def_pair, gen_adj),
-            (def_adj and not def_pair, gen_adj),
-        )
+    # Bit i is ConditionReport's i-th field.  Conditional ints add faster than bools shift.
+    code = (
+        (1 if satisfied else 0) + (2 if trivial else 0) + (4 if def_pair else 0)
+        + (8 if def_adj else 0) + (16 if case_unit else 0) + (32 if gen_pair else 0)
+        + (64 if gen_adj else 0) + (128 if div_ok else 0) + (256 if non_unit else 0)
     )
-    # A code keeps its first report, so rows always share one object.
-    code = sum(flag << bit for bit, flag in enumerate(flags))
-    _REPORTS.setdefault(code, ConditionReport(*flags))
-    _CODES[hypotheses] = code
+    if code not in _REPORTS:
+        _report(code)
     return code
 
 
-@lru_cache(maxsize=None)
-def _chain_codes(code: int) -> tuple[int, int, int]:
-    """The codes of ``code``'s report with each ``_def_class`` (0, 1, 2) of the d, e, f chain.
+def _report(code: int) -> None:
+    """Build the reports of ``code`` and of its two siblings in the d, e, f chain bits.
 
-    Every row a stored entry stands for has the entry's report but for
-    these two flags, so a walk reads a row's code here and classifies none.
+    Every row a stored entry stands for has the entry's code but for those
+    bits, so a walk sets a row's own and classifies none.
     """
-    hypotheses = [bool(code >> bit & 1) for bit in range(9)]
-    codes = []
-    for cls in range(3):
-        # The pairwise reading holds in class 2 alone; the adjacent in 1 and 2.
-        hypotheses[2:4] = cls == 2, cls > 0
-        codes.append(_new_code(tuple(hypotheses)))
-    return tuple(codes)
+    flags = [bool(code >> bit & 1) for bit in range(9)]
+    satisfied, trivial, _, _, case_unit, gen_pair, gen_adj, div_ok, non_unit = flags
+    general = div_ok and non_unit
+    for bits in (0, 0b1000, _DEF_MASK):
+        def_pair, def_adj = bits == _DEF_MASK, bits != 0
+        flags[2:4] = def_pair, def_adj
+        # One rule gives all three verdicts: a satisfied, nontrivial row whose
+        # d, e, f chain holds, in the unit case or meeting the general-case
+        # conditions.  Each verdict reads the two chains its own way.
+        verdicts = (
+            satisfied and not trivial and def_ok and (case_unit or (gen_ok and general))
+            for def_ok, gen_ok in (
+                (def_pair, gen_pair),
+                (def_pair, gen_adj),
+                (def_adj and not def_pair, gen_adj),
+            )
+        )
+        _REPORTS[code & ~_DEF_MASK | bits] = ConditionReport(*flags, *verdicts)
 
 
 def classify_row(row: Sequence[int]) -> ConditionReport:
@@ -501,9 +499,9 @@ def _class_rows(entry: Sequence, ranges: tuple[range, ...]) -> list[list]:
 
 @lru_cache(maxsize=2)
 def _diagonal_classes(ranges: tuple[range, ...]) -> tuple[bytes, Counter]:
-    """The ``_def_class`` of each point of the walk with no free axis, and how many points
-    each class has."""
-    cells = bytes(_def_class(d, e, f) for _, d, e, f in _diagonal(ranges, (False, False, False)))
+    """The ``_def_bits`` of each point of the walk with no free axis, and how many points
+    have each."""
+    cells = bytes(_def_bits(d, e, f) for _, d, e, f in _diagonal(ranges, (False, False, False)))
     return cells, Counter(cells)
 
 
@@ -648,16 +646,16 @@ def _run_table(d_range: range, e_range: range, f_range: range) -> dict[int, dict
 
     ``text`` is the pair's stretch of a log line, from d's value up to f's:
     the log's keys are sorted, so d, e and f are neighbours in every line.
-    ``runs`` cuts f's range into its stretches of equal ``_def_class``, each
-    ``(class, i, j)`` for the values ``f_range[i:j]``.  The class changes
-    only at f in {0, d, e}, so a pair has at most 7 runs, whatever f's range.
+    ``runs`` cuts f's range into its stretches of equal ``_def_bits``, each
+    ``(bits, i, j)`` for the values ``f_range[i:j]``.  The bits change only
+    at f in {0, d, e}, so a pair has at most 7 runs, whatever f's range.
     """
     table: dict[int, dict[int, tuple]] = {}
     shared: dict[tuple, tuple] = {}  # pairs share one tuple per distinct run
     for d, e in product(d_range, e_range):
         runs, i = [], 0
-        for cls, cells in groupby(f_range, lambda f: _def_class(d, e, f)):
-            run = cls, i, (i := i + len(list(cells)))
+        for bits, cells in groupby(f_range, lambda f: _def_bits(d, e, f)):
+            run = bits, i, (i := i + len(list(cells)))
             runs.append(shared.setdefault(run, run))
         table.setdefault(d, {})[e] = f'{d},"e":{e},"f":', runs
     return table
@@ -666,21 +664,21 @@ def _run_table(d_range: range, e_range: range, f_range: range) -> dict[int, dict
 def _family_runs(
     group: Sequence[list], codes: Iterable[int], free: Sequence, table: dict
 ) -> Iterator[tuple]:
-    """A family group's rows in enumeration order, in runs of equal class.
+    """A family group's rows in enumeration order, in runs of equal code.
 
     A run ``(entry, d, e, text, code, i, j)`` is the entry with d, e and each
     f of ``free[2][i:j]`` in its slots, ``text`` the pair's text in ``table``
     and ``code`` the rows' report code.  A None slot stands for its range in
     ``free``; a group's entries share their None slots, so it is walked
     d -> e -> f, unsorted.  ``codes`` holds each entry's stored code, and a
-    row's code is ``_chain_codes`` of it at the row's class.
+    row's code is that code with the row's own ``_def_bits``.
     """
     # slot value (None when free) -> next slot's tree; f's leaves hold the
-    # entry and its codes by class.
+    # entry and its code without the chain bits.
     tree: dict = {}
     for entry, code in zip(group, codes):
         d_key, e_key, f_key = entry[6:9]
-        tree.setdefault(d_key, {}).setdefault(e_key, {})[f_key] = entry, _chain_codes(code)
+        tree.setdefault(d_key, {}).setdefault(e_key, {})[f_key] = entry, code & ~_DEF_MASK
     d_free, e_free, f_free = free
     for d_key, e_tree in tree.items():
         for d in d_free if d_key is None else (d_key,):
@@ -688,13 +686,20 @@ def _family_runs(
             for e_key, f_tree in e_tree.items():
                 for e in e_free if e_key is None else (e_key,):
                     text, runs = pairs[e]
-                    for f_key, (entry, chain) in f_tree.items():
-                        cells = runs
+                    for f_key, (entry, base) in f_tree.items():
                         if f_key is not None:
                             i = f_key - f_free.start
-                            cells = ((_def_class(d, e, f_key), i, i + 1),)
-                        for cls, i, j in cells:
-                            yield entry, d, e, text, chain[cls], i, j
+                            yield entry, d, e, text, base | _def_bits(d, e, f_key), i, i + 1
+                            continue
+                        for bits, i, j in runs:
+                            yield entry, d, e, text, base | bits, i, j
+
+
+def _stretch(entry: Sequence, d: int, e: int, f_values: range) -> Iterator[list]:
+    """The rows of a family run: ``entry`` with d, e and each of ``f_values`` in its slots."""
+    head, tail = entry[:6], entry[9:]
+    for f in f_values:
+        yield [*head, d, e, f, *tail]
 
 
 class Solutions:
@@ -707,15 +712,8 @@ class Solutions:
         return self._result.row_count
 
     def __iter__(self) -> Iterator[tuple[ConjectureInstance, ConditionReport]]:
-        f_range = self._result.space.values_of("f")
-        for codes, run, runs in self._result._walk():
-            if runs is None:
-                yield from zip(map(ConjectureInstance._make, run), map(_REPORTS.__getitem__, codes))
-                continue
-            for entry, d, e, _, code, i, j in runs:
-                report = _REPORTS[code]
-                for f in f_range[i:j]:
-                    yield ConjectureInstance(*entry[:6], d, e, f, *entry[9:]), report
+        for codes, rows in self._result._row_runs():
+            yield from zip(map(ConjectureInstance._make, rows), map(_REPORTS.__getitem__, codes))
 
 
 @dataclass
@@ -730,7 +728,7 @@ class SearchResult:
     piece at a time, so memory never holds the box's entries or their codes,
     and expands a class entry only when it reaches it.  An entry's code is
     the report of the entry, or of its first row, and every other row it
-    stands for has ``_chain_codes`` of it at the row's ``_def_class``.
+    stands for has that code with the row's own ``_def_bits``.
     """
 
     space: SearchSpace
@@ -759,19 +757,18 @@ class SearchResult:
             entries, codes = marshal.loads(self.spill.read(length))
             yield from zip(entries, array("H", codes))
 
-    def _walk(self) -> Iterator[tuple[Sequence | None, Sequence | None, Iterator[tuple] | None]]:
+    def _walk(self) -> Iterator[tuple[Sequence[int] | None, Sequence | Iterator[tuple]]]:
         """Each run of entries sharing (alpha, beta, gamma, a, b, c), in enumeration order.
 
         The prefix fixes which of d, e, f are free, so a run is explicit rows
         only, family entries only or one format-3 class entry, which
-        ``_class_rows`` expands once.  A run comes as ``(codes, run, runs)``,
-        its codes read from ``_stored`` beside its entries.  An explicit run
-        is its entries, each one row, with ``codes[i]`` the report code of
-        ``run[i]``, and ``runs`` None; a class entry's diagonal rows read
-        theirs from ``_diagonal_classes``' cells.  A family run comes as
+        ``_class_rows`` expands once.  An explicit run comes as
+        ``(codes, rows)``, each entry one row, with ``codes[i]`` the report
+        code of ``rows[i]``: read from ``_stored`` beside the entry, or for a
+        class entry's diagonal rows, its code with ``_diagonal_classes``'
+        bits.  A family run comes as ``(None, runs)``, ``runs`` being
         ``_family_runs``' lazy walk of its rows, each with its code, over one
-        ``_run_table`` built at the first family run, with ``codes`` and
-        ``run`` None.
+        ``_run_table`` built at the first family run.
         """
         free = tuple(self.space.values_of(name) for name in "def")
         table = None
@@ -783,25 +780,33 @@ class SearchResult:
                 if None in group[0]:
                     codes = [code] * len(group)
                 else:
-                    chain = _chain_codes(code)
-                    codes = [chain[cls] for cls in _diagonal_classes(free)[0]]
+                    base = code & ~_DEF_MASK
+                    codes = [base | bits for bits in _diagonal_classes(free)[0]]
             if None not in group[0]:
-                yield codes, group, None
+                yield codes, group
             else:
                 if table is None:
                     table = _run_table(*free)
-                yield None, None, _family_runs(group, codes, free, table)
+                yield None, _family_runs(group, codes, free, table)
+
+    def _row_runs(self) -> Iterator[tuple[Iterable[int], Iterable[list]]]:
+        """Each run of rows as ``(codes, rows)``, in enumeration order.
+
+        An explicit run comes whole, as ``_walk`` yields it; each run of a
+        family's rows comes lazily, its one code repeated once per row.
+        """
+        f_range = self.space.values_of("f")
+        for codes, rows in self._walk():
+            if codes is not None:
+                yield codes, rows
+                continue
+            for entry, d, e, _, code, i, j in rows:
+                yield repeat(code, j - i), _stretch(entry, d, e, f_range[i:j])
 
     def iter_rows(self) -> Iterator[list[int]]:
         """The kernel rows in enumeration order, expanded from the entries as they go."""
-        f_range = self.space.values_of("f")
-        for _, run, runs in self._walk():
-            if runs is None:
-                yield from run
-                continue
-            for entry, d, e, _, _, i, j in runs:
-                for f in f_range[i:j]:
-                    yield [*entry[:6], d, e, f, *entry[9:]]
+        for _, rows in self._row_runs():
+            yield from rows
 
     @property
     def rows(self) -> list[list[int]]:
@@ -824,15 +829,10 @@ class SearchResult:
         # zero a*alpha, b*beta or c*gamma, so it is trivial or fails div_ok,
         # and a row on a class entry's diagonal repeats a magnitude in d, e,
         # f, so its pairwise chain fails.
-        hits = {
-            code
-            for code, report in list(_REPORTS.items())
-            if report.counterexample_pairwise or report.counterexample_adjacent
-        }
         return [
-            dict(zip(ROW_VARS, entry), readings=_readings(_REPORTS[code]))
+            dict(zip(ROW_VARS, entry), readings=_readings(report))
             for entry, code in self._stored()
-            if code in hits
+            if (report := _REPORTS[code]).counterexample_pairwise or report.counterexample_adjacent
         ]
 
     def certificate(self) -> dict:
@@ -981,8 +981,8 @@ def _count_rows(
     differ from that row only in the chain flags (see the module docstring).
     A family, and a class entry with a free axis, is counted whole under
     that report, since the counts read only flags its rows share; a
-    diagonal with no free axis is counted per _def_class, under
-    ``_chain_codes`` of the entry's code.
+    diagonal with no free axis is counted per ``_def_bits``, under the
+    entry's code with those bits.
     """
 
     def code_of(row: list) -> int:
@@ -1015,9 +1015,8 @@ def _count_rows(
         if None in entry:
             rows_by_code[code] += points * prod(map(len, axes))
             continue
-        chain = _chain_codes(code)
-        for cls, count in _diagonal_classes(free)[1].items():
-            rows_by_code[chain[cls]] += count
+        for bits, count in _diagonal_classes(free)[1].items():
+            rows_by_code[code & ~_DEF_MASK | bits] += count
     return codes
 
 
@@ -1195,15 +1194,15 @@ def write_result_log(result: SearchResult, path: str | Path) -> None:
 
     def lines() -> Iterator[tuple[str, str, list[str]]]:
         # Runs of lines as (head, tail, texts), a line head + text + tail per text.
-        for codes, run, runs in result._walk():
-            if runs is None:
+        for codes, run in result._walk():
+            if codes is not None:
                 # Filled no faster than the write has room: one write's lines are held at most.
                 filled = map(fill, codes, run)
                 while piece := list(islice(filled, room)):
                     yield "", "", piece
                 continue
             bound: dict[tuple, list[str]] = {}  # head and tail by (p, code); the prefix fixes q
-            for entry, _, _, text, code, i, j in runs:
+            for entry, _, _, text, code, i, j in run:
                 parts = bound.get((entry[9], code))
                 if parts is None:
                     parts = bound[entry[9], code] = fill(code, entry[:6] + _DEF_OPEN + entry[9:]).split("%d")[::3]

@@ -14,7 +14,7 @@ from itertools import islice, product, zip_longest
 from pathlib import Path
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import fltaudit.checkpoint as checkpoint_module
@@ -34,7 +34,7 @@ from fltaudit.search import (
     system_values,
     write_result_log,
 )
-from fltaudit.search import _DEF_OPEN, _REPORTS, _chain_codes, _def_class, _diagonal, _kernel
+from fltaudit.search import _DEF_MASK, _DEF_OPEN, _REPORTS, _def_bits, _diagonal, _kernel
 from fltaudit.search import _line_template, _report_code
 from fltaudit.search import _free_axes, _run_table
 from fltaudit.search import _sign_classes
@@ -1268,7 +1268,7 @@ class TestStreamedLogAgainstOracle:
             pqs: dict[tuple, set] = {}
             for row in result.iter_rows():
                 if any(_free_axes(row)):
-                    pqs.setdefault((*row[:6], _def_class(*row[6:9])), set()).add(tuple(row[9:]))
+                    pqs.setdefault((*row[:6], _def_bits(*row[6:9])), set()).add(tuple(row[9:]))
             assert any(len(pq) > 1 and all(q for _, q in pq) for pq in pqs.values())
         assert_matches_oracle(result, tmp_path / "log.jsonl")
 
@@ -1573,7 +1573,7 @@ class TestRunTable:
         # reads each one's code from its entry's code: it classifies none.
         result = search(SearchSpace.cube(-8, 8, shards=17))
         slots = {
-            (*row[:6], *row[9:], _def_class(*row[6:9]))
+            (*row[:6], *row[9:], _def_bits(*row[6:9]))
             for row in result.iter_rows()
             if any(_free_axes(row))
         }
@@ -1590,13 +1590,21 @@ class TestRunTable:
 
 
 def assert_runs_expand_to_def_class(d, e, f_range, runs):
-    """The runs cover f's range in order, one class each, no two neighbours alike."""
+    """The runs cover f's range in order, one class each, no two neighbours alike.
+
+    A run's class is the d, e, f chain bits of its rows' report codes.
+    """
     assert len(runs) <= 7
     assert [i for _, i, _ in runs] == [0] + [j for _, _, j in runs[:-1]]
     assert runs[-1][2] == len(f_range)
     assert all(a[0] != b[0] for a, b in zip(runs, runs[1:]))
-    cells = [cls for cls, i, j in runs for _ in f_range[i:j]]
-    assert cells == [_def_class(d, e, f) for f in f_range]
+    cells = [bits for bits, i, j in runs for _ in f_range[i:j]]
+    assert cells == [_report_code([1] * 6 + [d, e, f, 0, 0]) & _DEF_MASK for f in f_range]
+
+
+def hypothesis_bits(report):
+    """The code of a report's nine hypothesis flags: bit i is its i-th field."""
+    return sum(flag << bit for bit, flag in enumerate(dataclasses.astuple(report)[:9]))
 
 
 class TestClassifierAgainstOracle:
@@ -1607,15 +1615,22 @@ class TestClassifierAgainstOracle:
 
     @settings(max_examples=400, deadline=None)
     @given(st.lists(st.integers(-3, 3), min_size=11, max_size=11))
+    # A general-case adjacent counterexample: its true verdict stays out of the code.
+    @example([-2, -1, -2, 4, 2, 4, -4, -3, 4, 18, 2])
+    def test_report_code_is_the_hypothesis_bits(self, row):
+        assert _report_code(row) == hypothesis_bits(classify_row(row))
+
+    @settings(max_examples=400, deadline=None)
+    @given(st.lists(st.integers(-3, 3), min_size=11, max_size=11))
     def test_chain_codes_follow_the_signs_of_def(self, row):
-        # The signs of d, e and f move only the chain's class: every flip
-        # reads its code from the row's chain codes at its _def_class.
-        chain = _chain_codes(_report_code(row))
+        # The signs of d, e and f move only the chain bits: every flip's
+        # code is the row's code with the flip's _def_bits.
+        code = _report_code(row)
         for signs in product((1, -1), repeat=3):
             flipped = [*row[:6], *(s * v for s, v in zip(signs, row[6:9])), *row[9:]]
-            code = chain[_def_class(*flipped[6:9])]
-            assert code == _report_code(flipped)
-            assert flags_of(_REPORTS[code]) == oracle_conditions(flipped)
+            flip_code = code & ~_DEF_MASK | _def_bits(*flipped[6:9])
+            assert flip_code == _report_code(flipped)
+            assert flags_of(_REPORTS[flip_code]) == oracle_conditions(flipped)
 
 
 def assert_pattern_path_matches_rows(result):
@@ -1712,7 +1727,7 @@ class TestPatternPathAgainstRows:
     def test_a_freed_slot_moves_only_the_def_class(self, row, axis, zero_coefficient, value):
         # A zero a*alpha frees d (likewise b*beta e, c*gamma f), as in every
         # family row.  search() counts a family entry under its first row's
-        # report, and the walk keys a family's reports by _def_class.
+        # report, and the walk sets each row's _def_bits in its entry's code.
         row[axis if zero_coefficient else 3 + axis] = 0
         # Solve for (p, q) where the system allows, so satisfied rows are drawn too.
         alpha, beta, gamma, a, b, c, d, e, f = row[:9]
@@ -1731,7 +1746,8 @@ class TestPatternPathAgainstRows:
         moved = list(row)
         moved[6 + axis] = value
         other = classify_row(moved)
-        if _def_class(*moved[6:9]) == _def_class(*row[6:9]):
+        assert _report_code(moved) == _report_code(row) & ~_DEF_MASK | _def_bits(*moved[6:9])
+        if _def_bits(*moved[6:9]) == _def_bits(*row[6:9]):
             assert other == report
         # Whatever the class, only the chain flags differ.
         assert dataclasses.replace(
@@ -1798,8 +1814,8 @@ class TestSolutionsAreLazy:
         assert {any(_free_axes(entry)) for entry, _ in result._stored()} == {family}
         assert result.counterexamples_pairwise == result.counterexamples_adjacent == 0
         rows = result.rows
-        # A family run builds its instances through __new__, an explicit run
-        # through _make, which does not call __new__: count both.
+        # Instances are built through _make, which does not call __new__:
+        # count both.
         built = []
         new, make = ConjectureInstance.__new__, ConjectureInstance._make
 
