@@ -29,7 +29,7 @@ from typing import Callable
 
 from .ints import at_least, exact_ints
 from .lemma import linear_forms
-from .search import _REPORTS, READINGS, _report_code, chain_flags
+from .search import _REPORTS, READINGS, ConditionReport, _report_code, chain_flags
 
 __all__ = [
     "CLAIM_IDS",
@@ -90,11 +90,11 @@ def _skeleton(x: int, y: int, z: int, forms: tuple[int, ...], k: int) -> list[in
     return [xy, yz, zx, r * xy ** (k - 1), s * yz ** (k - 1), t * zx ** (k - 1), u, v, w, 0, 0]
 
 
-def _facts(pt: Point, k: int) -> tuple[int, tuple[bool, bool]]:
-    """What the conclusions read of a point: the report code of its reduction
-    row, and the chain r != s != t != 0 of its forms under each of READINGS."""
+def _facts(pt: Point, k: int) -> tuple[ConditionReport, tuple[bool, bool]]:
+    """What the conclusions read of a point: the report of its reduction row,
+    and the chain r != s != t != 0 of its forms under each of READINGS."""
     forms = linear_forms(*pt)
-    return _report_code(_skeleton(*pt, forms, k)), chain_flags(*forms[:3])
+    return _REPORTS[_report_code(_skeleton(*pt, forms, k))], chain_flags(*forms[:3])
 
 
 # claim id -> (the ConditionReport flag giving the conclusion under each of
@@ -127,7 +127,7 @@ def _conclusion(
     if flags is None:
         return lambda pt: facts_of(pt)[1][index]
     flag = attrgetter(flags[index])
-    return lambda pt: flag(_REPORTS[facts_of(pt)[0]])
+    return lambda pt: flag(facts_of(pt)[0])
 
 
 def verify_condition_derivations(box_bound: int, k: int) -> list[ImplicationCheck]:
@@ -153,14 +153,14 @@ def verify_condition_derivations(box_bound: int, k: int) -> list[ImplicationChec
                     admitted[reading, True].append(pt)
     # The weakest hypothesis admits every point any other admits: read each
     # admitted point's facts once, for every claim and reading.  Points share
-    # the few distinct fact pairs, so the table holds no more than one
-    # reference per point.  The rows are built from ints checked above, so
-    # they skip classify_row's check.
+    # the few distinct fact pairs, keyed by their interned report's id, so
+    # the table holds a reference per point.  The rows are built from ints
+    # checked above, so they skip classify_row's check.
     shared: dict[tuple, tuple] = {}
     facts = {}
     for pt in admitted["adjacent", False]:
-        key = _facts(pt, k)
-        facts[pt] = shared.setdefault(key, key)
+        report, chain = pair = _facts(pt, k)
+        facts[pt] = shared.setdefault((id(report), chain), pair)
     checks: list[ImplicationCheck] = []
     for claim, (_, needs_coprime, needs_k) in _CLAIMS.items():
         for reading in READINGS:

@@ -65,17 +65,14 @@ the chain d != e != f != 0, whose two readings give three classes.  The
 search classifies one row per class or family entry, and once per class
 of a square block's explicit rows that differ only in the signs of d, e
 and f and share their chain flags.  A report's code is the bits of its
-nine hypothesis flags.  The search stores one code per entry, beside the
-entry, and a row's code is its entry's with the row's own chain bits: no
-walk classifies.  A walk takes each class entry as one run and expands
-it once into the diagonal's explicit rows or family entries, one
-p = m^2 q per magnitude m shared by the rows at m; an explicit run goes to
-its consumer whole.  It walks family rows in runs of equal code, read
-from one table over the box's (d, e) pairs; rows and solutions expand those
-runs by one path.  The result log binds one line per (p, code) of a
-prefix, which fixes q, as a head and a tail, joins each run's f texts
-between them and writes 256 lines at a time.  Rows are expanded from the
-entries, in enumeration order, only when they are walked.
+nine hypothesis flags.  The search stores one code beside each entry, and
+a row's code is its entry's with the row's own chain bits: no walk
+classifies.  A walk expands each class entry once, one p = m^2 q per
+magnitude m, and an explicit run goes to its consumer whole.  Family rows
+come one (d, e) cell at a time, their chain bits read from one table over
+the box's (d, e) pairs, to rows, solutions and the log alike.  The log
+binds one line per p and code of a prefix as a head and a tail, and
+appends each run's f texts joined between them to a 256-line write.
 
 The space is split into shards by a prefix of the enumeration order; each
 completed shard appends one fsync'd record to the checkpoint file, so an
@@ -103,7 +100,7 @@ from array import array
 from collections import Counter
 from dataclasses import dataclass, fields
 from functools import lru_cache
-from itertools import chain, groupby, islice, product, repeat
+from itertools import chain, groupby, islice, product
 from math import isqrt, prod
 from operator import attrgetter, itemgetter, lt
 from pathlib import Path
@@ -642,64 +639,53 @@ _PREFIX = itemgetter(0, 1, 2, 3, 4, 5)
 
 
 def _run_table(d_range: range, e_range: range, f_range: range) -> dict[int, dict[int, tuple]]:
-    """Each (d, e) pair of the box, as ``table[d][e] = (text, runs)``.
+    """Each (d, e) pair of the box, as ``table[d][e] = (text, runs, fixed, other)``.
 
     ``text`` is the pair's stretch of a log line, from d's value up to f's:
     the log's keys are sorted, so d, e and f are neighbours in every line.
     ``runs`` cuts f's range into its stretches of equal ``_def_bits``, each
     ``(bits, i, j)`` for the values ``f_range[i:j]``.  The bits change only
     at f in {0, d, e}, so a pair has at most 7 runs, whatever f's range.
+    A fixed f's bits are ``fixed.get(f, other)``: ``fixed`` holds those at
+    each such f in the range.  ``_def_bits`` is called once per (d, e, f).
     """
     table: dict[int, dict[int, tuple]] = {}
     shared: dict[tuple, tuple] = {}  # pairs share one tuple per distinct run
     for d, e in product(d_range, e_range):
+        cells = [_def_bits(d, e, f) for f in f_range]
         runs, i = [], 0
-        for bits, cells in groupby(f_range, lambda f: _def_bits(d, e, f)):
-            run = bits, i, (i := i + len(list(cells)))
+        for bits, same in groupby(cells):
+            run = bits, i, (i := i + len(list(same)))
             runs.append(shared.setdefault(run, run))
-        table.setdefault(d, {})[e] = f'{d},"e":{e},"f":', runs
+        fixed = {f: bits for f, bits in zip(f_range, cells) if f in (0, d, e)}
+        other = next((bits for f, bits in zip(f_range, cells) if f not in fixed), 0)
+        table.setdefault(d, {})[e] = f'{d},"e":{e},"f":', runs, fixed, other
     return table
 
 
-def _family_runs(
+def _family_cells(
     group: Sequence[list], codes: Iterable[int], free: Sequence, table: dict
 ) -> Iterator[tuple]:
-    """A family group's rows in enumeration order, in runs of equal code.
+    """A family group's rows in enumeration order, one (d, e) cell at a time.
 
-    A run ``(entry, d, e, text, code, i, j)`` is the entry with d, e and each
-    f of ``free[2][i:j]`` in its slots, ``text`` the pair's text in ``table``
-    and ``code`` the rows' report code.  A None slot stands for its range in
-    ``free``; a group's entries share their None slots, so it is walked
-    d -> e -> f, unsorted.  ``codes`` holds each entry's stored code, and a
-    row's code is that code with the row's own ``_def_bits``.
+    A cell comes as ``(d, e, pair, leaves)``, ``pair`` being ``table[d][e]``
+    and ``leaves`` ``(f, (entry, base, key))`` for each entry with rows at
+    (d, e), f None where it is free.  A row's code is ``base``, its entry's
+    code without chain bits, with the row's bits from ``pair``; ``key`` is
+    ``p << 9 | base``.  A None slot stands for its range in ``free``; a
+    group's entries share their None slots, so it is walked d -> e -> f.
     """
-    # slot value (None when free) -> next slot's tree; f's leaves hold the
-    # entry and its code without the chain bits.
-    tree: dict = {}
+    tree: dict = {}  # slot value (None when free) -> next slot's tree
     for entry, code in zip(group, codes):
         d_key, e_key, f_key = entry[6:9]
-        tree.setdefault(d_key, {}).setdefault(e_key, {})[f_key] = entry, code & ~_DEF_MASK
-    d_free, e_free, f_free = free
+        base = code & ~_DEF_MASK
+        tree.setdefault(d_key, {}).setdefault(e_key, {})[f_key] = entry, base, entry[9] << 9 | base
     for d_key, e_tree in tree.items():
-        for d in d_free if d_key is None else (d_key,):
+        for d in free[0] if d_key is None else (d_key,):
             pairs = table[d]
             for e_key, f_tree in e_tree.items():
-                for e in e_free if e_key is None else (e_key,):
-                    text, runs = pairs[e]
-                    for f_key, (entry, base) in f_tree.items():
-                        if f_key is not None:
-                            i = f_key - f_free.start
-                            yield entry, d, e, text, base | _def_bits(d, e, f_key), i, i + 1
-                            continue
-                        for bits, i, j in runs:
-                            yield entry, d, e, text, base | bits, i, j
-
-
-def _stretch(entry: Sequence, d: int, e: int, f_values: range) -> Iterator[list]:
-    """The rows of a family run: ``entry`` with d, e and each of ``f_values`` in its slots."""
-    head, tail = entry[:6], entry[9:]
-    for f in f_values:
-        yield [*head, d, e, f, *tail]
+                for e in free[1] if e_key is None else (e_key,):
+                    yield d, e, pairs[e], f_tree.items()
 
 
 class Solutions:
@@ -766,8 +752,8 @@ class SearchResult:
         ``(codes, rows)``, each entry one row, with ``codes[i]`` the report
         code of ``rows[i]``: read from ``_stored`` beside the entry, or for a
         class entry's diagonal rows, its code with ``_diagonal_classes``'
-        bits.  A family run comes as ``(None, runs)``, ``runs`` being
-        ``_family_runs``' lazy walk of its rows, each with its code, over one
+        bits.  A family run comes as ``(None, cells)``, ``cells`` being
+        ``_family_cells``' lazy walk of its (d, e) cells over one
         ``_run_table`` built at the first family run.
         """
         free = tuple(self.space.values_of(name) for name in "def")
@@ -787,21 +773,28 @@ class SearchResult:
             else:
                 if table is None:
                     table = _run_table(*free)
-                yield None, _family_runs(group, codes, free, table)
+                yield None, _family_cells(group, codes, free, table)
 
-    def _row_runs(self) -> Iterator[tuple[Iterable[int], Iterable[list]]]:
-        """Each run of rows as ``(codes, rows)``, in enumeration order.
-
-        An explicit run comes whole, as ``_walk`` yields it; each run of a
-        family's rows comes lazily, its one code repeated once per row.
-        """
+    def _row_runs(self) -> Iterator[tuple[Sequence[int], Sequence[list]]]:
+        """Each run of rows as ``(codes, rows)``, in enumeration order: an explicit run
+        whole, as ``_walk`` yields it, and a family's rows one (d, e) cell at a time."""
         f_range = self.space.values_of("f")
-        for codes, rows in self._walk():
+        for codes, run in self._walk():
             if codes is not None:
-                yield codes, rows
+                yield codes, run
                 continue
-            for entry, d, e, _, code, i, j in rows:
-                yield repeat(code, j - i), _stretch(entry, d, e, f_range[i:j])
+            for d, e, (_, runs, fixed, other), leaves in run:
+                codes, rows = [], []
+                for f, (entry, base, _) in leaves:
+                    head, tail = entry[:6], entry[9:]
+                    for value in f_range if f is None else (f,):
+                        rows.append([*head, d, e, value, *tail])
+                    if f is not None:
+                        codes.append(base | fixed.get(f, other))
+                        continue
+                    for bits, i, j in runs:
+                        codes += [base | bits] * (j - i)
+                yield codes, rows
 
     def iter_rows(self) -> Iterator[list[int]]:
         """The kernel rows in enumeration order, expanded from the entries as they go."""
@@ -1033,13 +1026,8 @@ def search(
     in a process pool, so a crash loses only the shards still running.
     ``on_shard_complete(shard_id, record)`` fires after a shard's record is
     durable; exceptions raised there abort the run without damaging the
-    checkpoint.
-
-    A record, completed or resumed, has its rows counted and then written
-    with their codes, a few hundred at a time, to a private, unlinked spill
-    file, and is dropped.  The result walks the rows again from the spill, a
-    piece at a time in shard order, and never reads the checkpoint again:
-    memory holds one shard's record, whatever the size of the box.
+    checkpoint.  Each record is counted and spilled to a private file, from
+    which the result walks its rows: memory holds one shard's record.
     """
     # Imported here: only a search needs them.
     import tempfile
@@ -1176,15 +1164,16 @@ def write_result_log(result: SearchResult, path: str | Path) -> None:
     """Write the normalized result log: one canonical JSON object per solution.
 
     An explicit row fills its report's template.  A family line is bound
-    once per (p, code) of its run of entries as a head, before d's value,
-    and a tail, after f's: a row is the head, its (d, e) text, its f and the
-    tail, and a run of one class is one join of its f texts.  A write takes
-    ``_LINES_PER_WRITE`` lines, cutting a run where it fills, so memory holds
-    one piece of the spill, one run's bound lines, one (d, e) table and two
-    writes' lines, however many rows there are.
+    once per p and code of a prefix, which fixes q, as a head, before d's
+    value, and a tail, after f's.  Each (d, e) cell's runs of one code are
+    one join each, head + text + (tail + head + text).join(f_texts[i:j]) +
+    tail, appended to the current write of ``_LINES_PER_WRITE`` lines and
+    cut where it fills.  So memory holds one piece of the spill, one
+    prefix's bound lines, one (d, e) table and two writes' lines.
     """
     templates: dict[int, tuple] = {}  # report code -> its line template and picker
-    f_texts = list(map(str, result.space.values_of("f")))
+    f_range = result.space.values_of("f")
+    f_texts = list(map(str, f_range))
 
     def fill(code: int, row: Sequence) -> str:
         entry = templates.get(code)
@@ -1192,32 +1181,43 @@ def write_result_log(result: SearchResult, path: str | Path) -> None:
             entry = templates[code] = _line_template(_REPORTS[code])
         return entry[0] % entry[1](row)
 
-    def lines() -> Iterator[tuple[str, str, list[str]]]:
-        # Runs of lines as (head, tail, texts), a line head + text + tail per text.
+    with open(path, "w", encoding="utf-8") as handle:
+        batch: list[str] = []
+
+        def flush() -> int:
+            handle.write("".join(batch))
+            batch.clear()
+            return _LINES_PER_WRITE
+
+        room = _LINES_PER_WRITE  # lines the current write has room for
         for codes, run in result._walk():
             if codes is not None:
                 # Filled no faster than the write has room: one write's lines are held at most.
                 filled = map(fill, codes, run)
                 while piece := list(islice(filled, room)):
-                    yield "", "", piece
+                    batch += piece
+                    room -= len(piece)
+                    room = room or flush()
                 continue
-            bound: dict[tuple, list[str]] = {}  # head and tail by (p, code); the prefix fixes q
-            for entry, _, _, text, code, i, j in run:
-                parts = bound.get((entry[9], code))
-                if parts is None:
-                    parts = bound[entry[9], code] = fill(code, entry[:6] + _DEF_OPEN + entry[9:]).split("%d")[::3]
-                yield parts[0] + text, parts[1], f_texts[i:j]
-
-    with open(path, "w", encoding="utf-8") as handle:
-        batch: list[str] = []
-        room = _LINES_PER_WRITE  # lines the current write has room for
-        for head, tail, texts in lines():
-            while texts:
-                piece, texts = texts[:room], texts[room:]
-                batch.append(head + (tail + head).join(piece) + tail)
-                room -= len(piece)
-                if not room:
-                    handle.write("".join(batch))
-                    batch.clear()
-                    room = _LINES_PER_WRITE
-        handle.write("".join(batch))
+            bound: dict[int, list[str]] = {}  # head and tail by p << 9 | code
+            for _, _, (text, runs, fixed, other), leaves in run:
+                for f, (entry, base, key) in leaves:
+                    at = None if f is None else f - f_range.start
+                    for bits, i, j in runs if at is None else ((fixed.get(f, other), at, at + 1),):
+                        parts = bound.get(key | bits)
+                        if parts is None:
+                            row = entry[:6] + _DEF_OPEN + entry[9:]
+                            parts = bound[key | bits] = fill(base | bits, row).split("%d")[::3]
+                        if j - i == 1 and room > 1:
+                            batch.append(parts[0] + text + f_texts[i] + parts[1])
+                            room -= 1
+                            continue
+                        head, tail = parts[0] + text, parts[1]
+                        while j - i >= room:
+                            batch.append(head + (tail + head).join(f_texts[i : i + room]) + tail)
+                            i += room
+                            room = flush()
+                        if i < j:
+                            batch.append(head + (tail + head).join(f_texts[i:j]) + tail)
+                            room -= j - i
+        flush()

@@ -1259,6 +1259,16 @@ class TestStreamedLogAgainstOracle:
             # q != 0 family entries of one prefix and class with different
             # p = m**2 q: each (p, q, class) binds its own line.
             ("general", MIXED),
+            # beta spans 0 and gamma < 0, as in the CI's neg_gamma box: every
+            # family row has a free e under a fixed d and f, and reads its
+            # chain bits at that f, with p = m**2 q varying along d's diagonal.
+            (
+                "general",
+                {
+                    "alpha": (1, 2), "beta": (-1, 1), "gamma": (-2, -1),
+                    **dict.fromkeys("abc", (1, 2)), **dict.fromkeys("def", (-4, 4)),
+                },
+            ),
         ],
     )
     def test_family_runs(self, tmp_path, case, bounds):
@@ -1551,9 +1561,9 @@ class TestRunTable:
         assert list(table) == list(d_range)
         for d, pairs in table.items():
             assert list(pairs) == list(e_range)
-            for e, (text, runs) in pairs.items():
+            for e, (text, *cell) in pairs.items():
                 assert text == f'{d},"e":{e},"f":'
-                assert_runs_expand_to_def_class(d, e, f_range, runs)
+                assert_runs_expand_to_def_class(d, e, f_range, *cell)
 
     def test_a_pair_has_at_most_seven_runs(self):
         # The class changes only at f in {0, d, e}: distinct and inside f's
@@ -1562,8 +1572,8 @@ class TestRunTable:
         table = _run_table(range(-3, 4), range(-3, 4), f_range)
         counts = set()
         for d, pairs in table.items():
-            for e, (_, runs) in pairs.items():
-                assert_runs_expand_to_def_class(d, e, f_range, runs)
+            for e, (_, runs, *fixed) in pairs.items():
+                assert_runs_expand_to_def_class(d, e, f_range, runs, *fixed)
                 counts.add(len(runs))
         assert max(counts) == 7
 
@@ -1584,15 +1594,28 @@ class TestRunTable:
             calls.append(1)
             return report_code(row)
 
+        def_bits_calls = []
+        def_bits = search_module._def_bits
+
+        def counting_bits(d, e, f):
+            def_bits_calls.append(1)
+            return def_bits(d, e, f)
+
         monkeypatch.setattr(search_module, "_report_code", counting)
+        monkeypatch.setattr(search_module, "_def_bits", counting_bits)
         write_result_log(result, tmp_path / "log.jsonl")
         assert (len(calls), len(slots)) == (0, 1011)
+        # A row reads its chain bits from the (d, e) table, which calls
+        # _def_bits once per (d, e, f) of the box and no row calls it again.
+        assert len(def_bits_calls) == 17**3
 
 
-def assert_runs_expand_to_def_class(d, e, f_range, runs):
+def assert_runs_expand_to_def_class(d, e, f_range, runs, fixed, other):
     """The runs cover f's range in order, one class each, no two neighbours alike.
 
-    A run's class is the d, e, f chain bits of its rows' report codes.
+    A run's class is the d, e, f chain bits of its rows' report codes; a
+    fixed f reads the same bits as ``fixed.get(f, other)``, and ``fixed``
+    holds no more than three values of f.
     """
     assert len(runs) <= 7
     assert [i for _, i, _ in runs] == [0] + [j for _, _, j in runs[:-1]]
@@ -1600,6 +1623,8 @@ def assert_runs_expand_to_def_class(d, e, f_range, runs):
     assert all(a[0] != b[0] for a, b in zip(runs, runs[1:]))
     cells = [bits for bits, i, j in runs for _ in f_range[i:j]]
     assert cells == [_report_code([1] * 6 + [d, e, f, 0, 0]) & _DEF_MASK for f in f_range]
+    assert [fixed.get(f, other) for f in f_range] == cells
+    assert len(fixed) <= 3
 
 
 def hypothesis_bits(report):
