@@ -108,8 +108,13 @@ class DerivedSystem:
     P: Polynomial
     n: int
 
+    @cached_property
+    def _table(self) -> MonomialTable:
+        # As AbcTriple's: built from this instance's Q, M, P on first use.
+        return MonomialTable((self.Q, self.M, self.P))
+
     def evaluate(self, x: int, y: int, z: int) -> tuple[int, int, int]:
-        return MonomialTable((self.Q, self.M, self.P)).evaluate(x, y, z)
+        return self._table.evaluate(x, y, z)
 
 
 @dataclass(frozen=True)

@@ -261,28 +261,55 @@ class Polynomial:
 class MonomialTable:
     """Several polynomials over the union of their monomials, evaluated together.
 
-    ``evaluate`` builds one set of power tables per point and computes each
-    monomial's value once, for every polynomial that has it.
+    A monomial's block is the set of variables whose exponent in it is more
+    than half the table's degree in that variable; the block's factor is the
+    componentwise minimum of its monomials, and each monomial is its factor
+    times a reduced monomial (for A, B, C at n = 24: the factors x^22 y^22,
+    y^22 z^22, z^22 x^22, and reduced degrees at most 6).  ``evaluate``
+    computes each reduced monomial and each factor once per point, and sums
+    each polynomial's nonzero coefficients block by block.
     """
 
-    __slots__ = ("_monomials", "_columns", "_degrees")
+    __slots__ = ("_reduced", "_factors", "_sums", "_degrees")
 
     def __init__(self, polys: Iterable[Polynomial]) -> None:
         polys = tuple(polys)
-        monomials = list(dict.fromkeys(m for poly in polys for m in poly._terms))
-        self._monomials = monomials
-        # One coefficient column per polynomial, 0 where it lacks the monomial.
-        self._columns = tuple(
-            [poly._terms.get(m, 0) for m in monomials] for poly in polys
-        )
-        self._degrees = tuple(map(max, zip(*monomials))) if monomials else (0, 0, 0)
+        monomials = dict.fromkeys(m for poly in polys for m in poly._terms)
+        dx, dy, dz = map(max, zip((0, 0, 0), *monomials))
+        blocks: dict[tuple[bool, bool, bool], list[_Exponents]] = {}
+        for m in monomials:
+            blocks.setdefault((2 * m[0] > dx, 2 * m[1] > dy, 2 * m[2] > dz), []).append(m)
+        self._factors = [tuple(map(min, zip(*members))) for members in blocks.values()]
+        # Each monomial's block and the index of its reduced monomial.
+        reduced: dict[_Exponents, int] = {}
+        for b, (members, (fx, fy, fz)) in enumerate(zip(blocks.values(), self._factors)):
+            for ex, ey, ez in members:
+                rest = (ex - fx, ey - fy, ez - fz)
+                monomials[ex, ey, ez] = b, reduced.setdefault(rest, len(reduced))
+        self._reduced = list(reduced)
+        self._degrees = tuple(map(max, zip((0, 0, 0), *reduced)))
+        # Per polynomial, per block it has terms in: (block, coefficients,
+        # indices of their reduced monomials).
+        self._sums = []
+        for poly in polys:
+            sums: dict[int, tuple[list[int], list[int]]] = {}
+            for m, coeff in poly._terms.items():
+                b, i = monomials[m]
+                coeffs, index = sums.setdefault(b, ([], []))
+                coeffs.append(coeff)
+                index.append(i)
+            self._sums.append([(b, *pair) for b, pair in sums.items()])
 
     def evaluate(self, x: int, y: int, z: int) -> tuple[int, ...]:
         """Exact value of each polynomial at an integer point, in input order."""
         dx, dy, dz = self._degrees
         xp, yp, zp = _powers(x, dx), _powers(y, dy), _powers(z, dz)
-        values = [xp[ex] * yp[ey] * zp[ez] for ex, ey, ez in self._monomials]
-        return tuple(sum(map(mul, column, values)) for column in self._columns)
+        get = [xp[ex] * yp[ey] * zp[ez] for ex, ey, ez in self._reduced].__getitem__
+        factors = [x**ex * y**ey * z**ez for ex, ey, ez in self._factors]
+        return tuple(
+            sum(factors[b] * sum(map(mul, coeffs, map(get, index))) for b, coeffs, index in sums)
+            for sums in self._sums
+        )
 
 
 def _coerce(value: Union[Polynomial, int]) -> Polynomial:

@@ -73,21 +73,31 @@ def _table_points(seed):
 
 
 class TestSharedTable:
-    @pytest.mark.parametrize("n", range(3, 13))
+    # n = 3..24 is the audit-session scope; from n = 9 on, the table's
+    # monomials fall into the three disjoint pair-power blocks.
+    @pytest.mark.parametrize("n", range(3, 25))
     def test_matches_per_polynomial_and_direct_oracles(self, n):
         abc = build_lemma_terms(n)
         for x, y, z in _table_points(300 + n):
             per_poly = tuple(P.evaluate(x, y, z) for P in (abc.A, abc.B, abc.C))
             assert abc.evaluate(x, y, z) == per_poly == abc_at(n, x, y, z)
 
-    @pytest.mark.parametrize("n", [3, 8])
-    def test_table_reads_the_triple_it_is_given(self, n, monkeypatch):
+    def test_blocks_at_n24_are_the_pair_powers(self):
+        factors = build_lemma_terms(24)._table._factors
+        assert sorted(factors) == [(0, 22, 22), (22, 0, 22), (22, 22, 0)]
+
+    # At n = 24 the added term x^22 y^22 z lies inside the xy block.
+    @pytest.mark.parametrize(
+        "n, shift", [(3, (1, 0, 0)), (8, (1, 0, 0)), (24, (22, 22, 1))], ids=["3", "8", "24"]
+    )
+    def test_table_reads_the_triple_it_is_given(self, n, shift, monkeypatch):
         abc = build_lemma_terms(n)
         abc.evaluate(1, 2, 3)  # the real triple's table exists before the copy
-        mutated = dataclasses.replace(abc, A=abc.A + X)
+        ex, ey, ez = shift
+        mutated = dataclasses.replace(abc, A=abc.A + X**ex * Y**ey * Z**ez)
         for x, y, z in _table_points(400 + n):
             av, bv, cv = abc.evaluate(x, y, z)
-            assert mutated.evaluate(x, y, z) == (av + x, bv, cv)
+            assert mutated.evaluate(x, y, z) == (av + x**ex * y**ey * z**ez, bv, cv)
         monkeypatch.setattr(lemma, "build_lemma_terms", lambda _: mutated)
         record = identity_record(n, points=20, rng=random.Random(n))
         assert record["numeric_mismatches"] > 0

@@ -15,6 +15,15 @@ points = st.tuples(
     st.integers(min_value=-20, max_value=20),
     st.integers(min_value=-20, max_value=20),
 )
+# Polynomials as sums of small ones times high monomials, so that a table's
+# monomials fall into blocks: pair powers like the lemma's, a single power,
+# all three variables, or none (the unit factor).
+high_monomials = st.sampled_from(
+    [ONE, X**20 * Y**20, Y**20 * Z**20, Z**20 * X**20, X**20, X**20 * Y**20 * Z**20]
+)
+shifted_polynomials = st.lists(
+    st.tuples(polynomials, high_monomials), max_size=4
+).map(lambda parts: sum((p * m for p, m in parts), ZERO))
 
 
 def naive_value(p, x, y, z):
@@ -162,6 +171,12 @@ class TestMonomialTable:
     @given(polys=st.lists(polynomials, max_size=4), pt=points)
     @settings(max_examples=60, deadline=None)
     def test_matches_each_polynomial(self, polys, pt):
+        expected = tuple(naive_value(p, *pt) for p in polys)
+        assert MonomialTable(polys).evaluate(*pt) == expected
+
+    @given(polys=st.lists(shifted_polynomials, max_size=4), pt=points)
+    @settings(max_examples=80, deadline=None)
+    def test_matches_each_polynomial_in_blocks(self, polys, pt):
         expected = tuple(naive_value(p, *pt) for p in polys)
         assert MonomialTable(polys).evaluate(*pt) == expected
 
