@@ -33,8 +33,9 @@ _EXPORTS = {
         "pythagoras": "PythTriple Representation audit_parametrization enumerate_triples "
         "euclid_primitive_triples is_pythagorean represent_triple "
         "represent_triple_charitable",
+        "resultlog": "write_result_log",
         "search": "ConditionReport ConjectureInstance SearchResult SearchSpace "
-        "check_conditions system_values write_result_log",
+        "check_conditions system_values",
     }.items()
     for name in names.split()
 }

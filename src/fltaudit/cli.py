@@ -289,7 +289,8 @@ def _cmd_audit(args: argparse.Namespace) -> tuple[int, dict, str]:
 
 
 def _cmd_search(args: argparse.Namespace) -> tuple[int, dict, str]:
-    from .search import ROW_VARS, SearchSpace, search, write_result_log
+    from .resultlog import write_result_log
+    from .search import ROW_VARS, SearchSpace, search
 
     if args.workers < 1:
         raise UsageError(f"--workers must be >= 1, got {args.workers}")

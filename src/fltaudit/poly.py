@@ -43,7 +43,8 @@ def _grlex_key(m: _Exponents) -> tuple[int, _Exponents]:
 class Polynomial:
     """Immutable sparse polynomial with arbitrary-precision integer coefficients."""
 
-    __slots__ = ("_terms",)
+    # _table: the polynomial's MonomialTable, built at its first evaluation.
+    __slots__ = ("_terms", "_table")
 
     def __init__(self, terms: Mapping[_Exponents, int] | None = None) -> None:
         clean: dict[_Exponents, int] = {}
@@ -62,12 +63,14 @@ class Polynomial:
                     else:
                         clean.pop(key, None)
         self._terms = clean
+        self._table = None
 
     @classmethod
     def _from_canonical(cls, terms: dict[_Exponents, int]) -> "Polynomial":
         # Internal fast path: `terms` must already be canonical.
         poly = cls.__new__(cls)
         poly._terms = terms
+        poly._table = None
         return poly
 
     # ------------------------------------------------------------------
@@ -174,8 +177,10 @@ class Polynomial:
     # Evaluation and division
 
     def evaluate(self, x: int, y: int, z: int) -> int:
-        """Exact value at an integer point."""
-        return MonomialTable((self,)).evaluate(x, y, z)[0]
+        """Exact value at an integer point, from a table built once per polynomial."""
+        if self._table is None:
+            self._table = MonomialTable((self,))
+        return self._table.evaluate(x, y, z)[0]
 
     def div_exact(self, divisor: "Polynomial") -> "Polynomial":
         """Quotient q with self == q * divisor, else raise NotDivisible.

@@ -71,8 +71,8 @@ classifies.  A walk expands each class entry once, one p = m^2 q per
 magnitude m, and an explicit run goes to its consumer whole.  Family rows
 come one (d, e) cell at a time, their chain bits read from one table over
 the box's (d, e) pairs, to rows, solutions and the log alike.  The log
-binds one line per p and code of a prefix as a head and a tail, and
-appends each run's f texts joined between them to a 256-line write.
+(``fltaudit.resultlog``) writes a class entry's rows, like a family's, from
+a skeleton of indices that every group of the same shape reuses.
 
 The space is split into shards by a prefix of the enumeration order; each
 completed shard appends one fsync'd record to the checkpoint file, so an
@@ -100,7 +100,7 @@ from array import array
 from collections import Counter
 from dataclasses import dataclass, fields
 from functools import lru_cache
-from itertools import chain, groupby, islice, product
+from itertools import chain, groupby, product
 from math import isqrt, prod
 from operator import attrgetter, itemgetter, lt
 from pathlib import Path
@@ -639,10 +639,8 @@ _PREFIX = itemgetter(0, 1, 2, 3, 4, 5)
 
 
 def _run_table(d_range: range, e_range: range, f_range: range) -> dict[int, dict[int, tuple]]:
-    """Each (d, e) pair of the box, as ``table[d][e] = (text, runs, fixed, other)``.
+    """Each (d, e) pair of the box, as ``table[d][e] = (runs, fixed, other)``.
 
-    ``text`` is the pair's stretch of a log line, from d's value up to f's:
-    the log's keys are sorted, so d, e and f are neighbours in every line.
     ``runs`` cuts f's range into its stretches of equal ``_def_bits``, each
     ``(bits, i, j)`` for the values ``f_range[i:j]``.  The bits change only
     at f in {0, d, e}, so a pair has at most 7 runs, whatever f's range.
@@ -659,7 +657,7 @@ def _run_table(d_range: range, e_range: range, f_range: range) -> dict[int, dict
             runs.append(shared.setdefault(run, run))
         fixed = {f: bits for f, bits in zip(f_range, cells) if f in (0, d, e)}
         other = next((bits for f, bits in zip(f_range, cells) if f not in fixed), 0)
-        table.setdefault(d, {})[e] = f'{d},"e":{e},"f":', runs, fixed, other
+        table.setdefault(d, {})[e] = runs, fixed, other
     return table
 
 
@@ -667,6 +665,8 @@ def _family_cells(
     group: Sequence[list], codes: Iterable[int], free: Sequence, table: dict
 ) -> Iterator[tuple]:
     """A family group's rows in enumeration order, one (d, e) cell at a time.
+
+    The log walks a class entry's expanded rows here too, to build a skeleton.
 
     A cell comes as ``(d, e, pair, leaves)``, ``pair`` being ``table[d][e]``
     and ``leaves`` ``(f, (entry, base, key))`` for each entry with rows at
@@ -783,7 +783,7 @@ class SearchResult:
             if codes is not None:
                 yield codes, run
                 continue
-            for d, e, (_, runs, fixed, other), leaves in run:
+            for d, e, (runs, fixed, other), leaves in run:
                 codes, rows = [], []
                 for f, (entry, base, _) in leaves:
                     head, tail = entry[:6], entry[9:]
@@ -1123,101 +1123,10 @@ def search(
     return result
 
 
-def _flag_fields(report: ConditionReport) -> dict:
-    """The result-log fields that depend only on a row's report."""
-    return {
-        "conditions": report.as_dict(),
-        "counterexample": _readings(report),
-        "adjacent_def_admissible": report.admissible_with_adjacent_def,
-        "trivial": report.trivial,
-    }
+def __getattr__(name: str):
+    # The log writer is its own module, loaded only where a log is written.
+    if name != "write_result_log":
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from .resultlog import write_result_log
 
-
-# The d, e, f slots left open when a family entry's line is bound.
-_DEF_OPEN = ["%d"] * 3
-# Lines joined into each write of the result log.
-_LINES_PER_WRITE = 256
-
-
-def _line_template(report: ConditionReport) -> tuple[str, Callable[[Sequence], tuple]]:
-    """The log line of ``report``'s rows as a ``%`` template and its row picker.
-
-    ``template % pick(row)`` is the line ``CANONICAL_JSON`` writes for the
-    object of ``row``'s variables plus ``_flag_fields(report)``: the flag
-    values are encoded once, and each row variable is a ``%s`` slot.  A row
-    holding ``"%d"`` in a slot leaves that slot open: that is how a family
-    entry's line is bound with d, e and f still to fill.
-    """
-    flags = _flag_fields(report)
-    keys = sorted(ROW_VARS + tuple(flags))
-    encode = CANONICAL_JSON.encode
-    parts = [
-        f"{encode(key)}:%s" if key in ROW_VARS
-        else f"{encode(key)}:{encode(flags[key]).replace('%', '%%')}"
-        for key in keys
-    ]
-    pick = itemgetter(*(ROW_VARS.index(key) for key in keys if key in ROW_VARS))
-    return "{" + ",".join(parts) + "}\n", pick
-
-
-def write_result_log(result: SearchResult, path: str | Path) -> None:
-    """Write the normalized result log: one canonical JSON object per solution.
-
-    An explicit row fills its report's template.  A family line is bound
-    once per p and code of a prefix, which fixes q, as a head, before d's
-    value, and a tail, after f's.  Each (d, e) cell's runs of one code are
-    one join each, head + text + (tail + head + text).join(f_texts[i:j]) +
-    tail, appended to the current write of ``_LINES_PER_WRITE`` lines and
-    cut where it fills.  So memory holds one piece of the spill, one
-    prefix's bound lines, one (d, e) table and two writes' lines.
-    """
-    templates: dict[int, tuple] = {}  # report code -> its line template and picker
-    f_range = result.space.values_of("f")
-    f_texts = list(map(str, f_range))
-
-    def fill(code: int, row: Sequence) -> str:
-        entry = templates.get(code)
-        if entry is None:
-            entry = templates[code] = _line_template(_REPORTS[code])
-        return entry[0] % entry[1](row)
-
-    with open(path, "w", encoding="utf-8") as handle:
-        batch: list[str] = []
-
-        def flush() -> int:
-            handle.write("".join(batch))
-            batch.clear()
-            return _LINES_PER_WRITE
-
-        room = _LINES_PER_WRITE  # lines the current write has room for
-        for codes, run in result._walk():
-            if codes is not None:
-                # Filled no faster than the write has room: one write's lines are held at most.
-                filled = map(fill, codes, run)
-                while piece := list(islice(filled, room)):
-                    batch += piece
-                    room -= len(piece)
-                    room = room or flush()
-                continue
-            bound: dict[int, list[str]] = {}  # head and tail by p << 9 | code
-            for _, _, (text, runs, fixed, other), leaves in run:
-                for f, (entry, base, key) in leaves:
-                    at = None if f is None else f - f_range.start
-                    for bits, i, j in runs if at is None else ((fixed.get(f, other), at, at + 1),):
-                        parts = bound.get(key | bits)
-                        if parts is None:
-                            row = entry[:6] + _DEF_OPEN + entry[9:]
-                            parts = bound[key | bits] = fill(base | bits, row).split("%d")[::3]
-                        if j - i == 1 and room > 1:
-                            batch.append(parts[0] + text + f_texts[i] + parts[1])
-                            room -= 1
-                            continue
-                        head, tail = parts[0] + text, parts[1]
-                        while j - i >= room:
-                            batch.append(head + (tail + head).join(f_texts[i : i + room]) + tail)
-                            i += room
-                            room = flush()
-                        if i < j:
-                            batch.append(head + (tail + head).join(f_texts[i:j]) + tail)
-                            room -= j - i
-        flush()
+    return write_result_log

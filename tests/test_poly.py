@@ -166,6 +166,21 @@ class TestCanonicalForm:
     def test_eval_matches_naive_substitution(self, p, pt):
         assert p.evaluate(*pt) == naive_value(p, *pt)
 
+    def test_evaluations_share_one_table(self, monkeypatch):
+        # A polynomial is immutable, so it builds and factors its table once.
+        built = []
+        table_init = MonomialTable.__init__
+
+        def counting_init(self, polys):
+            built.append(1)
+            table_init(self, polys)
+
+        monkeypatch.setattr(MonomialTable, "__init__", counting_init)
+        p = (X + 2 * Y - Z) ** 5 + 3 * X * Y * Z
+        points = [(3, -2, 5), (0, 7, -1)]
+        assert [p.evaluate(*pt) for pt in points] == [naive_value(p, *pt) for pt in points]
+        assert len(built) == 1
+
 
 class TestMonomialTable:
     @given(polys=st.lists(polynomials, max_size=4), pt=points)
