@@ -13,6 +13,11 @@ Exit codes are part of the contract:
 
 Every command is deterministic for a fixed configuration; randomized numeric
 cross-checks take an explicit --seed that is recorded in the report.
+
+A ``--format json`` report is one line of canonical JSON (keys sorted, no
+whitespace), written by ``checkpoint.canonical_pieces``, the writer of
+checkpoint records, with the encoder of search signatures and result-log
+lines.
 """
 
 from __future__ import annotations
@@ -23,7 +28,7 @@ import sys
 from contextlib import nullcontext
 from pathlib import Path
 
-from .checkpoint import CheckpointError
+from .checkpoint import CheckpointError, canonical_pieces
 from .version import __version__
 
 EXIT_OK = 0
@@ -420,9 +425,9 @@ def _emit(args: argparse.Namespace, payload: dict, text: str) -> None:
     target = nullcontext(sys.stdout) if args.out is None else open(args.out, "w", encoding="utf-8")
     with target as handle:
         if args.format == "json":
-            # Streamed: json.dumps with an indent holds a string per token until
-            # it joins them, about 10 MB for a 1.6 MB audit report.
-            json.dump(payload, handle, sort_keys=True, indent=2)
+            # One canonical line, in the pieces checkpoint records are written
+            # in: a one-call encoding of a 0.6 MB audit report peaks at 3.1 MB.
+            handle.writelines(canonical_pieces(payload))
             handle.write("\n")
         else:
             handle.write(text)

@@ -5,12 +5,13 @@ import json
 import subprocess
 import sys
 import time
+import types
 
 import jsonschema
 import pytest
 
 from fltaudit.audit import AuditConfig
-from fltaudit.checkpoint import append_record
+from fltaudit.checkpoint import CANONICAL_JSON, append_record
 from fltaudit.cli import (
     EXIT_ABORTED,
     EXIT_AUDIT_DRIFT,
@@ -351,15 +352,28 @@ class TestRepresent:
         jsonschema.validate(payload, load_schema(schema_dir, "represent_report.schema.json"))
         assert payload["representation"] == {"p": 2, "q": 1}
 
-    def test_streamed_report_is_the_one_call_encoding(self, run_cli, tmp_path):
-        # The report is streamed to its file or stdout; the bytes must be json.dumps's.
-        out_file = tmp_path / "rep.json"
-        code, _, _ = run_cli(["represent", 3, 4, 5, "--format", "json", "--out", out_file])
-        assert code == EXIT_OK
-        written = out_file.read_text(encoding="utf-8")
-        want = json.dumps(json.loads(written), sort_keys=True, indent=2) + "\n"
-        assert written == want
-        assert run_cli(["represent", 3, 4, 5, "--format", "json"])[1] == want
+    def test_streamed_report_is_the_one_call_encoding(self, run_cli, tmp_path, monkeypatch):
+        # Every subcommand's report is written in pieces; its bytes must be one
+        # canonical line, the same to a file and to stdout.  The default audit
+        # and this scan-flt hold lists longer than a piece (C5's 522 items,
+        # 351 triples), and the general search 48 counterexample rows.
+        still = types.SimpleNamespace(perf_counter=lambda: 0.0)  # timers read 0 in both runs
+        monkeypatch.setattr("fltaudit.audit.time", still)
+        monkeypatch.setattr("fltaudit.lemma.time", still)
+        runs = [
+            (["audit"], EXIT_OK),
+            (["verify-identity", "--n-max", 5, "--points", 20], EXIT_OK),
+            (["search", "--case", "general", "--lower", -2, "--upper", 2], EXIT_COUNTEREXAMPLE),
+            (["scan-flt", "--base-max", 400, "--n-min", 2, "--n-max", 2], EXIT_OK),
+            (["represent", 3, 4, 5], EXIT_OK),
+        ]
+        for argv, want_code in runs:
+            out_file = tmp_path / "report.json"
+            code, _, _ = run_cli([*argv, "--format", "json", "--out", out_file])
+            assert code == want_code, argv
+            written = out_file.read_text(encoding="utf-8")
+            assert written == CANONICAL_JSON.encode(json.loads(written)) + "\n", argv
+            assert run_cli([*argv, "--format", "json"])[1] == written, argv
 
     def test_none_still_exit_zero(self, run_cli):
         code, out, _ = run_cli(["represent", 9, 12, 15])

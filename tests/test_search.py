@@ -767,12 +767,7 @@ def resume_tampered(tmp_path, field, value, shard=1, fmt=3, space=None):
         records[shard][field] = value
     cp.unlink()
     for record in records:
-        if "solutions" in record:
-            append_record(cp, record)
-        else:  # append_record needs the rows: frame the record by hand
-            payload = json.dumps(record).encode()
-            with open(cp, "ab") as handle:
-                handle.write(len(payload).to_bytes(4, "big") + payload)
+        append_record(cp, record)
     return search(space)
 
 
