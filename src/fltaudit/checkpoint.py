@@ -2,15 +2,20 @@
 
 File layout: a sequence of records, each a 4-byte big-endian payload length
 followed by that many bytes of canonical JSON.  Records are appended and
-fsync'd one per completed shard, so a crash can only ever leave a truncated
-tail behind the last complete record.  Reading yields the records one at a
-time and, once past the last complete one, cuts that tail from the file, so
-a record appended after it stays readable (the interrupted shard simply
-reruns); anything else that does not decode is reported as corruption.
+fsync'd one per completed shard, the first with its directory, so a crash
+can only ever leave a truncated tail behind the last complete record.
+Reading yields the records one at a time and, once past the last complete
+one, cuts that tail from the file, so a record appended after it stays
+readable (the interrupted shard simply reruns); anything else that does not
+decode is reported as corruption.
 
 A search record is the header ``fltaudit.search._record_header`` declares
-plus the shard's rows under ``solutions``; a resume checks its header and
-rows, though not that it holds every entry (see ``fltaudit.search``).
+plus the shard's rows under ``solutions``.  A resume checks its header and
+rows, and reads records of formats 1 and 2 into format 3 by the one rule of
+``fltaudit.search``: outside a square block, a prefix's rows must be its
+class entry's.  So an entry deleted there is refused in formats 1 and 2;
+only a rescan finds a square block's row, or the only entry of a prefix (as
+a format-3 class entry is), missing.
 
 ``canonical_pieces`` is the one writer of canonical JSON text of any size:
 it writes each record here and every ``--format json`` report of the CLI.
@@ -112,6 +117,8 @@ def append_record(path: str | Path, record: dict) -> None:
 
     The payload is the canonical JSON of ``record``.  A payload that
     ``read_records`` would refuse is refused before the file is opened.
+    The first record also syncs the file's directory: a file's fsync does
+    not make durable the directory entry that names it.
     """
     payload = "".join(canonical_pieces(record)).encode("utf-8")
     if len(payload) > MAX_RECORD_BYTES:
@@ -120,10 +127,17 @@ def append_record(path: str | Path, record: dict) -> None:
             "a resume reads; more shards make smaller records"
         )
     with open(path, "ab") as handle:
+        first = handle.tell() == 0
         handle.write(_LENGTH.pack(len(payload)))
         handle.write(payload)
         handle.flush()
         os.fsync(handle.fileno())
+    if first:
+        directory = os.open(Path(path).parent, os.O_RDONLY)
+        try:
+            os.fsync(directory)
+        finally:
+            os.close(directory)
 
 
 def read_records(path: str | Path) -> Generator[dict, None, bool]:

@@ -5,14 +5,14 @@ report, keys sorted, so d, e and f are neighbours in every line.  The log is
 written 256 lines at a time from the result's entries, a spill piece at a
 time, and its bytes are frozen.
 
-An explicit row fills its report's template.  The rows of a class entry, and
-of a format-2 family, form a bound group: every line of the group is a head,
-the (d, e) text of its row, the f text and a tail, and the head and tail are
-bound once per p and report code of the group.  The order of those pieces
-depends only on the group's d, e, f slots and on which of its entries share
-a p and code, so a skeleton of indices into the group's parts table is built
-at the first group of each shape and reused by the rest; a write is one join
-of a slice of it through the table.
+An explicit row fills its report's template.  The rows of a class entry form
+a bound group: every line of the group is a head, the (d, e) text of its
+row, the f text and a tail, and the head and tail are bound once per p and
+chain bits of the group.  The order of those pieces depends only on the
+entry's free axes and on whether q is 0 (where every row shares p = 0), so
+a skeleton of indices into the group's parts table is built at the first
+entry of each of those at most 16 shapes and reused by the rest; a write is
+one join of a slice of it through the table.
 """
 
 from __future__ import annotations
@@ -41,7 +41,6 @@ from .search import (
 
 __all__ = ["write_result_log"]
 
-_SLOTS = itemgetter(6, 7, 8)
 # The d, e, f slots left open when a group's line is bound.
 _DEF_OPEN = ["%d"] * 3
 # Lines joined into each write of the result log.
@@ -49,8 +48,6 @@ _LINES_PER_WRITE = 256
 # A run of more f values than this is written by a join over f's texts, not
 # by an index per piece of each line, so no skeleton is sized by f's range.
 _LONG_RUN = 16
-# Skeletons one write keeps, the oldest dropped first: format 3 needs at most 16.
-_SKELETONS = 16
 
 
 def _flag_fields(report: ConditionReport) -> dict:
@@ -125,30 +122,22 @@ def _skeleton(
     return segments, bindings
 
 
-def _shape(group: Sequence[list], codes: Sequence[int]) -> tuple[tuple, dict[int, int]]:
-    """A group's shape, its entries' d, e, f slots and which of them share a key,
-    and the first entry of each ``p << 9 | code`` key."""
-    keys = [entry[9] << 9 | code & ~_DEF_MASK for entry, code in zip(group, codes)]
-    firsts = dict(zip(reversed(keys), range(len(keys) - 1, -1, -1)))
-    return (*map(_SLOTS, group), *map(firsts.__getitem__, keys)), firsts
-
-
 def write_result_log(result: SearchResult, path: str | Path) -> None:
     """Write the normalized result log: one canonical JSON object per solution.
 
     Each run of entries sharing (alpha, beta, gamma, a, b, c) is written in
-    turn.  Explicit rows fill their reports' templates.  A class entry, like
-    a format-2 family, is a bound group: its bindings fill the parts table,
-    and its skeleton is joined through the table a write at a time.  The
-    skeleton is reused from an earlier group of the same shape, or built by
-    ``_skeleton`` over ``_family_cells``, the one place a class entry is
-    expanded here.  So memory holds one piece of the spill, one (d, e)
-    table, at most ``_SKELETONS`` skeletons and two writes' bytes.
+    turn.  Explicit rows fill their reports' templates.  A class entry is a
+    bound group: its bindings fill the parts table, and its skeleton is
+    joined through the table a write at a time.  The skeleton is reused from
+    an earlier entry of the same shape, or built by ``_skeleton`` over
+    ``_family_cells``, the one place a class entry is expanded here.  So
+    memory holds one piece of the spill, one (d, e) table, at most 16
+    skeletons and two writes' bytes.
     """
     templates: dict[int, tuple] = {}  # report code -> its line template and picker
     free = tuple(result.space.values_of(name) for name in "def")
     table = None
-    skeletons: dict[tuple, tuple] = {}  # a group's slots and key firsts -> its skeleton
+    skeletons: dict[tuple, tuple] = {}  # a class entry's shape -> its skeleton
 
     def fill(code: int, row: Sequence) -> str:
         entry = templates.get(code)
@@ -186,31 +175,22 @@ def write_result_log(result: SearchResult, path: str | Path) -> None:
                 f_texts = [str(f).encode() for f in free[2]]
                 parts += f_texts
                 bound, pick = len(parts), parts.__getitem__
-            if entry[9] is None:
-                # A class entry's shape is its free axes and whether q is 0 (a
-                # family's starts with slots holding a None), and its row at
-                # point i of its walk has p = m**2 q.
-                shape = _free_axes(entry), not q
-                walk = _diagonal(free, shape[0])
-                p_code = lambda i: (walk[i][0] ** 2 * q, codes[0])
-            else:
-                shape, firsts = _shape(group, codes)
-                p_code = lambda i: (group[i][9], codes[i])
+            # A class entry's shape is its free axes and whether q is 0, and
+            # its row at point i of its walk has p = m**2 q.
+            shape = _free_axes(entry), not q
+            walk = _diagonal(free, shape[0])
+            base = codes[0] & ~_DEF_MASK
             found = skeletons.get(shape)
             if found is None:
-                if len(skeletons) == _SKELETONS:
-                    del skeletons[next(iter(skeletons))]
-                if entry[9] is None:
-                    group = _class_rows(entry, free)
-                    codes *= len(group)
-                    firsts = _shape(group, codes)[1]
-                cells = _family_cells(group, codes, free, table)
+                rows = _class_rows(entry, free)
+                # Each p << 9 | base key of the rows, to the first row that has it.
+                firsts = {row[9] << 9 | base: i for i, row in reversed([*enumerate(rows)])}
+                cells = _family_cells(rows, codes[0], free, table)
                 found = skeletons[shape] = _skeleton(cells, firsts, free, bound)
             segments, bindings = found
             del parts[bound:]
             for first, bits in bindings:
-                p, code = p_code(first)
-                line = fill(code & ~_DEF_MASK | bits, [*entry[:6], *_DEF_OPEN, p, q])
+                line = fill(base | bits, [*entry[:6], *_DEF_OPEN, walk[first][0] ** 2 * q, q])
                 parts += line.encode().split(b"%d")[::3]
             for segment in segments:
                 if type(segment) is not tuple:

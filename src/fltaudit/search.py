@@ -62,17 +62,17 @@ family row is trivial (a = 0) or fails the divisibility condition (zero
 divides only zero), so it is never a counterexample, and its free values
 drop out.  So every row an entry stands for has the entry's report but for
 the chain d != e != f != 0, whose two readings give three classes.  The
-search classifies one row per class or family entry, and once per class
-of a square block's explicit rows that differ only in the signs of d, e
-and f and share their chain flags.  A report's code is the bits of its
+search classifies one row per class entry, and once per class of a
+square block's explicit rows that differ only in the signs of d, e and f
+and share their chain flags.  A report's code is the bits of its
 nine hypothesis flags.  The search stores one code beside each entry, and
 a row's code is its entry's with the row's own chain bits: no walk
 classifies.  A walk expands each class entry once, one p = m^2 q per
 magnitude m, and an explicit run goes to its consumer whole.  Family rows
 come one (d, e) cell at a time, their chain bits read from one table over
 the box's (d, e) pairs, to rows, solutions and the log alike.  The log
-(``fltaudit.resultlog``) writes a class entry's rows, like a family's, from
-a skeleton of indices that every group of the same shape reuses.
+(``fltaudit.resultlog``) writes a class entry's rows from a skeleton of
+indices, one for each of at most 16 shapes: its free axes and whether q is 0.
 
 The space is split into shards by a prefix of the enumeration order; each
 completed shard appends one fsync'd record to the checkpoint file, so an
@@ -83,13 +83,15 @@ the entries and their codes back from the spill a piece at a time, in
 shard order.  So memory holds one shard's record, whatever the size of the
 box, and a walk never reads the checkpoint.  A resume checks each record:
 the header _record_header declares for its shard and no other key, and
-strictly increasing rows of eleven integers in the shard's blocks and the
-search box, each solving the system with q >= 0, and p >= 0 where q = 0.
-In format 3 a square block holds explicit rows and any other prefix one
-class entry with a point on its diagonal; format 2 holds explicit rows and
-family entries, nulls exactly in the d, e, f slots whose product is 0;
-format 1 holds explicit rows only.  A record with an entry missing passes
-these checks: only a rescan finds it.
+rows of eleven integers, nulls only in the d, e, f and p slots, with
+q >= 0, and p >= 0 where q = 0.  One rule then reads every format: a
+square block's prefix holds explicit rows, and any other prefix exactly
+its class entry's rows as the record's format writes them, kept as that
+entry.  So the spill holds format 3 whatever the checkpoint's format.  The
+entries kept must lie in the shard's blocks and the search box, increase
+strictly and solve the system.  A record missing a square block's row,
+or the only entry of a prefix (as a format-3 class entry is), passes these
+checks: only a rescan finds it.
 """
 
 from __future__ import annotations
@@ -104,7 +106,7 @@ from itertools import chain, groupby, product
 from math import isqrt, prod
 from operator import attrgetter, itemgetter, lt
 from pathlib import Path
-from typing import BinaryIO, Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
+from typing import BinaryIO, Callable, Iterator, Mapping, NamedTuple, Sequence
 
 from .checkpoint import CANONICAL_JSON, CheckpointError, append_record, read_records
 from .ints import at_least, exact_ints, exact_sqrt
@@ -661,24 +663,21 @@ def _run_table(d_range: range, e_range: range, f_range: range) -> dict[int, dict
     return table
 
 
-def _family_cells(
-    group: Sequence[list], codes: Iterable[int], free: Sequence, table: dict
-) -> Iterator[tuple]:
-    """A family group's rows in enumeration order, one (d, e) cell at a time.
-
-    The log walks a class entry's expanded rows here too, to build a skeleton.
+def _family_cells(group: Sequence[list], code: int, free: Sequence, table: dict) -> Iterator[tuple]:
+    """The rows of a class entry of code ``code``, ``group`` as ``_class_rows``
+    gives them, in enumeration order, one (d, e) cell at a time.
 
     A cell comes as ``(d, e, pair, leaves)``, ``pair`` being ``table[d][e]``
     and ``leaves`` ``(f, (entry, base, key))`` for each entry with rows at
-    (d, e), f None where it is free.  A row's code is ``base``, its entry's
+    (d, e), f None where it is free.  A row's code is ``base``, the entry's
     code without chain bits, with the row's bits from ``pair``; ``key`` is
     ``p << 9 | base``.  A None slot stands for its range in ``free``; a
     group's entries share their None slots, so it is walked d -> e -> f.
     """
+    base = code & ~_DEF_MASK
     tree: dict = {}  # slot value (None when free) -> next slot's tree
-    for entry, code in zip(group, codes):
+    for entry in group:
         d_key, e_key, f_key = entry[6:9]
-        base = code & ~_DEF_MASK
         tree.setdefault(d_key, {}).setdefault(e_key, {})[f_key] = entry, base, entry[9] << 9 | base
     for d_key, e_tree in tree.items():
         for d in free[0] if d_key is None else (d_key,):
@@ -743,58 +742,43 @@ class SearchResult:
             entries, codes = marshal.loads(self.spill.read(length))
             yield from zip(entries, array("H", codes))
 
-    def _walk(self) -> Iterator[tuple[Sequence[int] | None, Sequence | Iterator[tuple]]]:
-        """Each run of entries sharing (alpha, beta, gamma, a, b, c), in enumeration order.
+    def _row_runs(self) -> Iterator[tuple[Sequence[int], Sequence[list]]]:
+        """Each run of rows as ``(codes, rows)``, in enumeration order, ``codes[i]``
+        the report code of ``rows[i]``.
 
-        The prefix fixes which of d, e, f are free, so a run is explicit rows
-        only, family entries only or one format-3 class entry, which
-        ``_class_rows`` expands once.  An explicit run comes as
-        ``(codes, rows)``, each entry one row, with ``codes[i]`` the report
-        code of ``rows[i]``: read from ``_stored`` beside the entry, or for a
-        class entry's diagonal rows, its code with ``_diagonal_classes``'
-        bits.  A family run comes as ``(None, cells)``, ``cells`` being
-        ``_family_cells``' lazy walk of its (d, e) cells over one
-        ``_run_table`` built at the first family run.
+        The entries sharing (alpha, beta, gamma, a, b, c) are explicit rows,
+        which come whole with the codes ``_stored`` reads beside them, or one
+        class entry, which ``_class_rows`` expands once.  Its diagonal comes
+        whole, its codes the entry's with ``_diagonal_classes``' bits, where
+        no axis is free, and otherwise one (d, e) cell at a time, from
+        ``_family_cells``' walk over one ``_run_table``.
         """
         free = tuple(self.space.values_of(name) for name in "def")
         table = None
         for _, group in groupby(self._stored(), lambda stored: _PREFIX(stored[0])):
-            group, codes = zip(*group)
-            if group[0][9] is None:
-                code = codes[0]
-                group = _class_rows(group[0], free)
-                if None in group[0]:
-                    codes = [code] * len(group)
-                else:
-                    base = code & ~_DEF_MASK
-                    codes = [base | bits for bits in _diagonal_classes(free)[0]]
-            if None not in group[0]:
-                yield codes, group
-            else:
-                if table is None:
-                    table = _run_table(*free)
-                yield None, _family_cells(group, codes, free, table)
-
-    def _row_runs(self) -> Iterator[tuple[Sequence[int], Sequence[list]]]:
-        """Each run of rows as ``(codes, rows)``, in enumeration order: an explicit run
-        whole, as ``_walk`` yields it, and a family's rows one (d, e) cell at a time."""
-        f_range = self.space.values_of("f")
-        for codes, run in self._walk():
-            if codes is not None:
-                yield codes, run
+            entries, codes = zip(*group)
+            if entries[0][9] is not None:
+                yield codes, entries
                 continue
-            for d, e, (runs, fixed, other), leaves in run:
-                codes, rows = [], []
+            group = _class_rows(entries[0], free)
+            if None not in group[0]:
+                base = codes[0] & ~_DEF_MASK
+                yield [base | bits for bits in _diagonal_classes(free)[0]], group
+                continue
+            if table is None:
+                table = _run_table(*free)
+            for d, e, (runs, fixed, other), leaves in _family_cells(group, codes[0], free, table):
+                cell_codes, rows = [], []
                 for f, (entry, base, _) in leaves:
                     head, tail = entry[:6], entry[9:]
-                    for value in f_range if f is None else (f,):
+                    for value in free[2] if f is None else (f,):
                         rows.append([*head, d, e, value, *tail])
                     if f is not None:
-                        codes.append(base | fixed.get(f, other))
+                        cell_codes.append(base | fixed.get(f, other))
                         continue
                     for bits, i, j in runs:
-                        codes += [base | bits] * (j - i)
-                yield codes, rows
+                        cell_codes += [base | bits] * (j - i)
+                yield cell_codes, rows
 
     def iter_rows(self) -> Iterator[list[int]]:
         """The kernel rows in enumeration order, expanded from the entries as they go."""
@@ -840,13 +824,6 @@ class SearchResult:
         }
 
 
-def _free_slots_match(row: list) -> bool:
-    """Whether a format-2 entry's nulls are exactly its zero-product d, e, f slots."""
-    if None in (*row[:6], *row[9:]):
-        return False
-    return tuple(v is None for v in row[6:9]) == _free_axes(row)
-
-
 def _square_block(alpha: int, beta: int, gamma: int, a: int, b: int, c: int) -> bool:
     """Whether a*alpha, b*beta and c*gamma are nonzero and -alpha*beta*gamma is a perfect square."""
     if not (a * alpha and b * beta and c * gamma):
@@ -854,30 +831,28 @@ def _square_block(alpha: int, beta: int, gamma: int, a: int, b: int, c: int) -> 
     return exact_sqrt(-alpha * beta * gamma) is not None
 
 
-def _format_three_fault(rows: list[list], def_ranges: tuple[range, ...]) -> str | None:
-    """What in a format-3 record's ``rows`` ``_scan_shard`` never writes, or None.
+def _written_rows(entry: list, fmt: int, free: tuple[range, ...]) -> list[list]:
+    """The rows a format-``fmt`` record holds for class entry ``entry``, none where its
+    diagonal is empty: the entry itself in format 3, ``_class_rows`` in format 2 and
+    every row those stand for, sorted, in format 1."""
+    if fmt == 3:
+        return [entry] if _diagonal(free, _free_axes(entry)) else []
+    rows = _class_rows(entry, free)
+    if fmt == 2:
+        return rows
+    return sorted(
+        [*row[:6], *point, *row[9:]]
+        for row in rows
+        for point in product(*[axis if v is None else (v,) for v, axis in zip(row[6:9], free)])
+    )
 
-    A prefix in a square block holds explicit rows; any other prefix holds
-    one class entry, null in d, e, f and p, whose diagonal has a point.
-    """
-    explicit = {tuple(row[:6]) for row in rows if None not in row}
-    if not all(_square_block(*prefix) for prefix in explicit):
-        return "an explicit row outside a square block"
-    for row in rows:
-        if None not in row:
-            continue
-        if row[6:10] != [None] * 4 or None in row[:6] or row[10] is None:
-            return "a class entry with a value in its d, e, f or p slot, or a null outside them"
-        if _square_block(*row[:6]):
-            return "a class entry inside a square block"
-        if not _diagonal(def_ranges, _free_axes(row)):
-            return "a class entry whose diagonal is empty"
-    return None
+
 def _load_existing_records(space: SearchSpace, signature: str) -> Iterator[tuple[int, dict]]:
     """Each checkpoint record that passes the resume's checks, as (shard, record).
 
     The records are read, checked and yielded one at a time, in file order;
-    a shard may come more than once.
+    a shard may come more than once.  A record's rows are yielded as format
+    3 entries, whatever its format.
     """
     path = space.checkpoint_path
     if path is None or not Path(path).exists():
@@ -902,7 +877,7 @@ def _load_existing_records(space: SearchSpace, signature: str) -> Iterator[tuple
                 f"shards, blocks {want['blocks']} and scanned {want['scanned']}"
             )
         # The log writes each row value into an integer slot, so a row must
-        # hold exactly len(ROW_VARS) ints; formats 2 and 3 may leave slots null.
+        # hold exactly len(ROW_VARS) ints, but for nulls in d, e, f and p.
         rows = record.get("solutions")
         if not isinstance(rows, list):
             raise CheckpointError(f"checkpoint shard {shard} holds no row list")
@@ -911,47 +886,66 @@ def _load_existing_records(space: SearchSpace, signature: str) -> Iterator[tuple
             raise CheckpointError(
                 f"checkpoint shard {shard} holds keys the search never writes: {extra}"
             )
-        slot_types = {int} if fmt == 1 else {int, type(None)}
         if not (
             set(map(type, rows)) <= {list}
             and set(map(len, rows)) <= {len(ROW_VARS)}
-            and set(map(type, chain.from_iterable(rows))) <= slot_types
+            and set(map(type, chain.from_iterable(rows))) <= {int, type(None)}
         ):
             raise CheckpointError(
                 f"checkpoint shard {shard} holds a row that is not {len(ROW_VARS)} integers"
             )
-        if fmt == 2 and not all(map(_free_slots_match, rows)):
+        # A class entry's p is null; it is m**2 q, so q >= 0 is its whole sign
+        # check.  A null q passes here, and the rule below refuses it.
+        if min(((row[10] or 0, row[9] or 0) for row in rows), default=(0, 0)) < (0, 0):
             raise CheckpointError(
-                f"checkpoint shard {shard} holds a null outside the d, e, f slots "
-                "whose product is 0, or a value inside one"
+                f"checkpoint shard {shard} holds a row with q < 0, or with q = 0 and p < 0"
             )
-        if fmt == 3 and (fault := _format_three_fault(rows, def_ranges)):
-            raise CheckpointError(f"checkpoint shard {shard} holds {fault}")
+        # The one rule of every format: a square block's prefix holds explicit
+        # rows, and any other prefix exactly its class entry's rows in the
+        # record's format, kept as that entry.
+        entries: list[list] = []
+        for head, group in groupby(rows, _PREFIX):
+            group = list(group)
+            if None in head or group[0][10] is None:
+                raise CheckpointError(
+                    f"checkpoint shard {shard} holds a null outside the d, e, f and p slots"
+                )
+            if _square_block(*head):
+                # A set test hashes each value, where ``None in`` would compare it.
+                if not {None}.isdisjoint(chain.from_iterable(group)):
+                    raise CheckpointError(
+                        f"checkpoint shard {shard} holds a null in a square block"
+                    )
+                entries += group
+                continue
+            entry = [*head, None, None, None, None, group[0][10]]
+            if group != _written_rows(entry, fmt, def_ranges):
+                raise CheckpointError(
+                    f"checkpoint shard {shard} holds rows at {list(head)} that are not "
+                    f"its class entry in format {fmt}"
+                )
+            entries.append(entry)
         # Checked on the distinct prefixes and each column's distinct values,
         # so a resume that reads every entry pays little for it.
         if not (
-            set(map(prefix, rows)) <= set(_prefix_blocks(space, *want["blocks"]))
+            set(map(prefix, entries)) <= set(_prefix_blocks(space, *want["blocks"]))
             and all(
                 value in axis
                 for i, axis in enumerate(box)
-                for value in set(map(itemgetter(i), rows)) - {None}
+                for value in set(map(itemgetter(i), entries)) - {None}
             )
         ):
             raise CheckpointError(
                 f"checkpoint shard {shard} holds a row outside its blocks or the search box"
             )
-        # A class entry's p is null; it is m**2 q, so q >= 0 is its whole sign check.
-        if min(((row[10], row[9] or 0) for row in rows), default=(0, 0)) < (0, 0):
-            raise CheckpointError(
-                f"checkpoint shard {shard} holds a row with q < 0, or with q = 0 and p < 0"
-            )
-        # The walk and the log take each record's rows as strictly increasing,
-        # so a prefix holds one class entry.  Rows of one prefix share their
-        # nulls, so None meets only None here.
-        if not all(map(lt, rows, rows[1:])):
+        # The walk and the log take each record's entries as strictly
+        # increasing, so a prefix holds one class entry, and None meets only
+        # None here.
+        if not all(map(lt, entries, entries[1:])):
             raise CheckpointError(
                 f"checkpoint shard {shard} holds rows repeated or out of enumeration order"
             )
+        record["solutions"] = entries
         yield shard, record
 
 
@@ -969,13 +963,12 @@ def _count_rows(
     An explicit row is classified once per class of rows that share its
     coefficients, a, b, c, p, q, the squares of d, e and f and its chain
     flags: the system sees d, e and f only squared, and the chain flags are
-    the only part of a report that reads their signs.  A family or class
-    entry is classified at its first row and never expanded: its other rows
-    differ from that row only in the chain flags (see the module docstring).
-    A family, and a class entry with a free axis, is counted whole under
-    that report, since the counts read only flags its rows share; a
-    diagonal with no free axis is counted per ``_def_bits``, under the
-    entry's code with those bits.
+    the only part of a report that reads their signs.  A class entry is
+    classified at its first row and never expanded: its other rows differ
+    from that row only in the chain flags (see the module docstring).  A
+    class entry with a free axis is counted whole under that report, since
+    the counts read only flags its rows share; a diagonal with no free axis
+    is counted per ``_def_bits``, under the entry's code with those bits.
     """
 
     def code_of(row: list) -> int:
@@ -996,17 +989,13 @@ def _count_rows(
             codes.append(code)
             rows_by_code[code] += 1
             continue
-        points = 1
-        if entry[9] is None:
-            head, q = entry[:6], entry[10]
-            walk = _diagonal(free, _free_axes(entry))
-            (m, *fixed), points = walk[0], len(walk)
-            entry = [*head, *fixed, m * m * q, q]
-        axes = [(v,) if v is not None else r for v, r in zip(entry[6:9], free)]
-        code = code_of([*entry[:6], *(axis[0] for axis in axes), *entry[9:]])
+        walk = _diagonal(free, _free_axes(entry))
+        m, *fixed = walk[0]
+        axes = [(v,) if v is not None else r for v, r in zip(fixed, free)]
+        code = code_of([*entry[:6], *(axis[0] for axis in axes), m * m * entry[10], entry[10]])
         codes.append(code)
-        if None in entry:
-            rows_by_code[code] += points * prod(map(len, axes))
+        if None in fixed:
+            rows_by_code[code] += len(walk) * prod(map(len, axes))
             continue
         for bits, count in _diagonal_classes(free)[1].items():
             rows_by_code[code & ~_DEF_MASK | bits] += count

@@ -1,11 +1,12 @@
 """The canonical JSON writer shared by checkpoint records and CLI reports."""
 
 import argparse
+import os
 import tracemalloc
 
 import pytest
 
-from fltaudit.checkpoint import CANONICAL_JSON, canonical_pieces
+from fltaudit.checkpoint import CANONICAL_JSON, append_record, canonical_pieces
 from fltaudit.cli import _emit
 
 
@@ -70,3 +71,17 @@ class TestReportMemory:
         assert out.read_text(encoding="utf-8") == text + "\n"
         assert len(text) > 1_000_000
         assert peak < 512 * 1024
+
+
+def test_first_record_syncs_its_directory(tmp_path, monkeypatch):
+    # A file's fsync does not make its directory entry durable: the record
+    # that creates the checkpoint syncs the directory too, and later ones do not.
+    synced = []
+    fsync = os.fsync
+    monkeypatch.setattr(os, "fsync", lambda fd: synced.append(os.fstat(fd)) or fsync(fd))
+    path = tmp_path / "new.ckpt"
+    append_record(path, {"shard": 0, "solutions": []})
+    append_record(path, {"shard": 1, "solutions": []})
+    file, directory = path.stat(), tmp_path.stat()
+    assert [os.path.samestat(stat, file) for stat in synced] == [True, False, True]
+    assert os.path.samestat(synced[1], directory)

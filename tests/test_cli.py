@@ -22,8 +22,10 @@ from fltaudit.cli import (
     EXIT_OK,
     EXIT_USAGE,
 )
+from fltaudit.search import SearchSpace
 
 from checkpoints import dying_scan, read_all
+from oracles import oracle_scan_shard
 
 
 def load_schema(schema_dir, name):
@@ -247,6 +249,21 @@ class TestSearch:
         code, _, err = run_cli(argv)
         assert code == EXIT_IO
         assert "checkpoint shard 2" in err
+
+    def test_checkpoint_entry_deleted_io_exit(self, run_cli, tmp_path):
+        # A format-1 record missing one of the 27 rows of unit [-1, 1]'s
+        # first prefix in shard 1, (1, 1, 1, 0, 0, 0), whose d, e, f are free.
+        cp = tmp_path / "c.bin"
+        space = SearchSpace.cube(-1, 1, shards=2)
+        for sid in range(2):
+            record = oracle_scan_shard(space, sid)
+            if sid == 1:
+                del record["solutions"][5]
+            append_record(cp, record)
+        argv = ["search", "--lower", -1, "--upper", 1, "--shards", 2, "--checkpoint", cp]
+        code, _, err = run_cli(argv)
+        assert code == EXIT_IO
+        assert "checkpoint shard 1 holds rows at [1, 1, 1, 0, 0, 0]" in err
 
     def test_record_over_the_read_bound_io_exit(self, run_cli, tmp_path, monkeypatch):
         # Unit [-2, 2] in 2 shards writes records of 531 and 558 bytes.

@@ -710,6 +710,8 @@ class TestDeterminismAndSharding:
 DELETED = object()
 # The null d, e, f and p slots of a format-3 class entry.
 NULLS = [None] * 4
+# The refusal of a prefix outside a square block that is not its class entry.
+NOT_CLASS = r"rows at \[1, 1, 1, [01], [01], 0\] that are not its class entry in format 3$"
 
 
 # Each format's record writer: the oracle's formats 1 and 2, the search's format 3.
@@ -729,6 +731,12 @@ def cube_record(case, bound, shards, fmt, shard):
         space = SearchSpace.cube(-bound, bound, case=case, shards=shards)
         append_record(path, RECORD_WRITERS[fmt](space, shard))
         return path.read_bytes()
+
+
+def framed(record):
+    """``record`` as ``append_record`` frames it: a 4-byte length, then canonical JSON."""
+    payload = json.dumps(record, sort_keys=True, separators=(",", ":")).encode()
+    return len(payload).to_bytes(4, "big") + payload
 
 
 @functools.lru_cache(maxsize=None)
@@ -907,17 +915,17 @@ class TestCheckpointing:
             # q**2 = 1 is not a**2 - b**2 - c**2 = 0.
             ("row", [1, 1, 1, 0, 0, 0, *NULLS, 1], "a row that fails the system", None),
             ("insert", [1, 1, 1, 1, 0, 0, *NULLS, -1], "a row with q < 0", None),
-            ("row", [1, 1, 1, 0, 0, 0, 0, None, None, None, 0], "a class entry with a value", None),
-            ("row", [1, 1, 1, 0, 0, 0, None, None, None, 0, 0], "a class entry with a value", None),
-            ("row", [1, 1, 1, 0, 0, 0, *NULLS, None], "a class entry with a value", None),
-            ("insert", [1, 1, 1, 1, 0, 0, *NULLS, 1], "rows repeated", None),
+            ("row", [1, 1, 1, 0, 0, 0, 0, None, None, None, 0], NOT_CLASS, None),
+            ("row", [1, 1, 1, 0, 0, 0, None, None, None, 0, 0], NOT_CLASS, None),
+            ("row", [1, 1, 1, 0, 0, 0, *NULLS, None], "a null outside the d, e, f and p", None),
+            ("insert", [1, 1, 1, 1, 0, 0, *NULLS, 1], NOT_CLASS, None),
             # A solution, but outside a square block it is its class entry's.
-            ("row", [1, 1, 1, 0, 0, 0, 0, 0, 0, 0, 0], "an explicit row outside a square", None),
+            ("row", [1, 1, 1, 0, 0, 0, 0, 0, 0, 0, 0], NOT_CLASS, None),
             # -alpha*beta*gamma = 1: the first prefix, all -1, is a square block.
             (
                 "row",
                 [-1, -1, -1, -1, -1, -1, *NULLS, 1],
-                "a class entry inside a square block",
+                "a null in a square block$",
                 SearchSpace(
                     bounds={**dict.fromkeys(COEFF_VARS, (-1, -1)), **dict.fromkeys("abcdef", (-1, 1))},
                     case="general",
@@ -928,7 +936,7 @@ class TestCheckpointing:
             (
                 "insert",
                 [1, 1, 1, 1, 1, 0, *NULLS, 0],
-                "a class entry whose diagonal is empty",
+                NOT_CLASS,
                 SearchSpace(
                     bounds={**dict.fromkeys("abcf", (-1, 1)), "d": (1, 1), "e": (2, 2)}, shards=2
                 ),
@@ -957,6 +965,43 @@ class TestCheckpointing:
         row = [1, 1, 1, 1, 1, 0, 0, 0, None, -1, 0]
         with pytest.raises(CheckpointError, match="^checkpoint shard 1 .*q = 0 and p < 0"):
             resume_tampered(tmp_path, "insert", row, fmt=2)
+
+    @pytest.mark.parametrize("fmt", [1, 2])
+    def test_entry_deleted_outside_a_square_block_refused(self, tmp_path, fmt):
+        # Unit [-1, 1] has no square block (-alpha*beta*gamma = -1): each
+        # prefix holds exactly its class entry's rows, so with any one of them
+        # deleted it holds other rows.  A prefix of one entry, deleted whole,
+        # leaves nothing to compare: only a rescan finds that.
+        cp = tmp_path / "deleted.ckpt"
+        space = SearchSpace.cube(-1, 1, shards=2, checkpoint_path=cp)
+        records = [json.loads(cube_record("unit", 1, 2, fmt, sid)[4:]) for sid in range(2)]
+        deleted = 0
+        for sid, record in enumerate(records):
+            rows = record["solutions"]
+            for i, row in enumerate(rows):
+                if sum(other[:6] == row[:6] for other in rows) < 2:
+                    continue
+                tampered = [*records]
+                tampered[sid] = {**record, "solutions": rows[:i] + rows[i + 1 :]}
+                cp.write_bytes(b"".join(map(framed, tampered)))
+                with pytest.raises(CheckpointError, match=f"^checkpoint shard {sid} holds rows at "):
+                    search(space)
+                deleted += 1
+        assert deleted == {1: 201, 2: 46}[fmt]
+
+    @pytest.mark.parametrize("case, bound", [("unit", 2), ("general", 1)])
+    @pytest.mark.parametrize("formats", [(1, 1, 1), (2, 2, 2), (2, 1, 3)])
+    def test_old_formats_spill_the_fresh_entries(self, tmp_path, case, bound, formats):
+        # Formats 1 and 2 are read into format 3: the spill holds what a
+        # fresh run's holds, entry for entry and code for code.
+        cp = tmp_path / "old.ckpt"
+        cp.write_bytes(
+            b"".join(cube_record(case, bound, 3, fmt, sid) for sid, fmt in enumerate(formats))
+        )
+        space = SearchSpace.cube(-bound, bound, case=case, shards=3)
+        resumed = search(dataclasses.replace(space, checkpoint_path=str(cp)))
+        assert resumed.shards_reused == 3
+        assert list(resumed._stored()) == list(search(space)._stored())
 
     @pytest.mark.parametrize("case, bound", [("unit", 3), ("general", 2)])
     @pytest.mark.parametrize("formats", [(1, 1, 1), (1, 2, 1), (1, 2, 3), (3, 2, 1), (2, 3, 2)])
@@ -1073,8 +1118,9 @@ class TestCheckpointing:
 class TestTamperedRecords:
     """A checkpoint with one record changed is resumed, and walks, or refused with CheckpointError.
 
-    A resume does not find every change: a record with an entry deleted
-    passes every check, and only a rescan finds it.
+    A resume does not find every change: a record with a square block's row,
+    or a prefix's only entry, deleted passes every check, and only a rescan
+    finds it.
     """
 
     @settings(
@@ -1294,8 +1340,9 @@ class TestStreamedLogAgainstOracle:
 
     def test_more_group_shapes_than_a_write_keeps(self, tmp_path):
         # Format-2 records with a different entry dropped from each family
-        # resume (only a rescan finds a missing entry), and their families
-        # take more shapes than a write keeps skeletons for.
+        # take more group shapes than the 16 of format 3's class entries.  A
+        # family missing an entry is not its class entry's rows, so a resume
+        # refuses the first record holding one, and no write meets them.
         space = SearchSpace(bounds=MIXED, case="general", shards=3, checkpoint_path=tmp_path / "c")
         shapes = set()
         for sid in range(space.shards):
@@ -1308,10 +1355,10 @@ class TestStreamedLogAgainstOracle:
                     shapes.add(tuple(tuple(row[6:9]) for row in group))
                 kept += group
             append_record(space.checkpoint_path, {**record, "solutions": kept})
-        assert len(shapes) > resultlog_module._SKELETONS
-        result = search(space)
-        assert result.shards_reused == 3
-        assert_matches_oracle(result, tmp_path / "log.jsonl")
+        assert len(shapes) > 16
+        message = r"^checkpoint shard 0 holds rows at \[.*\] that are not its class entry in format 2$"
+        with pytest.raises(CheckpointError, match=message):
+            search(space)
 
     def test_check_conditions_shares_reports(self):
         inst = unit_instance(3, 2, 2, 1, -1, 1, p=1, q=1)
@@ -1765,13 +1812,21 @@ class TestPatternPathAgainstRows:
 
     def test_forged_family_that_fails_the_system(self, tmp_path):
         # a = 1 fixes d; b = c = 0 free e and f.  q = 1 forces p = d**2 = 1,
-        # so p = 5 fails the second equation for every e and f.  The entry's
-        # nulls are exactly its zero-product slots, so only its first row's
-        # report can refuse it.
+        # so p = 5 fails the second equation for every e and f.  p = 5 is
+        # not m**2 q either, so the prefix is not its class entry's rows.
         cp = tmp_path / "forged.ckpt"
         space = SearchSpace.cube(-1, 1, checkpoint_path=cp)
         record = oracle_format_two_record(space, 0)
         record["solutions"] = [[1, 1, 1, 1, 0, 0, 1, None, None, 5, 1]]
+        append_record(cp, record)
+        message = r"^checkpoint shard 0 holds rows at \[1, 1, 1, 1, 0, 0\] that are not"
+        with pytest.raises(CheckpointError, match=message):
+            search(space)
+        # With q = 2 the family is its class entry's rows, p = m**2 q along
+        # d's diagonal, but q**2 = 4 is not a**2 = 1: only the entry's first
+        # row's report can refuse it.
+        record["solutions"] = [[1, 1, 1, 1, 0, 0, d, None, None, 2 * d * d, 2] for d in (-1, 0, 1)]
+        cp.unlink()
         append_record(cp, record)
         with pytest.raises(CheckpointError, match="^checkpoint shard 0 .*fails the system"):
             search(space)
