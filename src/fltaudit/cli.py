@@ -7,7 +7,7 @@ Exit codes are part of the contract:
     2   identity verification failure
     3   audit verdicts drifted from the expected-verdict manifest
     5   the search found a counterexample
-    64  usage error (bad flags, bad ranges, empty paths, missing config file)
+    64  usage error (bad flags, bad ranges, empty or shared paths, missing config file)
     70  internal error (an unexpected exception; one line on stderr)
     74  checkpoint or report I/O failure
 
@@ -299,6 +299,13 @@ def _cmd_search(args: argparse.Namespace) -> tuple[int, dict, str]:
 
     if args.workers < 1:
         raise UsageError(f"--workers must be >= 1, got {args.workers}")
+    # Outputs that share a file overwrite each other: the log the checkpoint, the report the log.
+    named: dict[Path, str] = {}
+    outputs = {"--checkpoint": args.checkpoint, "--result-log": args.result_log, "--out": args.out}
+    for flag, path in outputs.items():
+        first = flag if path is None else named.setdefault(path.resolve(), flag)
+        if first != flag:
+            raise UsageError(f"{first} and {flag} name the same file {path}")
     try:
         space = SearchSpace.cube(
             args.lower,

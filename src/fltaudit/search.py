@@ -84,14 +84,14 @@ shard order.  So memory holds one shard's record, whatever the size of the
 box, and a walk never reads the checkpoint.  A resume checks each record:
 the header _record_header declares for its shard and no other key, and
 rows of eleven integers, nulls only in the d, e, f and p slots, with
-q >= 0, and p >= 0 where q = 0.  One rule then reads every format: a
-square block's prefix holds explicit rows, and any other prefix exactly
-its class entry's rows as the record's format writes them, kept as that
-entry.  So the spill holds format 3 whatever the checkpoint's format.  The
-entries kept must lie in the shard's blocks and the search box, increase
-strictly and solve the system.  A record missing a square block's row,
-or the only entry of a prefix (as a format-3 class entry is), passes these
-checks: only a rescan finds it.
+q >= 0, and p >= 0 where q = 0.  One rule then reads every format, per
+prefix: each lies in the shard's blocks and the box, after the one before;
+a square block's prefix holds explicit rows in the box, strictly
+increasing, and any other prefix exactly its class entry's rows in the
+record's format, kept as that entry.  So the spill holds format 3 in strict
+order, whatever the checkpoint's format; each entry must solve the system.
+A record missing a square block's row, or the only entry of a prefix (as a
+format-3 class entry is), passes these checks: only a rescan finds it.
 """
 
 from __future__ import annotations
@@ -104,7 +104,7 @@ from dataclasses import dataclass, fields
 from functools import lru_cache
 from itertools import chain, groupby, product
 from math import isqrt, prod
-from operator import attrgetter, itemgetter, lt
+from operator import attrgetter, contains, itemgetter, lt
 from pathlib import Path
 from typing import BinaryIO, Callable, Iterator, Mapping, NamedTuple, Sequence
 
@@ -851,8 +851,9 @@ def _load_existing_records(space: SearchSpace, signature: str) -> Iterator[tuple
     """Each checkpoint record that passes the resume's checks, as (shard, record).
 
     The records are read, checked and yielded one at a time, in file order;
-    a shard may come more than once.  A record's rows are yielded as format
-    3 entries, whatever its format.
+    a shard may come more than once.  A record's blocks, box and order are
+    checked per prefix, in the one walk that yields its rows as format 3
+    entries, whatever its format.
     """
     path = space.checkpoint_path
     if path is None or not Path(path).exists():
@@ -900,22 +901,39 @@ def _load_existing_records(space: SearchSpace, signature: str) -> Iterator[tuple
             raise CheckpointError(
                 f"checkpoint shard {shard} holds a row with q < 0, or with q = 0 and p < 0"
             )
-        # The one rule of every format: a square block's prefix holds explicit
-        # rows, and any other prefix exactly its class entry's rows in the
-        # record's format, kept as that entry.
+        # The one rule of every format, in one walk of the prefixes: each head
+        # lies in the shard's blocks and the box, after the previous head; a
+        # square block's prefix holds explicit rows in the box, increasing
+        # strictly, and any other prefix exactly its class entry's rows in the
+        # record's format, kept as that entry (_diagonal's d, e, f are in the box).
+        blocks = set(_prefix_blocks(space, *want["blocks"]))
+        outside = f"checkpoint shard {shard} holds a row outside its blocks or the search box"
+        disordered = f"checkpoint shard {shard} holds rows repeated or out of enumeration order"
         entries: list[list] = []
+        last: tuple = ()
         for head, group in groupby(rows, _PREFIX):
             group = list(group)
             if None in head or group[0][10] is None:
                 raise CheckpointError(
                     f"checkpoint shard {shard} holds a null outside the d, e, f and p slots"
                 )
+            if prefix(head) not in blocks or not all(map(contains, box, head)):
+                raise CheckpointError(outside)
+            if head <= last:
+                raise CheckpointError(disordered)
+            last = head
             if _square_block(*head):
                 # A set test hashes each value, where ``None in`` would compare it.
                 if not {None}.isdisjoint(chain.from_iterable(group)):
                     raise CheckpointError(
                         f"checkpoint shard {shard} holds a null in a square block"
                     )
+                # A range of the box holds a column where it holds its ends.
+                columns = [*zip(*group)][6:9]
+                if not all(min(c) in r and max(c) in r for r, c in zip(def_ranges, columns)):
+                    raise CheckpointError(outside)
+                if not all(map(lt, group, group[1:])):
+                    raise CheckpointError(disordered)
                 entries += group
                 continue
             entry = [*head, None, None, None, None, group[0][10]]
@@ -925,26 +943,6 @@ def _load_existing_records(space: SearchSpace, signature: str) -> Iterator[tuple
                     f"its class entry in format {fmt}"
                 )
             entries.append(entry)
-        # Checked on the distinct prefixes and each column's distinct values,
-        # so a resume that reads every entry pays little for it.
-        if not (
-            set(map(prefix, entries)) <= set(_prefix_blocks(space, *want["blocks"]))
-            and all(
-                value in axis
-                for i, axis in enumerate(box)
-                for value in set(map(itemgetter(i), entries)) - {None}
-            )
-        ):
-            raise CheckpointError(
-                f"checkpoint shard {shard} holds a row outside its blocks or the search box"
-            )
-        # The walk and the log take each record's entries as strictly
-        # increasing, so a prefix holds one class entry, and None meets only
-        # None here.
-        if not all(map(lt, entries, entries[1:])):
-            raise CheckpointError(
-                f"checkpoint shard {shard} holds rows repeated or out of enumeration order"
-            )
         record["solutions"] = entries
         yield shard, record
 

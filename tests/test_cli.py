@@ -457,6 +457,27 @@ class TestParserBasics:
         assert out == ""
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize(
+        "first, second",
+        [("--checkpoint", "--result-log"), ("--checkpoint", "--out"), ("--result-log", "--out")],
+    )
+    def test_coinciding_search_paths_are_a_usage_error(
+        self, run_cli, tmp_path, monkeypatch, first, second
+    ):
+        # One existing checkpoint named twice, relative and absolute: refused
+        # before any work, so it keeps its bytes.
+        monkeypatch.chdir(tmp_path)
+        cp = tmp_path / "run.ckpt"
+        argv = ["search", "--lower", -1, "--upper", 1, "--shards", 2]
+        assert run_cli([*argv, "--checkpoint", cp])[0] == EXIT_OK
+        written = cp.read_bytes()
+        code, out, err = run_cli([*argv, first, "run.ckpt", second, cp])
+        assert code == EXIT_USAGE
+        assert err == f"fltaudit: error: {first} and {second} name the same file {cp}\n"
+        assert out == ""
+        assert cp.read_bytes() == written
+        assert list(tmp_path.iterdir()) == [cp]
+
     def test_unexpected_exception_exits_internal(self, run_cli, monkeypatch):
         import fltaudit.cli as cli
 

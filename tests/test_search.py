@@ -779,6 +779,29 @@ def resume_tampered(tmp_path, field, value, shard=1, fmt=3, space=None):
     return search(space)
 
 
+def resume_edited(tmp_path, space, edit):
+    """Search ``space`` into a checkpoint, let ``edit`` change its records' row lists, resume."""
+    cp = tmp_path / "edited.ckpt"
+    space = dataclasses.replace(space, checkpoint_path=str(cp))
+    search(space)
+    records, _ = read_all(cp)
+    edit([record["solutions"] for record in records])
+    cp.write_bytes(b"".join(map(framed, records)))
+    return search(space)
+
+
+def swap(rows, i, j):
+    rows[i], rows[j] = rows[j], rows[i]
+
+
+# General, alpha = beta = gamma = -1 and a..f in [-1, 1], one shard: every
+# prefix with a, b and c nonzero is a square block, the first one included.
+SQUARE_BOX = SearchSpace(
+    bounds={**dict.fromkeys(COEFF_VARS, (-1, -1)), **dict.fromkeys("abcdef", (-1, 1))},
+    case="general",
+)
+
+
 class TestCheckpointing:
     def test_resume_after_abort_matches_straight_run(self, tmp_path):
         log_straight = tmp_path / "straight.jsonl"
@@ -990,7 +1013,7 @@ class TestCheckpointing:
         assert deleted == {1: 201, 2: 46}[fmt]
 
     @pytest.mark.parametrize("case, bound", [("unit", 2), ("general", 1)])
-    @pytest.mark.parametrize("formats", [(1, 1, 1), (2, 2, 2), (2, 1, 3)])
+    @pytest.mark.parametrize("formats", [(1, 1, 1), (2, 2, 2), (2, 1, 3), (3, 3, 3)])
     def test_old_formats_spill_the_fresh_entries(self, tmp_path, case, bound, formats):
         # Formats 1 and 2 are read into format 3: the spill holds what a
         # fresh run's holds, entry for entry and code for code.
@@ -1162,6 +1185,55 @@ class TestTamperedRecords:
         assert result.shards_reused == 3
         assert len(result.rows) == len(result.solutions)
         result.counterexamples()
+
+    @pytest.mark.parametrize(
+        "space, edit, shard, message",
+        [
+            # Unit [-2, 2] in 3 shards has no square block: one class entry a prefix.
+            (
+                SearchSpace.cube(-2, 2, shards=3),
+                lambda shards: swap(shards[1], 0, 1),
+                1,
+                "rows repeated or out of enumeration order",
+            ),
+            (
+                SearchSpace.cube(-2, 2, shards=3),
+                lambda shards: shards[1].insert(0, shards[0][0]),
+                1,
+                "a row outside its blocks or the search box",
+            ),
+            # It solves the system, but the unit case pins alpha to 1.
+            (
+                SearchSpace.cube(-2, 2, shards=3),
+                lambda shards: shards[2].append([2, 1, 1, 1, 1, 0, *NULLS, 1]),
+                2,
+                "a row outside its blocks or the search box",
+            ),
+            # A solution scaled by 2 from (d, e, f) = (-1, -1, -1), before every
+            # row of the first square block.
+            (
+                SQUARE_BOX,
+                lambda shards: shards[0].insert(0, [-1, -1, -1, -1, -1, -1, -2, -2, -2, 4, 1]),
+                0,
+                "a row outside its blocks or the search box",
+            ),
+            (
+                SQUARE_BOX,
+                lambda shards: swap(shards[0], 0, 1),
+                0,
+                "rows repeated or out of enumeration order",
+            ),
+        ],
+        ids=[
+            "class-entries-swapped", "entry-of-shard-0", "unit-alpha-2",
+            "square-block-row-outside-box", "square-block-rows-swapped",
+        ],
+    )
+    def test_blocks_box_and_order_refused(self, tmp_path, space, edit, shard, message):
+        # Each record passes every check but these: the rows of a fresh run
+        # of the same space, reordered or with an entry from outside.
+        with pytest.raises(CheckpointError, match=f"^checkpoint shard {shard} holds {message}$"):
+            resume_edited(tmp_path, space, edit)
 
 
 class TestResultLog:
